@@ -77,6 +77,9 @@ _CHECK_BOUNDS = {
     "slab-balance": 1e-6,
     "einstein-divergence": 1e-3,
 }
+# checks whose bound is relative to the curvature scale max(1, max |R|) of the
+# sampled events
+_CURVATURE_SCALED = ("conformal-ricci", "conformal-scalar")
 
 
 class ConfigError(Exception):
@@ -277,10 +280,15 @@ def _cmd_check(spec, config, grid, seed):
 
     events = sample_events(spec, count, seed=seed)
     ricci = scalar = 0.0
+    curvature_scale = 1.0
     for event in events:
         res = conformal_residuals(spec, event)
         ricci = max(ricci, res.ricci_residual)
         scalar = max(scalar, res.scalar_residual)
+        curvature_scale = max(curvature_scale, abs(res.scalar_curvature))
+    # the conformal residuals are rounding errors of curvature of size max |R|
+    for name in _CURVATURE_SCALED:
+        bounds[name] *= curvature_scale
 
     surface = GraphHypersurface(
         f"{0.5 * spec.a!r}*(1 + 0.1*cos(theta1))", spec.metric

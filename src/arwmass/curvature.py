@@ -13,11 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensors
+from .fields import split_jet
 from .geometry import ARWSpec, GeometryError, SpacetimeMetric, metric_jets, _invert_metric
 
 __all__ = [
     "CurvatureBundle",
     "curvature_at",
+    "curvature_batch",
     "ConformalResiduals",
     "conformal_residuals",
     "einstein_divergence_residual",
@@ -26,31 +28,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """Curvature stack at one event; riemann[a,b,c,d] carries R^a_bcd."""
+    """Curvature stack; riemann[..., a, b, c, d] carries R^a_bcd.
+
+    From :func:`curvature_at` every entry belongs to one event; from
+    :func:`curvature_batch` every entry carries the events' leading axes.
+    """
 
     g: np.ndarray
     g_inv: np.ndarray
     riemann: np.ndarray
     riemann_lower: np.ndarray
     ricci: np.ndarray
-    scalar: float
+    scalar: float | np.ndarray
     einstein: np.ndarray
 
 
-def curvature_at(metric: SpacetimeMetric, event) -> CurvatureBundle:
-    """Riemann, Ricci, scalar and Einstein tensors at ``event``.
+def curvature_batch(metric: SpacetimeMetric, events) -> CurvatureBundle:
+    """Riemann, Ricci, scalar and Einstein tensors at events of shape (..., dim).
 
-    All metric derivatives entering here are exact; no finite differencing.
+    One vectorized pass over all events; a slice integral evaluates its
+    quadrature nodes this way.  Agrees with :func:`curvature_at` event by
+    event to rounding (numpy may sum a contraction in another order), and
+    raises the errors :func:`curvature_at` raises, naming the event.
     """
-    g, dg, ddg = metric_jets(metric, event, order=2)
-    g_inv = _invert_metric(g, event)
+    g, dg, ddg = metric_jets(metric, events, order=2)
+    g_inv = _invert_metric(g, events)
     gamma = tensors.christoffel(g_inv, dg)
     dgamma = tensors.christoffel_derivative(g_inv, dg, ddg)
     riem = tensors.riemann_up(gamma, dgamma)
-    riem_low = np.einsum("ae,ebcd->abcd", g, riem)
+    riem_low = np.einsum("...ae,...ebcd->...abcd", g, riem)
     ricci = tensors.ricci_from_riemann(riem)
-    scalar = float(np.einsum("bd,bd->", g_inv, ricci))
-    einstein = ricci - 0.5 * scalar * g
+    scalar = np.einsum("...bd,...bd->...", g_inv, ricci)
+    einstein = ricci - 0.5 * scalar[..., None, None] * g
     return CurvatureBundle(
         g=g,
         g_inv=g_inv,
@@ -62,10 +71,19 @@ def curvature_at(metric: SpacetimeMetric, event) -> CurvatureBundle:
     )
 
 
+def curvature_at(metric: SpacetimeMetric, event) -> CurvatureBundle:
+    """Riemann, Ricci, scalar and Einstein tensors at one ``event``.
+
+    All metric derivatives entering here are exact; no finite differencing.
+    """
+    return curvature_batch(metric, np.asarray(event, dtype=float))
+
+
 @dataclass(frozen=True)
 class ConformalResiduals:
     ricci_residual: float
     scalar_residual: float
+    scalar_curvature: float  # R of the full metric, the scale of both residuals
 
 
 def conformal_residuals(spec: ARWSpec, event) -> ConformalResiduals:
@@ -79,20 +97,15 @@ def conformal_residuals(spec: ARWSpec, event) -> ConformalResiduals:
         R   = e^{-2 phi} (R~ - 2 n Box~ phi - n(n-1) |d phi|~^2)
 
     where every tilded object belongs to the unscaled metric.  Returns the
-    max-abs Ricci residual and the absolute scalar residual.
+    max-abs Ricci residual and the absolute scalar residual, together with
+    the scalar curvature they are rounding errors of.
     """
     dim = spec.n + 1
     full = curvature_at(spec.metric, event)
     base = curvature_at(spec.conformal_metric, event)
 
     # phi = psi_tilde jets
-    fld = spec.metric.psi_tilde
-    phi = fld.partial(event, ())
-    dphi = np.array([fld.partial(event, (c,)) for c in range(dim)])
-    ddphi = np.empty((dim, dim))
-    for c in range(dim):
-        for d in range(c, dim):
-            ddphi[c, d] = ddphi[d, c] = fld.partial(event, (c, d))
+    phi, dphi, ddphi = split_jet(spec.metric.psi_tilde.jet(event, 2), dim)
 
     g_t, dg_t, _ = metric_jets(spec.conformal_metric, event, order=1)
     ginv_t = _invert_metric(g_t, event)
@@ -112,7 +125,11 @@ def conformal_residuals(spec: ARWSpec, event) -> ConformalResiduals:
     n = dim - 1
     expected_scalar = np.exp(-2.0 * phi) * (base.scalar - 2.0 * n * box - n * nm1 * grad2)
     scalar_residual = float(abs(full.scalar - expected_scalar))
-    return ConformalResiduals(ricci_residual=ricci_residual, scalar_residual=scalar_residual)
+    return ConformalResiduals(
+        ricci_residual=ricci_residual,
+        scalar_residual=scalar_residual,
+        scalar_curvature=float(full.scalar),
+    )
 
 
 def einstein_divergence_residual(metric: SpacetimeMetric, event, step: float = 1e-3) -> float:

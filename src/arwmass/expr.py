@@ -16,14 +16,26 @@ allowed).
 Differentiation returns a closed expression in the same grammar.  The only
 simplification performed anywhere is constant folding: subtrees without free
 variables collapse to literals, everything else is left alone.
+
+Trees compile to plain Python functions.  ``compile_jet`` compiles a whole
+list of trees at once, typically a field's value, gradient and Hessian, into
+one function that evaluates every distinct subtree once (derivative trees
+repeat the same subtrees dozens of times).  The same source runs in two
+forms: on floats, calling the helpers ``evaluate`` calls, so every result
+is bit-identical to ``evaluate``; and on numpy arrays, with vectorized
+domain checks that raise DomainError wherever some element would make the
+scalar form raise (overflow included).
 """
 
 from __future__ import annotations
 
 import math
 import re
+import types
 from dataclasses import dataclass
 from typing import Callable, Mapping
+
+import numpy as np
 
 __all__ = [
     "Expression",
@@ -46,6 +58,7 @@ __all__ = [
     "free_variables",
     "fold_constants",
     "compile_expression",
+    "compile_jet",
 ]
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "tan", "sqrt", "abs")
@@ -403,25 +416,37 @@ def fold_constants(expr: Expression) -> Expression:
     Subtrees whose evaluation fails (e.g. log(-1)) are left intact so the
     error surfaces at evaluation time with its proper context.
     """
-    if isinstance(expr, (Num, Var, Const)):
-        if isinstance(expr, Const):
-            return Num(CONSTANTS[expr.name])
-        return expr
+    return _fold(expr)[0]
+
+
+def _fold(expr: Expression) -> tuple[Expression, bool]:
+    """(folded tree, whether it has free variables), in one pass: constness
+    travels up the tree instead of being recomputed for every subtree."""
+    if isinstance(expr, Num):
+        return expr, False
+    if isinstance(expr, Var):
+        return expr, True
+    if isinstance(expr, Const):
+        return Num(CONSTANTS[expr.name]), False
     if isinstance(expr, Neg):
-        inner = fold_constants(expr.operand)
+        inner, variable = _fold(expr.operand)
         folded = Neg(inner)
     elif isinstance(expr, Call):
-        folded = Call(expr.fn, fold_constants(expr.arg))
+        arg, variable = _fold(expr.arg)
+        folded = Call(expr.fn, arg)
     elif isinstance(expr, BinOp):
-        folded = BinOp(expr.op, fold_constants(expr.left), fold_constants(expr.right))
+        left, left_variable = _fold(expr.left)
+        right, right_variable = _fold(expr.right)
+        folded = BinOp(expr.op, left, right)
+        variable = left_variable or right_variable
     else:
         raise TypeError(f"not an expression node: {expr!r}")
-    if not free_variables(folded):
+    if not variable:
         try:
-            return Num(_eval(folded, {}))
+            return Num(_eval(folded, {})), False
         except EvaluationError:
-            return folded
-    return folded
+            pass
+    return folded, variable
 
 
 def differentiate(expr: Expression, var: str, order: int = 1) -> Expression:
@@ -582,51 +607,175 @@ def _print_child(child: Expression, parent_prec: int, allow_equal: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to a plain Python callable.  Generated code invokes the same
+# Compilation to plain Python callables.  Generated code invokes the same
 # helper functions as ``evaluate`` in the same order, so results are
 # bit-identical; this only exists because tensor assembly evaluates the same
 # derivative trees at many thousands of points.
+#
+# Every distinct subtree becomes one assignment.  A node is keyed by its
+# emitted code with its children already named, so two equal subtrees share a
+# temporary without any tree ever being hashed recursively.  Derivative trees
+# repeat their subtrees many times over (the product and chain rules copy
+# them), which is what makes a whole jet cheaper than its entries one by one.
 
 
 def compile_expression(expr: Expression, arg_names: tuple[str, ...]) -> Callable[..., float]:
-    missing = free_variables(expr) - set(arg_names)
+    """Python callable evaluating ``expr`` at positional ``arg_names``."""
+    lines, outputs = _emit_program((expr,), arg_names)
+    code = _code(lines, f"return {outputs[0]}", arg_names)
+    return types.FunctionType(code, _SCALAR_HELPERS)
+
+
+def compile_jet(exprs, arg_names: tuple[str, ...]) -> tuple[Callable, Callable]:
+    """(scalar, vectorized) callables returning the tuple of values of ``exprs``.
+
+    Both run one compiled program in which subtrees shared between or within
+    the expressions are evaluated once.  The scalar one is bit-identical to
+    :func:`compile_expression` on each expression.  The vectorized one takes
+    numpy arrays; its helpers raise DomainError wherever an element would
+    make a scalar helper raise, overflow included, and entries without free
+    variables come back as plain floats.
+    """
+    lines, outputs = _emit_program(tuple(exprs), arg_names)
+    code = _code(lines, "return (" + "".join(f"{out}, " for out in outputs) + ")", arg_names)
+    on_arrays = types.FunctionType(code, _VECTOR_HELPERS)
+
+    def vectorized(*args):
+        # inf and nan propagate silently in arithmetic, as on Python floats
+        with np.errstate(all="ignore"):
+            return on_arrays(*args)
+
+    return types.FunctionType(code, _SCALAR_HELPERS), vectorized
+
+
+def _code(lines, ret: str, arg_names):
+    body = "".join(f"    {line}\n" for line in lines)
+    source = f"def _compiled({', '.join(arg_names)}):\n{body}    {ret}\n"
+    module = compile(source, "<expression>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
+
+
+def _emit_program(exprs: tuple, arg_names) -> tuple[list[str], list[str]]:
+    """Assignments for every distinct subtree of ``exprs`` and their outputs."""
+    lines: list[str] = []
+    temps: dict[str, str] = {}  # emitted code, children named -> temporary
+    used: set[str] = set()
+
+    def operand(node: Expression) -> str:
+        if isinstance(node, Num):
+            return f"({float(node.value)!r})"
+        if isinstance(node, Const):
+            return "_PI"
+        if isinstance(node, Var):
+            used.add(node.name)
+            return node.name
+        if isinstance(node, Neg):
+            code = f"(-{operand(node.operand)})"
+        elif isinstance(node, BinOp):
+            a, b = operand(node.left), operand(node.right)
+            if node.op in "+-*":
+                code = f"({a} {node.op} {b})"
+            elif node.op == "/":
+                code = f"_div({a}, {b})"
+            else:
+                code = f"_pow({a}, {b})"
+        elif isinstance(node, Call):
+            code = f"_call_{node.fn}({operand(node.arg)})"
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        name = temps.get(code)
+        if name is None:
+            name = temps[code] = f"_t{len(temps)}"
+            lines.append(f"{name} = {code}")
+        return name
+
+    outputs = [operand(e) for e in exprs]
+    missing = used - set(arg_names)
     if missing:
         raise UnboundVariableError(sorted(missing)[0])
-    body = _emit(expr)
-    source = f"def _compiled({', '.join(arg_names)}):\n    return {body}\n"
-    namespace = {
-        "_pow": _pow,
-        "_div": _div,
-        "_call_exp": math.exp,
-        "_call_log": _log,
-        "_call_sin": math.sin,
-        "_call_cos": math.cos,
-        "_call_tan": math.tan,
-        "_call_sqrt": _sqrt,
-        "_call_abs": abs,
-        "_PI": math.pi,
-    }
-    code = compile(source, "<expression>", "exec")
-    exec(code, namespace)
-    return namespace["_compiled"]
+    return lines, outputs
 
 
-def _emit(expr: Expression) -> str:
-    if isinstance(expr, Num):
-        return f"({float(expr.value)!r})"
-    if isinstance(expr, Const):
-        return "_PI"
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Neg):
-        return f"(-{_emit(expr.operand)})"
-    if isinstance(expr, BinOp):
-        a, b = _emit(expr.left), _emit(expr.right)
-        if expr.op in "+-*":
-            return f"({a} {expr.op} {b})"
-        if expr.op == "/":
-            return f"_div({a}, {b})"
-        return f"_pow({a}, {b})"
-    if isinstance(expr, Call):
-        return f"_call_{expr.fn}({_emit(expr.arg)})"
-    raise TypeError(f"not an expression node: {expr!r}")
+_SCALAR_HELPERS = {
+    "_pow": _pow,
+    "_div": _div,
+    "_call_exp": math.exp,
+    "_call_log": _log,
+    "_call_sin": math.sin,
+    "_call_cos": math.cos,
+    "_call_tan": math.tan,
+    "_call_sqrt": _sqrt,
+    "_call_abs": abs,
+    "_PI": math.pi,
+}
+
+
+# Vectorized helpers.  Each raises where the scalar helper (or the math
+# function it calls) raises for some element: DomainError, OverflowError on
+# a finite argument, ValueError on an infinite angle.  Results are computed
+# under np.errstate(all="ignore"), set by the caller.
+
+
+def _np_raise_if(bad, message: str) -> None:
+    if np.any(bad):
+        raise DomainError(message)
+
+
+def _np_overflow(result, *args):
+    finite = np.isfinite(args[0])
+    for arg in args[1:]:
+        finite = finite & np.isfinite(arg)
+    _np_raise_if(np.isinf(result) & finite, "numerical result out of range")
+    return result
+
+
+def _np_pow(a, b):
+    integer = np.isfinite(b) & (np.floor(b) == b)
+    _np_raise_if(integer & (a == 0.0) & (b < 0), "0 raised to a negative power")
+    _np_raise_if(~integer & (a <= 0.0), "non-positive value raised to a non-integer power")
+    if np.ndim(integer) == 0:  # one exponent for every element
+        result = np.power(a, b) if integer else np.exp(b * np.log(a))
+    else:
+        result = np.where(integer, np.power(a, b), np.exp(b * np.log(a)))
+    return _np_overflow(result, a, b)
+
+
+def _np_div(a, b):
+    _np_raise_if(b == 0.0, "division by zero")
+    return a / b
+
+
+def _np_log(a):
+    _np_raise_if(a <= 0.0, "log of non-positive value")
+    return np.log(a)
+
+
+def _np_sqrt(a):
+    _np_raise_if(a < 0.0, "sqrt of negative value")
+    return np.sqrt(a)
+
+
+def _np_exp(a):
+    return _np_overflow(np.exp(a), a)
+
+
+def _np_periodic(fn):
+    def call(a):
+        _np_raise_if(np.isinf(a), f"{fn.__name__} of an infinite value")
+        return fn(a)
+
+    return call
+
+
+_VECTOR_HELPERS = {
+    "_pow": _np_pow,
+    "_div": _np_div,
+    "_call_exp": _np_exp,
+    "_call_log": _np_log,
+    "_call_sin": _np_periodic(np.sin),
+    "_call_cos": _np_periodic(np.cos),
+    "_call_tan": _np_periodic(np.tan),
+    "_call_sqrt": _np_sqrt,
+    "_call_abs": np.abs,
+    "_PI": math.pi,
+}

@@ -7,24 +7,63 @@ functions of the time coordinate alone whose derivatives are known in closed
 form (the Schwarzschild-AdS profile is carried that way because its time
 coordinate has no closed-form inverse).  Both are wrapped here behind one
 small interface.
+
+Besides single partials, every field hands out its *jet*: value, gradient
+and Hessian up to a given order in one array, at one event or at an array of
+events.  The jet is what tensor assembly consumes; ``partial`` stays as the
+entry-by-entry reference.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Mapping
+from functools import lru_cache
+from typing import Callable
+
+import numpy as np
 
 from .expr import (
+    DomainError,
+    EvaluationError,
     Expression,
     Num,
     UnboundVariableError,
     compile_expression,
+    compile_jet,
     differentiate,
     free_variables,
 )
 
 #: Chart coordinate names, time first.  Index 0 is always tau.
 COORD_NAMES = ("tau", "theta1", "theta2", "theta3")
+
+
+def jet_keys(dim: int, order: int) -> tuple:
+    """Partial-derivative axes of a jet, in its layout: the value, then the
+    gradient, then the Hessian's upper triangle row by row."""
+    keys = [()]
+    if order >= 1:
+        keys += [(c,) for c in range(dim)]
+    if order >= 2:
+        keys += [(c, d) for c in range(dim) for d in range(c, dim)]
+    return tuple(keys)
+
+
+@lru_cache(maxsize=None)
+def _hessian_index(dim: int) -> np.ndarray:
+    index = np.empty((dim, dim), dtype=int)
+    rows, cols = np.triu_indices(dim)
+    index[rows, cols] = index[cols, rows] = 1 + dim + np.arange(rows.size)
+    return index
+
+
+def split_jet(jet: np.ndarray, dim: int):
+    """(value, gradient, Hessian) of a jet with trailing axis in the
+    :func:`jet_keys` layout; orders the jet lacks come back as None."""
+    value = jet[..., 0]
+    grad = jet[..., 1 : dim + 1] if jet.shape[-1] > 1 else None
+    hess = jet[..., _hessian_index(dim)] if jet.shape[-1] > dim + 1 else None
+    return value, grad, hess
 
 
 class ScalarField(ABC):
@@ -39,12 +78,24 @@ class ScalarField(ABC):
         matter.
         """
 
+    @abstractmethod
+    def jet(self, events, order: int = 2) -> np.ndarray:
+        """Partials up to ``order`` (at most 2) at ``events``, shape (..., dim).
+
+        The trailing axis of the result follows :func:`jet_keys`; the leading
+        axes are those of ``events``, none for a single event.
+        """
+
     def value(self, event) -> float:
         return self.partial(event, ())
 
 
 class ExprField(ScalarField):
-    """Field backed by an expression; partials are symbolic, then compiled."""
+    """Field backed by an expression; partials are symbolic, then compiled.
+
+    A jet is compiled into one function per order, scalar and vectorized,
+    on first use.  Its scalar values are bit-identical to ``partial``.
+    """
 
     def __init__(self, expr: Expression, dim: int):
         names = COORD_NAMES[:dim]
@@ -55,6 +106,9 @@ class ExprField(ScalarField):
         self._names = names
         self._exprs: dict[tuple[int, ...], Expression] = {(): expr}
         self._compiled = {(): compile_expression(expr, names)}
+        # order -> (scalar, vectorized) jet, compiled on first use.  Threads
+        # share a field, so an entry is only ever stored fully built.
+        self._jets: dict[int, tuple[Callable, Callable]] = {}
 
     def _expression(self, key: tuple[int, ...]) -> Expression:
         found = self._exprs.get(key)
@@ -72,6 +126,39 @@ class ExprField(ScalarField):
             self._compiled[key] = fn
         return fn(*event[: self.dim])
 
+    def jet(self, events, order: int = 2) -> np.ndarray:
+        events = np.asarray(events, dtype=float)
+        jets = self._jets.get(order)
+        if jets is None:
+            exprs = [self._expression(key) for key in jet_keys(self.dim, order)]
+            jets = compile_jet(exprs, self._names)
+            self._jets[order] = jets
+        scalar, vectorized = jets
+        if events.ndim == 1:
+            try:
+                return np.array(scalar(*events[: self.dim]))
+            except (EvaluationError, ArithmeticError, ValueError) as exc:
+                raise DomainError(f"{exc} at event {events.tolist()}") from None
+        try:
+            values = vectorized(*(events[..., axis] for axis in range(self.dim)))
+        except DomainError:
+            # Event by event, the first failing event raises exactly the
+            # pointwise error; the vectorized checks may also trip where a
+            # numpy scalar overflows to inf instead, and then this is the
+            # pointwise result.
+            flat = events.reshape(-1, events.shape[-1])
+            jets = np.array([self.jet(event, order) for event in flat])
+            return jets.reshape(events.shape[:-1] + jets.shape[-1:])
+        out = np.empty(events.shape[:-1] + (len(values),))
+        for k, value in enumerate(values):
+            out[..., k] = value
+        return out
+
+
+def _zero_jet(events, order: int) -> np.ndarray:
+    shape = np.shape(events)
+    return np.zeros(shape[:-1] + (len(jet_keys(shape[-1], order)),))
+
 
 class ConstField(ScalarField):
     def __init__(self, value: float):
@@ -80,6 +167,11 @@ class ConstField(ScalarField):
     def partial(self, event, axes: tuple[int, ...] = ()) -> float:
         return self._value if not axes else 0.0
 
+    def jet(self, events, order: int = 2) -> np.ndarray:
+        out = _zero_jet(events, order)
+        out[..., 0] = self._value
+        return out
+
 
 class SumField(ScalarField):
     def __init__(self, *parts: ScalarField):
@@ -87,6 +179,12 @@ class SumField(ScalarField):
 
     def partial(self, event, axes: tuple[int, ...] = ()) -> float:
         return sum(part.partial(event, axes) for part in self._parts)
+
+    def jet(self, events, order: int = 2) -> np.ndarray:
+        total = self._parts[0].jet(events, order)
+        for part in self._parts[1:]:
+            total = total + part.jet(events, order)
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +257,21 @@ class TimeField(ScalarField):
         if any(axis != 0 for axis in axes):
             return 0.0
         return self.tf.derivative(event[0], len(axes))
+
+    def jet(self, events, order: int = 2) -> np.ndarray:
+        events = np.asarray(events, dtype=float)
+        out = _zero_jet(events, order)
+        # the events of a slice share one time: the profile is evaluated
+        # once per distinct tau
+        taus = events[..., 0].reshape(-1)
+        profile = {}
+        for tau in taus:
+            if tau not in profile:
+                profile[tau] = [self.tf.derivative(tau, k) for k in range(order + 1)]
+        values = np.array([profile[tau] for tau in taus])
+        positions = (0, 1, 1 + events.shape[-1])[: order + 1]
+        out[..., positions] = values.reshape(out.shape[:-1] + (order + 1,))
+        return out
 
 
 def as_time_function(profile) -> TimeFunction:

@@ -30,7 +30,7 @@ import numpy as np
 from . import tensors
 from .curvature import curvature_at
 from .expr import Expression, differentiate, compile_expression, free_variables
-from .fields import as_expression
+from .fields import as_expression, split_jet
 from .geometry import (
     ARWSpec,
     GeometryError,
@@ -164,7 +164,7 @@ def _frame(surface: GraphHypersurface, node) -> _Frame:
     jet = surface.u_jet(float(node[0]))
     event = np.concatenate(([jet[0]], node))
     g_amb = metric_jets(surface.ambient, event, order=0)[0]
-    p = surface.ambient.psi_tilde.partial(event, ())
+    p = float(surface.ambient.psi_tilde.jet(event, 0)[0])
     scale = math.exp(2.0 * p)
     sigma = g_amb[1:, 1:] / scale
     sigma_inv = _invert_metric(sigma, event)
@@ -239,8 +239,7 @@ def _induced_jets(surface: GraphHypersurface, node, order: int = 2):
     jet = surface.u_jet(float(node[0]))
     event = np.concatenate(([jet[0]], node))
     g, dg, ddg = metric_jets(surface.ambient, event, order=order)
-    fld = surface.ambient.psi_tilde
-    p0 = fld.partial(event, ())
+    p0, p1, p2 = split_jet(surface.ambient.psi_tilde.jet(event, order), dim)
     E0 = math.exp(2.0 * p0)
     w, wp, wpp = jet[1], jet[2], jet[3]
 
@@ -256,7 +255,6 @@ def _induced_jets(surface: GraphHypersurface, node, order: int = 2):
     if order < 1:
         return ghat, None, None
 
-    p1 = np.array([fld.partial(event, (c,)) for c in range(dim)])
     phat = p1[0] * uk + p1[1:]
     dE = 2.0 * phat * E0
 
@@ -268,10 +266,6 @@ def _induced_jets(surface: GraphHypersurface, node, order: int = 2):
     if order < 2:
         return ghat, dghat, None
 
-    p2 = np.zeros((dim, dim))
-    for c in range(dim):
-        for d in range(c, dim):
-            p2[c, d] = p2[d, c] = fld.partial(event, (c, d))
     phat2 = np.empty((n, n))
     for k in range(n):
         for l in range(n):
@@ -373,22 +367,24 @@ def coordinate_slice_curvature(metric: SpacetimeMetric, tau: float):
         hbar_ij = e^{psi_tilde} ( -sigma_dot_ij / 2 - psi_tilde_dot sigma_ij )
 
     which shares no code with the graph route in second_fundamental and so
-    serves as an independent cross-check for u = const.
+    serves as an independent cross-check for u = const.  The callable takes
+    one node or an array of nodes of shape (..., n).
     """
     n = metric.n
 
     def field(node) -> np.ndarray:
-        node = np.asarray(node, dtype=float)
-        event = np.concatenate(([tau], node))
-        p = metric.psi_tilde.partial(event, ())
-        pdot = metric.psi_tilde.partial(event, (0,))
-        sig = np.empty((n, n))
-        sigdot = np.empty((n, n))
+        nodes = np.asarray(node, dtype=float)
+        events = np.concatenate((np.full(nodes.shape[:-1] + (1,), tau), nodes), axis=-1)
+        psi = metric.psi_tilde.jet(events, 1)
+        sig = np.empty(nodes.shape[:-1] + (n, n))
+        sigdot = np.empty(nodes.shape[:-1] + (n, n))
         for i in range(n):
             for j in range(n):
-                sig[i, j] = metric.sigma[i][j].partial(event, ())
-                sigdot[i, j] = metric.sigma[i][j].partial(event, (0,))
-        return math.exp(p) * (-0.5 * sigdot - pdot * sig)
+                jet = metric.sigma[i][j].jet(events, 1)
+                sig[..., i, j] = jet[..., 0]
+                sigdot[..., i, j] = jet[..., 1]
+        p, pdot = psi[..., 0, None, None], psi[..., 1, None, None]
+        return np.exp(p) * (-0.5 * sigdot - pdot * sig)
 
     return field
 
@@ -470,8 +466,7 @@ def conformal_extrinsic_residual(spec: ARWSpec, u, node) -> float:
 
     mixed = ext.inverse @ ext.h
     mixed_conf = ext_conf.inverse @ ext_conf.h
-    fld = spec.metric.psi_tilde
-    dpsi = np.array([fld.partial(ext.event, (c,)) for c in range(spec.n + 1)])
+    dpsi = spec.metric.psi_tilde.jet(ext.event, 1)[1:]
     drift = float(dpsi @ ext_conf.past_normal)
     res = math.exp(ext.psi_tilde) * mixed - mixed_conf - drift * np.eye(spec.n)
     return float(np.max(np.abs(res)))

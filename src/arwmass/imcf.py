@@ -42,7 +42,7 @@ from .hypersurface import (
     intrinsic_curvature,
     second_fundamental,
 )
-from .mass import _weights
+from .mass import _FILL_ANGLE, _weights
 
 __all__ = [
     "FlowError",
@@ -54,7 +54,6 @@ __all__ = [
     "mass_along_flow",
 ]
 
-_FILL_ANGLE = 1.1
 _HALT_U = 1e-12
 
 # Dormand-Prince 5(4) tableau (FSAL)

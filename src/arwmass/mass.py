@@ -24,10 +24,17 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import curvature_at
+from .curvature import curvature_at, curvature_batch
 from .expr import Call, Num, Var, compile_expression, fold_constants, substitute
 from .extrapolate import aitken_limit
-from .fields import ExprField, ShiftedScaledTimeFunction, TimeFunction, as_time_function
+from .fields import (
+    ConstField,
+    ScalarField,
+    ShiftedScaledTimeFunction,
+    TimeField,
+    TimeFunction,
+    as_time_function,
+)
 from .geometry import (
     ARWSpec,
     ConditionReport,
@@ -35,6 +42,7 @@ from .geometry import (
     QuadratureGrid,
     SpacetimeMetric,
     geometric_schedule,
+    integrate_node_values,
     integrate_rotationally_symmetric,
     quadrature_grid,
     sample_events,
@@ -120,15 +128,17 @@ class _Weights:
     n: int
     omega: float
     f: TimeFunction
-    psi: ExprField
+    psi: ScalarField
     a: float | None
 
     def check_time(self, tau: float) -> None:
         if self.a is not None and not (self.a - 1e-12 <= tau < 0.0):
             raise GeometryError(f"tau = {tau} outside the domain [{self.a}, 0)")
 
-    def log_weight(self, event: np.ndarray) -> float:
-        return self.omega * self.f.value(event[0]) + self.psi.partial(event, ())
+    def log_weight(self, events: np.ndarray):
+        """omega f + psi at one event or at events of shape (..., dim)."""
+        f = TimeField(self.f).jet(events, 0)[..., 0]
+        return self.omega * f + self.psi.jet(events, 0)[..., 0]
 
 
 def _weights(obj) -> _Weights:
@@ -138,7 +148,7 @@ def _weights(obj) -> _Weights:
             n=obj.n,
             omega=obj.omega,
             f=obj.f,
-            psi=ExprField(obj.psi, obj.n + 1),
+            psi=obj.psi_field,
             a=obj.a,
         )
     if isinstance(obj, SpacetimeMetric):
@@ -147,17 +157,26 @@ def _weights(obj) -> _Weights:
             n=obj.n,
             omega=0.0,
             f=as_time_function(0.0),
-            psi=ExprField(Num(0.0), obj.n + 1),
+            psi=ConstField(0.0),
             a=None,
         )
     raise TypeError(f"expected an ARWSpec or SpacetimeMetric, got {type(obj).__name__}")
+
+
+def _slice_events(n: int, tau: float, grid: QuadratureGrid) -> np.ndarray:
+    """The events (tau, theta1, fill angles) of the theta1 nodes of ``grid``."""
+    events = np.full((grid.nodes_per_axis, n + 1), _FILL_ANGLE)
+    events[:, 0] = tau
+    events[:, 1] = grid.axis_nodes[0]
+    return events
 
 
 def slice_mass_integral(spec, tau: float, grid: QuadratureGrid | None = None) -> float:
     """I(tau) over the coordinate slice, with the slice unit normal.
 
     The integrand G_ab nu^a nu^b e^{omega f} e^{psi} is paired with the area
-    element e^{n psi_tilde} sqrt(det sigma) of the slice.
+    element e^{n psi_tilde} sqrt(det sigma) of the slice.  All quadrature
+    nodes go through one batched curvature evaluation.
     """
     w = _weights(spec)
     w.check_time(tau)
@@ -165,22 +184,13 @@ def slice_mass_integral(spec, tau: float, grid: QuadratureGrid | None = None) ->
     metric = w.metric
     n = w.n
 
-    def fn(theta1: float) -> float:
-        event = np.full(n + 1, _FILL_ANGLE)
-        event[0] = tau
-        event[1] = theta1
-        bundle = curvature_at(metric, event)
-        p = metric.psi_tilde.partial(event, ())
-        g_nu_nu = bundle.einstein[0, 0] * math.exp(-2.0 * p)
-        sig11 = metric.sigma[0][0].partial(event, ())
-        return (
-            g_nu_nu
-            * math.exp(w.log_weight(event))
-            * math.exp(n * p)
-            * sig11 ** (n / 2.0)
-        )
-
-    return integrate_rotationally_symmetric(grid, fn)
+    events = _slice_events(n, tau, grid)
+    bundle = curvature_batch(metric, events)
+    p = metric.psi_tilde.jet(events, 0)[:, 0]
+    sig11 = metric.sigma[0][0].jet(events, 0)[:, 0]
+    g_nu_nu = bundle.einstein[:, 0, 0] * np.exp(-2.0 * p)
+    values = g_nu_nu * np.exp(w.log_weight(events)) * np.exp(n * p) * sig11 ** (n / 2.0)
+    return integrate_node_values(grid, values)
 
 
 def _graph_integral(
@@ -300,28 +310,23 @@ def slab_balance(
 
     volume = 0.0
     for tau, wt in zip(taus, weights):
-        hbar = coordinate_slice_curvature(metric, float(tau))
+        events = _slice_events(n, float(tau), grid)
+        bundle = curvature_batch(metric, events)
+        g_up = bundle.g_inv @ bundle.einstein @ bundle.g_inv
+        hbar = coordinate_slice_curvature(metric, float(tau))(events[:, 1:])
         fp = w.f.derivative(float(tau), 1)
-
-        def fn(theta1: float) -> float:
-            event = np.full(n + 1, _FILL_ANGLE)
-            event[0] = tau
-            event[1] = theta1
-            bundle = curvature_at(metric, event)
-            g_up = bundle.g_inv @ bundle.einstein @ bundle.g_inv
-            p = metric.psi_tilde.partial(event, ())
-            psi_dot = w.psi.partial(event, (0,))
-            spatial = float(np.einsum("ij,ij->", g_up[1:, 1:], hbar(event[1:])))
-            time_part = g_up[0, 0] * (w.omega * fp + psi_dot) * math.exp(p)
-            sig11 = metric.sigma[0][0].partial(event, ())
-            return (
-                (spatial + time_part)
-                * math.exp(w.log_weight(event))
-                * math.exp((n + 1) * p)
-                * sig11 ** (n / 2.0)
-            )
-
-        volume += wt * integrate_rotationally_symmetric(grid, fn)
+        p = metric.psi_tilde.jet(events, 0)[:, 0]
+        psi_dot = w.psi.jet(events, 1)[:, 1]
+        spatial = np.einsum("kij,kij->k", g_up[:, 1:, 1:], hbar)
+        time_part = g_up[:, 0, 0] * (w.omega * fp + psi_dot) * np.exp(p)
+        sig11 = metric.sigma[0][0].jet(events, 0)[:, 0]
+        values = (
+            (spatial + time_part)
+            * np.exp(w.log_weight(events))
+            * np.exp((n + 1) * p)
+            * sig11 ** (n / 2.0)
+        )
+        volume += wt * integrate_node_values(grid, values)
 
     residual = abs(b2 - b1 - volume) / max(abs(b1), abs(b2), abs(volume), 1.0)
     return SlabBalance(

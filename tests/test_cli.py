@@ -151,6 +151,45 @@ def test_check_command(tmp_path):
     assert all(row["passed"] == "true" for row in rows)
 
 
+STEEP_CHECK = {
+    "spacetime": {
+        "kind": "custom",
+        "n": 2,
+        "omega": 1.0,
+        "f": "2*log(-tau)",
+        "a": -1.0,
+        "psi": "0.05*cos(theta1)*exp(tau)",
+        "lambda": "0.02*cos(theta1)",
+    },
+    "command": "check",
+    "grid": 48,
+    "seed": 0,
+}
+
+
+def test_check_conformal_bounds_scale_with_curvature(tmp_path):
+    config = dict(STEEP_CHECK, output={"path": str(tmp_path / "out"), "format": "json"})
+    assert main([write_config(tmp_path, config)]) == 0
+    checks = {
+        c["check"]: c
+        for c in json.loads((tmp_path / "out" / "check.json").read_text())["checks"]
+    }
+    scalar = checks["conformal-scalar"]
+    # rounding of |R| ~ 5e5 fails an absolute 1e-8; the printed bound is scaled
+    assert 1e-8 < scalar["value"] <= scalar["bound"]
+    assert scalar["bound"] == checks["conformal-ricci"]["bound"] > 1e3 * 1e-8
+    assert checks["slab-balance"]["bound"] == 1e-6
+
+
+def test_check_scaled_bounds_keep_overrides(tmp_path):
+    config = dict(
+        STEEP_CHECK,
+        tolerances={"conformal-scalar": 1e-20},
+        output={"path": str(tmp_path / "out")},
+    )
+    assert main([write_config(tmp_path, config)]) == 2
+
+
 def test_imcf_command(tmp_path):
     config = {
         "spacetime": {"kind": "rw-family", "n": 3, "omega": 1.0, "k": 1.0, "a": -0.5},

@@ -188,3 +188,21 @@ def test_validate_condition_lookup_raises_for_unknown_name():
     report = arw_validate(rw_family_spec(3, 1.0))
     with pytest.raises(KeyError):
         report.condition("no-such-condition")
+
+
+def test_validate_accel_limit_ignores_rounding_of_an_exact_zero():
+    # f'' + gamma_tilde f'^2 vanishes on the rw family; at tau = a 2^-12 its
+    # rounding is ~1e-16 |f''|, which an absolute floor mistook for growth
+    report = arw_validate(rw_family_spec(2, 1.3466188635413567, k=1.0605053072207007, a=-0.5))
+    assert all(c.passed for c in report.conditions)
+
+
+def test_validate_accel_limit_still_flags_real_growth():
+    omega = 1.3466188635413567
+    gamma_tilde = 0.5 * omega
+    report = arw_validate(
+        make_spec(2, omega, f"log(-tau)/{gamma_tilde!r} + 0.1*sqrt(-tau)", a=-0.5)
+    )
+    accel = report.condition("accel-limit")
+    assert not accel.passed
+    assert accel.values[-1] == pytest.approx(5.6e4, rel=0.01)
