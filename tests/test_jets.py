@@ -7,6 +7,8 @@ every subtree.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -282,3 +284,33 @@ def test_batched_errors_match_pointwise(psi, lam, error):
         slice_mass_integral(spec, -0.5, grid)
     assert str(batched.value) == str(pointwise.value)
     assert "at event [-0.5, " in str(batched.value)
+
+
+def test_jet_cache_is_safe_to_fill_from_several_threads():
+    # the CLI's sub-report pool shares a spec's fields between threads
+    source = "0.05*cos(theta1)*exp(tau) + sin(theta1)^2*log(-tau)"
+    events = sample_events(SPECS["custom n=2"], 8, seed=9)
+    reference = ExprField(parse(source), 3)
+    expected = [reference.jet(events, 2)] + [reference.jet(e, 2) for e in events]
+    field = ExprField(parse(source), 3)
+    results, start = [], threading.Barrier(6, timeout=30)
+
+    def work():
+        start.wait()
+        results.append([field.jet(events, 2)] + [field.jet(e, 2) for e in events])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 6
+    for got in results:
+        for a, b in zip(got, expected):
+            npt.assert_array_equal(a, b)
