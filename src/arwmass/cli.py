@@ -19,8 +19,9 @@ carries a ``# config-digest: <sha256>`` comment (a ``config_digest`` field
 in JSON) so identical configs produce byte-identical artifacts.
 
 Exit codes: 0 success; 1 config error (unknown kind/command, missing field,
-unparseable expression); 2 validation failure (a validate/check run whose
-conditions do not hold, or domain errors); 3 numerical abort (H <= 0,
+unparseable expression, unknown variable); 2 validation failure (a
+validate/check run whose conditions do not hold, or a domain error, overflow
+included, while evaluating an expression); 3 numerical abort (H <= 0,
 non-spacelike graph, quadrature breakdown).
 
 ARWMASS_THREADS caps the worker threads used for independent sub-reports.
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import sads
 from .curvature import conformal_residuals, einstein_divergence_residual
-from .expr import ExpressionError
+from .expr import ExpressionError, ParseError, UnboundVariableError
 from .extrapolate import aitken_limit
 from .geometry import (
     GeometryError,
@@ -419,13 +420,13 @@ def main(argv=None) -> int:
 
     try:
         return run(config, output_dir=args.output_dir)
-    except (ConfigError, ExpressionError, TypeError, ValueError) as exc:
+    except (ConfigError, ParseError, UnboundVariableError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (FlowError, HypersurfaceError, QuadratureError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    except GeometryError as exc:
+    except (GeometryError, ExpressionError) as exc:  # domain errors included
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ __all__ = [
     "CurvatureBundle",
     "curvature_at",
     "curvature_batch",
+    "curvature_from_jets",
     "ConformalResiduals",
     "conformal_residuals",
     "einstein_divergence_residual",
@@ -52,7 +53,15 @@ def curvature_batch(metric: SpacetimeMetric, events) -> CurvatureBundle:
     raises the errors :func:`curvature_at` raises, naming the event.
     """
     g, dg, ddg = metric_jets(metric, events, order=2)
-    g_inv = _invert_metric(g, events)
+    return curvature_from_jets(g, dg, ddg, _invert_metric(g, events))
+
+
+def curvature_from_jets(g, dg, ddg, g_inv) -> CurvatureBundle:
+    """The curvature stack from metric jets and the inverse metric.
+
+    The kernel of :func:`curvature_batch`, for callers that already hold the
+    jets of :func:`metric_jets` (order 2) and their inverse at the events.
+    """
     gamma = tensors.christoffel(g_inv, dg)
     dgamma = tensors.christoffel_derivative(g_inv, dg, ddg)
     riem = tensors.riemann_up(gamma, dgamma)

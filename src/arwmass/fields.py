@@ -124,7 +124,11 @@ class ExprField(ScalarField):
         if fn is None:
             fn = compile_expression(self._expression(key), self._names)
             self._compiled[key] = fn
-        return fn(*event[: self.dim])
+        try:
+            return fn(*event[: self.dim])
+        except (EvaluationError, ArithmeticError, ValueError) as exc:
+            point = np.asarray(event[: self.dim], dtype=float).tolist()
+            raise DomainError(f"{exc} at event {point}") from None
 
     def jet(self, events, order: int = 2) -> np.ndarray:
         events = np.asarray(events, dtype=float)
@@ -221,7 +225,10 @@ class ExprTimeFunction(TimeFunction):
             nxt = differentiate(self._exprs[-1], "tau")
             self._exprs.append(nxt)
             self._compiled.append(compile_expression(nxt, ("tau",)))
-        return self._compiled[order](tau)
+        try:
+            return self._compiled[order](tau)
+        except (EvaluationError, ArithmeticError, ValueError) as exc:
+            raise DomainError(f"{exc} at tau = {tau}") from None
 
 
 class ShiftedScaledTimeFunction(TimeFunction):

@@ -28,15 +28,21 @@ from functools import cached_property
 import numpy as np
 
 from . import tensors
-from .curvature import curvature_at
-from .expr import Expression, differentiate, compile_expression, free_variables
+from .curvature import CurvatureBundle, curvature_at, curvature_from_jets
+from .expr import (
+    DomainError,
+    EvaluationError,
+    Expression,
+    compile_expression,
+    differentiate,
+    free_variables,
+)
 from .fields import as_expression, split_jet
 from .geometry import (
     ARWSpec,
     GeometryError,
     SpacetimeMetric,
     _invert_metric,
-    christoffel_at,
     metric_jets,
 )
 
@@ -48,6 +54,7 @@ __all__ = [
     "GaussCodazziResiduals",
     "graph_geometry",
     "second_fundamental",
+    "node_curvatures",
     "intrinsic_curvature",
     "coordinate_slice_curvature",
     "gauss_codazzi_residuals",
@@ -88,13 +95,19 @@ class GraphHypersurface:
             exprs.append(differentiate(exprs[-1], "theta1"))
         return tuple(compile_expression(e, ("theta1",)) for e in exprs)
 
+    def _u_values(self, theta1: float, count: int) -> list:
+        try:
+            return [fn(theta1) for fn in self._u_derivatives[:count]]
+        except (EvaluationError, ArithmeticError, ValueError) as exc:
+            raise DomainError(f"{exc} at theta1 = {theta1}") from None
+
     def u_jet(self, theta1: float) -> np.ndarray:
         """(u, u', u'', u''') at theta1."""
-        return np.array([fn(theta1) for fn in self._u_derivatives])
+        return np.array(self._u_values(theta1, 4))
 
     def event(self, node) -> np.ndarray:
         node = np.asarray(node, dtype=float)
-        return np.concatenate(([self._u_derivatives[0](float(node[0]))], node))
+        return np.concatenate((self._u_values(float(node[0]), 1), node))
 
 
 @dataclass(frozen=True)
@@ -138,14 +151,44 @@ class GaussCodazziResiduals:
 
 
 # ---------------------------------------------------------------------------
-# First fundamental form
+# Ambient jets and the first fundamental form
+
+
+@dataclass(frozen=True)
+class _Ambient:
+    """The graph's point over one node and the ambient jets there.
+
+    Assembled once per node; the frame, the induced jets, the ambient
+    Christoffel symbols and the ambient curvature all read from it.
+    """
+
+    node: np.ndarray
+    u_jet: np.ndarray
+    event: np.ndarray
+    g: np.ndarray
+    dg: np.ndarray | None
+    ddg: np.ndarray | None
+    psi_jet: np.ndarray  # psi_tilde, in the fields.jet_keys layout
+
+    @cached_property
+    def g_inv(self) -> np.ndarray:
+        return _invert_metric(self.g, self.event)
+
+
+def _ambient(surface: GraphHypersurface, node, order: int) -> _Ambient:
+    node = np.asarray(node, dtype=float)
+    n = surface.ambient.n
+    if node.shape != (n,):
+        raise HypersurfaceError(f"node must supply {n} angles, got shape {node.shape}")
+    jet = surface.u_jet(float(node[0]))
+    event = np.concatenate(([jet[0]], node))
+    g, dg, ddg = metric_jets(surface.ambient, event, order=order)
+    psi_jet = surface.ambient.psi_tilde.jet(event, order)
+    return _Ambient(node, jet, event, g, dg, ddg, psi_jet)
 
 
 @dataclass(frozen=True)
 class _Frame:
-    node: np.ndarray
-    event: np.ndarray
-    u_jet: np.ndarray
     psi_tilde: float
     sigma: np.ndarray
     sigma_inv: np.ndarray
@@ -156,30 +199,24 @@ class _Frame:
     tangents: np.ndarray
 
 
-def _frame(surface: GraphHypersurface, node) -> _Frame:
-    node = np.asarray(node, dtype=float)
-    n = surface.ambient.n
-    if node.shape != (n,):
-        raise HypersurfaceError(f"node must supply {n} angles, got shape {node.shape}")
-    jet = surface.u_jet(float(node[0]))
-    event = np.concatenate(([jet[0]], node))
-    g_amb = metric_jets(surface.ambient, event, order=0)[0]
-    p = float(surface.ambient.psi_tilde.jet(event, 0)[0])
+def _frame(amb: _Ambient) -> _Frame:
+    n = amb.node.shape[0]
+    p = float(amb.psi_jet[0])
     scale = math.exp(2.0 * p)
-    sigma = g_amb[1:, 1:] / scale
-    sigma_inv = _invert_metric(sigma, event)
+    sigma = amb.g[1:, 1:] / scale
+    sigma_inv = _invert_metric(sigma, amb.event)
 
     du = np.zeros(n)
-    du[0] = jet[1]
+    du[0] = amb.u_jet[1]
     du_sq = float(du @ sigma_inv @ du)
     if du_sq >= 1.0:
         raise HypersurfaceError(
-            f"graph not spacelike at node {node.tolist()}: |Du|^2 = {du_sq:.6f}"
+            f"graph not spacelike at node {amb.node.tolist()}: |Du|^2 = {du_sq:.6f}"
         )
     v = math.sqrt(1.0 - du_sq)
 
     g = scale * (sigma - np.outer(du, du))
-    g_inv = _invert_metric(g, event)
+    g_inv = _invert_metric(g, amb.event)
     nu = np.empty(n + 1)
     nu[0] = 1.0
     nu[1:] = sigma_inv @ du
@@ -188,9 +225,6 @@ def _frame(surface: GraphHypersurface, node) -> _Frame:
     tangents[0, :] = du
     tangents[1:, :] = np.eye(n)
     return _Frame(
-        node=node,
-        event=event,
-        u_jet=jet,
         psi_tilde=p,
         sigma=sigma,
         sigma_inv=sigma_inv,
@@ -202,46 +236,47 @@ def _frame(surface: GraphHypersurface, node) -> _Frame:
     )
 
 
-def graph_geometry(surface: GraphHypersurface, node) -> ExtrinsicData:
-    """Induced metric, tilt factor and past-directed unit normal at ``node``.
-
-    Raises HypersurfaceError (naming node and |Du|^2) where the graph fails
-    to be spacelike.
-    """
-    fr = _frame(surface, node)
+def _extrinsic(amb: _Ambient, fr: _Frame, **second) -> ExtrinsicData:
     return ExtrinsicData(
-        node=fr.node,
-        event=fr.event,
+        node=amb.node,
+        event=amb.event,
         induced_metric=fr.g,
         inverse=fr.g_inv,
         tilt=fr.tilt,
         past_normal=fr.nu,
         tangents=fr.tangents,
         psi_tilde=fr.psi_tilde,
+        **second,
     )
+
+
+def graph_geometry(surface: GraphHypersurface, node) -> ExtrinsicData:
+    """Induced metric, tilt factor and past-directed unit normal at ``node``.
+
+    Raises HypersurfaceError (naming node and |Du|^2) where the graph fails
+    to be spacelike.
+    """
+    amb = _ambient(surface, node, order=0)
+    return _extrinsic(amb, _frame(amb))
 
 
 # ---------------------------------------------------------------------------
 # Exact jets of the induced metric
 
 
-def _induced_jets(surface: GraphHypersurface, node, order: int = 2):
+def _induced_jets(amb: _Ambient, order: int = 2):
     """g_ij of the graph with surface-coordinate derivatives to ``order``.
 
     Writes the induced metric as F_ij(u(theta), theta) - T_ij with
     F_ij the ambient spatial block and T_ij = e^{2 psi_tilde} u_i u_j, and
-    pushes exact ambient jets through the chain rule; u enters with up to
-    three symbolic derivatives.
+    pushes exact ambient jets (of at least ``order``) through the chain
+    rule; u enters with up to three symbolic derivatives.
     """
-    node = np.asarray(node, dtype=float)
-    n = surface.ambient.n
-    dim = n + 1
-    jet = surface.u_jet(float(node[0]))
-    event = np.concatenate(([jet[0]], node))
-    g, dg, ddg = metric_jets(surface.ambient, event, order=order)
-    p0, p1, p2 = split_jet(surface.ambient.psi_tilde.jet(event, order), dim)
+    n = amb.node.shape[0]
+    g, dg, ddg = amb.g, amb.dg, amb.ddg
+    p0, p1, p2 = split_jet(amb.psi_jet, n + 1)
     E0 = math.exp(2.0 * p0)
-    w, wp, wpp = jet[1], jet[2], jet[3]
+    w, wp, wpp = amb.u_jet[1], amb.u_jet[2], amb.u_jet[3]
 
     uk = np.zeros(n)
     uk[0] = w
@@ -297,10 +332,8 @@ def _induced_jets(surface: GraphHypersurface, node, order: int = 2):
     return ghat, dghat, ddghat
 
 
-def intrinsic_curvature(surface: GraphHypersurface, node) -> SurfaceCurvature:
-    """Riemann/Ricci/scalar curvature of the induced metric, all exact."""
-    fr = _frame(surface, node)  # validates spacelikeness
-    ghat, dghat, ddghat = _induced_jets(surface, node, order=2)
+def _intrinsic_curvature(amb: _Ambient, fr: _Frame) -> SurfaceCurvature:
+    ghat, dghat, ddghat = _induced_jets(amb, order=2)
     gamma = tensors.christoffel(fr.g_inv, dghat)
     dgamma = tensors.christoffel_derivative(fr.g_inv, dghat, ddghat)
     riem = tensors.riemann_up(gamma, dgamma)
@@ -317,24 +350,28 @@ def intrinsic_curvature(surface: GraphHypersurface, node) -> SurfaceCurvature:
     )
 
 
+def intrinsic_curvature(surface: GraphHypersurface, node) -> SurfaceCurvature:
+    """Riemann/Ricci/scalar curvature of the induced metric, all exact."""
+    amb = _ambient(surface, node, order=2)
+    return _intrinsic_curvature(amb, _frame(amb))  # the frame checks spacelikeness
+
+
 # ---------------------------------------------------------------------------
 # Second fundamental form
 
 
-def second_fundamental(surface: GraphHypersurface, node) -> ExtrinsicData:
-    """Extrinsic data including h_ij, H and |A|^2 at ``node``."""
-    fr = _frame(surface, node)
-    n = surface.ambient.n
-    _, dghat, _ = _induced_jets(surface, node, order=1)
+def _second_fundamental(amb: _Ambient, fr: _Frame) -> ExtrinsicData:
+    n = amb.node.shape[0]
+    _, dghat, _ = _induced_jets(amb, order=1)
     gamma_hat = tensors.christoffel(fr.g_inv, dghat)
 
     uk = np.zeros(n)
-    uk[0] = fr.u_jet[1]
+    uk[0] = amb.u_jet[1]
     ukl = np.zeros((n, n))
-    ukl[0, 0] = fr.u_jet[2]
+    ukl[0, 0] = amb.u_jet[2]
     u_hess = ukl - np.einsum("kij,k->ij", gamma_hat, uk)
 
-    g0 = christoffel_at(surface.ambient, fr.event)[0]
+    g0 = tensors.christoffel(amb.g_inv, amb.dg)[0]
     rhs = -(
         u_hess
         + g0[0, 0] * np.outer(uk, uk)
@@ -344,18 +381,33 @@ def second_fundamental(surface: GraphHypersurface, node) -> ExtrinsicData:
     )
     h = math.exp(fr.psi_tilde) * fr.tilt * rhs
     mixed = fr.g_inv @ h
-    return ExtrinsicData(
-        node=fr.node,
-        event=fr.event,
-        induced_metric=fr.g,
-        inverse=fr.g_inv,
-        tilt=fr.tilt,
-        past_normal=fr.nu,
-        tangents=fr.tangents,
-        psi_tilde=fr.psi_tilde,
+    return _extrinsic(
+        amb,
+        fr,
         h=h,
         mean_curvature=float(np.trace(mixed)),
         norm_a_sq=float(np.einsum("ij,ji->", mixed, mixed)),
+    )
+
+
+def second_fundamental(surface: GraphHypersurface, node) -> ExtrinsicData:
+    """Extrinsic data including h_ij, H and |A|^2 at ``node``."""
+    amb = _ambient(surface, node, order=1)
+    return _second_fundamental(amb, _frame(amb))
+
+
+def node_curvatures(
+    surface: GraphHypersurface, node
+) -> tuple[ExtrinsicData, SurfaceCurvature, CurvatureBundle]:
+    """:func:`second_fundamental`, :func:`intrinsic_curvature` and the
+    ambient :func:`curvature_at` at ``node``, from one assembly of the
+    ambient jets at its event; equal to the three separate calls."""
+    amb = _ambient(surface, node, order=2)
+    fr = _frame(amb)
+    return (
+        _second_fundamental(amb, fr),
+        _intrinsic_curvature(amb, fr),
+        curvature_from_jets(amb.g, amb.dg, amb.ddg, amb.g_inv),
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import curvature_at
+from .curvature import curvature_at  # noqa: F401  (bound here for perfbench/tracer.py)
 from .expr import Num, fold_constants, free_variables
 from .fields import as_expression
 from .geometry import (
@@ -39,8 +39,7 @@ from .geometry import (
 from .hypersurface import (
     GraphHypersurface,
     coordinate_slice_curvature,
-    intrinsic_curvature,
-    second_fundamental,
+    node_curvatures,
 )
 from .mass import _FILL_ANGLE, _weights
 
@@ -282,13 +281,11 @@ def mass_along_flow(
         for theta1, wt in zip(nodes, node_weights):
             node = np.full(n, _FILL_ANGLE)
             node[0] = theta1
-            ext = second_fundamental(surface, node)
+            ext, intrinsic, bundle = node_curvatures(surface, node)
             w.check_time(ext.event[0])
-            bundle = curvature_at(metric, ext.event)
             nu = ext.past_normal
             g_nu_nu = float(nu @ bundle.einstein @ nu)
-            scalar = intrinsic_curvature(surface, node).scalar
-            lemma = scalar - (ext.norm_a_sq - ext.mean_curvature**2 / n)
+            lemma = intrinsic.scalar - (ext.norm_a_sq - ext.mean_curvature**2 / n)
             h_form = (n - 1) / (2.0 * n) * ext.mean_curvature**2
             sig11 = metric.sigma[0][0].partial(ext.event, ())
             common = (

@@ -9,9 +9,23 @@ x0(r) = -int_0^r s^{-1} h_tilde^{-1/2} ds, which sends the curvature
 singularity r = 0 to x0 = 0, so the chart runs on a negative time interval
 exactly like the cosmological charts in geometry.py.
 
-There is no closed form for x0 when Lambda < 0, so the time profile f is
-carried parametrically in r: values invert x0(r) numerically while the
-derivatives use the exact chain rule dr/dx0 = -r h_tilde^{1/2},
+``x0_of_r`` is the exact reference.  It integrates the leading power of the
+integrand in closed form and the remainder by adaptive quadrature; within
+1% of the horizon, where h_tilde^{-1/2} grows like (r0 - s)^{-1/2}, it
+integrates in t = (r0 - s)^{1/2} instead, in which the integrand is smooth.
+
+There is no closed form for the inverse r(x0) when Lambda < 0, so the time
+profile f is carried parametrically in r, and values invert x0(r)
+numerically.  On the first inversion for a parameter set, a table of 64
+nodes uniform in rho = r^{(n-1)/2} is built from ``x0_of_r``, up to
+r0 (1 - 1e-9).  A cubic Hermite interpolant of rho(x0), with the exact
+slope d rho/dx0 = -((n-1)/2) r^{(n-1)/2} h_tilde^{1/2}, gives the starting
+guess; rho(x0) is smooth at both ends of the table, with slope
+-((n-1)/2) sqrt(m) at the singularity and 0 at the horizon.  A Newton
+iteration on the exact ``x0_of_r``, kept inside the table's bracket, then
+polishes the guess to the quadrature's noise floor, about two quadratures
+per inversion.  The derivatives use the exact chain rule
+dr/dx0 = -r h_tilde^{1/2},
 
     f' = -h_tilde^{1/2},   f'' = r h_tilde'/2,
     f''' = -(r h_tilde^{1/2} / 2)(h_tilde' + r h_tilde'').
@@ -24,6 +38,7 @@ integrals.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -86,7 +101,12 @@ def _d2h_dr2(params: SAdSParams, r: float) -> float:
     )
 
 
-@lru_cache(maxsize=None)
+# Parameter sets are few per process; the bound keeps a long-lived process
+# that builds many specs from holding every horizon and table it has seen.
+_PARAMS_CACHE = 64
+
+
+@lru_cache(maxsize=_PARAMS_CACHE)
 def horizon(params: SAdSParams) -> float:
     """The unique r0 > 0 with h(r0) = 0, by bisection to ~1e-13.
 
@@ -126,61 +146,143 @@ def _relative_defect(params: SAdSParams, s: float) -> float:
     ) / (params.mass * nn1)
 
 
+def _checked_quad(fn, lo: float, hi: float, r: float) -> float:
+    # full_output keeps quad quiet when 1e-13 is below what roundoff allows;
+    # the error estimate is checked instead.
+    out = quad(fn, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200, full_output=1)
+    value, abserr = out[0], out[1]
+    if abserr > 1e-9 * max(1.0, abs(value)):
+        raise GeometryError(f"time-coordinate quadrature unreliable at r = {r}")
+    return value
+
+
+# Below this fraction of r0 the quadrature runs in s; above it, the stretch
+# from here to r runs in t = (r0 - s)^{1/2}.
+_NEAR_HORIZON = 0.99
+
+
 def x0_of_r(params: SAdSParams, r: float) -> float:
     """Time coordinate x0(r) = -int_0^r s^{-1} h_tilde^{-1/2} ds, r in (0, r0).
 
     The integrand equals m^{-1/2} s^{(n-3)/2} (1 - q)^{-1/2}; the leading
     power (integrable at s = 0) is integrated in closed form and only the
     remainder, which vanishes at the origin, goes to adaptive quadrature.
+    Above 0.99 r0 the integrand grows like (r0 - s)^{-1/2}, and the stretch
+    from 0.99 r0 to r is integrated in t = (r0 - s)^{1/2}, where it equals
+    2 t / (s h_tilde^{1/2}) and stays bounded.
     """
     r0 = horizon(params)
     if not 0.0 < r < r0:
         raise GeometryError(f"r must lie in (0, {r0:.6g}), got {r}")
     n, m = params.n, params.mass
+    r_far = min(r, _NEAR_HORIZON * r0)
     rm = 1.0 / math.sqrt(m)
-    leading = 2.0 / (n - 1.0) * rm * r ** ((n - 1.0) / 2.0)
+    leading = 2.0 / (n - 1.0) * rm * r_far ** ((n - 1.0) / 2.0)
 
     def remainder(s: float) -> float:
         return rm * s ** ((n - 3.0) / 2.0) * (1.0 / math.sqrt(1.0 - _relative_defect(params, s)) - 1.0)
 
-    # full_output keeps quad quiet when 1e-13 is below what roundoff allows
-    # (it happens just inside the horizon); the estimate is checked instead.
-    out = quad(remainder, 0.0, r, epsabs=1e-13, epsrel=1e-12, limit=200, full_output=1)
-    tail, abserr = out[0], out[1]
-    if abserr > 1e-9 * max(1.0, abs(tail)):
-        raise GeometryError(f"time-coordinate quadrature unreliable at r = {r}")
-    return -(leading + tail)
+    x0 = -(leading + _checked_quad(remainder, 0.0, r_far, r))
+    if r > r_far:
+
+        def near(t: float) -> float:
+            s = r0 - t * t
+            return 2.0 * t / (s * math.sqrt(profile(params, s).h_tilde))
+
+        x0 -= _checked_quad(near, math.sqrt(r0 - r), math.sqrt(r0 - r_far), r)
+    return x0
+
+
+class _InverseTable(NamedTuple):
+    """Nodes of rho = r^{(n-1)/2} against x0, x0 falling from 0."""
+
+    neg_x0: tuple  # -x0, rising: the key bisect searches
+    rho: tuple
+    slope: tuple  # d rho / d x0
+    radius: tuple
+
+
+_TABLE_NODES = 64
+# The top table node; times at or beyond its x0 count as beyond the horizon.
+_TABLE_TOP = 1.0 - 1e-9
+
+
+@lru_cache(maxsize=_PARAMS_CACHE)
+def _inverse_table(params: SAdSParams) -> _InverseTable:
+    """x0 and d rho/dx0 at nodes uniform in rho, from 0 to r0 (1 - 1e-9)."""
+    half = 0.5 * (params.n - 1)
+    r_top = horizon(params) * _TABLE_TOP
+    rho_top = r_top**half
+    radius = [(rho_top * i / (_TABLE_NODES - 1)) ** (1.0 / half) for i in range(_TABLE_NODES)]
+    radius[-1] = r_top
+    rho = [r**half for r in radius]
+    # r = 0 is the singularity: x0 = 0, and rho h_tilde^{1/2} -> sqrt(m)
+    neg_x0 = [0.0] + [-x0_of_r(params, r) for r in radius[1:]]
+    slope = [-half * math.sqrt(params.mass)] + [
+        -half * p * math.sqrt(profile(params, r).h_tilde) for p, r in zip(rho[1:], radius[1:])
+    ]
+    return _InverseTable(tuple(neg_x0), tuple(rho), tuple(slope), tuple(radius))
+
+
+_MAX_POLISH = 40
 
 
 def r_of_x0(params: SAdSParams, x0: float) -> float:
-    """Invert x0_of_r by bisection plus a Newton polish.
+    """Invert x0_of_r: a table guess, then Newton on the exact x0_of_r.
 
-    dr/dx0 = -r h_tilde^{1/2} gives the exact Newton step; the round trip
-    r -> x0 -> r reproduces r to well below 1e-10.
+    The guess is the cubic Hermite interpolant of rho(x0) between the two
+    table nodes around x0, whose radii bracket the root.  dr/dx0 =
+    -r h_tilde^{1/2} gives the exact Newton step; a step that would leave
+    the bracket bisects it instead.  The iteration stops once a step is
+    below 1e-15 r, or below 1e-11 r without having halved the step before
+    it: there the quadrature's noise, not the guess, sets the step.  The
+    round trip r -> x0 -> r reproduces r to well below 1e-10.
     """
-    r0 = horizon(params)
     if not x0 < 0.0:
         raise GeometryError(f"time coordinate must be negative, got {x0}")
-    hi = r0 * (1.0 - 1e-9)
-    if x0 <= x0_of_r(params, hi):
-        raise GeometryError(f"x0 = {x0} lies beyond the horizon time {x0_of_r(params, hi):.6g}")
-    lo = r0 * 1e-12
-    # x0_of_r is strictly decreasing: x0(lo) > x0 > x0(hi)
-    for _ in range(60):
-        if hi - lo <= 1e-6 * r0:
+    table = _inverse_table(params)
+    if -x0 >= table.neg_x0[-1]:
+        raise GeometryError(
+            f"x0 = {x0} lies beyond the horizon time {-table.neg_x0[-1]:.6g}"
+        )
+    j = bisect_right(table.neg_x0, -x0)
+    lo, hi = table.radius[j - 1], table.radius[j]
+    # cubic Hermite on [x_a, x_b], x0 falling from x_a to x_b
+    x_a, x_b = -table.neg_x0[j - 1], -table.neg_x0[j]
+    width = x_b - x_a
+    t = (x0 - x_a) / width
+    rho = (
+        (1.0 + 2.0 * t) * (1.0 - t) ** 2 * table.rho[j - 1]
+        + t * (1.0 - t) ** 2 * width * table.slope[j - 1]
+        + t * t * (3.0 - 2.0 * t) * table.rho[j]
+        + t * t * (t - 1.0) * width * table.slope[j]
+    )
+    r = max(rho, 0.0) ** (2.0 / (params.n - 1))
+    if not lo < r < hi:
+        r = 0.5 * (lo + hi)
+    previous = math.inf
+    for _ in range(_MAX_POLISH):
+        gap = x0_of_r(params, r) - x0
+        if gap == 0.0:
             break
-        mid = 0.5 * (lo + hi)
-        if x0_of_r(params, mid) > x0:
-            lo = mid
+        if gap > 0.0:  # x0_of_r falls with r: the root lies above r
+            lo = r
         else:
-            hi = mid
-    r = 0.5 * (lo + hi)
-    for _ in range(40):
-        step = (x0_of_r(params, r) - x0) * r * math.sqrt(profile(params, r).h_tilde)
-        r = min(max(r + step, 0.5 * lo), r0 * (1.0 - 1e-12))
-        if abs(step) <= 1e-15 * r:
+            hi = r
+        nxt = r + gap * r * math.sqrt(profile(params, r).h_tilde)
+        if not lo <= nxt <= hi:  # a step rounded to 0 leaves nxt = r on the bracket
+            nxt = 0.5 * (lo + hi)
+        step = abs(nxt - r)
+        r = nxt
+        if step <= 1e-15 * r or (step <= 1e-11 * r and step > 0.5 * previous):
             break
+        previous = step
     return r
+
+
+# Distinct times a spec's profile keeps radii for.  An IMCF run or a mass
+# schedule revisits a few hundred; the bound caps a long run's memory.
+_RADIUS_CACHE = 4096
 
 
 class SAdSTimeFunction(TimeFunction):
@@ -190,14 +292,12 @@ class SAdSTimeFunction(TimeFunction):
 
     def __init__(self, params: SAdSParams):
         self.params = params
-        self._cache: dict[float, float] = {}
+        # lru_cache is safe to share between threads; r_of_x0 is looked up
+        # at call time, so the module attribute stays the inversion in use.
+        self._radius = lru_cache(maxsize=_RADIUS_CACHE)(lambda tau: r_of_x0(params, tau))
 
     def radius(self, tau: float) -> float:
-        r = self._cache.get(tau)
-        if r is None:
-            r = r_of_x0(self.params, tau)
-            self._cache[tau] = r
-        return r
+        return self._radius(tau)
 
     def derivative(self, tau: float, order: int) -> float:
         r = self.radius(tau)

@@ -241,3 +241,28 @@ def test_sads_demo_requires_sads_spacetime(tmp_path, capsys):
     config = dict(RW_MASS, command="sads-demo")
     assert main([write_config(tmp_path, config)]) == 1
     assert "sads" in capsys.readouterr().err
+
+
+def test_overflow_during_evaluation_exits_two(tmp_path, capsys):
+    # exp(-800 tau) overflows at the domain end tau = -1
+    config = {
+        "spacetime": {
+            "kind": "custom", "n": 2, "omega": 1.0,
+            "f": "log(-tau) + exp(-800*tau)", "a": -1.0,
+        },
+        "command": "validate",
+        "output": {"path": str(tmp_path / "out")},
+    }
+    assert main([write_config(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "validation failure: math range error at tau = -1.0" in err
+
+
+def test_unknown_variable_is_a_config_error(tmp_path, capsys):
+    config = {
+        "spacetime": {"kind": "custom", "n": 2, "omega": 1.0, "f": "log(-t)", "a": -1.0},
+        "command": "validate",
+    }
+    assert main([write_config(tmp_path, config)]) == 1
+    assert capsys.readouterr().err.startswith("config error")

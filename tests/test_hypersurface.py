@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from arwmass.curvature import curvature_at
+from arwmass.expr import DomainError
 from arwmass.geometry import make_spec, metric_at, rw_family_spec
 from arwmass.hypersurface import (
     GraphHypersurface,
@@ -14,6 +15,7 @@ from arwmass.hypersurface import (
     gauss_codazzi_residuals,
     graph_geometry,
     intrinsic_curvature,
+    node_curvatures,
     second_fundamental,
 )
 
@@ -122,3 +124,40 @@ def test_conformal_extrinsic_relation(ambient):
         for node in NODES:
             res = conformal_extrinsic_residual(spec, "-1 + 0.05*cos(theta1)", node)
             assert res <= 1e-8
+
+
+def test_node_curvatures_equal_the_separate_calls(ambient, tilted_surface):
+    for node in NODES:
+        ext, curv, bundle = node_curvatures(tilted_surface, node)
+        ext_ref = second_fundamental(tilted_surface, node)
+        curv_ref = intrinsic_curvature(tilted_surface, node)
+        bundle_ref = curvature_at(ambient.metric, ext_ref.event)
+        for name in ("event", "induced_metric", "inverse", "past_normal", "h"):
+            npt.assert_array_equal(getattr(ext, name), getattr(ext_ref, name))
+        assert (ext.tilt, ext.mean_curvature, ext.norm_a_sq) == (
+            ext_ref.tilt, ext_ref.mean_curvature, ext_ref.norm_a_sq
+        )
+        npt.assert_array_equal(curv.riemann_lower, curv_ref.riemann_lower)
+        assert curv.scalar == curv_ref.scalar
+        npt.assert_array_equal(bundle.einstein, bundle_ref.einstein)
+
+
+def test_node_curvatures_raise_the_spacelike_error(ambient):
+    steep = GraphHypersurface(u="-1 + 0.9*sin(2*theta1)", ambient=ambient.metric)
+    node = np.array([0.1, 1.0, 2.0])  # u' = 1.8 cos(0.2) > 1
+    with pytest.raises(HypersurfaceError, match="not spacelike") as separate:
+        second_fundamental(steep, node)
+    with pytest.raises(HypersurfaceError) as shared:
+        node_curvatures(steep, node)
+    assert str(shared.value) == str(separate.value)
+    with pytest.raises(HypersurfaceError) as intrinsic:
+        intrinsic_curvature(steep, node)
+    assert str(intrinsic.value) == str(separate.value)
+
+
+def test_graph_overflow_is_a_domain_error(ambient):
+    surface = GraphHypersurface(u="-1 + 1e-300*exp(400*theta1)", ambient=ambient.metric)
+    with pytest.raises(DomainError, match=r"at theta1 = 2\.5"):
+        surface.u_jet(2.5)
+    with pytest.raises(DomainError, match=r"at theta1 = 2\.5"):
+        surface.event(np.array([2.5, 1.0, 1.0]))

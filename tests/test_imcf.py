@@ -1,15 +1,20 @@
 import math
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
-from arwmass.geometry import make_spec, quadrature_grid, rw_family_spec
+from arwmass.curvature import curvature_at
+from arwmass.fields import as_expression
+from arwmass.geometry import make_spec, quadrature_grid, rw_family_spec, sphere_volume
+from arwmass.hypersurface import GraphHypersurface, intrinsic_curvature, second_fundamental
 from arwmass.imcf import (
     FlowError,
     flow_diagnostics,
     imcf_run,
     mass_along_flow,
 )
+from arwmass.mass import _FILL_ANGLE, _weights
 from arwmass.sads import SAdSParams, as_arw_spec, x0_of_r
 
 PI2 = math.pi**2
@@ -127,3 +132,60 @@ def test_lemma_quantity_decays_to_zero(rw):
     # the mean-curvature form of the integrand reproduces the mass integral
     for sample in samples:
         assert sample.mean_curvature_form == pytest.approx(6 * PI2, rel=1e-9)
+
+
+def reference_mass_along_flow(spec, leaves, grid):
+    """(I, lemma, H form) per leaf from the separate per-node calls:
+    second_fundamental, curvature_at and intrinsic_curvature, each of which
+    assembles its own ambient jets."""
+    w = _weights(spec)
+    n = spec.n
+    out = []
+    for u in leaves:
+        surface = GraphHypersurface(as_expression(u), w.metric)
+        totals = np.zeros(3)
+        for theta1, wt in zip(grid.axis_nodes[0], grid.axis_weights[0]):
+            node = np.full(n, _FILL_ANGLE)
+            node[0] = theta1
+            ext = second_fundamental(surface, node)
+            w.check_time(ext.event[0])
+            bundle = curvature_at(w.metric, ext.event)
+            nu = ext.past_normal
+            scalar = intrinsic_curvature(surface, node).scalar
+            values = np.array([
+                float(nu @ bundle.einstein @ nu),
+                scalar - (ext.norm_a_sq - ext.mean_curvature**2 / n),
+                (n - 1) / (2.0 * n) * ext.mean_curvature**2,
+            ])
+            sig11 = w.metric.sigma[0][0].partial(ext.event, ())
+            totals += values * (
+                math.exp(w.log_weight(ext.event))
+                * math.exp(n * ext.psi_tilde)
+                * ext.tilt
+                * sig11 ** (n / 2.0)
+                * float(wt)
+                * math.sin(theta1) ** (n - 1)
+            )
+        out.append(totals * sphere_volume(n - 1))
+    return out
+
+
+SADS_ADS = SAdSParams(3, -1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "spec, leaves",
+    [
+        (as_arw_spec(SADS_ADS), [x0_of_r(SADS_ADS, 0.6), x0_of_r(SADS_ADS, 0.3)]),
+        (rw_family_spec(2, 1.5, k=0.8, a=-1.0), [-0.7, -0.2]),
+        (rw_family_spec(3, 1.0, k=1.3, a=-1.0), [-0.6, -0.05]),
+    ],
+    ids=["sads lambda<0", "rw n=2", "rw n=3"],
+)
+def test_mass_along_flow_matches_separate_node_calls(spec, leaves):
+    grid = quadrature_grid(spec.n, 12)
+    samples = mass_along_flow(spec, leaves, grid)
+    reference = reference_mass_along_flow(spec, leaves, grid)
+    for sample, ref in zip(samples, reference):
+        got = [sample.mass_integral, sample.lemma_quantity, sample.mean_curvature_form]
+        npt.assert_allclose(got, ref, rtol=1e-13, atol=0.0)

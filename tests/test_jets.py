@@ -314,3 +314,19 @@ def test_jet_cache_is_safe_to_fill_from_several_threads():
     for got in results:
         for a, b in zip(got, expected):
             npt.assert_array_equal(a, b)
+
+
+def test_scalar_overflow_is_a_domain_error_naming_the_point():
+    # compiled scalar code calls math.exp and float ** directly, which raise
+    # OverflowError; every scalar entry point reports it as a DomainError
+    field = ExprField(parse("exp(800*theta1) + tau"), 3)
+    event = np.array([-0.5, 1.0, 0.3])
+    with pytest.raises(DomainError, match=r"at event \[-0\.5, 1\.0, 0\.3\]"):
+        field.partial(event, (1,))
+    with pytest.raises(DomainError, match=r"at event \[-0\.5, 1\.0, 0\.3\]"):
+        field.jet(event, 1)
+    profile = ExprTimeFunction(parse("log(-tau) + exp(-800*tau)"))
+    with pytest.raises(DomainError, match=r"at tau = -1\.0"):
+        profile.derivative(-1.0, 2)
+    with pytest.raises(DomainError, match=r"at tau = -2\.0"):
+        profile.derivative(-2.0, 0)
