@@ -263,8 +263,6 @@ def r_of_x0(params: SAdSParams, x0: float) -> float:
     previous = math.inf
     for _ in range(_MAX_POLISH):
         gap = x0_of_r(params, r) - x0
-        if gap == 0.0:
-            break
         if gap > 0.0:  # x0_of_r falls with r: the root lies above r
             lo = r
         else:
