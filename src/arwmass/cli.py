@@ -60,8 +60,8 @@ from .hypersurface import (
     HypersurfaceError,
     gauss_codazzi_residuals,
 )
-from .imcf import FlowError, imcf_run, mass_along_flow
-from .mass import mass_limit, monotonicity_scan, slab_balance, tcc_check
+from .imcf import FlowError, _select_leaves, imcf_run, mass_along_flow
+from .mass import mass_limit, monotonicity_scan, slab_balance, slice_mass_integral, tcc_check
 
 __all__ = ["ConfigError", "main", "run"]
 
@@ -251,10 +251,7 @@ def _cmd_imcf(spec, config, grid, seed):
     max_leaves = int(section.get("max_leaves", 32))
 
     trajectory = imcf_run(spec, u0, t_end, tolerance=tolerance)
-    states = trajectory.states
-    if len(states) > max_leaves:
-        idx = np.unique(np.linspace(0, len(states) - 1, max_leaves).round().astype(int))
-        states = [states[i] for i in idx]
+    states = _select_leaves(trajectory.states, max_leaves)
     samples = mass_along_flow(spec, [s.u for s in states], grid, max_leaves=None)
 
     header = ("t", "u", "H", "f_of_u", "mass_integral", "lemma_quantity")
@@ -334,7 +331,6 @@ def _cmd_check(spec, config, grid, seed):
 def _cmd_sads_demo(spec, config, grid, seed, params):
     if params is None:
         raise ConfigError("sads-demo requires spacetime kind 'sads'")
-    from .mass import slice_mass_integral
 
     k_max = int(config.get("schedule", {}).get("K", 10))
     r0 = sads.horizon(params)

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import tensors
 from .expr import Call, Expression, Num, fold_constants, free_variables, parse
+from .extrapolate import aitken_limit
 from .fields import (
     COORD_NAMES,
     ConstField,
@@ -549,7 +550,6 @@ def arw_validate(spec: ARWSpec, sample_times=None) -> ArwValidation:
     )
 
     mass_seq = np.abs(fp) ** 2 * np.exp((spec.n + spec.omega - 2.0) * fv)
-    from .extrapolate import aitken_limit
 
     m_hat, m_err = aitken_limit(mass_seq)
     increments = np.abs(np.diff(mass_seq)) / max(abs(mass_seq[-1]), 1e-300)

@@ -34,14 +34,9 @@ from .geometry import (
     QuadratureGrid,
     metric_at,
     quadrature_grid,
-    sphere_volume,
 )
-from .hypersurface import (
-    GraphHypersurface,
-    coordinate_slice_curvature,
-    node_curvatures,
-)
-from .mass import _FILL_ANGLE, _weights
+from .hypersurface import GraphHypersurface, coordinate_slice_curvature
+from .mass import _FILL_ANGLE, _graph_integral, _weights
 
 __all__ = [
     "FlowError",
@@ -240,15 +235,14 @@ def flow_diagnostics(trajectory: ImcfTrajectory) -> tuple[float, float]:
     return slope, decay
 
 
-def _select_leaves(trajectory, max_leaves: int | None):
-    if isinstance(trajectory, ImcfTrajectory):
-        pairs = [(s.t, s.u) for s in trajectory.states]
-    else:
-        pairs = [(math.nan, float(u)) for u in trajectory]
-    if max_leaves is not None and len(pairs) > max_leaves:
-        idx = np.unique(np.linspace(0, len(pairs) - 1, max_leaves).round().astype(int))
-        pairs = [pairs[i] for i in idx]
-    return pairs
+def _select_leaves(leaves, max_leaves: int | None) -> list:
+    """At most ``max_leaves`` evenly spaced entries of ``leaves``, first and
+    last included (all of them for None)."""
+    leaves = list(leaves)
+    if max_leaves is not None and len(leaves) > max_leaves:
+        idx = np.unique(np.linspace(0, len(leaves) - 1, max_leaves).round().astype(int))
+        leaves = [leaves[i] for i in idx]
+    return leaves
 
 
 def mass_along_flow(
@@ -269,42 +263,30 @@ def mass_along_flow(
     w = _weights(spec)
     grid = grid or quadrature_grid(w.n)
     n = w.n
-    metric = w.metric
-    lower = sphere_volume(n - 1)
-    nodes = grid.axis_nodes[0]
-    node_weights = grid.axis_weights[0]
+    if isinstance(trajectory, ImcfTrajectory):
+        pairs = [(s.t, s.u) for s in trajectory.states]
+    else:
+        pairs = [(math.nan, float(u)) for u in trajectory]
+
+    def factor(ext, intrinsic, bundle) -> tuple:
+        nu = ext.past_normal
+        return (
+            float(nu @ bundle.einstein @ nu),
+            intrinsic.scalar - (ext.norm_a_sq - ext.mean_curvature**2 / n),
+            (n - 1) / (2.0 * n) * ext.mean_curvature**2,
+        )
 
     samples = []
-    for t, u in _select_leaves(trajectory, max_leaves):
-        surface = GraphHypersurface(as_expression(u), metric)
-        totals = np.zeros(3)
-        for theta1, wt in zip(nodes, node_weights):
-            node = np.full(n, _FILL_ANGLE)
-            node[0] = theta1
-            ext, intrinsic, bundle = node_curvatures(surface, node)
-            w.check_time(ext.event[0])
-            nu = ext.past_normal
-            g_nu_nu = float(nu @ bundle.einstein @ nu)
-            lemma = intrinsic.scalar - (ext.norm_a_sq - ext.mean_curvature**2 / n)
-            h_form = (n - 1) / (2.0 * n) * ext.mean_curvature**2
-            sig11 = metric.sigma[0][0].partial(ext.event, ())
-            common = (
-                math.exp(w.log_weight(ext.event))
-                * math.exp(n * ext.psi_tilde)
-                * ext.tilt
-                * sig11 ** (n / 2.0)
-                * float(wt)
-                * math.sin(theta1) ** (n - 1)
-            )
-            totals += common * np.array([g_nu_nu, lemma, h_form])
-        totals *= lower
+    for t, u in _select_leaves(pairs, max_leaves):
+        surface = GraphHypersurface(as_expression(u), w.metric)
+        mass, lemma, h_form = _graph_integral(w, surface, grid, factor)
         samples.append(
             FlowMassSample(
                 t=t,
                 u=u,
-                mass_integral=float(totals[0]),
-                lemma_quantity=float(totals[1]),
-                mean_curvature_form=float(totals[2]),
+                mass_integral=float(mass),
+                lemma_quantity=float(lemma),
+                mean_curvature_form=float(h_form),
             )
         )
     return tuple(samples)

@@ -11,9 +11,10 @@ gauge moves (spatial normalization and time reparametrization) under which
 the recovered mass must not change.
 
 All spatial integrals exploit the rotational symmetry of the admitted
-perturbations: integrands depend on theta1 only, so an n-dimensional slice
-integral reduces to a one-dimensional Gauss-Legendre sum against the round
-measure (geometry.integrate_rotationally_symmetric).
+perturbations: integrands depend on theta1 only, so each reduces to a
+Gauss-Legendre sum over the theta1 nodes against the round measure.  Slices,
+the slab volume, graphs and IMCF leaves share one leaf integrator,
+_leaf_integral, which supplies the weight and the area element.
 """
 
 from __future__ import annotations
@@ -48,12 +49,7 @@ from .geometry import (
     sample_events,
     sphere_volume,
 )
-from .hypersurface import (
-    ExtrinsicData,
-    GraphHypersurface,
-    coordinate_slice_curvature,
-    graph_geometry,
-)
+from .hypersurface import GraphHypersurface, coordinate_slice_curvature, node_curvatures
 
 __all__ = [
     "MassReport",
@@ -171,6 +167,29 @@ def _slice_events(n: int, tau: float, grid: QuadratureGrid) -> np.ndarray:
     return events
 
 
+def _leaf_integral(w: _Weights, grid, events, values, psi_tilde, tilt=1.0, power=None):
+    """The integral of ``values`` e^{omega f} e^{psi} e^{power psi_tilde} v
+    sigma_11^{n/2} over the theta1 nodes of ``grid``.
+
+    ``events`` holds the event of each node, ``psi_tilde`` and ``tilt`` (v)
+    their values there; ``power`` defaults to n, the area element of a leaf.
+    A trailing axis of ``values`` is integrated column by column.
+    """
+    n = w.n
+    power = n if power is None else power
+    sig11 = w.metric.sigma[0][0].jet(events, 0)[:, 0]
+    weighted = (
+        np.asarray(values, dtype=float).T
+        * np.exp(w.log_weight(events))
+        * np.exp(power * psi_tilde)
+        * tilt
+        * sig11 ** (n / 2.0)
+    )
+    if weighted.ndim == 1:
+        return integrate_node_values(grid, weighted)
+    return np.array([integrate_node_values(grid, column) for column in weighted])
+
+
 def slice_mass_integral(spec, tau: float, grid: QuadratureGrid | None = None) -> float:
     """I(tau) over the coordinate slice, with the slice unit normal.
 
@@ -181,47 +200,41 @@ def slice_mass_integral(spec, tau: float, grid: QuadratureGrid | None = None) ->
     w = _weights(spec)
     w.check_time(tau)
     grid = grid or quadrature_grid(w.n)
-    metric = w.metric
-    n = w.n
 
-    events = _slice_events(n, tau, grid)
-    bundle = curvature_batch(metric, events)
-    p = metric.psi_tilde.jet(events, 0)[:, 0]
-    sig11 = metric.sigma[0][0].jet(events, 0)[:, 0]
+    events = _slice_events(w.n, tau, grid)
+    bundle = curvature_batch(w.metric, events)
+    p = w.metric.psi_tilde.jet(events, 0)[:, 0]
     g_nu_nu = bundle.einstein[:, 0, 0] * np.exp(-2.0 * p)
-    values = g_nu_nu * np.exp(w.log_weight(events)) * np.exp(n * p) * sig11 ** (n / 2.0)
-    return integrate_node_values(grid, values)
+    return _leaf_integral(w, grid, events, g_nu_nu, p)
 
 
 def _graph_integral(
     w: _Weights,
     surface: GraphHypersurface,
     grid: QuadratureGrid,
-    factor: Callable[[ExtrinsicData], float],
-) -> float:
-    """sum of factor(ext) * e^{omega f} e^{psi} over the graph's area element.
+    factor: Callable[..., object],
+):
+    """The leaf integral of ``factor`` over the graph.
 
-    The graph area element is e^{n psi_tilde} v sqrt(det sigma); the round
-    part of sqrt(det sigma) is supplied by the reduced quadrature.
+    ``factor`` maps the :func:`node_curvatures` data of each theta1 node to
+    one value or to a tuple of values, which are integrated separately.
     """
-    n = w.n
-    metric = surface.ambient
-
-    def fn(theta1: float) -> float:
-        node = np.full(n, _FILL_ANGLE)
+    exts, values = [], []
+    for theta1 in grid.axis_nodes[0]:
+        node = np.full(w.n, _FILL_ANGLE)
         node[0] = theta1
-        ext = graph_geometry(surface, node)
+        ext, intrinsic, bundle = node_curvatures(surface, node)
         w.check_time(ext.event[0])
-        sig11 = metric.sigma[0][0].partial(ext.event, ())
-        return (
-            factor(ext)
-            * math.exp(w.log_weight(ext.event))
-            * math.exp(n * ext.psi_tilde)
-            * ext.tilt
-            * sig11 ** (n / 2.0)
-        )
-
-    return integrate_rotationally_symmetric(grid, fn)
+        exts.append(ext)
+        values.append(factor(ext, intrinsic, bundle))
+    return _leaf_integral(
+        w,
+        grid,
+        np.array([ext.event for ext in exts]),
+        values,
+        np.array([ext.psi_tilde for ext in exts]),
+        tilt=np.array([ext.tilt for ext in exts]),
+    )
 
 
 def graph_mass_integral(
@@ -231,8 +244,7 @@ def graph_mass_integral(
     w = _weights(spec)
     grid = grid or quadrature_grid(w.n)
 
-    def factor(ext: ExtrinsicData) -> float:
-        bundle = curvature_at(surface.ambient, ext.event)
+    def factor(ext, intrinsic, bundle) -> float:
         nu = ext.past_normal
         return float(nu @ bundle.einstein @ nu)
 
@@ -319,14 +331,7 @@ def slab_balance(
         psi_dot = w.psi.jet(events, 1)[:, 1]
         spatial = np.einsum("kij,kij->k", g_up[:, 1:, 1:], hbar)
         time_part = g_up[:, 0, 0] * (w.omega * fp + psi_dot) * np.exp(p)
-        sig11 = metric.sigma[0][0].jet(events, 0)[:, 0]
-        values = (
-            (spatial + time_part)
-            * np.exp(w.log_weight(events))
-            * np.exp((n + 1) * p)
-            * sig11 ** (n / 2.0)
-        )
-        volume += wt * integrate_node_values(grid, values)
+        volume += wt * _leaf_integral(w, grid, events, spatial + time_part, p, power=n + 1)
 
     residual = abs(b2 - b1 - volume) / max(abs(b1), abs(b2), abs(volume), 1.0)
     return SlabBalance(

@@ -4,17 +4,24 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import arwmass.curvature
+import arwmass.geometry
+import arwmass.hypersurface
+from arwmass.curvature import curvature_at
 from arwmass.geometry import (
     GeometryError,
     flat_chart_metric,
     geometric_schedule,
+    integrate_rotationally_symmetric,
     make_spec,
     quadrature_grid,
     rw_family_spec,
     sphere_volume,
 )
-from arwmass.hypersurface import GraphHypersurface
+from arwmass.hypersurface import GraphHypersurface, graph_geometry
 from arwmass.mass import (
+    _FILL_ANGLE,
+    _weights,
     graph_mass_integral,
     mass_limit,
     monotonicity_scan,
@@ -91,6 +98,72 @@ def test_flat_ambient_gives_zero(grid):
     metric = flat_chart_metric(3)
     surface = GraphHypersurface(u=-0.3, ambient=metric)
     assert graph_mass_integral(metric, surface, grid) == 0.0
+
+
+def reference_graph_mass_integral(spec, surface, grid):
+    """The per-node loop graph_mass_integral replaced: graph_geometry and
+    curvature_at at every node, each assembling its own ambient jets."""
+    w = _weights(spec)
+    n = w.n
+    metric = surface.ambient
+
+    def fn(theta1):
+        node = np.full(n, _FILL_ANGLE)
+        node[0] = theta1
+        ext = graph_geometry(surface, node)
+        w.check_time(ext.event[0])
+        sig11 = metric.sigma[0][0].partial(ext.event, ())
+        nu = ext.past_normal
+        return (
+            float(nu @ curvature_at(metric, ext.event).einstein @ nu)
+            * math.exp(w.log_weight(ext.event))
+            * math.exp(n * ext.psi_tilde)
+            * ext.tilt
+            * sig11 ** (n / 2.0)
+        )
+
+    return integrate_rotationally_symmetric(grid, fn)
+
+
+SADS_ADS = SAdSParams(n=3, lam=-1.0, mass=1.0)
+
+
+@pytest.mark.parametrize(
+    "spec, u",
+    [
+        (rw_family_spec(3, 1.0, k=1.0, a=-0.5), "-0.3 + 0.02*cos(theta1)"),
+        (as_arw_spec(SADS_ADS), f"{x0_of_r(SADS_ADS, 0.5)!r} + 0.01*cos(theta1)"),
+        (
+            make_spec(
+                3, 1.0, "log(-2*tau)", a=-1.0,
+                psi="0.05*cos(theta1)*tau", lam="0.03*cos(theta1)*tau",
+            ),
+            "-0.4 + 0.03*sin(theta1)*sin(theta1)",
+        ),
+    ],
+    ids=["rw n=3", "sads lambda<0", "custom angular psi"],
+)
+def test_tilted_graph_matches_per_node_loop(spec, u):
+    grid = quadrature_grid(3, 12)
+    surface = GraphHypersurface(u=u, ambient=spec.metric)
+    got = graph_mass_integral(spec, surface, grid)
+    assert got == pytest.approx(reference_graph_mass_integral(spec, surface, grid), rel=1e-13)
+
+
+def test_graph_integral_assembles_ambient_jets_once_per_node(rw1, monkeypatch):
+    calls = []
+    original = arwmass.geometry.metric_jets
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("order", 2))
+        return original(*args, **kwargs)
+
+    for module in (arwmass.geometry, arwmass.hypersurface, arwmass.curvature):
+        monkeypatch.setattr(module, "metric_jets", counting)
+    grid = quadrature_grid(3, 12)
+    surface = GraphHypersurface(u="-0.3 + 0.02*cos(theta1)", ambient=rw1.metric)
+    graph_mass_integral(rw1, surface, grid)
+    assert calls == [2] * grid.nodes_per_axis
 
 
 # ---------------------------------------------------------------------------
