@@ -22,7 +22,8 @@ Exit codes: 0 success; 1 config error (unknown kind/command, missing field,
 unparseable expression, unknown variable); 2 validation failure (a
 validate/check run whose conditions do not hold, or a domain error, overflow
 included, while evaluating an expression); 3 numerical abort (H <= 0,
-non-spacelike graph, quadrature breakdown).
+non-spacelike graph, quadrature breakdown, singular linear algebra: numpy's
+LinAlgError, although a ValueError, is not a config error).
 
 ARWMASS_THREADS caps the worker threads used for independent sub-reports.
 """
@@ -416,6 +417,9 @@ def main(argv=None) -> int:
 
     try:
         return run(config, output_dir=args.output_dir)
+    except np.linalg.LinAlgError as exc:  # a ValueError, caught before those
+        print(f"numerical abort: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ParseError, UnboundVariableError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

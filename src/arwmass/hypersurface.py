@@ -17,6 +17,15 @@ Derivatives of the induced metric are exact: ambient jets (themselves exact)
 composed with the symbolically differentiated graph function through the
 chain rule.  The only finite differencing in the module is the surface
 derivative of h entering the Codazzi residual.
+
+Every routine takes one node of shape (n,) or an array of nodes of shape
+(..., n), and returns its data with the nodes' leading axes.  A batch
+assembles the ambient jets once for all of its nodes, the way
+curvature.curvature_batch does for events: a graph mass integral evaluates
+all theta1 nodes of a leaf in one call, and the Codazzi stencil all of its
+shifted nodes.  Each check runs on the whole batch in turn and raises, for
+the first node in C order that fails it, the error that node raises on its
+own.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from .expr import (
     DomainError,
     EvaluationError,
     Expression,
-    compile_expression,
+    compile_jet,
     differentiate,
     free_variables,
 )
@@ -73,7 +82,7 @@ class GraphHypersurface:
     ``u`` may be an Expression in theta1 or a plain number (a coordinate
     slice).  The time values u(theta1) must lie in the ambient chart's time
     domain; that is the caller's responsibility, while spacelikeness is
-    checked pointwise by the geometry routines.
+    checked node by node by the geometry routines.
     """
 
     u: Expression
@@ -89,30 +98,56 @@ class GraphHypersurface:
         object.__setattr__(self, "u", u)
 
     @cached_property
-    def _u_derivatives(self) -> tuple:
-        exprs = [self.u]
-        for _ in range(3):
-            exprs.append(differentiate(exprs[-1], "theta1"))
-        return tuple(compile_expression(e, ("theta1",)) for e in exprs)
+    def _programs(self) -> dict:
+        """Derivative count -> (scalar, vectorized) programs, compiled on first
+        use and stored fully built, since threads share a surface."""
+        return {}
 
-    def _u_values(self, theta1: float, count: int) -> list:
+    def _u_values(self, theta1, count: int) -> np.ndarray:
+        """u and its first ``count - 1`` theta1 derivatives at theta1, or with
+        shape (..., count) at an array of theta1 values; raises DomainError
+        naming the first failing theta1."""
+        programs = self._programs.get(count)
+        if programs is None:
+            exprs = [self.u]
+            for _ in range(count - 1):
+                exprs.append(differentiate(exprs[-1], "theta1"))
+            programs = compile_jet(exprs, ("theta1",))
+            self._programs[count] = programs
+        scalar, vectorized = programs
+        theta = np.asarray(theta1, dtype=float)
+        if theta.ndim == 0:
+            try:
+                return np.array(scalar(float(theta)))
+            except (EvaluationError, ArithmeticError, ValueError) as exc:
+                raise DomainError(f"{exc} at theta1 = {float(theta)}") from None
         try:
-            return [fn(theta1) for fn in self._u_derivatives[:count]]
-        except (EvaluationError, ArithmeticError, ValueError) as exc:
-            raise DomainError(f"{exc} at theta1 = {theta1}") from None
+            values = vectorized(theta)
+        except DomainError:
+            # value by value, so the first failing theta1 raises its own error
+            # (or, where numpy merely overflowed to inf, this is the scalar result)
+            jets = np.array([self._u_values(t, count) for t in theta.ravel()])
+            return jets.reshape(theta.shape + (count,))
+        out = np.empty(theta.shape + (count,))
+        for k, value in enumerate(values):
+            out[..., k] = value
+        return out
 
-    def u_jet(self, theta1: float) -> np.ndarray:
-        """(u, u', u'', u''') at theta1."""
-        return np.array(self._u_values(theta1, 4))
+    def u_jet(self, theta1) -> np.ndarray:
+        """(u, u', u'', u''') at theta1, or with shape (..., 4) at an array of
+        theta1 values."""
+        return self._u_values(theta1, 4)
 
     def event(self, node) -> np.ndarray:
+        """The event (u(theta1), node) over one node or an array of nodes."""
         node = np.asarray(node, dtype=float)
-        return np.concatenate((self._u_values(float(node[0]), 1), node))
+        return np.concatenate((self._u_values(node[..., 0], 1), node), axis=-1)
 
 
 @dataclass(frozen=True)
 class ExtrinsicData:
-    """Hypersurface data at one node of the spatial chart.
+    """Hypersurface data at one node of the spatial chart, or at an array of
+    nodes with every entry carrying the nodes' leading axes.
 
     ``h``, ``mean_curvature`` and ``norm_a_sq`` are populated by
     :func:`second_fundamental` and left None by :func:`graph_geometry`.
@@ -122,25 +157,26 @@ class ExtrinsicData:
     event: np.ndarray
     induced_metric: np.ndarray
     inverse: np.ndarray
-    tilt: float  # v = sqrt(1 - |Du|^2)
+    tilt: float | np.ndarray  # v = sqrt(1 - |Du|^2)
     past_normal: np.ndarray  # nu^alpha
-    tangents: np.ndarray  # x^alpha_i, shape (n+1, n)
-    psi_tilde: float
+    tangents: np.ndarray  # x^alpha_i, shape (..., n+1, n)
+    psi_tilde: float | np.ndarray
     h: np.ndarray | None = None
-    mean_curvature: float | None = None
-    norm_a_sq: float | None = None
+    mean_curvature: float | np.ndarray | None = None
+    norm_a_sq: float | np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class SurfaceCurvature:
-    """Intrinsic curvature stack of the induced metric at one node."""
+    """Intrinsic curvature stack of the induced metric at one node, or with
+    the nodes' leading axes."""
 
     g: np.ndarray
     g_inv: np.ndarray
     christoffel: np.ndarray
     riemann_lower: np.ndarray
     ricci: np.ndarray
-    scalar: float
+    scalar: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -156,9 +192,9 @@ class GaussCodazziResiduals:
 
 @dataclass(frozen=True)
 class _Ambient:
-    """The graph's point over one node and the ambient jets there.
+    """The graph's points over the nodes and the ambient jets there.
 
-    Assembled once per node; the frame, the induced jets, the ambient
+    Assembled once per call; the frame, the induced jets, the ambient
     Christoffel symbols and the ambient curvature all read from it.
     """
 
@@ -174,14 +210,24 @@ class _Ambient:
     def g_inv(self) -> np.ndarray:
         return _invert_metric(self.g, self.event)
 
+    @cached_property
+    def slopes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u_k, u_kl), the coordinate gradient and Hessian of u."""
+        n = self.node.shape[-1]
+        uk = np.zeros(self.node.shape)
+        uk[..., 0] = self.u_jet[..., 1]
+        ukl = np.zeros(self.node.shape + (n,))
+        ukl[..., 0, 0] = self.u_jet[..., 2]
+        return uk, ukl
+
 
 def _ambient(surface: GraphHypersurface, node, order: int) -> _Ambient:
     node = np.asarray(node, dtype=float)
     n = surface.ambient.n
-    if node.shape != (n,):
+    if node.ndim == 0 or node.shape[-1] != n:
         raise HypersurfaceError(f"node must supply {n} angles, got shape {node.shape}")
-    jet = surface.u_jet(float(node[0]))
-    event = np.concatenate(([jet[0]], node))
+    jet = surface.u_jet(node[..., 0])
+    event = np.concatenate((jet[..., :1], node), axis=-1)
     g, dg, ddg = metric_jets(surface.ambient, event, order=order)
     psi_jet = surface.ambient.psi_tilde.jet(event, order)
     return _Ambient(node, jet, event, g, dg, ddg, psi_jet)
@@ -189,10 +235,10 @@ def _ambient(surface: GraphHypersurface, node, order: int) -> _Ambient:
 
 @dataclass(frozen=True)
 class _Frame:
-    psi_tilde: float
+    psi_tilde: float | np.ndarray
     sigma: np.ndarray
     sigma_inv: np.ndarray
-    tilt: float
+    tilt: float | np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
     nu: np.ndarray
@@ -200,30 +246,33 @@ class _Frame:
 
 
 def _frame(amb: _Ambient) -> _Frame:
-    n = amb.node.shape[0]
-    p = float(amb.psi_jet[0])
-    scale = math.exp(2.0 * p)
-    sigma = amb.g[1:, 1:] / scale
+    n = amb.node.shape[-1]
+    p = amb.psi_jet[..., 0]
+    scale = np.exp(2.0 * p)[..., None, None]
+    sigma = amb.g[..., 1:, 1:] / scale
     sigma_inv = _invert_metric(sigma, amb.event)
 
-    du = np.zeros(n)
-    du[0] = amb.u_jet[1]
-    du_sq = float(du @ sigma_inv @ du)
-    if du_sq >= 1.0:
+    du, _ = amb.slopes
+    du_sq = np.einsum("...i,...ij,...j->...", du, sigma_inv, du)
+    steep = du_sq >= 1.0
+    if np.any(steep):
+        first = int(np.argmax(np.ravel(steep)))
+        node = np.reshape(amb.node, (-1, n))[first]
         raise HypersurfaceError(
-            f"graph not spacelike at node {amb.node.tolist()}: |Du|^2 = {du_sq:.6f}"
+            f"graph not spacelike at node {node.tolist()}: "
+            f"|Du|^2 = {np.ravel(du_sq)[first]:.6f}"
         )
-    v = math.sqrt(1.0 - du_sq)
+    v = np.sqrt(1.0 - du_sq)
 
-    g = scale * (sigma - np.outer(du, du))
+    g = scale * (sigma - du[..., :, None] * du[..., None, :])
     g_inv = _invert_metric(g, amb.event)
-    nu = np.empty(n + 1)
-    nu[0] = 1.0
-    nu[1:] = sigma_inv @ du
-    nu *= -1.0 / (v * math.exp(p))
-    tangents = np.zeros((n + 1, n))
-    tangents[0, :] = du
-    tangents[1:, :] = np.eye(n)
+    nu = np.empty(amb.event.shape)
+    nu[..., 0] = 1.0
+    nu[..., 1:] = np.einsum("...ij,...j->...i", sigma_inv, du)
+    nu *= (-1.0 / (v * np.exp(p)))[..., None]
+    tangents = np.zeros(amb.event.shape + (n,))
+    tangents[..., 0, :] = du
+    tangents[..., 1:, :] = np.eye(n)
     return _Frame(
         psi_tilde=p,
         sigma=sigma,
@@ -270,64 +319,61 @@ def _induced_jets(amb: _Ambient, order: int = 2):
     Writes the induced metric as F_ij(u(theta), theta) - T_ij with
     F_ij the ambient spatial block and T_ij = e^{2 psi_tilde} u_i u_j, and
     pushes exact ambient jets (of at least ``order``) through the chain
-    rule; u enters with up to three symbolic derivatives.
+    rule; u enters with up to three symbolic derivatives.  The derivative
+    axes k, l of dghat[..., k, i, j] and ddghat[..., k, l, i, j] follow the
+    nodes' leading axes.
     """
-    n = amb.node.shape[0]
+    n = amb.node.shape[-1]
     g, dg, ddg = amb.g, amb.dg, amb.ddg
     p0, p1, p2 = split_jet(amb.psi_jet, n + 1)
-    E0 = math.exp(2.0 * p0)
-    w, wp, wpp = amb.u_jet[1], amb.u_jet[2], amb.u_jet[3]
-
-    uk = np.zeros(n)
-    uk[0] = w
-    ukl = np.zeros((n, n))
-    ukl[0, 0] = wp
+    E0 = np.exp(2.0 * p0)
+    w, wp, wpp = amb.u_jet[..., 1], amb.u_jet[..., 2], amb.u_jet[..., 3]
+    uk, ukl = amb.slopes
+    u_k, u_l = uk[..., :, None], uk[..., None, :]  # broadcast along k and l
 
     sp = slice(1, None)
-    T0 = np.zeros((n, n))
-    T0[0, 0] = E0 * w**2
-    ghat = g[sp, sp] - T0
+    ghat = g[..., sp, sp].copy()
+    ghat[..., 0, 0] -= E0 * w**2
     if order < 1:
         return ghat, None, None
 
-    phat = p1[0] * uk + p1[1:]
-    dE = 2.0 * phat * E0
+    phat = p1[..., :1] * uk + p1[..., 1:]
+    dE = 2.0 * phat * E0[..., None]
 
-    dF = dg[0, sp, sp][None, :, :] * uk[:, None, None] + dg[sp, sp, sp]
-    dT = np.zeros((n, n, n))
-    dT[:, 0, 0] = dE * w**2
-    dT[0, 0, 0] += E0 * 2.0 * w * wp
+    # dF[k] = d_0 F * u_k + d_k F
+    dF = dg[..., None, 0, sp, sp] * u_k[..., None] + dg[..., sp, sp, sp]
+    dT = np.zeros(dF.shape)
+    dT[..., 0, 0] = dE * (w**2)[..., None]
+    dT[..., 0, 0, 0] += E0 * 2.0 * w * wp
     dghat = dF - dT
     if order < 2:
         return ghat, dghat, None
 
-    phat2 = np.empty((n, n))
-    for k in range(n):
-        for l in range(n):
-            phat2[k, l] = (
-                p2[0, 0] * uk[k] * uk[l]
-                + p2[0, l + 1] * uk[k]
-                + p2[0, k + 1] * uk[l]
-                + p1[0] * ukl[k, l]
-                + p2[k + 1, l + 1]
-            )
-    ddE = (4.0 * np.outer(phat, phat) + 2.0 * phat2) * E0
+    phat2 = (
+        p2[..., :1, :1] * u_k * u_l
+        + p2[..., None, 0, 1:] * u_k
+        + p2[..., 0, 1:, None] * u_l
+        + p1[..., 0, None, None] * ukl
+        + p2[..., 1:, 1:]
+    )
+    outer = phat[..., :, None] * phat[..., None, :]
+    ddE = (4.0 * outer + 2.0 * phat2) * E0[..., None, None]
 
-    ddF = np.empty((n, n, n, n))
-    for k in range(n):
-        for l in range(n):
-            ddF[k, l] = (
-                ddg[0, 0, sp, sp] * uk[k] * uk[l]
-                + ddg[0, l + 1, sp, sp] * uk[k]
-                + ddg[0, k + 1, sp, sp] * uk[l]
-                + dg[0, sp, sp] * ukl[k, l]
-                + ddg[k + 1, l + 1, sp, sp]
-            )
-    ddT = np.zeros((n, n, n, n))
-    ddT[:, :, 0, 0] = ddE * w**2
-    ddT[0, :, 0, 0] += dE * 2.0 * w * wp
-    ddT[:, 0, 0, 0] += dE * 2.0 * w * wp
-    ddT[0, 0, 0, 0] += E0 * 2.0 * (wp**2 + w * wpp)
+    # ddF[k, l] = d_0 d_0 F u_k u_l + d_0 d_l F u_k + d_0 d_k F u_l
+    #             + d_0 F u_kl + d_k d_l F
+    ddF = (
+        ddg[..., None, None, 0, 0, sp, sp] * u_k[..., None, None] * u_l[..., None, None]
+        + ddg[..., None, 0, sp, sp, sp] * u_k[..., None, None]
+        + ddg[..., 0, sp, None, sp, sp] * u_l[..., None, None]
+        + dg[..., None, None, 0, sp, sp] * ukl[..., None, None]
+        + ddg[..., sp, sp, sp, sp]
+    )
+    slope = dE * 2.0 * w[..., None] * wp[..., None]
+    ddT = np.zeros(ddF.shape)
+    ddT[..., 0, 0] = ddE * (w**2)[..., None, None]
+    ddT[..., 0, :, 0, 0] += slope
+    ddT[..., :, 0, 0, 0] += slope
+    ddT[..., 0, 0, 0, 0] += E0 * 2.0 * (wp**2 + w * wpp)
     ddghat = ddF - ddT
     return ghat, dghat, ddghat
 
@@ -337,9 +383,9 @@ def _intrinsic_curvature(amb: _Ambient, fr: _Frame) -> SurfaceCurvature:
     gamma = tensors.christoffel(fr.g_inv, dghat)
     dgamma = tensors.christoffel_derivative(fr.g_inv, dghat, ddghat)
     riem = tensors.riemann_up(gamma, dgamma)
-    riem_low = np.einsum("ae,ebcd->abcd", ghat, riem)
+    riem_low = np.einsum("...ae,...ebcd->...abcd", ghat, riem)
     ricci = tensors.ricci_from_riemann(riem)
-    scalar = float(np.einsum("bd,bd->", fr.g_inv, ricci))
+    scalar = np.einsum("...bd,...bd->...", fr.g_inv, ricci)
     return SurfaceCurvature(
         g=ghat,
         g_inv=fr.g_inv,
@@ -361,32 +407,29 @@ def intrinsic_curvature(surface: GraphHypersurface, node) -> SurfaceCurvature:
 
 
 def _second_fundamental(amb: _Ambient, fr: _Frame) -> ExtrinsicData:
-    n = amb.node.shape[0]
     _, dghat, _ = _induced_jets(amb, order=1)
     gamma_hat = tensors.christoffel(fr.g_inv, dghat)
 
-    uk = np.zeros(n)
-    uk[0] = amb.u_jet[1]
-    ukl = np.zeros((n, n))
-    ukl[0, 0] = amb.u_jet[2]
-    u_hess = ukl - np.einsum("kij,k->ij", gamma_hat, uk)
+    uk, ukl = amb.slopes
+    u_i, u_j = uk[..., :, None], uk[..., None, :]
+    u_hess = ukl - np.einsum("...kij,...k->...ij", gamma_hat, uk)
 
-    g0 = tensors.christoffel(amb.g_inv, amb.dg)[0]
+    g0 = tensors.christoffel(amb.g_inv, amb.dg)[..., 0, :, :]
     rhs = -(
         u_hess
-        + g0[0, 0] * np.outer(uk, uk)
-        + np.outer(uk, g0[0, 1:])
-        + np.outer(g0[0, 1:], uk)
-        + g0[1:, 1:]
+        + g0[..., :1, :1] * (u_i * u_j)
+        + u_i * g0[..., None, 0, 1:]
+        + g0[..., 0, 1:, None] * u_j
+        + g0[..., 1:, 1:]
     )
-    h = math.exp(fr.psi_tilde) * fr.tilt * rhs
+    h = (np.exp(fr.psi_tilde) * fr.tilt)[..., None, None] * rhs
     mixed = fr.g_inv @ h
     return _extrinsic(
         amb,
         fr,
         h=h,
-        mean_curvature=float(np.trace(mixed)),
-        norm_a_sq=float(np.einsum("ij,ji->", mixed, mixed)),
+        mean_curvature=np.trace(mixed, axis1=-2, axis2=-1),
+        norm_a_sq=np.einsum("...ij,...ji->...", mixed, mixed),
     )
 
 
@@ -396,19 +439,30 @@ def second_fundamental(surface: GraphHypersurface, node) -> ExtrinsicData:
     return _second_fundamental(amb, _frame(amb))
 
 
+def _graph_curvatures(surface: GraphHypersurface, node, full: bool):
+    """(extrinsic data, intrinsic curvature, ambient curvature) at ``node``,
+    from one assembly of the ambient jets at its events.
+
+    With ``full`` False only the frame and the ambient curvature are built:
+    the extrinsic data is :func:`graph_geometry`'s and the intrinsic part is
+    None.
+    """
+    amb = _ambient(surface, node, order=2)
+    fr = _frame(amb)
+    if full:
+        ext, intrinsic = _second_fundamental(amb, fr), _intrinsic_curvature(amb, fr)
+    else:
+        ext, intrinsic = _extrinsic(amb, fr), None
+    return ext, intrinsic, curvature_from_jets(amb.g, amb.dg, amb.ddg, amb.g_inv)
+
+
 def node_curvatures(
     surface: GraphHypersurface, node
 ) -> tuple[ExtrinsicData, SurfaceCurvature, CurvatureBundle]:
     """:func:`second_fundamental`, :func:`intrinsic_curvature` and the
     ambient :func:`curvature_at` at ``node``, from one assembly of the
-    ambient jets at its event; equal to the three separate calls."""
-    amb = _ambient(surface, node, order=2)
-    fr = _frame(amb)
-    return (
-        _second_fundamental(amb, fr),
-        _intrinsic_curvature(amb, fr),
-        curvature_from_jets(amb.g, amb.dg, amb.ddg, amb.g_inv),
-    )
+    ambient jets at its events; equal to the three separate calls."""
+    return _graph_curvatures(surface, node, full=True)
 
 
 def coordinate_slice_curvature(metric: SpacetimeMetric, tau: float):
@@ -471,21 +525,18 @@ def gauss_codazzi_residuals(
     gauss_full = float(np.max(np.abs(curv.riemann_lower + hh - pull)))
 
     g_nu_nu = float(nu @ amb.einstein @ nu)
-    gauss_trace = abs(
-        curv.scalar + (ext.mean_curvature**2 - ext.norm_a_sq) - 2.0 * g_nu_nu
+    gauss_trace = float(
+        abs(curv.scalar + (ext.mean_curvature**2 - ext.norm_a_sq) - 2.0 * g_nu_nu)
     )
 
+    # the 4n shifted nodes node + m fd_step e_k, m = -2, -1, 1, 2, in one call
     n = surface.ambient.n
-    dh = np.empty((n, n, n))
-    for k in range(n):
-        stencil = []
-        for m in (-2, -1, 1, 2):
-            shifted = np.array(node, dtype=float)
-            shifted[k] += m * fd_step
-            stencil.append(second_fundamental(surface, shifted).h)
-        dh[k] = (stencil[0] - 8.0 * stencil[1] + 8.0 * stencil[2] - stencil[3]) / (
-            12.0 * fd_step
-        )
+    shifted = np.tile(np.asarray(node, dtype=float), (n, 4, 1))
+    shifted[np.arange(n), :, np.arange(n)] += np.array([-2, -1, 1, 2]) * fd_step
+    stencil = second_fundamental(surface, shifted).h
+    dh = (stencil[:, 0] - 8.0 * stencil[:, 1] + 8.0 * stencil[:, 2] - stencil[:, 3]) / (
+        12.0 * fd_step
+    )
     grad_h = (
         dh
         - np.einsum("mki,mj->kij", curv.christoffel, h)

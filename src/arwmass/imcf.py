@@ -36,7 +36,7 @@ from .geometry import (
     quadrature_grid,
 )
 from .hypersurface import GraphHypersurface, coordinate_slice_curvature
-from .mass import _FILL_ANGLE, _graph_integral, _weights
+from .mass import _FILL_ANGLE, _einstein_normal, _graph_integral, _weights
 
 __all__ = [
     "FlowError",
@@ -268,18 +268,20 @@ def mass_along_flow(
     else:
         pairs = [(math.nan, float(u)) for u in trajectory]
 
-    def factor(ext, intrinsic, bundle) -> tuple:
-        nu = ext.past_normal
-        return (
-            float(nu @ bundle.einstein @ nu),
-            intrinsic.scalar - (ext.norm_a_sq - ext.mean_curvature**2 / n),
-            (n - 1) / (2.0 * n) * ext.mean_curvature**2,
+    def factor(ext, intrinsic, bundle) -> np.ndarray:
+        return np.stack(
+            (
+                _einstein_normal(ext, bundle),
+                intrinsic.scalar - (ext.norm_a_sq - ext.mean_curvature**2 / n),
+                (n - 1) / (2.0 * n) * ext.mean_curvature**2,
+            ),
+            axis=-1,
         )
 
     samples = []
     for t, u in _select_leaves(pairs, max_leaves):
         surface = GraphHypersurface(as_expression(u), w.metric)
-        mass, lemma, h_form = _graph_integral(w, surface, grid, factor)
+        mass, lemma, h_form = _graph_integral(w, surface, grid, factor, full=True)
         samples.append(
             FlowMassSample(
                 t=t,

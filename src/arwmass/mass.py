@@ -26,7 +26,15 @@ from typing import Callable
 import numpy as np
 
 from .curvature import curvature_at, curvature_batch
-from .expr import Call, Num, Var, compile_expression, fold_constants, substitute
+from .expr import (
+    Call,
+    ExpressionError,
+    Num,
+    Var,
+    compile_expression,
+    fold_constants,
+    substitute,
+)
 from .extrapolate import aitken_limit
 from .fields import (
     ConstField,
@@ -49,7 +57,7 @@ from .geometry import (
     sample_events,
     sphere_volume,
 )
-from .hypersurface import GraphHypersurface, coordinate_slice_curvature, node_curvatures
+from .hypersurface import GraphHypersurface, _graph_curvatures, coordinate_slice_curvature
 
 __all__ = [
     "MassReport",
@@ -127,9 +135,16 @@ class _Weights:
     psi: ScalarField
     a: float | None
 
-    def check_time(self, tau: float) -> None:
-        if self.a is not None and not (self.a - 1e-12 <= tau < 0.0):
-            raise GeometryError(f"tau = {tau} outside the domain [{self.a}, 0)")
+    def check_time(self, tau) -> None:
+        """Raise GeometryError for ``tau``, or for the first of an array of
+        times, outside the domain."""
+        if self.a is None:
+            return
+        taus = np.ravel(tau)
+        outside = ~((self.a - 1e-12 <= taus) & (taus < 0.0))
+        if np.any(outside):
+            first = taus[int(np.argmax(outside))]
+            raise GeometryError(f"tau = {first} outside the domain [{self.a}, 0)")
 
     def log_weight(self, events: np.ndarray):
         """omega f + psi at one event or at events of shape (..., dim)."""
@@ -212,29 +227,36 @@ def _graph_integral(
     w: _Weights,
     surface: GraphHypersurface,
     grid: QuadratureGrid,
-    factor: Callable[..., object],
+    factor: Callable[..., np.ndarray],
+    full: bool,
 ):
     """The leaf integral of ``factor`` over the graph.
 
-    ``factor`` maps the :func:`node_curvatures` data of each theta1 node to
-    one value or to a tuple of values, which are integrated separately.
+    All theta1 nodes go through one batched curvature call.  ``factor`` maps
+    its (extrinsic, intrinsic, ambient curvature) arrays to node values of
+    shape (N,) or (N, k), whose columns are integrated separately.  The
+    second fundamental form and the intrinsic curvature are built only when
+    ``full`` (otherwise the intrinsic part is None).
     """
-    exts, values = [], []
-    for theta1 in grid.axis_nodes[0]:
-        node = np.full(w.n, _FILL_ANGLE)
-        node[0] = theta1
-        ext, intrinsic, bundle = node_curvatures(surface, node)
-        w.check_time(ext.event[0])
-        exts.append(ext)
-        values.append(factor(ext, intrinsic, bundle))
-    return _leaf_integral(
-        w,
-        grid,
-        np.array([ext.event for ext in exts]),
-        values,
-        np.array([ext.psi_tilde for ext in exts]),
-        tilt=np.array([ext.tilt for ext in exts]),
-    )
+    nodes = np.full((grid.nodes_per_axis, w.n), _FILL_ANGLE)
+    nodes[:, 0] = grid.axis_nodes[0]
+    try:
+        ext, intrinsic, bundle = _graph_curvatures(surface, nodes, full)
+        w.check_time(ext.event[:, 0])
+    except (GeometryError, ExpressionError):
+        # node by node, so the first failing node raises what it raises alone
+        for node in nodes:
+            w.check_time(_graph_curvatures(surface, node, full)[0].event[0])
+        raise
+    values = factor(ext, intrinsic, bundle)
+    return _leaf_integral(w, grid, ext.event, values, ext.psi_tilde, tilt=ext.tilt)
+
+
+def _einstein_normal(ext, bundle) -> np.ndarray:
+    """G(nu, nu) with the graph's past normal, at every node."""
+    nu = ext.past_normal
+    g_nu = np.einsum("...a,...ab->...b", nu, bundle.einstein)
+    return np.einsum("...b,...b->...", g_nu, nu)
 
 
 def graph_mass_integral(
@@ -244,11 +266,10 @@ def graph_mass_integral(
     w = _weights(spec)
     grid = grid or quadrature_grid(w.n)
 
-    def factor(ext, intrinsic, bundle) -> float:
-        nu = ext.past_normal
-        return float(nu @ bundle.einstein @ nu)
+    def factor(ext, intrinsic, bundle) -> np.ndarray:
+        return _einstein_normal(ext, bundle)
 
-    return _graph_integral(w, surface, grid, factor)
+    return _graph_integral(w, surface, grid, factor, full=False)
 
 
 def mass_limit(

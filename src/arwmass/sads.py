@@ -43,8 +43,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from scipy.integrate import quad
-
 from .fields import TimeFunction
 from .geometry import ARWSpec, GeometryError, sphere_volume
 
@@ -147,6 +145,11 @@ def _relative_defect(params: SAdSParams, s: float) -> float:
 
 
 def _checked_quad(fn, lo: float, hi: float, r: float) -> float:
+    # scipy is imported on the first quadrature, not with the package: it
+    # costs most of the package's import time and memory, and only SAdS
+    # time coordinates need it.
+    from scipy.integrate import quad
+
     # full_output keeps quad quiet when 1e-13 is below what roundoff allows;
     # the error estimate is checked instead.
     out = quad(fn, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200, full_output=1)

@@ -2,8 +2,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+import arwmass.cli
 from arwmass.cli import main
 
 RW_MASS = {
@@ -266,3 +268,14 @@ def test_unknown_variable_is_a_config_error(tmp_path, capsys):
     }
     assert main([write_config(tmp_path, config)]) == 1
     assert capsys.readouterr().err.startswith("config error")
+
+
+def test_singular_linear_algebra_exits_three(tmp_path, monkeypatch, capsys):
+    # LinAlgError is a ValueError, yet a numerical abort, not a config error
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(arwmass.cli, "_cmd_validate", singular)
+    config = dict(RW_MASS, command="validate", output={"path": str(tmp_path / "out")})
+    assert main([write_config(tmp_path, config)]) == 3
+    assert capsys.readouterr().err == "numerical abort: Singular matrix\n"

@@ -5,8 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from arwmass.curvature import curvature_at
-from arwmass.expr import DomainError
-from arwmass.geometry import make_spec, metric_at, rw_family_spec
+from arwmass.expr import DomainError, compile_expression, differentiate
+from arwmass.fields import split_jet
+from arwmass.geometry import make_spec, metric_at, metric_jets, rw_family_spec
 from arwmass.hypersurface import (
     GraphHypersurface,
     HypersurfaceError,
@@ -17,6 +18,13 @@ from arwmass.hypersurface import (
     intrinsic_curvature,
     node_curvatures,
     second_fundamental,
+)
+from arwmass.sads import SAdSParams, as_arw_spec, x0_of_r
+from arwmass.tensors import (
+    christoffel,
+    christoffel_derivative,
+    ricci_from_riemann,
+    riemann_up,
 )
 
 NODES = [
@@ -161,3 +169,186 @@ def test_graph_overflow_is_a_domain_error(ambient):
         surface.u_jet(2.5)
     with pytest.raises(DomainError, match=r"at theta1 = 2\.5"):
         surface.event(np.array([2.5, 1.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the one-node kernel it replaced
+
+
+def reference_node_curvatures(surface, node):
+    """One node at a time, as the kernel ran before it took node arrays: the
+    graph function's derivatives compiled one by one, scalar field partials,
+    and the induced jets filled entry by entry."""
+    metric = surface.ambient
+    n = metric.n
+    exprs = [surface.u]
+    for _ in range(3):
+        exprs.append(differentiate(exprs[-1], "theta1"))
+    w0, w, wp, wpp = (compile_expression(e, ("theta1",))(float(node[0])) for e in exprs)
+    event = np.concatenate(([w0], node))
+    g, dg, ddg = metric_jets(metric, event, order=2)
+    p0, p1, p2 = split_jet(metric.psi_tilde.jet(event, 2), n + 1)
+
+    # the frame
+    scale = math.exp(2.0 * p0)
+    sigma_inv = np.linalg.inv(g[1:, 1:] / scale)
+    uk = np.zeros(n)
+    uk[0] = w
+    ukl = np.zeros((n, n))
+    ukl[0, 0] = wp
+    v = math.sqrt(1.0 - float(uk @ sigma_inv @ uk))
+    nu = np.concatenate(([1.0], sigma_inv @ uk)) * (-1.0 / (v * math.exp(p0)))
+
+    # the induced metric F_ij(u(theta), theta) - e^{2 psi_tilde} u_i u_j and its jets
+    sp = slice(1, None)
+    E0 = math.exp(2.0 * p0)
+    ghat = g[sp, sp].copy()
+    ghat[0, 0] -= E0 * w**2
+    phat = p1[0] * uk + p1[1:]
+    dE = 2.0 * phat * E0
+    dghat = dg[0, sp, sp][None, :, :] * uk[:, None, None] + dg[sp, sp, sp]
+    dghat[:, 0, 0] -= dE * w**2
+    dghat[0, 0, 0] -= E0 * 2.0 * w * wp
+    ddghat = np.empty((n, n, n, n))
+    for k in range(n):
+        for l in range(n):
+            phat2 = (
+                p2[0, 0] * uk[k] * uk[l] + p2[0, l + 1] * uk[k] + p2[0, k + 1] * uk[l]
+                + p1[0] * ukl[k, l] + p2[k + 1, l + 1]
+            )
+            ddE = (4.0 * phat[k] * phat[l] + 2.0 * phat2) * E0
+            ddghat[k, l] = (
+                ddg[0, 0, sp, sp] * uk[k] * uk[l] + ddg[0, l + 1, sp, sp] * uk[k]
+                + ddg[0, k + 1, sp, sp] * uk[l] + dg[0, sp, sp] * ukl[k, l]
+                + ddg[k + 1, l + 1, sp, sp]
+            )
+            ddghat[k, l, 0, 0] -= ddE * w**2
+            ddghat[k, l, 0, 0] -= (k == 0) * dE[l] * 2.0 * w * wp
+            ddghat[k, l, 0, 0] -= (l == 0) * dE[k] * 2.0 * w * wp
+    ddghat[0, 0, 0, 0] -= E0 * 2.0 * (wp**2 + w * wpp)
+    g_inv = np.linalg.inv(ghat)
+
+    # the second fundamental form
+    gamma_hat = christoffel(g_inv, dghat)
+    u_hess = ukl - np.einsum("kij,k->ij", gamma_hat, uk)
+    g0 = christoffel(np.linalg.inv(g), dg)[0]
+    rhs = -(
+        u_hess + g0[0, 0] * np.outer(uk, uk) + np.outer(uk, g0[0, 1:])
+        + np.outer(g0[0, 1:], uk) + g0[1:, 1:]
+    )
+    h = math.exp(p0) * v * rhs
+    mixed = g_inv @ h
+
+    # the intrinsic curvature
+    riem = riemann_up(gamma_hat, christoffel_derivative(g_inv, dghat, ddghat))
+    return {
+        "event": event,
+        "tilt": v,
+        "psi_tilde": p0,
+        "past_normal": nu,
+        "induced_metric": ghat,
+        "h": h,
+        "mean_curvature": np.trace(mixed),
+        "norm_a_sq": np.einsum("ij,ji->", mixed, mixed),
+        "riemann_lower": np.einsum("ae,ebcd->abcd", ghat, riem),
+        "scalar": np.einsum("bd,bd->", g_inv, ricci_from_riemann(riem)),
+        "einstein": curvature_at(metric, event).einstein,
+    }
+
+
+SADS_ADS = SAdSParams(n=3, lam=-1.0, mass=1.0)
+
+
+@pytest.mark.parametrize(
+    "spec, u",
+    [
+        (rw_family_spec(2, 1.0, k=1.0, a=-0.5), "-0.3 + 0.02*cos(theta1)"),
+        (rw_family_spec(3, 1.0, k=1.0, a=-0.5), "-0.3 + 0.02*cos(theta1)"),
+        (as_arw_spec(SADS_ADS), f"{x0_of_r(SADS_ADS, 0.5)!r} + 0.01*cos(theta1)"),
+        (
+            make_spec(
+                3, 1.0, "log(-2*tau)", a=-1.0,
+                psi="0.05*cos(theta1)*tau", lam="0.03*cos(theta1)*tau",
+            ),
+            "-0.4 + 0.03*sin(theta1)*sin(theta1)",
+        ),
+    ],
+    ids=["rw n=2", "rw n=3", "sads lambda<0", "custom angular psi and lambda"],
+)
+def test_batched_node_curvatures_match_the_one_node_kernel(spec, u):
+    surface = GraphHypersurface(u=u, ambient=spec.metric)
+    theta1 = np.linspace(0.2, 2.9, 7)
+    nodes = np.stack([theta1] + [1.1 + 0.3 * theta1] * (spec.n - 1), axis=-1)
+    ext, curv, bundle = node_curvatures(surface, nodes)
+    batched = {
+        name: getattr(ext, name)
+        for name in ("event", "tilt", "psi_tilde", "past_normal", "induced_metric",
+                     "h", "mean_curvature", "norm_a_sq")
+    }
+    batched.update(
+        riemann_lower=curv.riemann_lower, scalar=curv.scalar, einstein=bundle.einstein
+    )
+    for i, node in enumerate(nodes):
+        reference = reference_node_curvatures(surface, node)
+        for name, expected in reference.items():
+            got = batched[name][i]
+            scale = np.max(np.abs(expected))
+            npt.assert_allclose(got, expected, rtol=0.0, atol=1e-13 * scale, err_msg=name)
+
+
+def test_batch_with_a_non_spacelike_node_raises_the_pointwise_error(ambient):
+    steep = GraphHypersurface(u="-1 + 0.9*sin(2*theta1)", ambient=ambient.metric)
+    theta1 = np.array([0.7, 0.8, 0.1, 0.2])  # |u'| > 1 below theta1 ~ 0.49
+    nodes = np.stack([theta1, np.full(4, 1.0), np.full(4, 2.0)], axis=-1)
+    with pytest.raises(HypersurfaceError, match="not spacelike") as pointwise:
+        graph_geometry(steep, nodes[2])
+    kernels = (graph_geometry, second_fundamental, intrinsic_curvature, node_curvatures)
+    for kernel in kernels:
+        with pytest.raises(HypersurfaceError) as batched:
+            kernel(steep, nodes)
+        assert str(batched.value) == str(pointwise.value)
+
+
+def test_batch_with_an_overflowing_theta1_raises_the_pointwise_error(ambient):
+    surface = GraphHypersurface(u="-1 + 1e-300*exp(400*theta1)", ambient=ambient.metric)
+    theta1 = np.array([0.5, 2.5, 3.0])  # exp(400 theta1) overflows from 1.78 on
+    with pytest.raises(DomainError) as pointwise:
+        surface.u_jet(2.5)
+    with pytest.raises(DomainError) as batched:
+        surface.u_jet(theta1)
+    assert str(batched.value) == str(pointwise.value)
+    nodes = np.stack([theta1, np.full(3, 1.0), np.full(3, 2.0)], axis=-1)
+    with pytest.raises(DomainError) as batched:
+        node_curvatures(surface, nodes)
+    assert str(batched.value) == str(pointwise.value)
+
+
+def test_codazzi_stencil_matches_the_pointwise_stencil(tilted_surface):
+    # the parent's loop over the 4n shifted nodes, one second_fundamental each
+    node, step = NODES[1], 0.01
+    dh = np.empty((3, 3, 3))
+    for k in range(3):
+        stencil = []
+        for m in (-2, -1, 1, 2):
+            shifted = node.copy()
+            shifted[k] += m * step
+            stencil.append(second_fundamental(tilted_surface, shifted).h)
+        dh[k] = stencil[0] - 8.0 * stencil[1] + 8.0 * stencil[2] - stencil[3]
+    dh /= 12.0 * step
+    ext = second_fundamental(tilted_surface, node)
+    curv = intrinsic_curvature(tilted_surface, node)
+    grad_h = (
+        dh
+        - np.einsum("mki,mj->kij", curv.christoffel, ext.h)
+        - np.einsum("mkj,im->kij", curv.christoffel, ext.h)
+    ).transpose(1, 2, 0)
+    rbar_nu = np.einsum(
+        "abcd,a,bi,cj,dk->ijk",
+        curvature_at(tilted_surface.ambient, ext.event).riemann_lower,
+        ext.past_normal, ext.tangents, ext.tangents, ext.tangents,
+    )
+    codazzi = np.max(np.abs(grad_h - grad_h.transpose(0, 2, 1) - rbar_nu))
+    res = gauss_codazzi_residuals(tilted_surface, node, fd_step=step)
+    # both are rounding noise of the finite difference (h / step ~ 1e2 times eps)
+    assert res.codazzi == pytest.approx(codazzi, abs=1e-11)
+    assert res.codazzi <= 1e-6

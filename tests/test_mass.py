@@ -155,7 +155,7 @@ def test_graph_integral_assembles_ambient_jets_once_per_node(rw1, monkeypatch):
     original = arwmass.geometry.metric_jets
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("order", 2))
+        calls.append((kwargs.get("order", 2), np.shape(args[1])))
         return original(*args, **kwargs)
 
     for module in (arwmass.geometry, arwmass.hypersurface, arwmass.curvature):
@@ -163,7 +163,35 @@ def test_graph_integral_assembles_ambient_jets_once_per_node(rw1, monkeypatch):
     grid = quadrature_grid(3, 12)
     surface = GraphHypersurface(u="-0.3 + 0.02*cos(theta1)", ambient=rw1.metric)
     graph_mass_integral(rw1, surface, grid)
-    assert calls == [2] * grid.nodes_per_axis
+    # one order-2 assembly for all nodes of the graph at once
+    assert calls == [(2, (grid.nodes_per_axis, 4))]
+
+
+def test_graph_integral_skips_the_intrinsic_curvature(rw1, monkeypatch):
+    # G(nu, nu) reads the normal and the ambient Einstein tensor only
+    def forbidden(*args):
+        raise AssertionError("graph_mass_integral built the intrinsic curvature")
+
+    monkeypatch.setattr(arwmass.hypersurface, "_intrinsic_curvature", forbidden)
+    surface = GraphHypersurface(u="-0.3 + 0.02*cos(theta1)", ambient=rw1.metric)
+    assert graph_mass_integral(rw1, surface, quadrature_grid(3, 12)) > 0.0
+
+
+def test_graph_integral_raises_the_first_failing_nodes_error():
+    # the first nodes lie below the domain end a = -2 and the graph turns
+    # timelike (|u'| = 3 theta1 > 1) further out: node by node, the time
+    # check of the first node fires before any node is found timelike
+    spec = make_spec(3, 1.0, "log(-tau)", a=-2.0)
+    surface = GraphHypersurface(u="-2.1 + 1.5*theta1^2", ambient=spec.metric)
+    grid = quadrature_grid(3, 12)
+    first = np.full(3, _FILL_ANGLE)
+    first[0] = grid.axis_nodes[0][0]
+    with pytest.raises(GeometryError) as pointwise:
+        _weights(spec).check_time(graph_geometry(surface, first).event[0])
+    with pytest.raises(GeometryError) as batched:
+        graph_mass_integral(spec, surface, grid)
+    assert type(batched.value) is GeometryError
+    assert str(batched.value) == str(pointwise.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -286,3 +288,17 @@ def test_radius_cache_and_table_are_safe_to_fill_from_several_threads():
         assert got == expected
     for tau, r in zip(times, radii):
         assert expected[tau] == pytest.approx(r, rel=1e-12)
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy is loaded by the first SAdS quadrature, not by the package
+    import arwmass
+
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(arwmass.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    probe = "import sys, arwmass, arwmass.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
