@@ -4,6 +4,15 @@ Sign conventions are pinned by two anchors: the round unit n-sphere has
 scalar curvature n(n-1) > 0, and the contracted Gauss equation for spacelike
 hypersurfaces reads R = -(H^2 - |A|^2) + 2 G_ab nu^a nu^b (verified in the
 hypersurface module's tests).
+
+Every function takes one event of shape (dim,) or an array of events of
+shape (..., dim).  curvature_batch assembles all of its events in one
+vectorized pass.  The two checks feed it blocks of at most _BLOCK_EVENTS
+events (stencil points included), since an assembly holds up to ~18 kB per
+event at its peak (metric_jets plus curvature_from_jets, under
+tracemalloc); any number of events then runs in bounded memory.  They
+return floats for one event and arrays with the events' leading axes for a
+batch.
 """
 
 from __future__ import annotations
@@ -25,6 +34,9 @@ __all__ = [
     "conformal_residuals",
     "einstein_divergence_residual",
 ]
+
+# Most events one curvature assembly takes from a batch of the check functions
+_BLOCK_EVENTS = 96
 
 
 @dataclass(frozen=True)
@@ -88,11 +100,36 @@ def curvature_at(metric: SpacetimeMetric, event) -> CurvatureBundle:
     return curvature_batch(metric, np.asarray(event, dtype=float))
 
 
+def _blockwise(kernel, events, points: int = 1) -> tuple:
+    """The per-event fields ``kernel`` returns, over one event or many.
+
+    One event of shape (dim,) goes to ``kernel`` as it is, and its fields come
+    back as floats.  Events of shape (..., dim) go in blocks of at most
+    _BLOCK_EVENTS // ``points`` events, where ``points`` is the number of
+    events ``kernel`` assembles for each of them; every field comes back
+    with the events' leading axes.
+    """
+    events = np.asarray(events, dtype=float)
+    if events.ndim == 1:
+        return tuple(float(field) for field in kernel(events))
+    flat = np.reshape(events, (-1, events.shape[-1]))
+    size = max(1, _BLOCK_EVENTS // points)
+    starts = range(0, max(len(flat), 1), size)
+    blocks = [kernel(flat[start : start + size]) for start in starts]
+    return tuple(
+        np.concatenate(fields).reshape(events.shape[:-1]) for fields in zip(*blocks)
+    )
+
+
 @dataclass(frozen=True)
 class ConformalResiduals:
-    ricci_residual: float
-    scalar_residual: float
-    scalar_curvature: float  # R of the full metric, the scale of both residuals
+    """The residuals at one event as floats, or at events of shape (..., dim)
+    as arrays with their leading axes."""
+
+    ricci_residual: float | np.ndarray
+    scalar_residual: float | np.ndarray
+    # R of the full metric, the scale of both residuals
+    scalar_curvature: float | np.ndarray
 
 
 def conformal_residuals(spec: ARWSpec, event) -> ConformalResiduals:
@@ -107,69 +144,76 @@ def conformal_residuals(spec: ARWSpec, event) -> ConformalResiduals:
 
     where every tilded object belongs to the unscaled metric.  Returns the
     max-abs Ricci residual and the absolute scalar residual, together with
-    the scalar curvature they are rounding errors of.
+    the scalar curvature they are rounding errors of, at one event or at
+    every event of an array of shape (..., dim).
     """
+    return ConformalResiduals(*_blockwise(lambda block: _conformal(spec, block), event))
+
+
+def _conformal(spec: ARWSpec, events) -> tuple:
     dim = spec.n + 1
-    full = curvature_at(spec.metric, event)
-    base = curvature_at(spec.conformal_metric, event)
+    full = curvature_batch(spec.metric, events)
+    g_t, dg_t, ddg_t = metric_jets(spec.conformal_metric, events, order=2)
+    ginv_t = _invert_metric(g_t, events)
+    base = curvature_from_jets(g_t, dg_t, ddg_t, ginv_t)
 
     # phi = psi_tilde jets
-    phi, dphi, ddphi = split_jet(spec.metric.psi_tilde.jet(event, 2), dim)
+    phi, dphi, ddphi = split_jet(spec.metric.psi_tilde.jet(events, 2), dim)
 
-    g_t, dg_t, _ = metric_jets(spec.conformal_metric, event, order=1)
-    ginv_t = _invert_metric(g_t, event)
     gamma_t = tensors.christoffel(ginv_t, dg_t)
-    hess = ddphi - np.einsum("lab,l->ab", gamma_t, dphi)
-    box = float(np.einsum("ab,ab->", ginv_t, hess))
-    grad2 = float(np.einsum("ab,a,b->", ginv_t, dphi, dphi))
+    hess = ddphi - np.einsum("...lab,...l->...ab", gamma_t, dphi)
+    box = np.einsum("...ab,...ab->...", ginv_t, hess)
+    grad2 = np.einsum("...ab,...a,...b->...", ginv_t, dphi, dphi)
 
     nm1 = dim - 2  # (n+1)-dimensional identity carries n-1 here
     expected_ricci = (
         base.ricci
-        - nm1 * (hess - np.outer(dphi, dphi))
-        - g_t * (box + nm1 * grad2)
+        - nm1 * (hess - dphi[..., :, None] * dphi[..., None, :])
+        - g_t * (box + nm1 * grad2)[..., None, None]
     )
-    ricci_residual = float(np.max(np.abs(full.ricci - expected_ricci)))
+    ricci_residual = np.max(np.abs(full.ricci - expected_ricci), axis=(-2, -1))
 
     n = dim - 1
     expected_scalar = np.exp(-2.0 * phi) * (base.scalar - 2.0 * n * box - n * nm1 * grad2)
-    scalar_residual = float(abs(full.scalar - expected_scalar))
-    return ConformalResiduals(
-        ricci_residual=ricci_residual,
-        scalar_residual=scalar_residual,
-        scalar_curvature=float(full.scalar),
-    )
+    return ricci_residual, np.abs(full.scalar - expected_scalar), full.scalar
 
 
-def einstein_divergence_residual(metric: SpacetimeMetric, event, step: float = 1e-3) -> float:
+def einstein_divergence_residual(metric: SpacetimeMetric, event, step: float = 1e-3):
     """Contracted Bianchi check: max_b |nabla_a G^a_b| by central differences.
 
     The partial derivatives of the mixed Einstein tensor are finite
     differenced (second order in ``step``); the Christoffel terms use exact
     symbols at the event.  The whole 4 h-neighbourhood of the event must stay
-    inside the chart.
+    inside the chart.  Returns a float for one event, and an array with the
+    leading axes of events of shape (..., dim); each event and its 2 dim
+    stencil points go through one curvature assembly.
     """
-    event = np.asarray(event, dtype=float)
-    dim = metric.dim
     if step <= 0:
         raise GeometryError("step must be positive")
+    points = 2 * metric.dim + 1
+    return _blockwise(lambda block: _divergence(metric, block, step), event, points)[0]
 
-    def mixed_einstein(point) -> np.ndarray:
-        bundle = curvature_at(metric, point)
-        return bundle.g_inv @ bundle.einstein
 
-    g, dg, _ = metric_jets(metric, event, order=1)
-    g_inv = _invert_metric(g, event)
-    gamma = tensors.christoffel(g_inv, dg)
-    center = mixed_einstein(event)
+def _divergence(metric: SpacetimeMetric, events, step: float) -> tuple:
+    dim = metric.dim
+    # each event, then event + step e_a and event - step e_a for a = 0, 1, ...
+    shifts = np.stack((step * np.eye(dim), -step * np.eye(dim)), axis=1)
+    stencil = events[..., None, None, :] + shifts
+    points = np.concatenate(
+        (events[..., None, :], np.reshape(stencil, events.shape[:-1] + (2 * dim, dim))),
+        axis=-2,
+    )
+    bundle = curvature_batch(metric, points)
+    mixed = bundle.g_inv @ bundle.einstein
+    center = mixed[..., 0, :, :]
+    plus, minus = mixed[..., 1::2, :, :], mixed[..., 2::2, :, :]
 
-    div = np.zeros(dim)
+    g, dg, _ = metric_jets(metric, events, order=1)
+    gamma = tensors.christoffel(_invert_metric(g, events), dg)
+
+    div = np.zeros(events.shape)
     for a in range(dim):
-        shift = np.zeros(dim)
-        shift[a] = step
-        plus = mixed_einstein(event + shift)
-        minus = mixed_einstein(event - shift)
-        div += (plus[a, :] - minus[a, :]) / (2.0 * step)
-    div += np.einsum("aal,lb->b", gamma, center)
-    div -= np.einsum("lab,al->b", gamma, center)
-    return float(np.max(np.abs(div)))
+        div += (plus[..., a, a, :] - minus[..., a, a, :]) / (2.0 * step)
+    div += np.einsum("...aal,...lb->...b", gamma, center)
+    div -= np.einsum("...lab,...al->...b", gamma, center)
+    return (np.max(np.abs(div), axis=-1),)

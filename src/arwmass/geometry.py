@@ -50,11 +50,9 @@ __all__ = [
     "christoffel_at",
     "QuadratureGrid",
     "quadrature_grid",
-    "integrate_slice",
     "integrate_rotationally_symmetric",
     "integrate_node_values",
     "sphere_volume",
-    "round_sphere_matrix",
     "geometric_schedule",
     "arw_validate",
     "sample_events",
@@ -357,54 +355,11 @@ def quadrature_grid(n: int, nodes_per_axis: int = 48) -> QuadratureGrid:
     )
 
 
-def integrate_slice(
-    grid: QuadratureGrid,
-    integrand: Callable[[np.ndarray], float],
-    volume_metric: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """Sum of weights * integrand * sqrt(det volume_metric) over the grid.
-
-    Deterministic: nodes are traversed in axis-major order.  Non-finite
-    integrand values or non-positive metric determinants raise
-    QuadratureError naming the node.
-    """
-    mesh = np.meshgrid(*grid.axis_nodes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*grid.axis_weights, indexing="ij")
-    weights = np.prod(np.stack([w.ravel() for w in wmesh], axis=-1), axis=-1)
-
-    total = 0.0
-    for point, w in zip(points, weights):
-        m = np.asarray(volume_metric(point), dtype=float)
-        det = float(np.linalg.det(m))
-        if not np.isfinite(det) or det <= 0.0:
-            raise QuadratureError(f"volume metric degenerate at node {point.tolist()}")
-        value = float(integrand(point))
-        if not np.isfinite(value):
-            raise QuadratureError(f"integrand not finite at node {point.tolist()}")
-        total += w * value * math.sqrt(det)
-    return total
-
-
 def sphere_volume(n: int) -> float:
     """Volume of the round unit n-sphere: 2 pi^{(n+1)/2} / Gamma((n+1)/2)."""
     if n < 1:
         raise GeometryError("sphere dimension must be >= 1")
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
-
-
-def round_sphere_matrix(n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Volume-metric callable for the round unit S^n in the polar chart."""
-
-    def matrix(node: np.ndarray) -> np.ndarray:
-        m = np.eye(n)
-        s = 1.0
-        for i in range(1, n):
-            s *= math.sin(node[i - 1]) ** 2
-            m[i, i] = s
-        return m
-
-    return matrix
 
 
 def integrate_rotationally_symmetric(
@@ -413,9 +368,9 @@ def integrate_rotationally_symmetric(
     """Integrate an SO(n)-invariant integrand over S^n.
 
     ``fn(theta1)`` must contain every factor except the round measure; this
-    evaluates |S^{n-1}| * sum w * fn(theta1) * sin(theta1)^{n-1}.  Exact for
-    the same class of integrands as :func:`integrate_slice` restricted to
-    theta1-dependent data (the perturbations admitted by ARWSpec).
+    evaluates |S^{n-1}| * sum w * fn(theta1) * sin(theta1)^{n-1}, which
+    agrees with the full tensor-product rule of the grid on integrands of
+    theta1 alone (the perturbations admitted by ARWSpec).
     """
     values = []
     for theta1 in grid.axis_nodes[0]:

@@ -25,19 +25,21 @@ curvature.curvature_batch does for events: a graph mass integral evaluates
 all theta1 nodes of a leaf in one call, and the Codazzi stencil all of its
 shifted nodes.  Each check runs on the whole batch in turn and raises, for
 the first node in C order that fails it, the error that node raises on its
-own.
+own.  The two residual checks, gauss_codazzi_residuals and
+conformal_extrinsic_residual, return floats for one node and arrays for an
+array of nodes, which they evaluate in blocks of at most
+curvature._BLOCK_EVENTS assembled events.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import tensors
-from .curvature import CurvatureBundle, curvature_at, curvature_from_jets
+from .curvature import CurvatureBundle, _blockwise, curvature_at, curvature_from_jets
 from .expr import (
     DomainError,
     EvaluationError,
@@ -181,9 +183,12 @@ class SurfaceCurvature:
 
 @dataclass(frozen=True)
 class GaussCodazziResiduals:
-    gauss_trace: float
-    gauss_full: float
-    codazzi: float
+    """The residuals at one node as floats, or at nodes of shape (..., n) as
+    arrays with their leading axes."""
+
+    gauss_trace: float | np.ndarray
+    gauss_full: float | np.ndarray
+    codazzi: float | np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -476,23 +481,29 @@ def coordinate_slice_curvature(metric: SpacetimeMetric, tau: float):
     serves as an independent cross-check for u = const.  The callable takes
     one node or an array of nodes of shape (..., n).
     """
-    n = metric.n
 
     def field(node) -> np.ndarray:
         nodes = np.asarray(node, dtype=float)
         events = np.concatenate((np.full(nodes.shape[:-1] + (1,), tau), nodes), axis=-1)
-        psi = metric.psi_tilde.jet(events, 1)
-        sig = np.empty(nodes.shape[:-1] + (n, n))
-        sigdot = np.empty(nodes.shape[:-1] + (n, n))
-        for i in range(n):
-            for j in range(n):
-                jet = metric.sigma[i][j].jet(events, 1)
-                sig[..., i, j] = jet[..., 0]
-                sigdot[..., i, j] = jet[..., 1]
-        p, pdot = psi[..., 0, None, None], psi[..., 1, None, None]
-        return np.exp(p) * (-0.5 * sigdot - pdot * sig)
+        return _slice_second_fundamental(metric, events)
 
     return field
+
+
+def _slice_second_fundamental(metric: SpacetimeMetric, events) -> np.ndarray:
+    """hbar_ij of :func:`coordinate_slice_curvature` at events of shape
+    (..., n+1), each on the slice through its own tau."""
+    n = metric.n
+    psi = metric.psi_tilde.jet(events, 1)
+    sig = np.empty(events.shape[:-1] + (n, n))
+    sigdot = np.empty(events.shape[:-1] + (n, n))
+    for i in range(n):
+        for j in range(n):
+            jet = metric.sigma[i][j].jet(events, 1)
+            sig[..., i, j] = jet[..., 0]
+            sigdot[..., i, j] = jet[..., 1]
+    p, pdot = psi[..., 0, None, None], psi[..., 1, None, None]
+    return np.exp(p) * (-0.5 * sigdot - pdot * sig)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +522,18 @@ def gauss_codazzi_residuals(
     Both sides of each identity are computed independently.  The partial
     derivative of h entering the Codazzi covariant derivative uses five-point
     central differences of step ``fd_step`` (error ~ fd_step^4), everything
-    else is exact.
+    else is exact.  Floats for one node; for nodes of shape (..., n), arrays
+    with their leading axes, evaluated in blocks whose Codazzi stencils hold
+    at most curvature._BLOCK_EVENTS nodes.
     """
+
+    def residuals(nodes) -> tuple:
+        return _gauss_codazzi(surface, nodes, fd_step)
+
+    return GaussCodazziResiduals(*_blockwise(residuals, node, 4 * surface.ambient.n))
+
+
+def _gauss_codazzi(surface: GraphHypersurface, node, fd_step: float) -> tuple:
     ext = second_fundamental(surface, node)
     curv = intrinsic_curvature(surface, node)
     amb = curvature_at(surface.ambient, ext.event)
@@ -520,37 +541,42 @@ def gauss_codazzi_residuals(
     nu = ext.past_normal
     h = ext.h
 
-    pull = np.einsum("abcd,ai,bj,ck,dl->ijkl", amb.riemann_lower, x, x, x, x)
-    hh = np.einsum("ik,jl->ijkl", h, h) - np.einsum("il,jk->ijkl", h, h)
-    gauss_full = float(np.max(np.abs(curv.riemann_lower + hh - pull)))
+    riem = amb.riemann_lower
+    pull = np.einsum("...abcd,...ai,...bj,...ck,...dl->...ijkl", riem, x, x, x, x)
+    hh = np.einsum("...ik,...jl->...ijkl", h, h) - np.einsum("...il,...jk->...ijkl", h, h)
+    gauss_full = np.max(np.abs(curv.riemann_lower + hh - pull), axis=(-4, -3, -2, -1))
 
-    g_nu_nu = float(nu @ amb.einstein @ nu)
-    gauss_trace = float(
-        abs(curv.scalar + (ext.mean_curvature**2 - ext.norm_a_sq) - 2.0 * g_nu_nu)
+    g_nu_nu = (nu[..., None, :] @ amb.einstein @ nu[..., :, None])[..., 0, 0]
+    gauss_trace = np.abs(
+        curv.scalar + (ext.mean_curvature**2 - ext.norm_a_sq) - 2.0 * g_nu_nu
     )
 
-    # the 4n shifted nodes node + m fd_step e_k, m = -2, -1, 1, 2, in one call
+    # the 4n shifted nodes node + m fd_step e_k, m = -2, -1, 1, 2, of every
+    # node in one call
     n = surface.ambient.n
-    shifted = np.tile(np.asarray(node, dtype=float), (n, 4, 1))
-    shifted[np.arange(n), :, np.arange(n)] += np.array([-2, -1, 1, 2]) * fd_step
+    shifted = np.tile(ext.node[..., None, None, :], (n, 4, 1))
+    shifted[..., np.arange(n), :, np.arange(n)] += np.array([-2, -1, 1, 2]) * fd_step
     stencil = second_fundamental(surface, shifted).h
-    dh = (stencil[:, 0] - 8.0 * stencil[:, 1] + 8.0 * stencil[:, 2] - stencil[:, 3]) / (
-        12.0 * fd_step
-    )
+    dh = (
+        stencil[..., 0, :, :]
+        - 8.0 * stencil[..., 1, :, :]
+        + 8.0 * stencil[..., 2, :, :]
+        - stencil[..., 3, :, :]
+    ) / (12.0 * fd_step)
     grad_h = (
         dh
-        - np.einsum("mki,mj->kij", curv.christoffel, h)
-        - np.einsum("mkj,im->kij", curv.christoffel, h)
+        - np.einsum("...mki,...mj->...kij", curv.christoffel, h)
+        - np.einsum("...mkj,...im->...kij", curv.christoffel, h)
     )
-    h_ij_k = grad_h.transpose(1, 2, 0)  # h_ij;k
-    rbar_nu = np.einsum("abcd,a,bi,cj,dk->ijk", amb.riemann_lower, nu, x, x, x)
-    codazzi = float(np.max(np.abs(h_ij_k - h_ij_k.transpose(0, 2, 1) - rbar_nu)))
-    return GaussCodazziResiduals(
-        gauss_trace=gauss_trace, gauss_full=gauss_full, codazzi=codazzi
+    h_ij_k = np.moveaxis(grad_h, -3, -1)  # h_ij;k
+    rbar_nu = np.einsum("...abcd,...a,...bi,...cj,...dk->...ijk", riem, nu, x, x, x)
+    codazzi = np.max(
+        np.abs(h_ij_k - np.swapaxes(h_ij_k, -2, -1) - rbar_nu), axis=(-3, -2, -1)
     )
+    return gauss_trace, gauss_full, codazzi
 
 
-def conformal_extrinsic_residual(spec: ARWSpec, u, node) -> float:
+def conformal_extrinsic_residual(spec: ARWSpec, u, node):
     """Residual of the conformal relation between second fundamental forms.
 
     For the same graph read in the full metric and in the conformally
@@ -559,17 +585,22 @@ def conformal_extrinsic_residual(spec: ARWSpec, u, node) -> float:
         e^{psi_tilde} h^j_i = htilde^j_i + psi_tilde_alpha nutilde^alpha delta^j_i,
 
     with nutilde the past-directed unit normal of the conformal chart.
-    Returns the max-abs entry of the difference; both sides are evaluated
-    through their own metrics.
+    Returns the max-abs entry of the difference, a float for one node and
+    an array with the leading axes of nodes of shape (..., n); both sides
+    are evaluated through their own metrics.
     """
     surf = GraphHypersurface(u=u, ambient=spec.metric)
     surf_conf = GraphHypersurface(u=u, ambient=spec.conformal_metric)
-    ext = second_fundamental(surf, node)
-    ext_conf = second_fundamental(surf_conf, node)
 
-    mixed = ext.inverse @ ext.h
-    mixed_conf = ext_conf.inverse @ ext_conf.h
-    dpsi = spec.metric.psi_tilde.jet(ext.event, 1)[1:]
-    drift = float(dpsi @ ext_conf.past_normal)
-    res = math.exp(ext.psi_tilde) * mixed - mixed_conf - drift * np.eye(spec.n)
-    return float(np.max(np.abs(res)))
+    def residual(nodes) -> tuple:
+        ext = second_fundamental(surf, nodes)
+        ext_conf = second_fundamental(surf_conf, nodes)
+        mixed = ext.inverse @ ext.h
+        mixed_conf = ext_conf.inverse @ ext_conf.h
+        dpsi = spec.metric.psi_tilde.jet(ext.event, 1)[..., None, 1:]
+        drift = dpsi @ ext_conf.past_normal[..., :, None]
+        scaled = np.exp(ext.psi_tilde)[..., None, None] * mixed
+        res = scaled - mixed_conf - drift * np.eye(spec.n)
+        return (np.max(np.abs(res), axis=(-2, -1)),)
+
+    return _blockwise(residual, node)[0]

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 import arwmass.cli
+import arwmass.curvature
+import arwmass.geometry
+import arwmass.hypersurface
+import arwmass.mass
 from arwmass.cli import main
 
 RW_MASS = {
@@ -190,6 +194,51 @@ def test_check_scaled_bounds_keep_overrides(tmp_path):
         output={"path": str(tmp_path / "out")},
     )
     assert main([write_config(tmp_path, config)]) == 2
+
+
+def record_assemblies(monkeypatch):
+    """The number of events of every curvature_batch and metric_jets call,
+    through each module binding the check battery reaches."""
+    sizes = []
+    for name in ("curvature_batch", "metric_jets"):
+        original = getattr(arwmass.curvature, name)
+
+        def recording(metric, events, *args, _original=original, **kwargs):
+            sizes.append(int(np.prod(np.shape(events)[:-1])))
+            return _original(metric, events, *args, **kwargs)
+
+        for module in (arwmass.geometry, arwmass.curvature, arwmass.hypersurface, arwmass.mass):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, recording)
+    return sizes
+
+
+def test_check_assembles_at_most_one_block_of_events(tmp_path, monkeypatch):
+    config = dict(
+        STEEP_CHECK,
+        spacetime=dict(STEEP_CHECK["spacetime"], n=3),
+        grid=32,
+        output={"path": str(tmp_path / "out")},
+    )
+    sizes = record_assemblies(monkeypatch)
+    assert arwmass.cli.run(config) == 0
+    assert len(sizes) > 20 and max(sizes) <= arwmass.curvature._BLOCK_EVENTS
+
+
+def test_check_runs_many_events_in_bounded_blocks(tmp_path, monkeypatch):
+    config = dict(STEEP_CHECK, events=2000, output={"path": str(tmp_path / "out")})
+    sizes = record_assemblies(monkeypatch)
+    assert main([write_config(tmp_path, config)]) == 0
+    assert max(sizes) <= arwmass.curvature._BLOCK_EVENTS
+    # the 2000 conformal residuals take 2 assemblies (full and conformal metric) a block
+    blocks = -(-2000 // arwmass.curvature._BLOCK_EVENTS)
+    assert sizes.count(arwmass.curvature._BLOCK_EVENTS) >= 2 * (blocks - 1)
+
+
+def test_check_needs_an_event(tmp_path, capsys):
+    config = dict(STEEP_CHECK, events=0, output={"path": str(tmp_path / "out")})
+    assert main([write_config(tmp_path, config)]) == 1
+    assert "at least one event" in capsys.readouterr().err
 
 
 def test_imcf_command(tmp_path):

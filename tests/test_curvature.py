@@ -4,18 +4,25 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import arwmass.curvature
+from arwmass import tensors
 from arwmass.curvature import (
     conformal_residuals,
     curvature_at,
     einstein_divergence_residual,
 )
+from arwmass.expr import DomainError
+from arwmass.fields import split_jet
 from arwmass.geometry import (
+    _invert_metric,
     christoffel_at,
     flat_chart_metric,
     make_spec,
+    metric_jets,
     rw_family_spec,
     sample_events,
 )
+from arwmass.sads import SAdSParams, as_arw_spec
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +112,124 @@ def test_divergence_residual_vanishes_for_flat_metric():
     metric = flat_chart_metric(3)
     event = np.array([-0.5, 1.0, 1.0, 1.0])
     assert einstein_divergence_residual(metric, event) == pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the batched checks against the one-event code they replaced
+
+
+def reference_conformal_residuals(spec, event):
+    """conformal_residuals as it ran on one event before it took batches."""
+    dim = spec.n + 1
+    full = curvature_at(spec.metric, event)
+    base = curvature_at(spec.conformal_metric, event)
+    phi, dphi, ddphi = split_jet(spec.metric.psi_tilde.jet(event, 2), dim)
+    g_t, dg_t, _ = metric_jets(spec.conformal_metric, event, order=1)
+    ginv_t = _invert_metric(g_t, event)
+    gamma_t = tensors.christoffel(ginv_t, dg_t)
+    hess = ddphi - np.einsum("lab,l->ab", gamma_t, dphi)
+    box = float(np.einsum("ab,ab->", ginv_t, hess))
+    grad2 = float(np.einsum("ab,a,b->", ginv_t, dphi, dphi))
+    nm1 = dim - 2
+    expected_ricci = base.ricci - nm1 * (hess - np.outer(dphi, dphi)) - g_t * (box + nm1 * grad2)
+    n = dim - 1
+    expected_scalar = np.exp(-2.0 * phi) * (base.scalar - 2.0 * n * box - n * nm1 * grad2)
+    return (
+        float(np.max(np.abs(full.ricci - expected_ricci))),
+        float(abs(full.scalar - expected_scalar)),
+        float(full.scalar),
+    )
+
+
+def reference_divergence(metric, event, step):
+    """einstein_divergence_residual as it ran on one event: every stencil
+    point through its own pointwise curvature_at."""
+
+    def mixed_einstein(point):
+        bundle = curvature_at(metric, point)
+        return bundle.g_inv @ bundle.einstein
+
+    dim = metric.dim
+    g, dg, _ = metric_jets(metric, event, order=1)
+    gamma = tensors.christoffel(_invert_metric(g, event), dg)
+    center = mixed_einstein(event)
+    div = np.zeros(dim)
+    scale = np.max(np.abs(center))
+    for a in range(dim):
+        shift = np.zeros(dim)
+        shift[a] = step
+        plus = mixed_einstein(event + shift)
+        minus = mixed_einstein(event - shift)
+        scale = max(scale, np.max(np.abs(plus)), np.max(np.abs(minus)))
+        div += (plus[a, :] - minus[a, :]) / (2.0 * step)
+    div += np.einsum("aal,lb->b", gamma, center)
+    div -= np.einsum("lab,al->b", gamma, center)
+    # the size of one difference quotient's terms: the residual's rounding scale
+    return float(np.max(np.abs(div))), scale / step
+
+
+SADS_ADS = SAdSParams(n=3, lam=-1.0, mass=1.0)
+BATCH_SPECS = {
+    "rw n=2": rw_family_spec(2, 1.0, k=1.0, a=-0.5),
+    "rw n=3": rw_family_spec(3, 1.0, k=1.0, a=-0.5),
+    "custom angular psi and lambda": make_spec(
+        3, 1.0, "log(-2*tau)", a=-1.0, psi="0.05*cos(theta1)*tau", lam="0.03*cos(theta1)*tau"
+    ),
+    "sads lambda<0": as_arw_spec(SADS_ADS),
+}
+
+
+@pytest.mark.parametrize("name", BATCH_SPECS)
+def test_batched_conformal_residuals_match_the_one_event_code(name, monkeypatch):
+    monkeypatch.setattr(arwmass.curvature, "_BLOCK_EVENTS", 5)  # blocks of 5, 5 and 2
+    spec = BATCH_SPECS[name]
+    events = sample_events(spec, 12, seed=7)
+    batched = conformal_residuals(spec, events.reshape(3, 4, -1))
+    fields = (batched.ricci_residual, batched.scalar_residual, batched.scalar_curvature)
+    assert all(field.shape == (3, 4) for field in fields)
+    for i, event in enumerate(events):
+        ricci, scalar, curvature = reference_conformal_residuals(spec, event)
+        ricci_scale = np.max(np.abs(curvature_at(spec.metric, event).ricci))
+        got = [field.reshape(-1)[i] for field in fields]
+        assert got[0] == pytest.approx(ricci, rel=0.0, abs=1e-13 * ricci_scale)
+        assert got[1] == pytest.approx(scalar, rel=0.0, abs=1e-13 * abs(curvature))
+        assert got[2] == pytest.approx(curvature, rel=1e-13, abs=1e-13)
+        # one event runs the one-event code, bit for bit, and returns floats
+        one = conformal_residuals(spec, event)
+        assert (one.ricci_residual, one.scalar_residual, one.scalar_curvature) == (
+            ricci, scalar, curvature
+        )
+        assert type(one.ricci_residual) is float
+
+
+@pytest.mark.parametrize("name", BATCH_SPECS)
+def test_batched_divergence_matches_the_one_event_code(name, monkeypatch):
+    monkeypatch.setattr(arwmass.curvature, "_BLOCK_EVENTS", 20)  # 2 events per block
+    spec = BATCH_SPECS[name]
+    events = sample_events(spec, 5, seed=8)
+    step = 1e-4
+    batched = einstein_divergence_residual(spec.metric, events, step=step)
+    assert batched.shape == (5,)
+    for event, got in zip(events, batched):
+        expected, scale = reference_divergence(spec.metric, event, step)
+        assert got == pytest.approx(expected, rel=0.0, abs=1e-13 * scale)
+        one = einstein_divergence_residual(spec.metric, event, step=step)
+        assert type(one) is float
+        assert one == pytest.approx(expected, rel=0.0, abs=1e-13 * scale)
+
+
+def test_batch_with_a_bad_event_raises_the_pointwise_error():
+    # log's argument is <= 0 past theta1 = 2 pi / 3
+    spec = make_spec(2, 1.0, "log(-tau)", a=-1.0, psi="log(cos(theta1) + 0.5)")
+    events = np.array([[-0.5, 1.0, 2.0], [-0.4, 1.5, 1.0], [-0.3, 2.5, 3.0], [-0.2, 0.5, 1.0]])
+    with pytest.raises(DomainError) as pointwise:
+        reference_conformal_residuals(spec, events[2])
+    assert "at event [-0.3, 2.5, 3.0]" in str(pointwise.value)
+    with pytest.raises(DomainError) as batched:
+        conformal_residuals(spec, events)
+    assert str(batched.value) == str(pointwise.value)
+    with pytest.raises(DomainError) as pointwise:
+        reference_divergence(spec.metric, events[2], 1e-4)
+    with pytest.raises(DomainError) as batched:
+        einstein_divergence_residual(spec.metric, events, step=1e-4)
+    assert str(batched.value) == str(pointwise.value)

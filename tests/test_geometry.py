@@ -1,4 +1,5 @@
 import math
+from typing import Callable
 
 import numpy as np
 import numpy.testing as npt
@@ -8,15 +9,15 @@ from arwmass.expr import Num, parse
 from arwmass.geometry import (
     ARWSpec,
     GeometryError,
+    QuadratureError,
+    QuadratureGrid,
     arw_validate,
     flat_chart_metric,
     geometric_schedule,
     integrate_rotationally_symmetric,
-    integrate_slice,
     make_spec,
     metric_at,
     quadrature_grid,
-    round_sphere_matrix,
     rw_family_spec,
     sample_events,
     sphere_volume,
@@ -25,6 +26,50 @@ from arwmass.geometry import (
 
 # ---------------------------------------------------------------------------
 # sphere volumes and quadrature
+
+
+def integrate_slice(
+    grid: QuadratureGrid,
+    integrand: Callable[[np.ndarray], float],
+    volume_metric: Callable[[np.ndarray], np.ndarray],
+) -> float:
+    """Sum of weights * integrand * sqrt(det volume_metric) over the full
+    tensor-product grid, the rule integrate_rotationally_symmetric reduces.
+
+    Deterministic: nodes are traversed in axis-major order.  Non-finite
+    integrand values or non-positive metric determinants raise
+    QuadratureError naming the node.
+    """
+    mesh = np.meshgrid(*grid.axis_nodes, indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    wmesh = np.meshgrid(*grid.axis_weights, indexing="ij")
+    weights = np.prod(np.stack([w.ravel() for w in wmesh], axis=-1), axis=-1)
+
+    total = 0.0
+    for point, w in zip(points, weights):
+        m = np.asarray(volume_metric(point), dtype=float)
+        det = float(np.linalg.det(m))
+        if not np.isfinite(det) or det <= 0.0:
+            raise QuadratureError(f"volume metric degenerate at node {point.tolist()}")
+        value = float(integrand(point))
+        if not np.isfinite(value):
+            raise QuadratureError(f"integrand not finite at node {point.tolist()}")
+        total += w * value * math.sqrt(det)
+    return total
+
+
+def round_sphere_matrix(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Volume-metric callable for the round unit S^n in the polar chart."""
+
+    def matrix(node: np.ndarray) -> np.ndarray:
+        m = np.eye(n)
+        s = 1.0
+        for i in range(1, n):
+            s *= math.sin(node[i - 1]) ** 2
+            m[i, i] = s
+        return m
+
+    return matrix
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import arwmass.curvature
 from arwmass.curvature import curvature_at
 from arwmass.expr import DomainError, compile_expression, differentiate
 from arwmass.fields import split_jet
@@ -302,7 +303,14 @@ def test_batch_with_a_non_spacelike_node_raises_the_pointwise_error(ambient):
     nodes = np.stack([theta1, np.full(4, 1.0), np.full(4, 2.0)], axis=-1)
     with pytest.raises(HypersurfaceError, match="not spacelike") as pointwise:
         graph_geometry(steep, nodes[2])
-    kernels = (graph_geometry, second_fundamental, intrinsic_curvature, node_curvatures)
+    kernels = (
+        graph_geometry,
+        second_fundamental,
+        intrinsic_curvature,
+        node_curvatures,
+        gauss_codazzi_residuals,
+        lambda surface, nodes: conformal_extrinsic_residual(ambient, surface.u, nodes),
+    )
     for kernel in kernels:
         with pytest.raises(HypersurfaceError) as batched:
             kernel(steep, nodes)
@@ -352,3 +360,108 @@ def test_codazzi_stencil_matches_the_pointwise_stencil(tilted_surface):
     # both are rounding noise of the finite difference (h / step ~ 1e2 times eps)
     assert res.codazzi == pytest.approx(codazzi, abs=1e-11)
     assert res.codazzi <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the batched checks against the one-node code they replaced
+
+
+def reference_gauss_codazzi(surface, node, fd_step=0.01):
+    """gauss_codazzi_residuals as it ran on one node before it took batches,
+    with the size of each identity's terms."""
+    ext = second_fundamental(surface, node)
+    curv = intrinsic_curvature(surface, node)
+    amb = curvature_at(surface.ambient, ext.event)
+    x, nu, h = ext.tangents, ext.past_normal, ext.h
+    pull = np.einsum("abcd,ai,bj,ck,dl->ijkl", amb.riemann_lower, x, x, x, x)
+    hh = np.einsum("ik,jl->ijkl", h, h) - np.einsum("il,jk->ijkl", h, h)
+    gauss_full = float(np.max(np.abs(curv.riemann_lower + hh - pull)))
+    g_nu_nu = float(nu @ amb.einstein @ nu)
+    gauss_trace = float(
+        abs(curv.scalar + (ext.mean_curvature**2 - ext.norm_a_sq) - 2.0 * g_nu_nu)
+    )
+    n = surface.ambient.n
+    shifted = np.tile(np.asarray(node, dtype=float), (n, 4, 1))
+    shifted[np.arange(n), :, np.arange(n)] += np.array([-2, -1, 1, 2]) * fd_step
+    stencil = second_fundamental(surface, shifted).h
+    dh = (stencil[:, 0] - 8.0 * stencil[:, 1] + 8.0 * stencil[:, 2] - stencil[:, 3]) / (
+        12.0 * fd_step
+    )
+    grad_h = (
+        dh
+        - np.einsum("mki,mj->kij", curv.christoffel, h)
+        - np.einsum("mkj,im->kij", curv.christoffel, h)
+    )
+    h_ij_k = grad_h.transpose(1, 2, 0)
+    rbar_nu = np.einsum("abcd,a,bi,cj,dk->ijk", amb.riemann_lower, nu, x, x, x)
+    codazzi = float(np.max(np.abs(h_ij_k - h_ij_k.transpose(0, 2, 1) - rbar_nu)))
+    scales = (
+        max(abs(curv.scalar), ext.mean_curvature**2, ext.norm_a_sq, abs(2.0 * g_nu_nu)),
+        max(np.max(np.abs(pull)), np.max(np.abs(hh))),
+        np.max(np.abs(stencil)) / fd_step,  # a difference quotient's terms
+    )
+    return (gauss_trace, gauss_full, codazzi), scales
+
+
+def reference_conformal_extrinsic(spec, u, node):
+    """conformal_extrinsic_residual as it ran on one node, with the size of
+    its terms."""
+    ext = second_fundamental(GraphHypersurface(u=u, ambient=spec.metric), node)
+    ext_conf = second_fundamental(GraphHypersurface(u=u, ambient=spec.conformal_metric), node)
+    mixed = ext.inverse @ ext.h
+    mixed_conf = ext_conf.inverse @ ext_conf.h
+    drift = float(spec.metric.psi_tilde.jet(ext.event, 1)[1:] @ ext_conf.past_normal)
+    res = math.exp(ext.psi_tilde) * mixed - mixed_conf - drift * np.eye(spec.n)
+    return float(np.max(np.abs(res))), max(np.max(np.abs(mixed_conf)), abs(drift))
+
+
+BATCH_CASES = [
+    (rw_family_spec(2, 1.0, k=1.0, a=-0.5), "-0.3 + 0.02*cos(theta1)"),
+    (rw_family_spec(3, 1.0, k=1.0, a=-0.5), "-0.3 + 0.02*cos(theta1)"),
+    (
+        make_spec(
+            3, 1.0, "log(-2*tau)", a=-1.0,
+            psi="0.05*cos(theta1)*tau", lam="0.03*cos(theta1)*tau",
+        ),
+        "-0.4 + 0.03*sin(theta1)*sin(theta1)",
+    ),
+    (as_arw_spec(SADS_ADS), f"{x0_of_r(SADS_ADS, 0.5)!r} + 0.01*cos(theta1)"),
+]
+BATCH_IDS = ["rw n=2", "rw n=3", "custom angular psi and lambda", "sads lambda<0"]
+
+
+def _nodes(n, count):
+    theta1 = np.linspace(0.3, 2.8, count)
+    return np.stack([theta1] + [1.1 + 0.3 * theta1] * (n - 1), axis=-1)
+
+
+@pytest.mark.parametrize("spec, u", BATCH_CASES, ids=BATCH_IDS)
+def test_batched_gauss_codazzi_matches_the_one_node_code(spec, u, monkeypatch):
+    # 6 nodes in blocks of 2, whose Codazzi stencils hold 8n nodes
+    monkeypatch.setattr(arwmass.curvature, "_BLOCK_EVENTS", 8 * spec.n)
+    surface = GraphHypersurface(u=u, ambient=spec.metric)
+    nodes = _nodes(spec.n, 6)
+    batched = gauss_codazzi_residuals(surface, nodes.reshape(2, 3, -1))
+    fields = (batched.gauss_trace, batched.gauss_full, batched.codazzi)
+    assert all(field.shape == (2, 3) for field in fields)
+    for i, node in enumerate(nodes):
+        expected, scales = reference_gauss_codazzi(surface, node)
+        for field, want, scale in zip(fields, expected, scales):
+            assert field.reshape(-1)[i] == pytest.approx(want, rel=0.0, abs=1e-13 * scale)
+        # one node runs the one-node code, bit for bit, and returns floats
+        one = gauss_codazzi_residuals(surface, node)
+        assert (one.gauss_trace, one.gauss_full, one.codazzi) == expected
+        assert type(one.codazzi) is float
+
+
+@pytest.mark.parametrize("spec, u", BATCH_CASES, ids=BATCH_IDS)
+def test_batched_conformal_extrinsic_matches_the_one_node_code(spec, u):
+    nodes = _nodes(spec.n, 6)
+    batched = conformal_extrinsic_residual(spec, u, nodes)
+    assert batched.shape == (6,)
+    for node, got in zip(nodes, batched):
+        expected, scale = reference_conformal_extrinsic(spec, u, node)
+        assert got == pytest.approx(expected, rel=0.0, abs=1e-13 * scale)
+        one = conformal_extrinsic_residual(spec, u, node)
+        assert type(one) is float
+        assert one == pytest.approx(expected, rel=0.0, abs=1e-13 * scale)

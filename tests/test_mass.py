@@ -7,7 +7,7 @@ import pytest
 import arwmass.curvature
 import arwmass.geometry
 import arwmass.hypersurface
-from arwmass.curvature import curvature_at
+from arwmass.curvature import curvature_at, curvature_batch
 from arwmass.geometry import (
     GeometryError,
     flat_chart_metric,
@@ -18,9 +18,15 @@ from arwmass.geometry import (
     rw_family_spec,
     sphere_volume,
 )
-from arwmass.hypersurface import GraphHypersurface, graph_geometry
+from arwmass.hypersurface import (
+    GraphHypersurface,
+    coordinate_slice_curvature,
+    graph_geometry,
+)
 from arwmass.mass import (
     _FILL_ANGLE,
+    _leaf_integral,
+    _slice_events,
     _weights,
     graph_mass_integral,
     mass_limit,
@@ -249,6 +255,49 @@ def test_slab_additivity(rw1, grid):
 def test_slab_requires_ordered_times(rw1, grid):
     with pytest.raises(GeometryError):
         slab_balance(rw1, -0.1, -0.4, grid)
+
+
+def reference_slab_volume(spec, tau1, tau2, grid):
+    """The slab volume as it ran before it took blocks of slices: one
+    curvature assembly per tau node."""
+    w = _weights(spec)
+    metric, n = w.metric, w.n
+    x, gw = np.polynomial.legendre.leggauss(grid.nodes_per_axis)
+    half = 0.5 * (tau2 - tau1)
+    volume = 0.0
+    for tau, wt in zip(tau1 + half * (x + 1.0), half * gw):
+        events = _slice_events(n, float(tau), grid)
+        bundle = curvature_batch(metric, events)
+        g_up = bundle.g_inv @ bundle.einstein @ bundle.g_inv
+        hbar = coordinate_slice_curvature(metric, float(tau))(events[:, 1:])
+        fp = w.f.derivative(float(tau), 1)
+        p = metric.psi_tilde.jet(events, 0)[:, 0]
+        psi_dot = w.psi.jet(events, 1)[:, 1]
+        spatial = np.einsum("kij,kij->k", g_up[:, 1:, 1:], hbar)
+        time_part = g_up[:, 0, 0] * (w.omega * fp + psi_dot) * np.exp(p)
+        volume += wt * _leaf_integral(w, grid, events, spatial + time_part, p, power=n + 1)
+    return volume
+
+
+@pytest.mark.parametrize(
+    "spec, taus",
+    [
+        (rw_family_spec(3, 1.0, k=1.0, a=-0.5), (-0.45, -0.3)),
+        (
+            make_spec(
+                2, 1.0, "log(-tau)", a=-1.0,
+                psi="0.05*cos(theta1)*exp(tau)", lam="0.02*cos(theta1)",
+            ),
+            (-0.75, -0.25),
+        ),
+        (as_arw_spec(SAdSParams(n=3, lam=-1.0, mass=1.0)), (-0.8, -0.5)),
+    ],
+    ids=["rw n=3", "custom angular psi and lambda", "sads lambda<0"],
+)
+def test_slab_volume_equals_the_per_slice_loop(spec, taus):
+    grid = quadrature_grid(spec.n, 14)  # blocks of 6, 6 and 2 slices
+    volume = slab_balance(spec, *taus, grid).volume
+    assert volume == reference_slab_volume(spec, *taus, grid)
 
 
 # ---------------------------------------------------------------------------
