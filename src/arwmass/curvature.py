@@ -8,7 +8,7 @@ hypersurface module's tests).
 Every function takes one event of shape (dim,) or an array of events of
 shape (..., dim).  curvature_batch assembles all of its events in one
 vectorized pass.  The two checks feed it blocks of at most _BLOCK_EVENTS
-events (stencil points included), since an assembly holds up to ~18 kB per
+events (stencil points included), since an assembly holds up to ~19 kB per
 event at its peak (metric_jets plus curvature_from_jets, under
 tracemalloc); any number of events then runs in bounded memory.  They
 return floats for one event and arrays with the events' leading axes for a
