@@ -19,7 +19,9 @@ carries a ``# config-digest: <sha256>`` comment (a ``config_digest`` field
 in JSON) so identical configs produce byte-identical artifacts.
 
 Exit codes: 0 success; 1 config error (unknown kind/command, missing field,
-unparseable expression, unknown variable); 2 validation failure (a
+unparseable expression, unknown variable, a count below its minimum: grid
+and schedule K at least 2, imcf max_leaves at least 2, check events at least
+1); 2 validation failure (a
 validate/check run whose conditions do not hold, or a domain error, overflow
 included, while evaluating an expression); 3 numerical abort (H <= 0,
 non-spacelike graph, quadrature breakdown, singular linear algebra: numpy's
@@ -127,13 +129,23 @@ def _build_spacetime(config):
     raise ConfigError(f"unknown spacetime kind '{kind}'")
 
 
+def _count(section, key: str, default: int, minimum: int, name: str) -> int:
+    """The integer ``section[key]`` (``default`` if absent), which must be
+    at least ``minimum``; ``name`` is the field as the config error names it."""
+    value = int(section.get(key, default))
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def _schedule_size(config) -> int:
+    """The schedule's K: the slices tau_k = a 2^{-k} run over k = 0..K."""
+    return _count(config.get("schedule", {}), "K", 10, 2, "schedule K")
+
+
 def _schedule(config, spec):
-    section = config.get("schedule", {})
-    start = float(section.get("a", spec.a))
-    k_max = int(section.get("K", 10))
-    if k_max < 2:
-        raise ConfigError("schedule K must be at least 2")
-    return geometric_schedule(start, k_max)
+    start = float(config.get("schedule", {}).get("a", spec.a))
+    return geometric_schedule(start, _schedule_size(config))
 
 
 def _worker_count() -> int:
@@ -249,7 +261,8 @@ def _cmd_imcf(spec, config, grid, seed):
     u0 = float(section.get("u0", 0.5 * spec.a))
     t_end = float(section.get("t_end", 15.0))
     tolerance = float(section.get("tolerance", 1e-10))
-    max_leaves = int(section.get("max_leaves", 32))
+    # the table keeps the first and the last leaf
+    max_leaves = _count(section, "max_leaves", 32, 2, "imcf max_leaves")
 
     trajectory = imcf_run(spec, u0, t_end, tolerance=tolerance)
     states = _select_leaves(trajectory.states, max_leaves)
@@ -324,7 +337,7 @@ def _cmd_sads_demo(spec, config, grid, seed, params):
     if params is None:
         raise ConfigError("sads-demo requires spacetime kind 'sads'")
 
-    k_max = int(config.get("schedule", {}).get("K", 10))
+    k_max = _schedule_size(config)
     r0 = sads.horizon(params)
     radii = [0.9 * r0 * 0.5**k for k in range(k_max + 1)]
     norm = 0.5 * params.n * (params.n - 1) * sphere_volume(params.n)
@@ -369,7 +382,7 @@ def run(config, output_dir: str | None = None) -> int:
     os.makedirs(directory, exist_ok=True)
 
     spec, params = _build_spacetime(config)
-    grid = quadrature_grid(spec.n, int(config.get("grid", 48)))
+    grid = quadrature_grid(spec.n, _count(config, "grid", 48, 2, "grid"))
     seed = int(config.get("seed", 0))
 
     if command == "sads-demo":

@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import tensors
 from .expr import Call, Expression, Num, fold_constants, free_variables, parse
 from .extrapolate import aitken_limit
 from .fields import (
@@ -41,13 +40,10 @@ __all__ = [
     "GeometryError",
     "QuadratureError",
     "SpacetimeMetric",
-    "MetricData",
     "ARWSpec",
     "make_spec",
     "rw_family_spec",
     "flat_chart_metric",
-    "metric_at",
-    "christoffel_at",
     "QuadratureGrid",
     "quadrature_grid",
     "integrate_rotationally_symmetric",
@@ -86,13 +82,6 @@ class SpacetimeMetric:
     @property
     def labels(self) -> tuple[str, ...]:
         return COORD_NAMES[: self.dim]
-
-
-@dataclass(frozen=True)
-class MetricData:
-    g: np.ndarray
-    g_inv: np.ndarray
-    dg: np.ndarray  # dg[c, a, b] = d_c g_ab
 
 
 def metric_jets(metric: SpacetimeMetric, event, order: int = 2):
@@ -151,22 +140,6 @@ def _invert_metric(g: np.ndarray, event) -> np.ndarray:
         first = events[int(np.argmax(np.ravel(bad)))]
         raise GeometryError(f"degenerate metric at event {first.tolist()}")
     return np.linalg.inv(g)
-
-
-def metric_at(metric: SpacetimeMetric, event) -> MetricData:
-    """Metric, inverse, and first derivatives at ``event``.
-
-    Raises GeometryError (with the offending coordinates) where the metric is
-    non-invertible, e.g. at the poles of the angular chart.
-    """
-    g, dg, _ = metric_jets(metric, event, order=1)
-    return MetricData(g=g, g_inv=_invert_metric(g, event), dg=dg)
-
-
-def christoffel_at(metric: SpacetimeMetric, event) -> np.ndarray:
-    """Christoffel symbols Gamma[a, b, c] = Gamma^a_bc at ``event``."""
-    data = metric_at(metric, event)
-    return tensors.christoffel(data.g_inv, data.dg)
 
 
 def flat_chart_metric(n: int) -> SpacetimeMetric:

@@ -19,27 +19,32 @@ chain rule.  The only finite differencing in the module is the surface
 derivative of h entering the Codazzi residual.
 
 Every routine takes one node of shape (n,) or an array of nodes of shape
-(..., n), and returns its data with the nodes' leading axes.  A batch
-assembles the ambient jets once for all of its nodes, the way
-curvature.curvature_batch does for events: a graph mass integral evaluates
-all theta1 nodes of a leaf in one call, and the Codazzi stencil all of its
-shifted nodes.  Each check runs on the whole batch in turn and raises, for
-the first node in C order that fails it, the error that node raises on its
-own.  The two residual checks, gauss_codazzi_residuals and
-conformal_extrinsic_residual, return floats for one node and arrays for an
-array of nodes, which they evaluate in blocks of at most
+(..., n), and returns its data with the nodes' leading axes.  A call
+assembles the ambient jets once, for all of its nodes and to the order it
+reads (graph_geometry 0, second_fundamental 1, intrinsic_curvature and
+node_curvatures 2), the way curvature.curvature_batch does for events; the
+frame, the second fundamental form, the intrinsic and the ambient curvature
+are all built from that one assembly.  A graph mass integral evaluates all
+theta1 nodes of a leaf in one call, and gauss_codazzi_residuals reads one
+node_curvatures assembly at its nodes and one second_fundamental assembly
+at all of their Codazzi stencil points.  Each check runs on the whole batch
+in turn and raises, for the first node in C order that fails it, the error
+that node raises on its own.  The two residual checks, gauss_codazzi_residuals
+and conformal_extrinsic_residual, return floats for one node and arrays for
+an array of nodes, which they evaluate in blocks of at most
 curvature._BLOCK_EVENTS assembled events.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import tensors
-from .curvature import CurvatureBundle, _blockwise, curvature_at, curvature_from_jets
+from .curvature import CurvatureBundle, _blockwise, curvature_from_jets
+from .curvature import curvature_at  # noqa: F401  (bound here for perfbench/tracer.py)
 from .expr import (
     DomainError,
     EvaluationError,
@@ -216,6 +221,11 @@ class _Ambient:
         return _invert_metric(self.g, self.event)
 
     @cached_property
+    def curvature(self) -> CurvatureBundle:
+        """The ambient curvature stack; needs an order-2 assembly."""
+        return curvature_from_jets(self.g, self.dg, self.ddg, self.g_inv)
+
+    @cached_property
     def slopes(self) -> tuple[np.ndarray, np.ndarray]:
         """(u_k, u_kl), the coordinate gradient and Hessian of u."""
         n = self.node.shape[-1]
@@ -238,19 +248,10 @@ def _ambient(surface: GraphHypersurface, node, order: int) -> _Ambient:
     return _Ambient(node, jet, event, g, dg, ddg, psi_jet)
 
 
-@dataclass(frozen=True)
-class _Frame:
-    psi_tilde: float | np.ndarray
-    sigma: np.ndarray
-    sigma_inv: np.ndarray
-    tilt: float | np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-    nu: np.ndarray
-    tangents: np.ndarray
-
-
-def _frame(amb: _Ambient) -> _Frame:
+def _frame(amb: _Ambient) -> ExtrinsicData:
+    """The frame at the assembled nodes (induced metric and its inverse,
+    tilt, past normal, tangents), as ExtrinsicData without h.  Raises
+    HypersurfaceError where the graph is not spacelike."""
     n = amb.node.shape[-1]
     p = amb.psi_jet[..., 0]
     scale = np.exp(2.0 * p)[..., None, None]
@@ -270,7 +271,6 @@ def _frame(amb: _Ambient) -> _Frame:
     v = np.sqrt(1.0 - du_sq)
 
     g = scale * (sigma - du[..., :, None] * du[..., None, :])
-    g_inv = _invert_metric(g, amb.event)
     nu = np.empty(amb.event.shape)
     nu[..., 0] = 1.0
     nu[..., 1:] = np.einsum("...ij,...j->...i", sigma_inv, du)
@@ -278,29 +278,15 @@ def _frame(amb: _Ambient) -> _Frame:
     tangents = np.zeros(amb.event.shape + (n,))
     tangents[..., 0, :] = du
     tangents[..., 1:, :] = np.eye(n)
-    return _Frame(
-        psi_tilde=p,
-        sigma=sigma,
-        sigma_inv=sigma_inv,
-        tilt=v,
-        g=g,
-        g_inv=g_inv,
-        nu=nu,
-        tangents=tangents,
-    )
-
-
-def _extrinsic(amb: _Ambient, fr: _Frame, **second) -> ExtrinsicData:
     return ExtrinsicData(
         node=amb.node,
         event=amb.event,
-        induced_metric=fr.g,
-        inverse=fr.g_inv,
-        tilt=fr.tilt,
-        past_normal=fr.nu,
-        tangents=fr.tangents,
-        psi_tilde=fr.psi_tilde,
-        **second,
+        induced_metric=g,
+        inverse=_invert_metric(g, amb.event),
+        tilt=v,
+        past_normal=nu,
+        tangents=tangents,
+        psi_tilde=p,
     )
 
 
@@ -310,8 +296,7 @@ def graph_geometry(surface: GraphHypersurface, node) -> ExtrinsicData:
     Raises HypersurfaceError (naming node and |Du|^2) where the graph fails
     to be spacelike.
     """
-    amb = _ambient(surface, node, order=0)
-    return _extrinsic(amb, _frame(amb))
+    return _frame(_ambient(surface, node, order=0))
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +368,17 @@ def _induced_jets(amb: _Ambient, order: int = 2):
     return ghat, dghat, ddghat
 
 
-def _intrinsic_curvature(amb: _Ambient, fr: _Frame) -> SurfaceCurvature:
+def _intrinsic_curvature(amb: _Ambient, ext: ExtrinsicData) -> SurfaceCurvature:
     ghat, dghat, ddghat = _induced_jets(amb, order=2)
-    gamma = tensors.christoffel(fr.g_inv, dghat)
-    dgamma = tensors.christoffel_derivative(fr.g_inv, dghat, ddghat)
+    gamma = tensors.christoffel(ext.inverse, dghat)
+    dgamma = tensors.christoffel_derivative(ext.inverse, dghat, ddghat)
     riem = tensors.riemann_up(gamma, dgamma)
     riem_low = np.einsum("...ae,...ebcd->...abcd", ghat, riem)
     ricci = tensors.ricci_from_riemann(riem)
-    scalar = np.einsum("...bd,...bd->...", fr.g_inv, ricci)
+    scalar = np.einsum("...bd,...bd->...", ext.inverse, ricci)
     return SurfaceCurvature(
         g=ghat,
-        g_inv=fr.g_inv,
+        g_inv=ext.inverse,
         christoffel=gamma,
         riemann_lower=riem_low,
         ricci=ricci,
@@ -411,9 +396,9 @@ def intrinsic_curvature(surface: GraphHypersurface, node) -> SurfaceCurvature:
 # Second fundamental form
 
 
-def _second_fundamental(amb: _Ambient, fr: _Frame) -> ExtrinsicData:
+def _second_fundamental(amb: _Ambient, ext: ExtrinsicData) -> ExtrinsicData:
     _, dghat, _ = _induced_jets(amb, order=1)
-    gamma_hat = tensors.christoffel(fr.g_inv, dghat)
+    gamma_hat = tensors.christoffel(ext.inverse, dghat)
 
     uk, ukl = amb.slopes
     u_i, u_j = uk[..., :, None], uk[..., None, :]
@@ -427,11 +412,10 @@ def _second_fundamental(amb: _Ambient, fr: _Frame) -> ExtrinsicData:
         + g0[..., 0, 1:, None] * u_j
         + g0[..., 1:, 1:]
     )
-    h = (np.exp(fr.psi_tilde) * fr.tilt)[..., None, None] * rhs
-    mixed = fr.g_inv @ h
-    return _extrinsic(
-        amb,
-        fr,
+    h = (np.exp(ext.psi_tilde) * ext.tilt)[..., None, None] * rhs
+    mixed = ext.inverse @ h
+    return replace(
+        ext,
         h=h,
         mean_curvature=np.trace(mixed, axis1=-2, axis2=-1),
         norm_a_sq=np.einsum("...ij,...ji->...", mixed, mixed),
@@ -444,30 +428,15 @@ def second_fundamental(surface: GraphHypersurface, node) -> ExtrinsicData:
     return _second_fundamental(amb, _frame(amb))
 
 
-def _graph_curvatures(surface: GraphHypersurface, node, full: bool):
-    """(extrinsic data, intrinsic curvature, ambient curvature) at ``node``,
-    from one assembly of the ambient jets at its events.
-
-    With ``full`` False only the frame and the ambient curvature are built:
-    the extrinsic data is :func:`graph_geometry`'s and the intrinsic part is
-    None.
-    """
-    amb = _ambient(surface, node, order=2)
-    fr = _frame(amb)
-    if full:
-        ext, intrinsic = _second_fundamental(amb, fr), _intrinsic_curvature(amb, fr)
-    else:
-        ext, intrinsic = _extrinsic(amb, fr), None
-    return ext, intrinsic, curvature_from_jets(amb.g, amb.dg, amb.ddg, amb.g_inv)
-
-
 def node_curvatures(
     surface: GraphHypersurface, node
 ) -> tuple[ExtrinsicData, SurfaceCurvature, CurvatureBundle]:
     """:func:`second_fundamental`, :func:`intrinsic_curvature` and the
     ambient :func:`curvature_at` at ``node``, from one assembly of the
     ambient jets at its events; equal to the three separate calls."""
-    return _graph_curvatures(surface, node, full=True)
+    amb = _ambient(surface, node, order=2)
+    ext = _frame(amb)
+    return _second_fundamental(amb, ext), _intrinsic_curvature(amb, ext), amb.curvature
 
 
 def coordinate_slice_curvature(metric: SpacetimeMetric, tau: float):
@@ -485,14 +454,16 @@ def coordinate_slice_curvature(metric: SpacetimeMetric, tau: float):
     def field(node) -> np.ndarray:
         nodes = np.asarray(node, dtype=float)
         events = np.concatenate((np.full(nodes.shape[:-1] + (1,), tau), nodes), axis=-1)
-        return _slice_second_fundamental(metric, events)
+        return _slice_second_fundamental(metric, events)[0]
 
     return field
 
 
-def _slice_second_fundamental(metric: SpacetimeMetric, events) -> np.ndarray:
-    """hbar_ij of :func:`coordinate_slice_curvature` at events of shape
-    (..., n+1), each on the slice through its own tau."""
+def _slice_second_fundamental(metric: SpacetimeMetric, events) -> tuple:
+    """(hbar_ij, sigma_ij, psi_tilde) at events of shape (..., n+1), each on
+    the slice through its own tau: the hbar of
+    :func:`coordinate_slice_curvature` and the fields it is built from.  The
+    slice's induced metric is e^{2 psi_tilde} sigma_ij."""
     n = metric.n
     psi = metric.psi_tilde.jet(events, 1)
     sig = np.empty(events.shape[:-1] + (n, n))
@@ -503,7 +474,7 @@ def _slice_second_fundamental(metric: SpacetimeMetric, events) -> np.ndarray:
             sig[..., i, j] = jet[..., 0]
             sigdot[..., i, j] = jet[..., 1]
     p, pdot = psi[..., 0, None, None], psi[..., 1, None, None]
-    return np.exp(p) * (-0.5 * sigdot - pdot * sig)
+    return np.exp(p) * (-0.5 * sigdot - pdot * sig), sig, psi[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -534,19 +505,17 @@ def gauss_codazzi_residuals(
 
 
 def _gauss_codazzi(surface: GraphHypersurface, node, fd_step: float) -> tuple:
-    ext = second_fundamental(surface, node)
-    curv = intrinsic_curvature(surface, node)
-    amb = curvature_at(surface.ambient, ext.event)
+    ext, curv, bundle = node_curvatures(surface, node)
     x = ext.tangents
     nu = ext.past_normal
     h = ext.h
 
-    riem = amb.riemann_lower
+    riem = bundle.riemann_lower
     pull = np.einsum("...abcd,...ai,...bj,...ck,...dl->...ijkl", riem, x, x, x, x)
     hh = np.einsum("...ik,...jl->...ijkl", h, h) - np.einsum("...il,...jk->...ijkl", h, h)
     gauss_full = np.max(np.abs(curv.riemann_lower + hh - pull), axis=(-4, -3, -2, -1))
 
-    g_nu_nu = (nu[..., None, :] @ amb.einstein @ nu[..., :, None])[..., 0, 0]
+    g_nu_nu = (nu[..., None, :] @ bundle.einstein @ nu[..., :, None])[..., 0, 0]
     gauss_trace = np.abs(
         curv.scalar + (ext.mean_curvature**2 - ext.norm_a_sq) - 2.0 * g_nu_nu
     )

@@ -32,10 +32,10 @@ from .geometry import (
     ARWSpec,
     GeometryError,
     QuadratureGrid,
-    metric_at,
+    SpacetimeMetric,
     quadrature_grid,
 )
-from .hypersurface import GraphHypersurface, coordinate_slice_curvature
+from .hypersurface import GraphHypersurface, _slice_second_fundamental, node_curvatures
 from .mass import _FILL_ANGLE, _einstein_normal, _graph_integral, _weights
 
 __all__ = [
@@ -111,14 +111,14 @@ def _check_symmetric(spec: ARWSpec) -> None:
         raise FlowError("the scalar flow reduction needs lambda = 0")
 
 
-def _leaf_mean_curvature(spec: ARWSpec, u: float) -> float:
-    """H of the slice {tau = u}, traced with the induced inverse metric."""
-    metric = spec.metric
-    event = np.full(spec.n + 1, _FILL_ANGLE)
+def _slice_mean_curvature(metric: SpacetimeMetric, u: float) -> tuple[float, float]:
+    """(H, psi_tilde) of the slice {tau = u}, from one evaluation of the
+    slice fields; H is traced with the induced metric e^{2 psi_tilde} sigma."""
+    event = np.full(metric.n + 1, _FILL_ANGLE)
     event[0] = u
-    hbar = coordinate_slice_curvature(metric, u)(event[1:])
-    g = metric_at(metric, event).g[1:, 1:]
-    return float(np.trace(np.linalg.solve(g, hbar)))
+    hbar, sigma, p = _slice_second_fundamental(metric, event)
+    g = np.exp(2.0 * p) * sigma
+    return float(np.trace(np.linalg.solve(g, hbar))), float(p)
 
 
 def imcf_run(
@@ -145,19 +145,16 @@ def imcf_run(
     def rhs(u: float) -> float:
         if u >= -_HALT_U / 2:
             raise _StepAcross()
-        h_mean = _leaf_mean_curvature(spec, u)
+        h_mean, p = _slice_mean_curvature(metric, u)
         if h_mean <= 0.0:
             raise FlowError(f"mean curvature {h_mean:.6e} <= 0 at u = {u:.6e}")
-        event = np.full(spec.n + 1, _FILL_ANGLE)
-        event[0] = u
-        p = metric.psi_tilde.partial(event, ())
         return math.exp(-p) / h_mean
 
     def snapshot(t: float, u: float, du: float) -> FlowState:
         return FlowState(
             t=t,
             u=u,
-            mean_curvature=_leaf_mean_curvature(spec, u),
+            mean_curvature=_slice_mean_curvature(metric, u)[0],
             f_of_u=spec.f.value(u),
             dfdt=spec.f.derivative(u, 1) * du,
         )
@@ -268,8 +265,9 @@ def mass_along_flow(
     else:
         pairs = [(math.nan, float(u)) for u in trajectory]
 
-    def factor(ext, intrinsic, bundle) -> np.ndarray:
-        return np.stack(
+    def factor(surface, nodes):
+        ext, intrinsic, bundle = node_curvatures(surface, nodes)
+        values = np.stack(
             (
                 _einstein_normal(ext, bundle),
                 intrinsic.scalar - (ext.norm_a_sq - ext.mean_curvature**2 / n),
@@ -277,11 +275,12 @@ def mass_along_flow(
             ),
             axis=-1,
         )
+        return ext, values
 
     samples = []
     for t, u in _select_leaves(pairs, max_leaves):
         surface = GraphHypersurface(as_expression(u), w.metric)
-        mass, lemma, h_form = _graph_integral(w, surface, grid, factor, full=True)
+        mass, lemma, h_form = _graph_integral(w, surface, grid, factor)
         samples.append(
             FlowMassSample(
                 t=t,

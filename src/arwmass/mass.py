@@ -59,7 +59,8 @@ from .geometry import (
 )
 from .hypersurface import (
     GraphHypersurface,
-    _graph_curvatures,
+    _ambient,
+    _frame,
     _slice_second_fundamental,
     coordinate_slice_curvature,
 )
@@ -232,28 +233,25 @@ def _graph_integral(
     w: _Weights,
     surface: GraphHypersurface,
     grid: QuadratureGrid,
-    factor: Callable[..., np.ndarray],
-    full: bool,
+    factor: Callable[..., tuple],
 ):
     """The leaf integral of ``factor`` over the graph.
 
-    All theta1 nodes go through one batched curvature call.  ``factor`` maps
-    its (extrinsic, intrinsic, ambient curvature) arrays to node values of
-    shape (N,) or (N, k), whose columns are integrated separately.  The
-    second fundamental form and the intrinsic curvature are built only when
-    ``full`` (otherwise the intrinsic part is None).
+    ``factor(surface, nodes)`` builds the parts of the graph's geometry it
+    reads from one assembly over all theta1 nodes, and returns the extrinsic
+    data (the frame at least) with node values of shape (N,) or (N, k),
+    whose columns are integrated separately.
     """
     nodes = np.full((grid.nodes_per_axis, w.n), _FILL_ANGLE)
     nodes[:, 0] = grid.axis_nodes[0]
     try:
-        ext, intrinsic, bundle = _graph_curvatures(surface, nodes, full)
+        ext, values = factor(surface, nodes)
         w.check_time(ext.event[:, 0])
     except (GeometryError, ExpressionError):
         # node by node, so the first failing node raises what it raises alone
         for node in nodes:
-            w.check_time(_graph_curvatures(surface, node, full)[0].event[0])
+            w.check_time(factor(surface, node)[0].event[0])
         raise
-    values = factor(ext, intrinsic, bundle)
     return _leaf_integral(w, grid, ext.event, values, ext.psi_tilde, tilt=ext.tilt)
 
 
@@ -271,10 +269,13 @@ def graph_mass_integral(
     w = _weights(spec)
     grid = grid or quadrature_grid(w.n)
 
-    def factor(ext, intrinsic, bundle) -> np.ndarray:
-        return _einstein_normal(ext, bundle)
+    def factor(surface, nodes):
+        # G(nu, nu) reads the frame and the ambient curvature only
+        amb = _ambient(surface, nodes, order=2)
+        ext = _frame(amb)
+        return ext, _einstein_normal(ext, amb.curvature)
 
-    return _graph_integral(w, surface, grid, factor, full=False)
+    return _graph_integral(w, surface, grid, factor)
 
 
 def mass_limit(
@@ -354,7 +355,7 @@ def slab_balance(
         events = np.stack([_slice_events(n, float(tau), grid) for tau in block])
         bundle = curvature_batch(metric, events)
         g_up = bundle.g_inv @ bundle.einstein @ bundle.g_inv
-        hbar = _slice_second_fundamental(metric, events)
+        hbar = _slice_second_fundamental(metric, events)[0]
         fp = np.array([w.f.derivative(float(tau), 1) for tau in block])[:, None]
         p = metric.psi_tilde.jet(events, 0)[..., 0]
         psi_dot = w.psi.jet(events, 1)[..., 1]

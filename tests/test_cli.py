@@ -288,6 +288,58 @@ def test_sads_demo(tmp_path):
     assert all(b < a for a, b in zip(radii, radii[1:]))
 
 
+SADS_DEMO = {
+    "spacetime": {"kind": "sads", "n": 3, "lambda": 0.0, "mass": 1.0},
+    "command": "sads-demo",
+    "grid": 8,
+}
+SMALL_IMCF = {
+    "spacetime": {"kind": "rw-family", "n": 3, "omega": 1.0, "k": 1.0, "a": -0.5},
+    "command": "imcf",
+    "grid": 8,
+    "imcf": {"u0": -0.25, "t_end": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (dict(SADS_DEMO, schedule={"K": -1}), "schedule K must be at least 2, got -1"),
+        (dict(SADS_DEMO, schedule={"K": 0}), "schedule K must be at least 2, got 0"),
+        (dict(SADS_DEMO, schedule={"K": 1}), "schedule K must be at least 2, got 1"),
+        (dict(RW_MASS, schedule={"K": 1}), "schedule K must be at least 2, got 1"),
+        (dict(RW_MASS, grid=1), "grid must be at least 2, got 1"),
+        (dict(SADS_DEMO, grid=0), "grid must be at least 2, got 0"),
+        *(
+            (
+                dict(SMALL_IMCF, imcf=dict(SMALL_IMCF["imcf"], max_leaves=count)),
+                f"imcf max_leaves must be at least 2, got {count}",
+            )
+            for count in (-3, 0, 1)
+        ),
+    ],
+    ids=["sads-demo K=-1", "sads-demo K=0", "sads-demo K=1", "mass K=1", "grid=1",
+         "sads-demo grid=0", "max_leaves=-3", "max_leaves=0", "max_leaves=1"],
+)
+def test_counts_below_their_minimum_are_config_errors(tmp_path, config, field, capsys):
+    config = dict(config, output={"path": str(tmp_path / "out")})
+    assert main([write_config(tmp_path, config)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {field}\n"
+    assert not (tmp_path / "out" / f"{config['command']}.csv").exists()
+
+
+def test_two_leaves_keep_the_first_and_the_last(tmp_path):
+    config = dict(
+        SMALL_IMCF,
+        imcf=dict(SMALL_IMCF["imcf"], max_leaves=2),
+        output={"path": str(tmp_path / "out")},
+    )
+    assert main([write_config(tmp_path, config)]) == 0
+    _, rows = read_rows(tmp_path / "out" / "imcf.csv")
+    assert [float(row["t"]) for row in rows] == pytest.approx([0.0, 1.0], abs=1e-15)
+
+
 def test_sads_demo_requires_sads_spacetime(tmp_path, capsys):
     config = dict(RW_MASS, command="sads-demo")
     assert main([write_config(tmp_path, config)]) == 1

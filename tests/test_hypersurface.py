@@ -5,11 +5,14 @@ import numpy.testing as npt
 import pytest
 
 import arwmass.curvature
-from arwmass.curvature import curvature_at
+import arwmass.geometry
+import arwmass.hypersurface
+from arwmass.curvature import _blockwise, curvature_at
 from arwmass.expr import DomainError, compile_expression, differentiate
 from arwmass.fields import split_jet
-from arwmass.geometry import make_spec, metric_at, metric_jets, rw_family_spec
+from arwmass.geometry import make_spec, metric_jets, rw_family_spec
 from arwmass.hypersurface import (
+    GaussCodazziResiduals,
     GraphHypersurface,
     HypersurfaceError,
     conformal_extrinsic_residual,
@@ -60,7 +63,7 @@ def test_unit_normal_identities(ambient, slice_surface, tilted_surface):
     for surface in (slice_surface, tilted_surface):
         for node in NODES:
             ext = graph_geometry(surface, node)
-            g = metric_at(ambient.metric, ext.event).g
+            g = metric_jets(ambient.metric, ext.event, order=1)[0]
             assert ext.past_normal @ g @ ext.past_normal == pytest.approx(-1.0, rel=1e-12)
             # normal is orthogonal to every tangent and past-directed
             npt.assert_allclose(ext.past_normal @ g @ ext.tangents, 0.0, atol=1e-12)
@@ -426,8 +429,18 @@ BATCH_CASES = [
         "-0.4 + 0.03*sin(theta1)*sin(theta1)",
     ),
     (as_arw_spec(SADS_ADS), f"{x0_of_r(SADS_ADS, 0.5)!r} + 0.01*cos(theta1)"),
+    (
+        make_spec(
+            2, 1.5, "log(-tau)", a=-1.0,
+            psi="0.04*cos(theta1)*tau", lam="0.05*cos(theta1)*tau",
+        ),
+        "-0.5 + 0.04*sin(theta1)*sin(theta1)",
+    ),
 ]
-BATCH_IDS = ["rw n=2", "rw n=3", "custom angular psi and lambda", "sads lambda<0"]
+BATCH_IDS = [
+    "rw n=2", "rw n=3", "custom angular psi and lambda", "sads lambda<0",
+    "custom n=2 angular psi and lambda",
+]
 
 
 def _nodes(n, count):
@@ -465,3 +478,84 @@ def test_batched_conformal_extrinsic_matches_the_one_node_code(spec, u):
         one = conformal_extrinsic_residual(spec, u, node)
         assert type(one) is float
         assert one == pytest.approx(expected, rel=0.0, abs=1e-13 * scale)
+
+
+def reference_three_call_gauss_codazzi(surface, node, fd_step=0.01):
+    """gauss_codazzi_residuals as it ran before it read one assembly at the
+    nodes: second_fundamental, intrinsic_curvature and curvature_at each
+    assembled the ambient jets of a block."""
+
+    def block(nodes) -> tuple:
+        ext = second_fundamental(surface, nodes)
+        curv = intrinsic_curvature(surface, nodes)
+        amb = curvature_at(surface.ambient, ext.event)
+        x, nu, h = ext.tangents, ext.past_normal, ext.h
+        riem = amb.riemann_lower
+        pull = np.einsum("...abcd,...ai,...bj,...ck,...dl->...ijkl", riem, x, x, x, x)
+        hh = np.einsum("...ik,...jl->...ijkl", h, h) - np.einsum("...il,...jk->...ijkl", h, h)
+        gauss_full = np.max(np.abs(curv.riemann_lower + hh - pull), axis=(-4, -3, -2, -1))
+        g_nu_nu = (nu[..., None, :] @ amb.einstein @ nu[..., :, None])[..., 0, 0]
+        gauss_trace = np.abs(
+            curv.scalar + (ext.mean_curvature**2 - ext.norm_a_sq) - 2.0 * g_nu_nu
+        )
+        n = surface.ambient.n
+        shifted = np.tile(ext.node[..., None, None, :], (n, 4, 1))
+        shifted[..., np.arange(n), :, np.arange(n)] += np.array([-2, -1, 1, 2]) * fd_step
+        stencil = second_fundamental(surface, shifted).h
+        dh = (
+            stencil[..., 0, :, :]
+            - 8.0 * stencil[..., 1, :, :]
+            + 8.0 * stencil[..., 2, :, :]
+            - stencil[..., 3, :, :]
+        ) / (12.0 * fd_step)
+        grad_h = (
+            dh
+            - np.einsum("...mki,...mj->...kij", curv.christoffel, h)
+            - np.einsum("...mkj,...im->...kij", curv.christoffel, h)
+        )
+        h_ij_k = np.moveaxis(grad_h, -3, -1)
+        rbar_nu = np.einsum("...abcd,...a,...bi,...cj,...dk->...ijk", riem, nu, x, x, x)
+        codazzi = np.max(
+            np.abs(h_ij_k - np.swapaxes(h_ij_k, -2, -1) - rbar_nu), axis=(-3, -2, -1)
+        )
+        return gauss_trace, gauss_full, codazzi
+
+    return GaussCodazziResiduals(*_blockwise(block, node, 4 * surface.ambient.n))
+
+
+@pytest.mark.parametrize("spec, u", BATCH_CASES, ids=BATCH_IDS)
+def test_gauss_codazzi_equals_the_three_call_code(spec, u, monkeypatch):
+    # 6 nodes in blocks of 2, as in the batched test above
+    monkeypatch.setattr(arwmass.curvature, "_BLOCK_EVENTS", 8 * spec.n)
+    surface = GraphHypersurface(u=u, ambient=spec.metric)
+    nodes = _nodes(spec.n, 6)
+    batched = gauss_codazzi_residuals(surface, nodes)
+    expected = reference_three_call_gauss_codazzi(surface, nodes)
+    for name in ("gauss_trace", "gauss_full", "codazzi"):
+        npt.assert_array_equal(getattr(batched, name), getattr(expected, name), err_msg=name)
+    for node in nodes[:2]:
+        assert gauss_codazzi_residuals(surface, node) == (
+            reference_three_call_gauss_codazzi(surface, node)
+        )
+
+
+def test_gauss_codazzi_assembles_each_block_once_at_the_nodes(monkeypatch):
+    calls = []
+    original = arwmass.geometry.metric_jets
+
+    def counting(*args, **kwargs):
+        calls.append((kwargs.get("order", 2), np.shape(args[1])))
+        return original(*args, **kwargs)
+
+    for module in (arwmass.geometry, arwmass.hypersurface, arwmass.curvature):
+        monkeypatch.setattr(module, "metric_jets", counting)
+    spec = rw_family_spec(3, 1.0, k=1.0, a=-0.5)
+    surface = GraphHypersurface(u="-0.3 + 0.02*cos(theta1)", ambient=spec.metric)
+    gauss_codazzi_residuals(surface, _nodes(3, 10))
+    # each block: one order-2 assembly at its nodes and one order-1 assembly
+    # at their Codazzi stencils, 4 shifted nodes per axis
+    per_block = arwmass.curvature._BLOCK_EVENTS // 12
+    expected = []
+    for size in (per_block, 10 - per_block):
+        expected += [(2, (size, 4)), (1, (size, 3, 4, 4))]
+    assert calls == expected

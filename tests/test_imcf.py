@@ -4,10 +4,22 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import arwmass.imcf
 from arwmass.curvature import curvature_at
 from arwmass.fields import as_expression
-from arwmass.geometry import make_spec, quadrature_grid, rw_family_spec, sphere_volume
-from arwmass.hypersurface import GraphHypersurface, intrinsic_curvature, second_fundamental
+from arwmass.geometry import (
+    make_spec,
+    metric_jets,
+    quadrature_grid,
+    rw_family_spec,
+    sphere_volume,
+)
+from arwmass.hypersurface import (
+    GraphHypersurface,
+    coordinate_slice_curvature,
+    intrinsic_curvature,
+    second_fundamental,
+)
 from arwmass.imcf import (
     FlowError,
     flow_diagnostics,
@@ -189,3 +201,42 @@ def test_mass_along_flow_matches_separate_node_calls(spec, leaves):
     for sample, ref in zip(samples, reference):
         got = [sample.mass_integral, sample.lemma_quantity, sample.mean_curvature_form]
         npt.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
+def reference_slice_mean_curvature(metric, u):
+    """(H, psi_tilde) of the slice {tau = u} as the flow read them before one
+    slice evaluation: the coordinate_slice_curvature closure traced with the
+    order-1 metric block, and psi_tilde through ``partial``."""
+    event = np.full(metric.n + 1, _FILL_ANGLE)
+    event[0] = u
+    hbar = coordinate_slice_curvature(metric, u)(event[1:])
+    g = metric_jets(metric, event, order=1)[0][1:, 1:]
+    h_mean = float(np.trace(np.linalg.solve(g, hbar)))
+    return h_mean, metric.psi_tilde.partial(event, ())
+
+
+SADS_FLOW = SAdSParams(3, -1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "spec, u0",
+    [
+        (rw_family_spec(3, 1.0, k=1.0, a=-1.0), -0.5),
+        (rw_family_spec(2, 1.5, k=0.8, a=-1.0), -0.5),
+        (make_spec(3, 1.0, "log(-tau)", a=-1.0, psi="0.05*exp(tau)"), -0.5),
+        (as_arw_spec(SADS_FLOW), x0_of_r(SADS_FLOW, 0.5)),
+    ],
+    ids=["rw n=3", "rw n=2", "custom psi(tau)", "sads lambda<0"],
+)
+def test_flow_states_equal_the_separate_slice_evaluations(spec, u0, monkeypatch):
+    run = imcf_run(spec, u0=u0, t_end=3.0)
+    for state in run.states[::7]:
+        assert arwmass.imcf._slice_mean_curvature(spec.metric, state.u) == (
+            reference_slice_mean_curvature(spec.metric, state.u)
+        )
+    monkeypatch.setattr(
+        arwmass.imcf, "_slice_mean_curvature", reference_slice_mean_curvature
+    )
+    reference = imcf_run(spec, u0=u0, t_end=3.0)
+    assert len(run.states) > 10
+    assert run.states == reference.states
