@@ -531,12 +531,9 @@ def test_gauss_codazzi_equals_the_three_call_code(spec, u, monkeypatch):
     nodes = _nodes(spec.n, 6)
     batched = gauss_codazzi_residuals(surface, nodes)
     expected = reference_three_call_gauss_codazzi(surface, nodes)
+    # one node is compared bit for bit by the one-node test above
     for name in ("gauss_trace", "gauss_full", "codazzi"):
         npt.assert_array_equal(getattr(batched, name), getattr(expected, name), err_msg=name)
-    for node in nodes[:2]:
-        assert gauss_codazzi_residuals(surface, node) == (
-            reference_three_call_gauss_codazzi(surface, node)
-        )
 
 
 def test_gauss_codazzi_assembles_each_block_once_at_the_nodes(monkeypatch):
