@@ -7,12 +7,14 @@ hypersurface module's tests).
 
 Every function takes one event of shape (dim,) or an array of events of
 shape (..., dim).  curvature_batch assembles all of its events in one
-vectorized pass.  The two checks feed it blocks of at most _BLOCK_EVENTS
-events (stencil points included), since an assembly holds up to ~19 kB per
-event at its peak (metric_jets plus curvature_from_jets, under
-tracemalloc); any number of events then runs in bounded memory.  They
-return floats for one event and arrays with the events' leading axes for a
-batch.
+vectorized pass through curvature_from_jets, the package's one curvature
+stack (a graph's induced metric goes through it too), whose bundle carries
+the Christoffel symbols.  The two checks feed it blocks of at most
+_BLOCK_EVENTS events (stencil points included), since an assembly holds up
+to ~19 kB per event at its peak (metric_jets plus curvature_from_jets,
+under tracemalloc); any number of events then runs in bounded memory, and
+the divergence makes one assembly per block.  They return floats for one
+event and arrays with the events' leading axes for a batch.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ _BLOCK_EVENTS = 96
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """Curvature stack; riemann[..., a, b, c, d] carries R^a_bcd.
+    """Curvature stack; christoffel[..., a, b, c] carries Gamma^a_bc and
+    riemann[..., a, b, c, d] carries R^a_bcd.
 
     From :func:`curvature_at` every entry belongs to one event; from
     :func:`curvature_batch` every entry carries the events' leading axes.
@@ -49,6 +52,7 @@ class CurvatureBundle:
 
     g: np.ndarray
     g_inv: np.ndarray
+    christoffel: np.ndarray
     riemann: np.ndarray
     riemann_lower: np.ndarray
     ricci: np.ndarray
@@ -72,7 +76,7 @@ def curvature_from_jets(g, dg, ddg, g_inv) -> CurvatureBundle:
     """The curvature stack from metric jets and the inverse metric.
 
     The kernel of :func:`curvature_batch`, for callers that already hold the
-    jets of :func:`metric_jets` (order 2) and their inverse at the events.
+    jets of a metric of any dimension (order 2) and their inverse.
     """
     gamma = tensors.christoffel(g_inv, dg)
     dgamma = tensors.christoffel_derivative(g_inv, dg, ddg)
@@ -84,6 +88,7 @@ def curvature_from_jets(g, dg, ddg, g_inv) -> CurvatureBundle:
     return CurvatureBundle(
         g=g,
         g_inv=g_inv,
+        christoffel=gamma,
         riemann=riem,
         riemann_lower=riem_low,
         ricci=ricci,
@@ -153,23 +158,20 @@ def conformal_residuals(spec: ARWSpec, event) -> ConformalResiduals:
 def _conformal(spec: ARWSpec, events) -> tuple:
     dim = spec.n + 1
     full = curvature_batch(spec.metric, events)
-    g_t, dg_t, ddg_t = metric_jets(spec.conformal_metric, events, order=2)
-    ginv_t = _invert_metric(g_t, events)
-    base = curvature_from_jets(g_t, dg_t, ddg_t, ginv_t)
+    base = curvature_batch(spec.conformal_metric, events)
 
     # phi = psi_tilde jets
     phi, dphi, ddphi = split_jet(spec.metric.psi_tilde.jet(events, 2), dim)
 
-    gamma_t = tensors.christoffel(ginv_t, dg_t)
-    hess = ddphi - np.einsum("...lab,...l->...ab", gamma_t, dphi)
-    box = np.einsum("...ab,...ab->...", ginv_t, hess)
-    grad2 = np.einsum("...ab,...a,...b->...", ginv_t, dphi, dphi)
+    hess = ddphi - np.einsum("...lab,...l->...ab", base.christoffel, dphi)
+    box = np.einsum("...ab,...ab->...", base.g_inv, hess)
+    grad2 = np.einsum("...ab,...a,...b->...", base.g_inv, dphi, dphi)
 
     nm1 = dim - 2  # (n+1)-dimensional identity carries n-1 here
     expected_ricci = (
         base.ricci
         - nm1 * (hess - dphi[..., :, None] * dphi[..., None, :])
-        - g_t * (box + nm1 * grad2)[..., None, None]
+        - base.g * (box + nm1 * grad2)[..., None, None]
     )
     ricci_residual = np.max(np.abs(full.ricci - expected_ricci), axis=(-2, -1))
 
@@ -182,8 +184,8 @@ def einstein_divergence_residual(metric: SpacetimeMetric, event, step: float = 1
     """Contracted Bianchi check: max_b |nabla_a G^a_b| by central differences.
 
     The partial derivatives of the mixed Einstein tensor are finite
-    differenced (second order in ``step``); the Christoffel terms use exact
-    symbols at the event.  The whole 4 h-neighbourhood of the event must stay
+    differenced (second order in ``step``); the Christoffel terms use the
+    exact symbols of the same assembly at the event.  The whole 4 h-neighbourhood of the event must stay
     inside the chart.  Returns a float for one event, and an array with the
     leading axes of events of shape (..., dim); each event and its 2 dim
     stencil points go through one curvature assembly.
@@ -207,9 +209,7 @@ def _divergence(metric: SpacetimeMetric, events, step: float) -> tuple:
     mixed = bundle.g_inv @ bundle.einstein
     center = mixed[..., 0, :, :]
     plus, minus = mixed[..., 1::2, :, :], mixed[..., 2::2, :, :]
-
-    g, dg, _ = metric_jets(metric, events, order=1)
-    gamma = tensors.christoffel(_invert_metric(g, events), dg)
+    gamma = bundle.christoffel[..., 0, :, :, :]
 
     div = np.zeros(events.shape)
     for a in range(dim):

@@ -4,14 +4,14 @@ Grammar (no implicit multiplication):
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
+    unary  := '-' NUMBER | '-' unary | power     # '-' NUMBER unless '^' follows
     power  := atom ('^' unary)?        # right-associative, binds tighter than unary minus
     atom   := NUMBER | 'pi' | NAME | NAME '(' expr ')' | '(' expr ')'
 
-so ``-x^2`` parses as ``-(x^2)``.  Known functions: exp, log, sin, cos, tan,
-sqrt, abs.  ``a^b`` with a non-integer exponent means exp(b*log(a)) and
-requires a > 0; integer exponents follow ordinary powers (negative bases
-allowed).
+so ``-x^2`` parses as ``-(x^2)``, ``-1.5`` as Num(-1.5) and ``-(1.5)`` as
+Neg(Num(1.5)).  Known functions: exp, log, sin, cos, tan, sqrt, abs.
+``a^b`` with a non-integer exponent means exp(b*log(a)) and requires a > 0;
+integer exponents follow ordinary powers (negative bases allowed).
 
 Differentiation returns a closed expression in the same grammar.  The only
 simplification performed anywhere is constant folding: subtrees without free
@@ -263,6 +263,10 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.advance()
+            # a minus sign on a number is a negative literal, unless the
+            # number is a power's base (-2^2 is -(2^2))
+            if self.peek()[0] == "number" and self.tokens[self.i + 1][1] != "^":
+                return Num(-float(self.advance()[1]))
             return Neg(self.unary())
         return self.power()
 
@@ -545,7 +549,7 @@ _PREC_ATOM = 5
 
 def _precedence(expr: Expression) -> int:
     if isinstance(expr, Num):
-        return _PREC_ATOM if expr.value >= 0 else _PREC_NEG
+        return _PREC_ATOM if math.copysign(1.0, expr.value) > 0 else _PREC_NEG
     if isinstance(expr, (Var, Const, Call)):
         return _PREC_ATOM
     if isinstance(expr, Neg):
@@ -577,6 +581,8 @@ def _print(expr: Expression) -> str:
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Neg):
+        if isinstance(expr.operand, Num):  # "-2" would read back as Num(-2)
+            return f"-({_print(expr.operand)})"
         inner = _print_child(expr.operand, _PREC_NEG, allow_equal=False)
         return "-" + inner
     if isinstance(expr, Call):

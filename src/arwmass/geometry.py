@@ -302,6 +302,11 @@ class QuadratureGrid:
     axis_nodes: tuple
     axis_weights: tuple
 
+    @cached_property
+    def _sine_powers(self) -> np.ndarray:
+        """sin(theta1)^{n-1} at the theta1 nodes, the round measure's factor."""
+        return np.array([math.sin(t) ** (self.n - 1) for t in self.axis_nodes[0]])
+
 
 def _gauss_legendre(lo: float, hi: float, count: int):
     x, w = np.polynomial.legendre.leggauss(count)
@@ -345,27 +350,24 @@ def integrate_rotationally_symmetric(
     agrees with the full tensor-product rule of the grid on integrands of
     theta1 alone (the perturbations admitted by ARWSpec).
     """
-    values = []
-    for theta1 in grid.axis_nodes[0]:
-        value = float(fn(float(theta1)))
-        if not np.isfinite(value):
-            raise QuadratureError(f"integrand not finite at theta1={theta1}")
-        values.append(value)
+    values = [float(fn(float(theta1))) for theta1 in grid.axis_nodes[0]]
     return integrate_node_values(grid, values)
 
 
-def integrate_node_values(grid: QuadratureGrid, values) -> float:
+def integrate_node_values(grid: QuadratureGrid, values) -> float | np.ndarray:
     """:func:`integrate_rotationally_symmetric` of an integrand already
-    evaluated at the theta1 nodes of ``grid``."""
+    evaluated at the theta1 nodes of ``grid``, over the last axis of
+    ``values``: a float for shape (N,), an array for (..., N).  Rows are
+    running sums in node order."""
     nodes = grid.axis_nodes[0]
     values = np.asarray(values, dtype=float)
     bad = ~np.isfinite(values)
     if np.any(bad):
-        raise QuadratureError(f"integrand not finite at theta1={nodes[np.argmax(bad)]}")
-    total = 0.0
-    for theta1, w, value in zip(nodes, grid.axis_weights[0], values):
-        total += float(w) * float(value) * math.sin(theta1) ** (grid.n - 1)
-    return sphere_volume(grid.n - 1) * total
+        first = np.nonzero(bad)[-1][0]  # the node axis of the first in C order
+        raise QuadratureError(f"integrand not finite at theta1={nodes[first]}")
+    terms = grid.axis_weights[0] * values * grid._sine_powers
+    total = sphere_volume(grid.n - 1) * np.cumsum(terms, axis=-1)[..., -1]
+    return float(total) if values.ndim == 1 else total
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,17 @@ assembles the ambient jets once, for all of its nodes and to the order it
 reads (graph_geometry 0, second_fundamental 1, intrinsic_curvature and
 node_curvatures 2), the way curvature.curvature_batch does for events; the
 frame, the second fundamental form, the intrinsic and the ambient curvature
-are all built from that one assembly.  A graph mass integral evaluates all
-theta1 nodes of a leaf in one call, and gauss_codazzi_residuals reads one
-node_curvatures assembly at its nodes and one second_fundamental assembly
-at all of their Codazzi stencil points.  Each check runs on the whole batch
-in turn and raises, for the first node in C order that fails it, the error
-that node raises on its own.  The two residual checks, gauss_codazzi_residuals
-and conformal_extrinsic_residual, return floats for one node and arrays for
-an array of nodes, which they evaluate in blocks of at most
+are all built from that one assembly.  The induced metric's jets are built
+once per assembly, to its order, and the intrinsic curvature is those jets
+run through curvature.curvature_from_jets, the package's one curvature
+stack.  A graph mass integral evaluates all theta1 nodes of a leaf in one
+call, and gauss_codazzi_residuals reads one node_curvatures assembly at its
+nodes and one second_fundamental assembly at all of their Codazzi stencil
+points.  Each check runs on the whole batch in turn and raises, for the
+first node in C order that fails it, the error that node raises on its own.
+The two residual checks, gauss_codazzi_residuals and
+conformal_extrinsic_residual, return floats for one node and arrays for an
+array of nodes, which they evaluate in blocks of at most
 curvature._BLOCK_EVENTS assembled events.
 """
 
@@ -66,7 +69,6 @@ __all__ = [
     "HypersurfaceError",
     "GraphHypersurface",
     "ExtrinsicData",
-    "SurfaceCurvature",
     "GaussCodazziResiduals",
     "graph_geometry",
     "second_fundamental",
@@ -174,19 +176,6 @@ class ExtrinsicData:
 
 
 @dataclass(frozen=True)
-class SurfaceCurvature:
-    """Intrinsic curvature stack of the induced metric at one node, or with
-    the nodes' leading axes."""
-
-    g: np.ndarray
-    g_inv: np.ndarray
-    christoffel: np.ndarray
-    riemann_lower: np.ndarray
-    ricci: np.ndarray
-    scalar: float | np.ndarray
-
-
-@dataclass(frozen=True)
 class GaussCodazziResiduals:
     """The residuals at one node as floats, or at nodes of shape (..., n) as
     arrays with their leading axes."""
@@ -224,6 +213,11 @@ class _Ambient:
     def curvature(self) -> CurvatureBundle:
         """The ambient curvature stack; needs an order-2 assembly."""
         return curvature_from_jets(self.g, self.dg, self.ddg, self.g_inv)
+
+    @cached_property
+    def induced(self) -> tuple:
+        """:func:`_induced_jets`, built once per assembly."""
+        return _induced_jets(self)
 
     @cached_property
     def slopes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -303,15 +297,16 @@ def graph_geometry(surface: GraphHypersurface, node) -> ExtrinsicData:
 # Exact jets of the induced metric
 
 
-def _induced_jets(amb: _Ambient, order: int = 2):
-    """g_ij of the graph with surface-coordinate derivatives to ``order``.
+def _induced_jets(amb: _Ambient):
+    """g_ij of the graph with surface-coordinate derivatives to the order of
+    the assembly ``amb`` (1 or 2; the second derivatives are None at 1).
 
     Writes the induced metric as F_ij(u(theta), theta) - T_ij with
     F_ij the ambient spatial block and T_ij = e^{2 psi_tilde} u_i u_j, and
-    pushes exact ambient jets (of at least ``order``) through the chain
-    rule; u enters with up to three symbolic derivatives.  The derivative
-    axes k, l of dghat[..., k, i, j] and ddghat[..., k, l, i, j] follow the
-    nodes' leading axes.
+    pushes the exact ambient jets through the chain rule; u enters with up
+    to three symbolic derivatives.  The derivative axes k, l of
+    dghat[..., k, i, j] and ddghat[..., k, l, i, j] follow the nodes'
+    leading axes.
     """
     n = amb.node.shape[-1]
     g, dg, ddg = amb.g, amb.dg, amb.ddg
@@ -324,8 +319,6 @@ def _induced_jets(amb: _Ambient, order: int = 2):
     sp = slice(1, None)
     ghat = g[..., sp, sp].copy()
     ghat[..., 0, 0] -= E0 * w**2
-    if order < 1:
-        return ghat, None, None
 
     phat = p1[..., :1] * uk + p1[..., 1:]
     dE = 2.0 * phat * E0[..., None]
@@ -336,7 +329,7 @@ def _induced_jets(amb: _Ambient, order: int = 2):
     dT[..., 0, 0] = dE * (w**2)[..., None]
     dT[..., 0, 0, 0] += E0 * 2.0 * w * wp
     dghat = dF - dT
-    if order < 2:
+    if ddg is None:
         return ghat, dghat, None
 
     phat2 = (
@@ -368,25 +361,11 @@ def _induced_jets(amb: _Ambient, order: int = 2):
     return ghat, dghat, ddghat
 
 
-def _intrinsic_curvature(amb: _Ambient, ext: ExtrinsicData) -> SurfaceCurvature:
-    ghat, dghat, ddghat = _induced_jets(amb, order=2)
-    gamma = tensors.christoffel(ext.inverse, dghat)
-    dgamma = tensors.christoffel_derivative(ext.inverse, dghat, ddghat)
-    riem = tensors.riemann_up(gamma, dgamma)
-    riem_low = np.einsum("...ae,...ebcd->...abcd", ghat, riem)
-    ricci = tensors.ricci_from_riemann(riem)
-    scalar = np.einsum("...bd,...bd->...", ext.inverse, ricci)
-    return SurfaceCurvature(
-        g=ghat,
-        g_inv=ext.inverse,
-        christoffel=gamma,
-        riemann_lower=riem_low,
-        ricci=ricci,
-        scalar=scalar,
-    )
+def _intrinsic_curvature(amb: _Ambient, ext: ExtrinsicData) -> CurvatureBundle:
+    return curvature_from_jets(*amb.induced, ext.inverse)
 
 
-def intrinsic_curvature(surface: GraphHypersurface, node) -> SurfaceCurvature:
+def intrinsic_curvature(surface: GraphHypersurface, node) -> CurvatureBundle:
     """Riemann/Ricci/scalar curvature of the induced metric, all exact."""
     amb = _ambient(surface, node, order=2)
     return _intrinsic_curvature(amb, _frame(amb))  # the frame checks spacelikeness
@@ -397,7 +376,7 @@ def intrinsic_curvature(surface: GraphHypersurface, node) -> SurfaceCurvature:
 
 
 def _second_fundamental(amb: _Ambient, ext: ExtrinsicData) -> ExtrinsicData:
-    _, dghat, _ = _induced_jets(amb, order=1)
+    _, dghat, _ = amb.induced
     gamma_hat = tensors.christoffel(ext.inverse, dghat)
 
     uk, ukl = amb.slopes
@@ -430,7 +409,7 @@ def second_fundamental(surface: GraphHypersurface, node) -> ExtrinsicData:
 
 def node_curvatures(
     surface: GraphHypersurface, node
-) -> tuple[ExtrinsicData, SurfaceCurvature, CurvatureBundle]:
+) -> tuple[ExtrinsicData, CurvatureBundle, CurvatureBundle]:
     """:func:`second_fundamental`, :func:`intrinsic_curvature` and the
     ambient :func:`curvature_at` at ``node``, from one assembly of the
     ambient jets at its events; equal to the three separate calls."""

@@ -234,7 +234,9 @@ def flow_diagnostics(trajectory: ImcfTrajectory) -> tuple[float, float]:
 
 def _select_leaves(leaves, max_leaves: int | None) -> list:
     """At most ``max_leaves`` evenly spaced entries of ``leaves``, first and
-    last included (all of them for None)."""
+    last included (all of them for None); fewer than 2 raises FlowError."""
+    if max_leaves is not None and max_leaves < 2:
+        raise FlowError(f"max_leaves must be at least 2, got {max_leaves}")
     leaves = list(leaves)
     if max_leaves is not None and len(leaves) > max_leaves:
         idx = np.unique(np.linspace(0, len(leaves) - 1, max_leaves).round().astype(int))
@@ -272,8 +274,7 @@ def mass_along_flow(
                 _einstein_normal(ext, bundle),
                 intrinsic.scalar - (ext.norm_a_sq - ext.mean_curvature**2 / n),
                 (n - 1) / (2.0 * n) * ext.mean_curvature**2,
-            ),
-            axis=-1,
+            )
         )
         return ext, values
 

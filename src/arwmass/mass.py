@@ -14,7 +14,9 @@ All spatial integrals exploit the rotational symmetry of the admitted
 perturbations: integrands depend on theta1 only, so each reduces to a
 Gauss-Legendre sum over the theta1 nodes against the round measure.  Slices,
 the slab volume, graphs and IMCF leaves share one leaf integrator,
-_leaf_integral, which supplies the weight and the area element.
+_leaf_integral, which supplies the weight and the area element and takes
+node values with leading axes (a block of slab slices, the three integrands
+of an IMCF leaf) to geometry.integrate_node_values in one call.
 """
 
 from __future__ import annotations
@@ -192,23 +194,22 @@ def _leaf_integral(w: _Weights, grid, events, values, psi_tilde, tilt=1.0, power
     """The integral of ``values`` e^{omega f} e^{psi} e^{power psi_tilde} v
     sigma_11^{n/2} over the theta1 nodes of ``grid``.
 
-    ``events`` holds the event of each node, ``psi_tilde`` and ``tilt`` (v)
-    their values there; ``power`` defaults to n, the area element of a leaf.
-    A trailing axis of ``values`` is integrated column by column.
+    ``events`` (..., N, dim) holds the event of each node, ``psi_tilde`` and
+    ``tilt`` (v) their values there; ``power`` defaults to n, the area
+    element of a leaf.  ``values`` of shape (..., N) broadcasts against the
+    events' leading axes, and every row is integrated: a float for (N,).
     """
     n = w.n
     power = n if power is None else power
-    sig11 = w.metric.sigma[0][0].jet(events, 0)[:, 0]
+    sig11 = w.metric.sigma[0][0].jet(events, 0)[..., 0]
     weighted = (
-        np.asarray(values, dtype=float).T
+        np.asarray(values, dtype=float)
         * np.exp(w.log_weight(events))
         * np.exp(power * psi_tilde)
         * tilt
         * sig11 ** (n / 2.0)
     )
-    if weighted.ndim == 1:
-        return integrate_node_values(grid, weighted)
-    return np.array([integrate_node_values(grid, column) for column in weighted])
+    return integrate_node_values(grid, weighted)
 
 
 def slice_mass_integral(spec, tau: float, grid: QuadratureGrid | None = None) -> float:
@@ -239,8 +240,8 @@ def _graph_integral(
 
     ``factor(surface, nodes)`` builds the parts of the graph's geometry it
     reads from one assembly over all theta1 nodes, and returns the extrinsic
-    data (the frame at least) with node values of shape (N,) or (N, k),
-    whose columns are integrated separately.
+    data (the frame at least) with node values of shape (N,) or (k, N),
+    whose rows are integrated separately.
     """
     nodes = np.full((grid.nodes_per_axis, w.n), _FILL_ANGLE)
     nodes[:, 0] = grid.axis_nodes[0]
@@ -361,9 +362,9 @@ def slab_balance(
         psi_dot = w.psi.jet(events, 1)[..., 1]
         spatial = np.einsum("...ij,...ij->...", g_up[..., 1:, 1:], hbar)
         time_part = g_up[..., 0, 0] * (w.omega * fp + psi_dot) * np.exp(p)
-        values = spatial + time_part
-        for k, wt in enumerate(weights[start : start + per_block]):
-            volume += wt * _leaf_integral(w, grid, events[k], values[k], p[k], power=n + 1)
+        slices = _leaf_integral(w, grid, events, spatial + time_part, p, power=n + 1)
+        for wt, integral in zip(weights[start : start + per_block], slices):
+            volume += wt * integral
 
     residual = abs(b2 - b1 - volume) / max(abs(b1), abs(b2), abs(volume), 1.0)
     return SlabBalance(

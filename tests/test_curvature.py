@@ -233,3 +233,54 @@ def test_batch_with_a_bad_event_raises_the_pointwise_error():
     with pytest.raises(DomainError) as batched:
         einstein_divergence_residual(spec.metric, events, step=1e-4)
     assert str(batched.value) == str(pointwise.value)
+
+
+def reference_two_assembly_divergence(metric, events, step):
+    """The divergence of a block as it ran before it read the Christoffel
+    symbols from the stencil's assembly: a second, order-1 assembly and an
+    inverse metric at the events."""
+    dim = metric.dim
+    shifts = np.stack((step * np.eye(dim), -step * np.eye(dim)), axis=1)
+    stencil = events[..., None, None, :] + shifts
+    points = np.concatenate(
+        (events[..., None, :], np.reshape(stencil, events.shape[:-1] + (2 * dim, dim))),
+        axis=-2,
+    )
+    bundle = arwmass.curvature.curvature_batch(metric, points)
+    mixed = bundle.g_inv @ bundle.einstein
+    center = mixed[..., 0, :, :]
+    plus, minus = mixed[..., 1::2, :, :], mixed[..., 2::2, :, :]
+    g, dg, _ = metric_jets(metric, events, order=1)
+    gamma = tensors.christoffel(_invert_metric(g, events), dg)
+    div = np.zeros(events.shape)
+    for a in range(dim):
+        div += (plus[..., a, a, :] - minus[..., a, a, :]) / (2.0 * step)
+    div += np.einsum("...aal,...lb->...b", gamma, center)
+    div -= np.einsum("...lab,...al->...b", gamma, center)
+    return np.max(np.abs(div), axis=-1)
+
+
+@pytest.mark.parametrize("name", BATCH_SPECS)
+def test_divergence_equals_the_two_assembly_code(name):
+    spec = BATCH_SPECS[name]
+    events = sample_events(spec, 10, seed=9)
+    got = einstein_divergence_residual(spec.metric, events, step=1e-4)
+    npt.assert_array_equal(got, reference_two_assembly_divergence(spec.metric, events, 1e-4))
+    one = einstein_divergence_residual(spec.metric, events[3], step=1e-4)
+    assert one == float(reference_two_assembly_divergence(spec.metric, events[3], 1e-4))
+
+
+def test_divergence_assembles_each_block_once(monkeypatch):
+    calls = []
+    original = arwmass.curvature.metric_jets
+
+    def counting(*args, **kwargs):
+        calls.append((kwargs.get("order", 2), np.shape(args[1])))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(arwmass.curvature, "metric_jets", counting)
+    spec = BATCH_SPECS["rw n=3"]
+    # 9 assembled points per event, so blocks of 10 events: 10 and 5
+    einstein_divergence_residual(spec.metric, sample_events(spec, 15, seed=8))
+    per_block = arwmass.curvature._BLOCK_EVENTS // 9
+    assert calls == [(2, (per_block, 9, 4)), (2, (15 - per_block, 9, 4))]

@@ -15,6 +15,7 @@ from arwmass.geometry import (
     arw_validate,
     flat_chart_metric,
     geometric_schedule,
+    integrate_node_values,
     integrate_rotationally_symmetric,
     make_spec,
     metric_jets,
@@ -104,6 +105,43 @@ def test_reduced_integral_matches_full_grid():
     assert reduced == pytest.approx(full, rel=1e-13)
     # exact: int cos^2 over S^3 = |S^3|/4
     assert reduced == pytest.approx(sphere_volume(3) / 4, rel=1e-12)
+
+
+def reference_integrate_node_values(grid, values):
+    """integrate_node_values as it ran before it took leading axes: one row,
+    summed node by node in Python floats."""
+    total = 0.0
+    for theta1, w, value in zip(grid.axis_nodes[0], grid.axis_weights[0], values):
+        total += float(w) * float(value) * math.sin(theta1) ** (grid.n - 1)
+    return sphere_volume(grid.n - 1) * total
+
+
+@pytest.mark.parametrize("n, count", [(2, 24), (3, 48), (3, 7)])
+def test_node_values_integrate_row_by_row_as_the_scalar_loop(n, count):
+    grid = quadrature_grid(n, count)
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(6, count)) * np.exp(rng.uniform(-30, 30, size=(6, 1)))
+    rows = integrate_node_values(grid, values)
+    assert rows.shape == (6,)
+    stacked = integrate_node_values(grid, values.reshape(2, 3, count))
+    for got, row in zip((rows, stacked.reshape(-1)), (values, values)):
+        assert list(got) == [reference_integrate_node_values(grid, r) for r in row]
+    one = integrate_node_values(grid, values[4])
+    assert type(one) is float
+    assert one == reference_integrate_node_values(grid, values[4])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_node_value_names_its_theta1(bad):
+    grid = quadrature_grid(3, 8)
+    values = np.ones((3, 8))
+    values[1, 5] = bad
+    values[2, 2] = bad  # later in C order, though at a smaller theta1
+    theta1 = grid.axis_nodes[0][5]
+    for array in (values[1], values):
+        with pytest.raises(QuadratureError) as error:
+            integrate_node_values(grid, array)
+        assert str(error.value) == f"integrand not finite at theta1={theta1}"
 
 
 def test_grid_nodes_avoid_poles():

@@ -556,3 +556,49 @@ def test_gauss_codazzi_assembles_each_block_once_at_the_nodes(monkeypatch):
     for size in (per_block, 10 - per_block):
         expected += [(2, (size, 4)), (1, (size, 3, 4, 4))]
     assert calls == expected
+
+
+def reference_intrinsic_curvature(surface, node):
+    """intrinsic_curvature as it ran before it went through
+    curvature_from_jets: its own Christoffel, Riemann, Ricci and scalar
+    stack on the induced jets."""
+    amb = arwmass.hypersurface._ambient(surface, node, order=2)
+    g_inv = arwmass.hypersurface._frame(amb).inverse
+    ghat, dghat, ddghat = arwmass.hypersurface._induced_jets(amb)
+    gamma = christoffel(g_inv, dghat)
+    riem = riemann_up(gamma, christoffel_derivative(g_inv, dghat, ddghat))
+    ricci = ricci_from_riemann(riem)
+    return {
+        "g": ghat,
+        "g_inv": g_inv,
+        "christoffel": gamma,
+        "riemann_lower": np.einsum("...ae,...ebcd->...abcd", ghat, riem),
+        "ricci": ricci,
+        "scalar": np.einsum("...bd,...bd->...", g_inv, ricci),
+    }
+
+
+@pytest.mark.parametrize("spec, u", BATCH_CASES, ids=BATCH_IDS)
+def test_intrinsic_curvature_equals_the_surface_stack(spec, u):
+    surface = GraphHypersurface(u=u, ambient=spec.metric)
+    nodes = _nodes(spec.n, 6)
+    for node in (nodes[2], nodes.reshape(2, 3, -1)):
+        curv = intrinsic_curvature(surface, node)
+        shared = node_curvatures(surface, node)[1]
+        for name, expected in reference_intrinsic_curvature(surface, node).items():
+            npt.assert_array_equal(getattr(curv, name), expected, err_msg=name)
+            npt.assert_array_equal(getattr(shared, name), expected, err_msg=name)
+
+
+def test_node_curvatures_build_the_induced_jets_once(monkeypatch):
+    calls = []
+    original = arwmass.hypersurface._induced_jets
+
+    def counting(amb, *args, **kwargs):
+        calls.append(amb.node.shape)
+        return original(amb, *args, **kwargs)
+
+    monkeypatch.setattr(arwmass.hypersurface, "_induced_jets", counting)
+    spec, u = BATCH_CASES[2]
+    node_curvatures(GraphHypersurface(u=u, ambient=spec.metric), _nodes(3, 5))
+    assert calls == [(5, 3)]

@@ -240,3 +240,16 @@ def test_flow_states_equal_the_separate_slice_evaluations(spec, u0, monkeypatch)
     reference = imcf_run(spec, u0=u0, t_end=3.0)
     assert len(run.states) > 10
     assert run.states == reference.states
+
+
+@pytest.mark.parametrize("count", [1, 0, -2])
+def test_fewer_than_two_leaves_is_a_flow_error(rw, count):
+    with pytest.raises(FlowError, match=f"max_leaves must be at least 2, got {count}"):
+        mass_along_flow(rw, [-0.5, -0.4, -0.3, -0.2, -0.1], quadrature_grid(3, 8), count)
+
+
+def test_two_leaves_keep_the_first_and_the_last(rw):
+    leaves = [-0.5, -0.4, -0.3, -0.2, -0.1]
+    assert arwmass.imcf._select_leaves(leaves, 2) == [-0.5, -0.1]
+    samples = mass_along_flow(rw, leaves, quadrature_grid(3, 8), max_leaves=2)
+    assert [sample.u for sample in samples] == [-0.5, -0.1]

@@ -412,3 +412,20 @@ def test_reparametrized_time_function_derivatives(rw1):
     assert other.f.value(s) == pytest.approx(
         rw1.f.value(phi) + math.log(1 + 0.2 * s), rel=1e-12
     )
+
+
+def test_leaf_integral_takes_rows_of_node_values(rw1):
+    # one call over stacked rows and over a block of slices, each row equal
+    # to its own call
+    grid = quadrature_grid(3, 12)
+    w = _weights(rw1)
+    events = np.stack([_slice_events(3, tau, grid) for tau in (-0.4, -0.2)])
+    p = w.metric.psi_tilde.jet(events, 0)[..., 0]
+    values = np.cos(events[..., 1]) + events[..., 0]
+    block = _leaf_integral(w, grid, events, values, p, power=4)
+    stacked = _leaf_integral(w, grid, events[0], np.stack((values[0], 2 * values[0])), p[0])
+    assert block.shape == stacked.shape == (2,)
+    assert list(block) == [_leaf_integral(w, grid, e, v, q, power=4)
+                           for e, v, q in zip(events, values, p)]
+    assert list(stacked) == [_leaf_integral(w, grid, events[0], v, p[0])
+                             for v in (values[0], 2 * values[0])]
