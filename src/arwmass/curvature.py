@@ -185,10 +185,11 @@ def einstein_divergence_residual(metric: SpacetimeMetric, event, step: float = 1
 
     The partial derivatives of the mixed Einstein tensor are finite
     differenced (second order in ``step``); the Christoffel terms use the
-    exact symbols of the same assembly at the event.  The whole 4 h-neighbourhood of the event must stay
-    inside the chart.  Returns a float for one event, and an array with the
-    leading axes of events of shape (..., dim); each event and its 2 dim
-    stencil points go through one curvature assembly.
+    exact symbols of the same assembly at the event.  The whole
+    4 h-neighbourhood of the event must stay inside the chart.  Returns a
+    float for one event, and an array with the leading axes of events of
+    shape (..., dim); each event and its 2 dim stencil points go through one
+    curvature assembly.
     """
     if step <= 0:
         raise GeometryError("step must be positive")
