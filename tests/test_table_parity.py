@@ -1,5 +1,8 @@
 import importlib.util
+import os
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "table_parity.py"
 
@@ -32,3 +35,14 @@ def test_parity_reports_every_kind_of_difference():
         "c: listed by the parent tree only",
         "d: listed by the change tree only",
     ]
+
+
+def test_parity_refuses_a_tree_whose_sources_come_from_elsewhere(tmp_path, monkeypatch):
+    # A tree without src/arwmass, with another tree's src on PYTHONPATH:
+    # comparing that tree would compare the other one with itself.
+    repo = TOOL.parents[1]
+    tree = tmp_path / "unpacked"
+    (tree / "prefix").mkdir(parents=True)
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([str(repo / "src"), str(repo / "perfbench")]))
+    with pytest.raises(SystemExit, match=r"imported arwmass from .*, not .*unpacked"):
+        _tool().main([str(tree), str(repo), "--seeds", "1"])

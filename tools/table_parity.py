@@ -2,10 +2,13 @@
 
     python tools/table_parity.py PARENT_TREE CHANGE_TREE --seeds 1 2 3 4 5
 
-Runs every scenario that ``perfbench/scenarios.py`` lists for the chosen
-workloads and seeds through ``arwmass.cli.run``, once per tree, each tree in
-its own subprocess with ``ARWMASS_THREADS=1`` and with its own ``src/`` and
-``perfbench/`` first on the path.  Every table the CLI writes, config digest
+Runs every scenario that ``perfbench/scenarios.py`` lists for the three
+workloads and the given seeds through ``arwmass.cli.run``, once per tree, each
+tree in its own subprocess with ``ARWMASS_THREADS=1`` and with its own
+``src/`` and ``perfbench/`` first on the path.  A tree whose ``arwmass`` or
+``scenarios`` module is imported from anywhere else (a tree without
+``src/arwmass``, say, while ``PYTHONPATH`` names another one) is an error,
+not a comparison.  Every table the CLI writes, config digest
 included, and every exit code (or the exception a scenario raised) is
 compared between the trees.  Prints the number of tables compared and each
 difference, and exits 1 if there is any, 0 if there is none.  Nothing is
@@ -24,16 +27,21 @@ import tempfile
 WORKLOADS = ("slice-mass", "flow", "check")
 
 
-def collect(tree: str, workloads, seeds) -> dict:
+def collect(tree: str, seeds) -> dict:
     """Scenario key -> {"code": exit code or the exception, "tables": {file:
     text}} for every scenario of ``tree``, run in this process."""
-    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
+    src, bench = os.path.join(tree, "src"), os.path.join(tree, "perfbench")
+    sys.path[:0] = [src, bench]
     import arwmass.cli
     import scenarios
 
+    for module, root in ((arwmass, src), (scenarios, bench)):
+        if not os.path.abspath(module.__file__).startswith(root + os.sep):
+            raise SystemExit(f"imported {module.__name__} from {module.__file__}, not {root}")
+
     results = {}
     with tempfile.TemporaryDirectory() as scratch:
-        for workload in workloads:
+        for workload in WORKLOADS:
             for seed in seeds:
                 for i, scenario in enumerate(scenarios.scenarios(workload, seed)):
                     key = f"{workload} seed {seed} #{i} {scenario.name}"
@@ -69,10 +77,10 @@ def differences(parent: dict, change: dict) -> list:
     return lines
 
 
-def _run_tree(tree: str, workloads, seeds) -> dict:
+def _run_tree(tree: str, seeds) -> dict:
     env = dict(os.environ, ARWMASS_THREADS="1")
     args = [sys.executable, os.path.abspath(__file__), "--collect", tree,
-            "--workloads", *workloads, "--seeds", *map(str, seeds)]
+            "--seeds", *map(str, seeds)]
     done = subprocess.run(args, env=env, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise SystemExit(f"collecting {tree} failed:\n{done.stderr}")
@@ -83,16 +91,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", metavar="TREE", help="PARENT_TREE CHANGE_TREE")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--collect", metavar="TREE", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.collect:
-        json.dump(collect(os.path.abspath(args.collect), args.workloads, args.seeds), sys.stdout)
+        json.dump(collect(os.path.abspath(args.collect), args.seeds), sys.stdout)
         return 0
     if len(args.trees) != 2:
         parser.error("give PARENT_TREE and CHANGE_TREE")
-    parent, change = (_run_tree(os.path.abspath(t), args.workloads, args.seeds)
-                      for t in args.trees)
+    parent, change = (_run_tree(os.path.abspath(t), args.seeds) for t in args.trees)
     lines = differences(parent, change)
     tables = sum(len(result["tables"]) for result in change.values())
     print(f"{len(change)} scenarios, {tables} tables compared: {len(lines)} differences")
