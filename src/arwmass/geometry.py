@@ -308,23 +308,19 @@ class QuadratureGrid:
         return np.array([math.sin(t) ** (self.n - 1) for t in self.axis_nodes[0]])
 
 
-def _gauss_legendre(lo: float, hi: float, count: int):
-    x, w = np.polynomial.legendre.leggauss(count)
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
-
-
 def quadrature_grid(n: int, nodes_per_axis: int = 48) -> QuadratureGrid:
+    """Gauss-Legendre nodes and weights on [0, pi] per polar angle and on
+    [0, 2 pi] for the last angle: one rule, scaled onto each axis."""
     if n < 2:
         raise GeometryError("grids require n >= 2")
     if nodes_per_axis < 2:
         raise GeometryError("need at least 2 nodes per axis")
+    x, w = np.polynomial.legendre.leggauss(nodes_per_axis)
     nodes, weights = [], []
     for axis in range(n):
-        hi = 2.0 * math.pi if axis == n - 1 else math.pi
-        x, w = _gauss_legendre(0.0, hi, nodes_per_axis)
-        nodes.append(x)
-        weights.append(w)
+        half = 0.5 * (2.0 * math.pi if axis == n - 1 else math.pi)
+        nodes.append(half * (x + 1.0))
+        weights.append(half * w)
     return QuadratureGrid(
         n=n,
         nodes_per_axis=nodes_per_axis,

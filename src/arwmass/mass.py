@@ -59,13 +59,7 @@ from .geometry import (
     sample_events,
     sphere_volume,
 )
-from .hypersurface import (
-    GraphHypersurface,
-    _ambient,
-    _frame,
-    _slice_second_fundamental,
-    coordinate_slice_curvature,
-)
+from .hypersurface import GraphHypersurface, _ambient, _frame, _slice_second_fundamental
 
 __all__ = [
     "MassReport",
@@ -399,7 +393,11 @@ def monotonicity_scan(
     The probes (f' < 0, G^00 >= 0, G^{ij} and hbar_ij positive semidefinite,
     omega = 0, psi = 0) are diagnostics only: they are sufficient for
     monotonicity, never necessary, and the report states the observed
-    direction of I independently of them.
+    direction of I independently of them.  They are read at every sample
+    time and every fourth theta1 node: one ``curvature_at`` per probe event,
+    then hbar for all of them in one call and one ``eigvalsh`` per stack of
+    matrices.  Against a per-node loop the G terms keep their bits and hbar
+    moves by up to 1 ulp.
     """
     grid = grid or quadrature_grid(spec.n)
     if schedule is None:
@@ -411,20 +409,20 @@ def monotonicity_scan(
     integrals = np.array([slice_mass_integral(spec, t, grid) for t in times])
 
     fp = np.array([spec.f.derivative(float(t), 1) for t in times])
-    min_g00 = math.inf
-    min_gij = math.inf
-    min_hbar = math.inf
-    for tau in times:
-        hbar = coordinate_slice_curvature(metric, float(tau))
-        for theta1 in grid.axis_nodes[0][::4]:
-            event = np.full(n + 1, _FILL_ANGLE)
-            event[0] = tau
-            event[1] = theta1
-            bundle = curvature_at(metric, event)
-            g_up = bundle.g_inv @ bundle.einstein @ bundle.g_inv
-            min_g00 = min(min_g00, float(g_up[0, 0]))
-            min_gij = min(min_gij, float(np.linalg.eigvalsh(g_up[1:, 1:])[0]))
-            min_hbar = min(min_hbar, float(np.linalg.eigvalsh(hbar(event[1:]))[0]))
+    thetas = grid.axis_nodes[0][::4]
+    events = np.full((len(times), len(thetas), n + 1), _FILL_ANGLE)
+    events[..., 0] = times[:, None]
+    events[..., 1] = thetas
+    g_inv = np.empty(events.shape + (n + 1,))
+    einstein = np.empty_like(g_inv)
+    for index in np.ndindex(events.shape[:-1]):
+        bundle = curvature_at(metric, events[index])
+        g_inv[index], einstein[index] = bundle.g_inv, bundle.einstein
+    g_up = g_inv @ einstein @ g_inv
+    hbar = _slice_second_fundamental(metric, events)[0]
+    min_g00 = float(np.min(g_up[..., 0, 0]))
+    min_gij = float(np.min(np.linalg.eigvalsh(g_up[..., 1:, 1:])[..., 0]))
+    min_hbar = float(np.min(np.linalg.eigvalsh(hbar)[..., 0]))
 
     psi_zero = fold_constants(spec.psi) == Num(0.0)
     probes = (
@@ -477,7 +475,16 @@ def tcc_check(
     Directions are boost-parameterized in an orthonormal frame,
     nu = cosh(chi) e_0 + sinh(chi) d^i e_i with |d| = 1; chi = 0 (the slice
     normal itself) is always included.  Events below -tol are reported as
-    violations of the timelike convergence condition.
+    violations of the timelike convergence condition, in event and then
+    direction order.  ``events`` is an (m, n+1) array with m >= 1.
+
+    Each event makes one ``curvature_at`` call, and its directions are drawn
+    as two arrays from one generator stream: the k - 1 random chi, then the
+    k vectors d as one (k, n) normal draw.  These are the numbers a loop
+    drawing one d per direction consumes, and Ric(nu, nu) of all directions
+    is one contraction.  Against such a loop a value moves by ~1 ulp, a few
+    ulp of |nu| |Ric| |nu| at most (np.cosh against math.cosh, and the
+    order of the sums), and keeps its bits at chi = 0.
     """
     if directions_per_event < 32:
         raise GeometryError("need at least 32 directions per event")
@@ -489,34 +496,42 @@ def tcc_check(
     w = _weights(spec)
     metric = w.metric
     n = w.n
+    events = np.asarray(events, dtype=float)
+    if events.shape[:1] == (0,):
+        raise GeometryError("the TCC check needs at least one event, got 0")
+    if events.shape[1:] != (n + 1,):
+        raise GeometryError(f"events must have shape (m, {n + 1}), got {events.shape}")
 
-    minimum = math.inf
-    samples = 0
-    violations = []
-    for event in np.asarray(events, dtype=float):
-        bundle = curvature_at(metric, event)
+    m, k = len(events), directions_per_event
+    ricci = np.empty((m, n + 1, n + 1))
+    frame = np.zeros((m, n + 1, n + 1))  # frame[j, a] = hatted basis vector a at event j
+    chi = np.zeros((m, k))
+    d = np.empty((m, k, n))
+    for j, event in enumerate(events):
+        ricci[j] = curvature_at(metric, event).ricci
         p = metric.psi_tilde.partial(event, ())
-        frame = np.zeros((n + 1, n + 1))  # frame[k] = hatted basis vector k
-        frame[0, 0] = math.exp(-p)
+        frame[j, 0, 0] = math.exp(-p)
         for i in range(n):
             sig = metric.sigma[i][i].partial(event, ())
-            frame[i + 1, i + 1] = math.exp(-p) / math.sqrt(sig)
-        chis = np.concatenate(([0.0], rng.uniform(0.0, 2.5, directions_per_event - 1)))
-        for chi in chis:
-            d = rng.normal(size=n)
-            d /= np.linalg.norm(d)
-            nu = math.cosh(chi) * frame[0] + math.sinh(chi) * (d @ frame[1:])
-            value = float(nu @ bundle.ricci @ nu)
-            samples += 1
-            if value < minimum:
-                minimum = value
-            if value < -tol:
-                violations.append((tuple(event), tuple(nu), value))
+            frame[j, i + 1, i + 1] = math.exp(-p) / math.sqrt(sig)
+        chi[j, 1:] = rng.uniform(0.0, 2.5, k - 1)
+        d[j] = rng.normal(size=(k, n))
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    # nu[j, l] is direction l at event j, and values[j, l] its Ric(nu, nu)
+    chi = chi[..., None]
+    nu = np.cosh(chi) * frame[:, None, 0] + np.sinh(chi) * (d @ frame[:, 1:])
+    values = np.einsum("jlb,jlb->jl", nu @ ricci, nu)
+
+    minimum = float(np.min(values))
+    violations = tuple(
+        (tuple(events[j]), tuple(nu[j, l]), float(values[j, l]))
+        for j, l in np.argwhere(values < -tol)
+    )
     return TccReport(
         minimum=minimum,
         passed=minimum >= -tol,
-        samples=samples,
-        violations=tuple(violations),
+        samples=values.size,
+        violations=violations,
     )
 
 

@@ -152,6 +152,18 @@ def test_grid_nodes_avoid_poles():
     assert last.min() > 0.0 and last.max() < 2 * math.pi
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("count", [2, 24, 96])
+def test_one_rule_scaled_onto_each_axis_equals_the_per_axis_rule(n, count):
+    grid = quadrature_grid(n, count)
+    for axis in range(n):
+        lo, hi = 0.0, 2.0 * math.pi if axis == n - 1 else math.pi
+        x, w = np.polynomial.legendre.leggauss(count)
+        half = 0.5 * (hi - lo)
+        assert np.array_equal(grid.axis_nodes[axis], lo + half * (x + 1.0))
+        assert np.array_equal(grid.axis_weights[axis], half * w)
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

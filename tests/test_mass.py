@@ -7,8 +7,11 @@ import pytest
 import arwmass.curvature
 import arwmass.geometry
 import arwmass.hypersurface
+import arwmass.mass
 from arwmass.curvature import curvature_at, curvature_batch
+from arwmass.expr import Num, fold_constants
 from arwmass.geometry import (
+    ConditionReport,
     GeometryError,
     flat_chart_metric,
     geometric_schedule,
@@ -16,6 +19,7 @@ from arwmass.geometry import (
     make_spec,
     quadrature_grid,
     rw_family_spec,
+    sample_events,
     sphere_volume,
 )
 from arwmass.hypersurface import (
@@ -25,6 +29,7 @@ from arwmass.hypersurface import (
 )
 from arwmass.mass import (
     _FILL_ANGLE,
+    TccReport,
     _leaf_integral,
     _slice_events,
     _weights,
@@ -342,6 +347,189 @@ def test_tcc_is_deterministic(rw1):
     a = tcc_check(rw1, seed=9)
     b = tcc_check(rw1, seed=9)
     assert a.minimum == b.minimum and a.samples == b.samples
+
+
+def reference_tcc(spec, events, directions_per_event=32, seed=0, tol=1e-9):
+    """tcc_check as it ran one direction at a time: a normal draw, a norm
+    and two small products per direction.  Returns its report, and every
+    value and its size |nu| |Ric| |nu| in direction order."""
+    rng = np.random.default_rng(seed + 1)
+    w = _weights(spec)
+    metric, n = w.metric, w.n
+    minimum, samples, violations, values, sizes = math.inf, 0, [], [], []
+    for event in np.asarray(events, dtype=float):
+        bundle = curvature_at(metric, event)
+        p = metric.psi_tilde.partial(event, ())
+        frame = np.zeros((n + 1, n + 1))
+        frame[0, 0] = math.exp(-p)
+        for i in range(n):
+            sig = metric.sigma[i][i].partial(event, ())
+            frame[i + 1, i + 1] = math.exp(-p) / math.sqrt(sig)
+        chis = np.concatenate(([0.0], rng.uniform(0.0, 2.5, directions_per_event - 1)))
+        for chi in chis:
+            d = rng.normal(size=n)
+            d /= np.linalg.norm(d)
+            nu = math.cosh(chi) * frame[0] + math.sinh(chi) * (d @ frame[1:])
+            value = float(nu @ bundle.ricci @ nu)
+            values.append(value)
+            sizes.append(float(np.abs(nu) @ np.abs(bundle.ricci) @ np.abs(nu)))
+            samples += 1
+            if value < minimum:
+                minimum = value
+            if value < -tol:
+                violations.append((tuple(event), tuple(nu), value))
+    report = TccReport(minimum, minimum >= -tol, samples, tuple(violations))
+    return report, values, sizes
+
+
+TCC_VIOLATION_SPEC = make_spec(3, 1.0, "log(-tau)", a=-0.9, psi="-3*exp(-40*(tau+0.5)^2)")
+
+TCC_SPECS = [
+    pytest.param(rw_family_spec(3, 1.0, k=1.0, a=-0.5), 1e-9, id="rw n=3"),
+    pytest.param(
+        make_spec(
+            2, 1.5, "0.5*log(-1.3*tau)", a=-1.0,
+            psi="0.05*cos(theta1)*tau", lam="0.03*cos(theta1)*tau",
+        ),
+        1e-9,
+        id="custom decaying",
+    ),
+    pytest.param(as_arw_spec(SADS_ADS), 1e-9, id="sads lambda<0"),
+    pytest.param(TCC_VIOLATION_SPEC, -1e300, id="violation, every direction reported"),
+]
+
+
+@pytest.mark.parametrize("spec, tol", TCC_SPECS)
+def test_tcc_equals_the_per_direction_loop(spec, tol):
+    events = sample_events(spec, 12, seed=3)
+    got = tcc_check(spec, events, seed=3, tol=tol)
+    ref, values, sizes = reference_tcc(spec, events, seed=3, tol=tol)
+    at = values.index(ref.minimum)
+    if at % 32 == 0:  # chi = 0: nu is the frame's e_0 and the value keeps its bits
+        assert got.minimum == ref.minimum
+    else:
+        assert abs(got.minimum - ref.minimum) <= 8 * np.spacing(sizes[at])
+    assert got.passed == ref.passed
+    assert got.samples == ref.samples == 12 * 32
+    assert len(got.violations) == len(ref.violations)
+    assert [v[0] for v in got.violations] == [v[0] for v in ref.violations]
+    # Every direction is a violation with tol < 0: compare each nu and value.
+    # A component of nu moves by up to 2 ulp (np.cosh, the batched norm), and
+    # the quadratic form doubles that, so a value gets 8 ulp of its size.
+    if tol < 0.0:
+        for (_, nu, value), (_, ref_nu, ref_value), size in zip(
+            got.violations, ref.violations, sizes
+        ):
+            ref_nu = np.array(ref_nu)
+            assert np.all(np.abs(np.array(nu) - ref_nu) <= 4 * np.spacing(np.abs(ref_nu)))
+            assert abs(value - ref_value) <= 8 * np.spacing(size)
+
+
+class _CountingGenerator:
+    """A generator that records the name of every draw made from it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.draws = []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def draw(*args, **kwargs):
+            self.draws.append(name)
+            return method(*args, **kwargs)
+
+        return draw
+
+
+def _count_curvature_at(monkeypatch) -> list:
+    """The events of every curvature_at call arwmass.mass makes from now on."""
+    calls = []
+
+    def counted(metric, event):
+        calls.append(event)
+        return curvature_at(metric, event)
+
+    monkeypatch.setattr(arwmass.mass, "curvature_at", counted)
+    return calls
+
+
+def test_tcc_draws_twice_and_assembles_once_per_event(monkeypatch):
+    spec = TCC_VIOLATION_SPEC
+    events = sample_events(spec, 5, seed=1)
+    generators = []
+
+    def counting_rng(seed):
+        generators.append(_CountingGenerator(seed))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    calls = _count_curvature_at(monkeypatch)
+    tcc_check(spec, events, seed=6)
+    (generator,) = generators
+    assert generator.draws == ["uniform", "normal"] * len(events)
+    assert len(calls) == len(events)
+    # the loop's draws, one normal vector per direction, leave the same state
+    rng = np.random.Generator(np.random.PCG64(7))
+    for _ in events:
+        rng.uniform(0.0, 2.5, 31)
+        for _ in range(32):
+            rng.normal(size=3)
+    assert generator.rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "events, message",
+    [
+        ([], "at least one event, got 0"),
+        (np.empty((0, 4)), "at least one event, got 0"),
+        ([[-0.3, 1.0, 1.0]], r"shape \(m, 4\), got \(1, 3\)"),
+        ([-0.3, 1.0, 1.0, 1.0], r"shape \(m, 4\), got \(4,\)"),
+    ],
+    ids=["empty list", "empty array", "short event", "flat event list"],
+)
+def test_tcc_rejects_events_it_cannot_check(rw1, events, message):
+    with pytest.raises(GeometryError, match=message):
+        tcc_check(rw1, events)
+
+
+def reference_probes(spec, schedule, grid):
+    """monotonicity_scan's probes as they ran one node at a time: one
+    curvature_at and one coordinate_slice_curvature call per probe node."""
+    metric, n = spec.metric, spec.n
+    times = np.asarray(schedule, dtype=float)
+    fp = np.array([spec.f.derivative(float(t), 1) for t in times])
+    min_g00 = min_gij = min_hbar = math.inf
+    for tau in times:
+        hbar = coordinate_slice_curvature(metric, float(tau))
+        for theta1 in grid.axis_nodes[0][::4]:
+            event = np.full(n + 1, _FILL_ANGLE)
+            event[0] = tau
+            event[1] = theta1
+            bundle = curvature_at(metric, event)
+            g_up = bundle.g_inv @ bundle.einstein @ bundle.g_inv
+            min_g00 = min(min_g00, float(g_up[0, 0]))
+            min_gij = min(min_gij, float(np.linalg.eigvalsh(g_up[1:, 1:])[0]))
+            min_hbar = min(min_hbar, float(np.linalg.eigvalsh(hbar(event[1:]))[0]))
+    psi_zero = fold_constants(spec.psi) == Num(0.0)
+    return (
+        ConditionReport("lapse-negative", bool(np.all(fp < 0.0)), f"max f' = {fp.max():.3e}"),
+        ConditionReport("energy-density", min_g00 >= -1e-10, f"min G^00 = {min_g00:.3e}"),
+        ConditionReport("spatial-stress", min_gij >= -1e-10, f"min eig G^ij = {min_gij:.3e}"),
+        ConditionReport("slice-convexity", min_hbar >= -1e-10, f"min eig hbar = {min_hbar:.3e}"),
+        ConditionReport("omega-zero", spec.omega == 0.0, f"omega = {spec.omega}"),
+        ConditionReport("psi-zero", psi_zero, f"psi zero: {psi_zero}"),
+    )
+
+
+@pytest.mark.parametrize("spec, _tol", TCC_SPECS)
+def test_probes_equal_the_per_node_loop(spec, _tol, monkeypatch):
+    grid = quadrature_grid(spec.n, 16)
+    schedule = geometric_schedule(spec.a, 6)
+    calls = _count_curvature_at(monkeypatch)
+    scan = monotonicity_scan(spec, schedule, grid)
+    assert scan.probes == reference_probes(spec, schedule, grid)
+    assert len(calls) == len(schedule) * len(grid.axis_nodes[0][::4])
 
 
 # ---------------------------------------------------------------------------
