@@ -474,9 +474,10 @@ def tcc_check(
 
     Directions are boost-parameterized in an orthonormal frame,
     nu = cosh(chi) e_0 + sinh(chi) d^i e_i with |d| = 1; chi = 0 (the slice
-    normal itself) is always included.  Events below -tol are reported as
+    normal itself) is always included.  Values below -tol are reported as
     violations of the timelike convergence condition, in event and then
-    direction order.  ``events`` is an (m, n+1) array with m >= 1.
+    direction order.  A NaN value is a violation too: it makes the minimum
+    NaN and the check fail.  ``events`` is an (m, n+1) array with m >= 1.
 
     Each event makes one ``curvature_at`` call, and its directions are drawn
     as two arrays from one generator stream: the k - 1 random chi, then the
@@ -525,7 +526,7 @@ def tcc_check(
     minimum = float(np.min(values))
     violations = tuple(
         (tuple(events[j]), tuple(nu[j, l]), float(values[j, l]))
-        for j, l in np.argwhere(values < -tol)
+        for j, l in np.argwhere(~(values >= -tol))
     )
     return TccReport(
         minimum=minimum,

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -491,6 +492,27 @@ def test_tcc_draws_twice_and_assembles_once_per_event(monkeypatch):
 def test_tcc_rejects_events_it_cannot_check(rw1, events, message):
     with pytest.raises(GeometryError, match=message):
         tcc_check(rw1, events)
+
+
+def test_tcc_fails_on_nan_and_lists_its_directions(rw1, monkeypatch):
+    events = sample_events(rw1, 3, seed=2)
+
+    def nan_at_the_second_event(metric, event):
+        bundle = curvature_at(metric, event)
+        if np.array_equal(event, events[1]):
+            ricci = bundle.ricci.copy()
+            ricci[0, 0] = math.nan
+            return SimpleNamespace(ricci=ricci)
+        return bundle
+
+    monkeypatch.setattr(arwmass.mass, "curvature_at", nan_at_the_second_event)
+    report = tcc_check(rw1, events, seed=2)
+    assert math.isnan(report.minimum)
+    assert not report.passed
+    assert report.samples == 3 * 32
+    assert len(report.violations) == 32
+    assert all(event == tuple(events[1]) for event, _, _ in report.violations)
+    assert all(math.isnan(value) for _, _, value in report.violations)
 
 
 def reference_probes(spec, schedule, grid):

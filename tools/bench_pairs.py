@@ -5,7 +5,7 @@
 
 Runs ``perfbench/run.py --trace 0`` once from each tree per pair, in that
 tree's directory and with ``PYTHONPATH`` unset, so that each side imports
-its own ``src/``.  Pair i uses seed ``--seed`` + i on both sides, and the
+its own ``src/``.  Pair i (from 0) uses seed 1 + i on both sides, and the
 side that runs first alternates from pair to pair, so that drift of a
 shared machine falls on both.  Prints each pair's end-to-end metrics, then
 for each metric the pairs the change won (ties count for neither side),
@@ -88,7 +88,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -98,7 +97,7 @@ def main(argv=None) -> int:
     better = _declared_better(trees["parent"])
     pairs = []
     for i in range(args.pairs):
-        seed = args.seed + i
+        seed = 1 + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
