@@ -94,6 +94,10 @@ def metric_jets(metric: SpacetimeMetric, event, order: int = 2):
     """
     events = np.asarray(event, dtype=float)
     n, dim = metric.n, metric.dim
+    if events.ndim == 0 or events.shape[-1] != dim:
+        raise GeometryError(
+            f"events of an n = {n} metric have dim = {dim} coordinates, got shape {events.shape}"
+        )
     batch = events.shape[:-1]
     p0, p1, p2 = split_jet(metric.psi_tilde.jet(events, order), dim)
 

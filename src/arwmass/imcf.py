@@ -61,7 +61,6 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _ERR = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
@@ -142,27 +141,28 @@ def imcf_run(
 
     metric = spec.metric
 
-    def rhs(u: float) -> float:
+    def rhs(u: float) -> tuple[float, float]:
+        """(du/dt, H) at the slice u."""
         if u >= -_HALT_U / 2:
             raise _StepAcross()
         h_mean, p = _slice_mean_curvature(metric, u)
         if h_mean <= 0.0:
             raise FlowError(f"mean curvature {h_mean:.6e} <= 0 at u = {u:.6e}")
-        return math.exp(-p) / h_mean
+        return math.exp(-p) / h_mean, h_mean
 
-    def snapshot(t: float, u: float, du: float) -> FlowState:
+    def snapshot(t: float, u: float, du: float, h_mean: float) -> FlowState:
         return FlowState(
             t=t,
             u=u,
-            mean_curvature=_slice_mean_curvature(metric, u)[0],
+            mean_curvature=h_mean,
             f_of_u=spec.f.value(u),
             dfdt=spec.f.derivative(u, 1) * du,
         )
 
     t, u = 0.0, float(u0)
     k = np.empty(7)
-    k[0] = rhs(u)
-    states = [snapshot(t, u, k[0])]
+    k[0], h_mean = rhs(u)
+    states = [snapshot(t, u, k[0], h_mean)]
     reached = False
 
     h = fixed_step if fixed_step is not None else min(1e-3, t_end)
@@ -176,15 +176,15 @@ def imcf_run(
         try:
             for i in range(1, 7):
                 ui = u + h_step * sum(a * k[j] for j, a in enumerate(_A[i]))
-                k[i] = rhs(ui)
-            u_new = u + h_step * float(_B5 @ k)
-            if u_new >= 0.0:
-                raise _StepAcross()
+                k[i], h_new = rhs(ui)
         except _StepAcross:
             h = 0.5 * h_step
             if h < 1e-15:
                 raise FlowError("step size underflow near the singularity")
             continue
+        # FSAL: _A[6] holds the fifth-order weights, so the last stage sits
+        # at the step's end and its H is the new state's
+        u_new = float(ui)
 
         if fixed_step is None:
             scale = tolerance * (1.0 + max(abs(u), abs(u_new)))
@@ -197,8 +197,8 @@ def imcf_run(
 
         t += h_step
         u = u_new
-        k[0] = k[6]  # FSAL: the last stage sits at the accepted point
-        states.append(snapshot(t, u, k[0]))
+        k[0] = k[6]
+        states.append(snapshot(t, u, k[0], h_new))
         if u >= -_HALT_U:
             reached = True
 

@@ -9,10 +9,15 @@ x0(r) = -int_0^r s^{-1} h_tilde^{-1/2} ds, which sends the curvature
 singularity r = 0 to x0 = 0, so the chart runs on a negative time interval
 exactly like the cosmological charts in geometry.py.
 
-``x0_of_r`` is the exact reference.  It integrates the leading power of the
-integrand in closed form and the remainder by adaptive quadrature; within
-1% of the horizon, where h_tilde^{-1/2} grows like (r0 - s)^{-1/2}, it
-integrates in t = (r0 - s)^{1/2} instead, in which the integrand is smooth.
+``x0_of_r`` is the exact reference.  Each piece of its integral is a fixed
+Gauss-Legendre rule, evaluated at all nodes in one numpy expression, so
+the package needs no scipy.  Up to r0/2 it integrates the leading power of
+the integrand in closed form and the remainder in u = s^{1/2}, where the
+remainder is analytic; from r0/2 on, where h_tilde^{-1/2} grows like
+(r0 - s)^{-1/2}, it integrates in t = (r0 - s)^{1/2}, in which the
+integrand is smooth, on panels graded geometrically toward the horizon.
+An embedded lower-order rule checks every piece, as an adaptive
+quadrature's error estimate would.
 
 There is no closed form for the inverse r(x0) when Lambda < 0, so the time
 profile f is carried parametrically in r, and values invert x0(r)
@@ -42,6 +47,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
+
+import numpy as np
 
 from .fields import TimeFunction
 from .geometry import ARWSpec, GeometryError, sphere_volume
@@ -82,12 +89,18 @@ class Profile(NamedTuple):
     dh_dr: float
 
 
+def _h(params: SAdSParams, r):
+    """h at a radius or an array of radii."""
+    nn1 = params.n * (params.n + 1)
+    return 1.0 - 2.0 * params.lam * r**2 / nn1 - params.mass * r ** (1 - params.n)
+
+
 def profile(params: SAdSParams, r: float) -> Profile:
     """h, h_tilde = -h and dh/dr at radius r > 0."""
     if not r > 0.0:
         raise GeometryError(f"profile requires r > 0, got {r}")
     nn1 = params.n * (params.n + 1)
-    h = 1.0 - 2.0 * params.lam * r**2 / nn1 - params.mass * r ** (1 - params.n)
+    h = _h(params, r)
     dh = -4.0 * params.lam * r / nn1 + (params.n - 1) * params.mass * r ** (-params.n)
     return Profile(h=h, h_tilde=-h, dh_dr=dh)
 
@@ -136,63 +149,96 @@ def horizon(params: SAdSParams) -> float:
     return 0.5 * (lo + hi)
 
 
-def _relative_defect(params: SAdSParams, s: float) -> float:
-    """q(s) with h_tilde = m s^{1-n} (1 - q); q -> 0 at the singularity."""
+def _relative_defect(params: SAdSParams, s):
+    """q(s) with h_tilde = m s^{1-n} (1 - q); q -> 0 at the singularity.
+
+    ``s`` may be a radius or an array of radii."""
     nn1 = params.n * (params.n + 1)
     return s ** (params.n - 1) / params.mass - 2.0 * params.lam * s ** (
         params.n + 1
     ) / (params.mass * nn1)
 
 
-def _checked_quad(fn, lo: float, hi: float, r: float) -> float:
-    # scipy is imported on the first quadrature, not with the package: it
-    # costs most of the package's import time and memory, and only SAdS
-    # time coordinates need it.
-    from scipy.integrate import quad
+def _embedded_rule(high: int, low: int) -> tuple[np.ndarray, np.ndarray]:
+    """A high- and a low-order Gauss-Legendre rule on [0, 1]: the nodes of
+    both, concatenated, and a (nodes, 2) weight matrix whose two columns
+    sum the node values by the high and by the low rule."""
+    x_high, w_high = np.polynomial.legendre.leggauss(high)
+    x_low, w_low = np.polynomial.legendre.leggauss(low)
+    weights = np.zeros((high + low, 2))
+    weights[:high, 0] = 0.5 * w_high
+    weights[high:, 1] = 0.5 * w_low
+    return 0.5 * (1.0 + np.concatenate((x_high, x_low))), weights
 
-    # full_output keeps quad quiet when 1e-13 is below what roundoff allows;
-    # the error estimate is checked instead.
-    out = quad(fn, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200, full_output=1)
-    value, abserr = out[0], out[1]
-    if abserr > 1e-9 * max(1.0, abs(value)):
+
+# The far piece is analytic in u well beyond its interval, the near panels
+# in t within each panel's own width: both rules sit at rounding level.
+_FAR_NODES, _FAR_WEIGHTS = _embedded_rule(24, 20)
+_NEAR_NODES, _NEAR_WEIGHTS = _embedded_rule(12, 10)
+
+
+def _checked_gauss(integrand, edges, nodes, weights, r: float) -> float:
+    """The integral over the panels between consecutive ``edges`` by the
+    high rule, one vectorized evaluation of ``integrand`` at both rules'
+    nodes on every panel; the two rules must agree to 1e-9 relative."""
+    lo = edges[:-1, None]
+    width = edges[1:, None] - lo
+    sums = (integrand(lo + width * nodes) @ weights) * width
+    high, low = sums.sum(axis=0)
+    if not abs(high - low) <= 1e-9 * max(1.0, abs(high)):  # NaN fails too
         raise GeometryError(f"time-coordinate quadrature unreliable at r = {r}")
-    return value
+    return float(high)
 
 
-# Below this fraction of r0 the quadrature runs in s; above it, the stretch
-# from here to r runs in t = (r0 - s)^{1/2}.
-_NEAR_HORIZON = 0.99
+# The far piece runs in u from the singularity up to this fraction of r0;
+# the near piece, in t, from here to r.  The horizon then lies far outside
+# the far interval.
+_NEAR_HORIZON = 0.5
 
 
 def x0_of_r(params: SAdSParams, r: float) -> float:
     """Time coordinate x0(r) = -int_0^r s^{-1} h_tilde^{-1/2} ds, r in (0, r0).
 
-    The integrand equals m^{-1/2} s^{(n-3)/2} (1 - q)^{-1/2}; the leading
-    power (integrable at s = 0) is integrated in closed form and only the
-    remainder, which vanishes at the origin, goes to adaptive quadrature.
-    Above 0.99 r0 the integrand grows like (r0 - s)^{-1/2}, and the stretch
-    from 0.99 r0 to r is integrated in t = (r0 - s)^{1/2}, where it equals
-    2 t / (s h_tilde^{1/2}) and stays bounded.
+    The integrand equals m^{-1/2} s^{(n-3)/2} (1 - q)^{-1/2}.  Up to
+    r_far = min(r, r0/2) its leading power (integrable at s = 0) is
+    integrated in closed form, and the remainder in u = s^{1/2}, where it
+    reads 2 m^{-1/2} u^{n-2} q / (sqrt(1-q) (1 + sqrt(1-q))), analytic for
+    every n >= 2 and free of cancellation at small s.  From r0/2 to r the
+    integrand grows like (r0 - s)^{-1/2}; in t = (r0 - s)^{1/2} it equals
+    2 t / (s h_tilde^{1/2}) and stays bounded, and the panels [a, 2a],
+    [2a, 4a], ..., up to (r0/2)^{1/2}, with a = (r0 - r)^{1/2}, keep each
+    panel as far from the horizon's residual near-singularity at t ~ 0 as
+    the panel is wide.  Each piece is a fixed Gauss-Legendre rule (24
+    nodes, 12 per panel) checked against an embedded lower-order rule (20,
+    10); their disagreement beyond 1e-9 raises GeometryError naming r.
     """
     r0 = horizon(params)
     if not 0.0 < r < r0:
         raise GeometryError(f"r must lie in (0, {r0:.6g}), got {r}")
     n, m = params.n, params.mass
-    r_far = min(r, _NEAR_HORIZON * r0)
+    r_split = _NEAR_HORIZON * r0
+    r_far = min(r, r_split)
     rm = 1.0 / math.sqrt(m)
     leading = 2.0 / (n - 1.0) * rm * r_far ** ((n - 1.0) / 2.0)
 
-    def remainder(s: float) -> float:
-        return rm * s ** ((n - 3.0) / 2.0) * (1.0 / math.sqrt(1.0 - _relative_defect(params, s)) - 1.0)
+    def remainder(u):
+        q = _relative_defect(params, u * u)
+        root = np.sqrt(1.0 - q)
+        return 2.0 * rm * u ** (n - 2) * q / (root * (1.0 + root))
 
-    x0 = -(leading + _checked_quad(remainder, 0.0, r_far, r))
+    far = np.array([0.0, math.sqrt(r_far)])
+    x0 = -(leading + _checked_gauss(remainder, far, _FAR_NODES, _FAR_WEIGHTS, r))
     if r > r_far:
 
-        def near(t: float) -> float:
+        def near(t):
             s = r0 - t * t
-            return 2.0 * t / (s * math.sqrt(profile(params, s).h_tilde))
+            return 2.0 * t / (s * np.sqrt(-_h(params, s)))
 
-        x0 -= _checked_quad(near, math.sqrt(r0 - r), math.sqrt(r0 - r_far), r)
+        a, b = math.sqrt(r0 - r), math.sqrt(r0 - r_split)
+        panels = max(1, math.ceil(math.log2(b / a)))
+        edges = a * np.exp2(np.arange(panels + 1.0))
+        edges[-1] = b
+        x0 -= _checked_gauss(near, edges, _NEAR_NODES, _NEAR_WEIGHTS, r)
     return x0
 
 

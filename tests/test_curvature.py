@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -9,11 +10,13 @@ from arwmass import tensors
 from arwmass.curvature import (
     conformal_residuals,
     curvature_at,
+    curvature_batch,
     einstein_divergence_residual,
 )
 from arwmass.expr import DomainError
 from arwmass.fields import split_jet
 from arwmass.geometry import (
+    GeometryError,
     _invert_metric,
     flat_chart_metric,
     make_spec,
@@ -233,6 +236,17 @@ def test_batch_with_a_bad_event_raises_the_pointwise_error():
     with pytest.raises(DomainError) as batched:
         einstein_divergence_residual(spec.metric, events, step=1e-4)
     assert str(batched.value) == str(pointwise.value)
+
+
+@pytest.mark.parametrize("length", [5, 3])
+def test_an_event_of_the_wrong_length_is_a_geometry_error(rw_spec, length):
+    event = [-0.3, 1.0, 1.0, 1.0, 7.0][:length]
+    shape = f"got shape ({length},)"
+    with pytest.raises(GeometryError, match=rf"dim = 4 coordinates, {re.escape(shape)}"):
+        curvature_at(rw_spec.metric, event)
+    shape = f"got shape (2, {length})"
+    with pytest.raises(GeometryError, match=rf"dim = 4 coordinates, {re.escape(shape)}"):
+        curvature_batch(rw_spec.metric, [event, event])
 
 
 def reference_two_assembly_divergence(metric, events, step):

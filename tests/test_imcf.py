@@ -242,6 +242,37 @@ def test_flow_states_equal_the_separate_slice_evaluations(spec, u0, monkeypatch)
     assert run.states == reference.states
 
 
+@pytest.mark.parametrize(
+    "spec, u0, fixed_step",
+    [
+        (rw_family_spec(3, 1.0, k=1.0, a=-1.0), -0.5, 0.05),
+        (as_arw_spec(SADS_FLOW), x0_of_r(SADS_FLOW, 0.5), 0.1),
+        (as_arw_spec(SADS_FLOW), x0_of_r(SADS_FLOW, 0.5), None),
+    ],
+    ids=["rw n=3 fixed", "sads lambda<0 fixed", "sads lambda<0 adaptive"],
+)
+def test_flow_takes_each_state_mean_curvature_from_its_last_stage(
+    spec, u0, fixed_step, monkeypatch
+):
+    exact = arwmass.imcf._slice_mean_curvature
+    calls = []
+    monkeypatch.setattr(
+        arwmass.imcf, "_slice_mean_curvature", lambda m, u: calls.append(u) or exact(m, u)
+    )
+    run = imcf_run(spec, u0=u0, t_end=2.0, fixed_step=fixed_step)
+    steps = len(run.states) - 1
+    assert steps >= 10
+    if fixed_step is not None:  # no step is rejected: six stages per step
+        assert len(calls) == 1 + 6 * steps
+    else:
+        assert (len(calls) - 1) % 6 == 0 and len(calls) >= 1 + 6 * steps
+    # the FSAL stage sits at the accepted state, which is why no extra call is needed
+    evaluated = set(calls)
+    for state in run.states:
+        assert state.u in evaluated
+        assert state.mean_curvature == exact(spec.metric, state.u)[0]
+
+
 @pytest.mark.parametrize("count", [1, 0, -2])
 def test_fewer_than_two_leaves_is_a_flow_error(rw, count):
     with pytest.raises(FlowError, match=f"max_leaves must be at least 2, got {count}"):

@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -290,15 +292,58 @@ def test_radius_cache_and_table_are_safe_to_fill_from_several_threads():
         assert expected[tau] == pytest.approx(r, rel=1e-12)
 
 
+SCIPY_PROBE = """
+import json, sys, tempfile
+import arwmass, arwmass.cli
+from arwmass.sads import SAdSParams, as_arw_spec
+spec = as_arw_spec(SAdSParams(3, -1.0, 1.0))
+spec.f.radius(0.5 * spec.a)
+config = {
+    "spacetime": {"kind": "sads", "n": 2, "lambda": -0.7, "mass": 1.1},
+    "command": "imcf",
+    "grid": 8,
+    "imcf": {"t_end": 0.5, "max_leaves": 2},
+    "output": {"format": "json"},
+}
+with tempfile.TemporaryDirectory() as out:
+    code = arwmass.cli.run(config, out)
+print(json.dumps([code, "scipy" in sys.modules]))
+"""
+
+
 def test_package_import_leaves_scipy_unloaded():
-    # scipy is loaded by the first SAdS quadrature, not by the package
+    # neither the import, an SAdS inversion nor an SAdS imcf run loads scipy
     import arwmass
 
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(arwmass.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
-    probe = "import sys, arwmass, arwmass.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [0, False]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("mass", [0.854, 1.7])
+def test_x0_of_r_meets_the_vacuum_closed_form(n, mass):
+    # Lambda = 0: x0(r) = -(2/(n-1)) arcsin(r^{(n-1)/2} / sqrt(m))
+    params = SAdSParams(n, 0.0, mass)
+    r0 = horizon(params)
+    for frac in (1e-6, 1e-3, 0.3, 0.7, 0.9, 0.99):
+        r = frac * r0
+        exact = -(2.0 / (n - 1)) * math.asin(r ** ((n - 1) / 2) / math.sqrt(mass))
+        assert abs(x0_of_r(params, r) - exact) <= 1e-14 * abs(exact)
+
+
+@pytest.mark.parametrize(
+    "frac, rule", [(0.3, "_FAR_WEIGHTS"), (0.9, "_FAR_WEIGHTS"), (0.9, "_NEAR_WEIGHTS")]
+)
+def test_disagreeing_embedded_rules_raise_naming_r(monkeypatch, frac, rule):
+    params = SAdSParams(3, -1.0, 0.854)
+    r = frac * horizon(params)
+    weights = getattr(sads, rule).copy()
+    weights[:, 1] *= 1.01  # the low rule now sums 1% high
+    monkeypatch.setattr(sads, rule, weights)
+    with pytest.raises(GeometryError, match=re.escape(f"quadrature unreliable at r = {r}")):
+        x0_of_r(params, r)
