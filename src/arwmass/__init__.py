@@ -37,7 +37,7 @@ from .mass import (
     slice_mass_integral,
     tcc_check,
 )
-from .imcf import FlowError, flow_diagnostics, imcf_run, mass_along_flow
+from .imcf import FlowError, flow_diagnostics, flow_leaves, imcf_run, mass_along_flow
 from .sads import SAdSParams, as_arw_spec, horizon
 
 __version__ = "0.1.0"
@@ -63,6 +63,7 @@ __all__ = [
     "conformal_residuals",
     "curvature_at",
     "flow_diagnostics",
+    "flow_leaves",
     "gauss_codazzi_residuals",
     "graph_geometry",
     "horizon",

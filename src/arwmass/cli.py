@@ -21,11 +21,12 @@ in JSON) so identical configs produce byte-identical artifacts.
 Exit codes: 0 success; 1 config error (unknown kind/command, missing field,
 unparseable expression, unknown variable, a count below its minimum: grid
 and schedule K at least 2, imcf max_leaves at least 2, check events at least
-1); 2 validation failure (a
-validate/check run whose conditions do not hold, or a domain error, overflow
-included, while evaluating an expression); 3 numerical abort (H <= 0,
-non-spacelike graph, quadrature breakdown, singular linear algebra: numpy's
-LinAlgError, although a ValueError, is not a config error).
+1; an imcf t_end or tolerance that is not a positive finite number); 2
+validation failure (a validate/check run whose conditions do not hold, or a
+domain error, overflow included, while evaluating an expression); 3
+numerical abort (H <= 0, non-spacelike graph, quadrature breakdown, singular
+linear algebra: numpy's LinAlgError, although a ValueError, is not a config
+error).
 
 ARWMASS_THREADS caps the worker threads used for independent sub-reports.
 """
@@ -63,7 +64,7 @@ from .hypersurface import (
     HypersurfaceError,
     gauss_codazzi_residuals,
 )
-from .imcf import FlowError, _select_leaves, imcf_run, mass_along_flow
+from .imcf import FlowError, flow_leaves, mass_along_flow
 from .mass import mass_limit, monotonicity_scan, slab_balance, slice_mass_integral, tcc_check
 
 __all__ = ["ConfigError", "main", "run"]
@@ -127,6 +128,17 @@ def _build_spacetime(config):
         )
         return spec, None
     raise ConfigError(f"unknown spacetime kind '{kind}'")
+
+
+def _positive(section, key: str, default: float, name: str) -> float:
+    """The positive finite number ``section[key]`` (``default`` if absent);
+    ``name`` is the field as the config error names it."""
+    value = float(section.get(key, default))
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    if value <= 0.0:
+        raise ConfigError(f"{name} must be positive, got {value}")
+    return value
 
 
 def _count(section, key: str, default: int, minimum: int, name: str) -> int:
@@ -259,24 +271,25 @@ def _cmd_mass(spec, config, grid, seed):
 def _cmd_imcf(spec, config, grid, seed):
     section = config.get("imcf", {})
     u0 = float(section.get("u0", 0.5 * spec.a))
-    t_end = float(section.get("t_end", 15.0))
-    tolerance = float(section.get("tolerance", 1e-10))
-    # the table keeps the first and the last leaf
+    t_end = _positive(section, "t_end", 15.0, "imcf t_end")
+    tolerance = _positive(section, "tolerance", 1e-10, "imcf tolerance")
+    # the leaves sit at max_leaves evenly spaced flow times, 0 and t_end included
     max_leaves = _count(section, "max_leaves", 32, 2, "imcf max_leaves")
 
-    trajectory = imcf_run(spec, u0, t_end, tolerance=tolerance)
-    states = _select_leaves(trajectory.states, max_leaves)
-    samples = mass_along_flow(spec, [s.u for s in states], grid, max_leaves=None)
+    leaves = flow_leaves(spec, u0, t_end, max_leaves, tolerance=tolerance)
+    samples = mass_along_flow(spec, leaves.u, grid, max_leaves=None)
 
     header = ("t", "u", "H", "f_of_u", "mass_integral", "lemma_quantity")
     rows = [
-        (s.t, s.u, s.mean_curvature, s.f_of_u, m.mass_integral, m.lemma_quantity)
-        for s, m in zip(states, samples)
+        (t, u, h, f, m.mass_integral, m.lemma_quantity)
+        for t, u, h, f, m in zip(
+            leaves.times, leaves.u, leaves.mean_curvature, leaves.f_of_u, samples
+        )
     ]
     payload = {
-        "reached_singularity": trajectory.reached_singularity,
-        "tolerance": trajectory.tolerance,
-        "steps": len(trajectory.states),
+        "reached_singularity": leaves.reached_singularity,
+        "tolerance": tolerance,
+        "panels": leaves.panels,
         "rows": [dict(zip(header, row)) for row in rows],
     }
     return 0, header, rows, payload

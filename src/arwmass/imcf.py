@@ -11,15 +11,29 @@ like e^{-gamma t}, gamma = gamma_tilde / n, and f(u(t)) asymptotically a
 line of slope -1/n.  The mass integral along the leaves reproduces the
 slice-limit mass.
 
-The time stepper is a hand-rolled Dormand-Prince 5(4) pair with PI step
-control.  scipy's solve_ivp is deliberately not used here: the flow needs
-strict-step guards against stepping across tau = 0 (where the conformal
-factor blows up), an FSAL loop costs a dozen lines, and the fixed-step mode
-doubles as the convergence-order probe.
+The flow is autonomous, so its time is one integral,
+
+    t(u) = int_{u0}^{u} e^{psi_tilde} H du,
+
+and :func:`flow_leaves` computes it as such.  In y = -log(-u) the integrand
+dt/dy = e^{psi_tilde} H (-u) is smooth and bounded (constant on the rw
+family).  It is interpolated on panels of 24 Chebyshev points, evaluated in
+one batched slice call per panel, and integrated term by term (Trefethen,
+*Approximation Theory and Approximation Practice*, ch. 19).  The leaves sit
+at fixed flow times; u at each is found by Newton on the integrated series.
+
+:func:`imcf_run` integrates the same flow with a hand-rolled Dormand-Prince
+5(4) pair with PI step control.  It is the trajectory API that
+:func:`flow_diagnostics` reads, its fixed-step mode is the convergence-order
+probe, and it is the independent oracle for :func:`flow_leaves`.  scipy's
+solve_ivp is deliberately not used: the flow needs strict-step guards
+against stepping across tau = 0 (where the conformal factor blows up), and
+an FSAL loop costs a dozen lines.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -42,13 +56,22 @@ __all__ = [
     "FlowError",
     "FlowState",
     "ImcfTrajectory",
+    "FlowLeaves",
     "FlowMassSample",
     "imcf_run",
+    "flow_leaves",
     "flow_diagnostics",
     "mass_along_flow",
 ]
 
 _HALT_U = 1e-12
+
+# Chebyshev panels of flow_leaves: points per panel, first width in
+# y = -log(-u), and the width below which a panel that keeps failing is an
+# error
+_PANEL_POINTS = 24
+_PANEL_WIDTH = 1.0
+_MIN_PANEL_WIDTH = 1e-12
 
 # Dormand-Prince 5(4) tableau (FSAL)
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -95,6 +118,19 @@ class ImcfTrajectory:
 
 
 @dataclass(frozen=True)
+class FlowLeaves:
+    """Leaves of the symmetric flow at fixed flow times: one entry per leaf
+    in each array; ``panels`` counts the accepted quadrature panels."""
+
+    times: np.ndarray
+    u: np.ndarray
+    mean_curvature: np.ndarray
+    f_of_u: np.ndarray
+    reached_singularity: bool
+    panels: int
+
+
+@dataclass(frozen=True)
 class FlowMassSample:
     t: float
     u: float
@@ -110,14 +146,27 @@ def _check_symmetric(spec: ARWSpec) -> None:
         raise FlowError("the scalar flow reduction needs lambda = 0")
 
 
-def _slice_mean_curvature(metric: SpacetimeMetric, u: float) -> tuple[float, float]:
+def _slice_mean_curvature(metric: SpacetimeMetric, u):
     """(H, psi_tilde) of the slice {tau = u}, from one evaluation of the
-    slice fields; H is traced with the induced metric e^{2 psi_tilde} sigma."""
-    event = np.full(metric.n + 1, _FILL_ANGLE)
-    event[0] = u
-    hbar, sigma, p = _slice_second_fundamental(metric, event)
-    g = np.exp(2.0 * p) * sigma
-    return float(np.trace(np.linalg.solve(g, hbar))), float(p)
+    slice fields; H is traced with the induced metric e^{2 psi_tilde} sigma.
+    Floats for a float u, arrays of u's shape for an array."""
+    u = np.asarray(u, dtype=float)
+    events = np.full(u.shape + (metric.n + 1,), _FILL_ANGLE)
+    events[..., 0] = u
+    hbar, sigma, p = _slice_second_fundamental(metric, events)
+    g = np.exp(2.0 * p)[..., None, None] * sigma
+    h_mean = np.trace(np.linalg.solve(g, hbar), axis1=-2, axis2=-1)
+    if u.ndim == 0:
+        return float(h_mean), float(p)
+    return h_mean, p
+
+
+def _check_start(spec: ARWSpec, u0: float, tolerance: float) -> None:
+    _check_symmetric(spec)
+    if not (spec.a < u0 < 0.0):
+        raise FlowError(f"u0 = {u0} outside ({spec.a}, 0)")
+    if tolerance <= 0.0:
+        raise FlowError("tolerance must be positive")
 
 
 def imcf_run(
@@ -133,12 +182,7 @@ def imcf_run(
     Stops early (flagged, not an error) once |u| < 1e-12; aborts with
     FlowError if a mean curvature H <= 0 is encountered.
     """
-    _check_symmetric(spec)
-    if not (spec.a < u0 < 0.0):
-        raise FlowError(f"u0 = {u0} outside ({spec.a}, 0)")
-    if tolerance <= 0.0:
-        raise FlowError("tolerance must be positive")
-
+    _check_start(spec, u0, tolerance)
     metric = spec.metric
 
     def rhs(u: float) -> tuple[float, float]:
@@ -209,6 +253,127 @@ def imcf_run(
 
 class _StepAcross(Exception):
     """Internal: a trial stage crossed tau = 0; halve the step."""
+
+
+@dataclass(frozen=True)
+class _Panel:
+    """An accepted panel: flow time t_a and leaf u_a at its left end, its
+    width in y = -log(-u) and the Chebyshev series of t - t_a on [-1, 1]."""
+
+    t_a: float
+    u_a: float
+    width: float
+    series: np.ndarray
+
+    def leaves(self, times: np.ndarray) -> np.ndarray:
+        """u at flow times inside the panel, by Newton on the series."""
+        cheb = np.polynomial.chebyshev
+        rate = cheb.chebder(self.series)
+        target = times - self.t_a
+        x = -1.0 + 2.0 * target / cheb.chebval(1.0, self.series)
+        for _ in range(50):
+            step = (cheb.chebval(x, self.series) - target) / cheb.chebval(x, rate)
+            x = np.clip(x - step, -1.0, 1.0)
+            if np.max(np.abs(step)) <= 1e-15:
+                break
+        return self.u_a * np.exp(-0.5 * self.width * (x + 1.0))
+
+
+def _panels(spec: ARWSpec, u0: float, t_end: float, tolerance: float) -> tuple:
+    """(accepted panels, t, u) where the quadrature stopped: at the first
+    panel end with t >= t_end, or at the halt slice u = -_HALT_U."""
+    cheb = np.polynomial.chebyshev
+    # Chebyshev-Lobatto points x = cos(theta) and the discrete cosine
+    # transform from values there to the interpolant's coefficients, which
+    # needs no least-squares solve
+    theta = np.linspace(-np.pi, 0.0, _PANEL_POINTS)
+    x = np.cos(theta)
+    fit = np.cos(np.outer(np.arange(_PANEL_POINTS), theta)) * (2.0 / (_PANEL_POINTS - 1))
+    fit[:, [0, -1]] /= 2
+    fit[[0, -1], :] /= 2
+    y_halt = -math.log(_HALT_U)
+    y_a, t_a, u_a = -math.log(-u0), 0.0, float(u0)
+    width = _PANEL_WIDTH
+    panels = []
+    # (H, u) of the node with H <= 0 seen closest to the flow: the flow
+    # cannot cross it, but panels shrink toward it until the flow either
+    # reaches t_end or stalls there
+    stall = None
+    while True:
+        last = y_a + width >= y_halt
+        w = y_halt - y_a if last else width
+        u = u_a * np.exp(-0.5 * w * (x + 1.0))
+        h_mean, p = _slice_mean_curvature(spec.metric, u)
+        bad = np.flatnonzero(~(h_mean > 0.0))
+        if bad.size:
+            if stall is None or u[bad[0]] < stall[1]:
+                stall = (h_mean[bad[0]], u[bad[0]])
+            accepted = False
+        else:
+            coef = fit @ (np.exp(p) * h_mean * -u)
+            accepted = abs(coef[-1]) + abs(coef[-2]) <= tolerance * np.max(np.abs(coef))
+        if not accepted:
+            # the flow already stands at the left end, before t_end
+            if (bad.size and bad[0] == 0) or w / 2 < _MIN_PANEL_WIDTH:
+                if stall is not None:
+                    raise FlowError(f"mean curvature {stall[0]:.6e} <= 0 at u = {stall[1]:.6e}")
+                raise FlowError(f"flow quadrature does not converge at u = {u_a:.6e}")
+            width = w / 2
+            continue
+        series = cheb.chebint(coef, lbnd=-1.0, scl=0.5 * w)
+        panels.append(_Panel(t_a, u_a, w, series))
+        t_a += float(cheb.chebval(1.0, series))
+        y_a, u_a = y_a + w, float(u[-1])
+        width = min(_PANEL_WIDTH, 2.0 * w)
+        if t_a >= t_end or last:
+            return panels, t_a, u_a
+
+
+def flow_leaves(
+    spec: ARWSpec,
+    u0: float,
+    t_end: float,
+    count: int,
+    tolerance: float = 1e-10,
+) -> FlowLeaves:
+    """Leaves of the symmetric flow from the slice u0 at the ``count`` flow
+    times linspace(0, t_end, count), from one quadrature of t(u).
+
+    A panel is accepted when its two last Chebyshev coefficients total at
+    most ``tolerance`` times the largest; otherwise it is halved.  If the
+    flow reaches the halt slice |u| = 1e-12 before t_end, the leaves stop
+    there and the halt leaf is the last one (flagged, not an error).  A
+    mean curvature H <= 0 met before t_end raises FlowError.
+    """
+    _check_start(spec, u0, tolerance)
+    if not (0.0 < t_end < math.inf):
+        raise FlowError(f"t_end must be positive and finite, got {t_end}")
+    if count < 2:
+        raise FlowError(f"count must be at least 2, got {count}")
+    panels, t_stop, u_stop = _panels(spec, u0, t_end, tolerance)
+    reached = t_stop < t_end
+
+    times = np.linspace(0.0, t_end, count)
+    # each panel holds the sorted times from its start to the next one's
+    ends = [panel.t_a for panel in panels[1:]] + [t_stop if reached else math.inf]
+    sorted_times, pieces, lo = times.tolist(), [], 0
+    for panel, t_b in zip(panels, ends):
+        hi = bisect.bisect_left(sorted_times, t_b)
+        if hi > lo:
+            pieces.append(panel.leaves(times[lo:hi]))
+        lo = hi
+    times, u = times[:lo], np.concatenate(pieces)
+    if reached:
+        times, u = np.append(times, t_stop), np.append(u, u_stop)
+    h_mean, _ = _slice_mean_curvature(spec.metric, u)
+    return FlowLeaves(
+        times=times,
+        u=u,
+        mean_curvature=h_mean,
+        f_of_u=np.array([spec.f.value(float(v)) for v in u]),
+        reached_singularity=reached,
+        panels=len(panels),
+    )
 
 
 def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:

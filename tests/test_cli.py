@@ -380,3 +380,48 @@ def test_singular_linear_algebra_exits_three(tmp_path, monkeypatch, capsys):
     config = dict(RW_MASS, command="validate", output={"path": str(tmp_path / "out")})
     assert main([write_config(tmp_path, config)]) == 3
     assert capsys.readouterr().err == "numerical abort: Singular matrix\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("t_end", 0.0, "imcf t_end must be positive, got 0.0"),
+        ("t_end", -2.0, "imcf t_end must be positive, got -2.0"),
+        ("t_end", math.nan, "imcf t_end must be finite, got nan"),
+        ("t_end", math.inf, "imcf t_end must be finite, got inf"),
+        ("tolerance", 0.0, "imcf tolerance must be positive, got 0.0"),
+        ("tolerance", -1e-10, "imcf tolerance must be positive, got -1e-10"),
+        ("tolerance", math.nan, "imcf tolerance must be finite, got nan"),
+        ("tolerance", math.inf, "imcf tolerance must be finite, got inf"),
+    ],
+)
+def test_imcf_t_end_and_tolerance_must_be_positive_and_finite(
+    tmp_path, field, value, message, capsys
+):
+    config = dict(
+        SMALL_IMCF,
+        imcf=dict(SMALL_IMCF["imcf"], **{field: value}),
+        output={"path": str(tmp_path / "out")},
+    )
+    assert main([write_config(tmp_path, config)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out" / "imcf.csv").exists()
+
+
+def test_imcf_leaves_sit_at_fixed_flow_times(tmp_path):
+    for fmt in ("csv", "json"):
+        config = dict(
+            SMALL_IMCF,
+            imcf={"u0": -0.25, "t_end": 7.0, "max_leaves": 9},
+            output={"path": str(tmp_path / fmt), "format": fmt},
+        )
+        assert main([write_config(tmp_path, config)]) == 0
+    times = np.linspace(0.0, 7.0, 9).tolist()
+    _, rows = read_rows(tmp_path / "csv" / "imcf.csv")
+    assert [float(row["t"]) for row in rows] == times
+    payload = json.loads((tmp_path / "json" / "imcf.json").read_text())
+    assert [row["t"] for row in payload["rows"]] == times
+    assert set(payload) == {
+        "config_digest", "reached_singularity", "tolerance", "panels", "rows"
+    }
+    assert payload["panels"] >= 1 and not payload["reached_singularity"]

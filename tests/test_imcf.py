@@ -23,6 +23,7 @@ from arwmass.hypersurface import (
 from arwmass.imcf import (
     FlowError,
     flow_diagnostics,
+    flow_leaves,
     imcf_run,
     mass_along_flow,
 )
@@ -284,3 +285,145 @@ def test_two_leaves_keep_the_first_and_the_last(rw):
     assert arwmass.imcf._select_leaves(leaves, 2) == [-0.5, -0.1]
     samples = mass_along_flow(rw, leaves, quadrature_grid(3, 8), max_leaves=2)
     assert [sample.u for sample in samples] == [-0.5, -0.1]
+
+
+# ---------------------------------------------------------------------------
+# flow_leaves: the flow time t(u) as one Chebyshev quadrature
+
+
+@pytest.mark.parametrize(
+    "n, omega, k",
+    [(2, 1.5, 0.8), (2, 1.2, 1.7), (2, 1.8, 0.5), (3, 1.0, 1.0), (3, 0.8, 2.0), (3, 1.2, 1.3)],
+)
+def test_flow_leaves_meet_the_rw_closed_form(n, omega, k):
+    spec = rw_family_spec(n, omega, k=k, a=-1.0)
+    leaves = flow_leaves(spec, -0.5, 15.0, 32)
+    assert not leaves.reached_singularity
+    assert np.array_equal(leaves.times, np.linspace(0.0, 15.0, 32))
+    gamma_tilde = 0.5 * (n + omega - 2.0)
+    exact = -0.5 * np.exp(-gamma_tilde * leaves.times / n)
+    assert np.all(np.abs(leaves.u - exact) <= 1e-13 * np.abs(leaves.u))
+    assert leaves.u[0] == -0.5
+    for u, h_mean, f_of_u in zip(leaves.u, leaves.mean_curvature, leaves.f_of_u):
+        assert abs(h_mean - arwmass.imcf._slice_mean_curvature(spec.metric, u)[0]) <= (
+            1e-14 * h_mean
+        )
+        assert f_of_u == spec.f.value(u)
+
+
+SADS_FLAT = SAdSParams(2, 0.0, 1.0)
+QUADRATURE_CASES = [
+    (make_spec(3, 1.0, "log(-tau)", a=-1.0, psi="0.05*exp(tau)"), -0.5),
+    (as_arw_spec(SADS_FLOW), x0_of_r(SADS_FLOW, 0.5)),
+    (as_arw_spec(SADS_FLAT), x0_of_r(SADS_FLAT, 0.5)),
+]
+QUADRATURE_IDS = ["custom psi(tau)", "sads n=3 lambda<0", "sads n=2 lambda=0"]
+
+
+@pytest.mark.parametrize("spec, u0", QUADRATURE_CASES, ids=QUADRATURE_IDS)
+def test_flow_leaves_agree_with_the_stepper_at_its_states(spec, u0):
+    run = imcf_run(spec, u0=u0, t_end=3.0, tolerance=1e-12)
+    checked = run.states[1::8] + run.states[-1:]
+    assert len(checked) >= 8
+    for state in checked:
+        leaves = flow_leaves(spec, u0, state.t, 2)
+        assert leaves.times[-1] == state.t
+        assert abs(leaves.u[-1] - state.u) <= 1e-10 * abs(state.u)
+
+
+@pytest.mark.parametrize("spec, u0", QUADRATURE_CASES[1:], ids=QUADRATURE_IDS[1:])
+def test_flow_leaves_do_not_depend_on_the_panel_tolerance(spec, u0):
+    loose = flow_leaves(spec, u0, 15.0, 32, tolerance=1e-10)
+    tight = flow_leaves(spec, u0, 15.0, 32, tolerance=1e-13)
+    assert np.all(np.abs(loose.u - tight.u) <= 1e-12 * np.abs(tight.u))
+
+
+def test_panels_halve_where_the_integrand_needs_it():
+    # psi oscillates in y = -log(-u), so a panel of width 1 is not resolved
+    spec = make_spec(3, 1.0, "log(-tau)", a=-1.0, psi="0.01*sin(60*log(-tau))")
+    loose = flow_leaves(spec, -0.9, 6.0, 8, tolerance=1e-8)
+    leaves = flow_leaves(spec, -0.9, 6.0, 8, tolerance=1e-10)
+    tight = flow_leaves(spec, -0.9, 6.0, 8, tolerance=1e-13)
+    span = math.log(0.9 / -leaves.u[-1])  # the width in y the flow covered
+    assert leaves.panels > loose.panels > span
+    assert np.all(np.abs(leaves.u - tight.u) <= 1e-12 * np.abs(tight.u))
+    run = imcf_run(spec, u0=-0.9, t_end=6.0, tolerance=1e-12)
+    assert abs(leaves.u[-1] - run.states[-1].u) <= 1e-10 * abs(run.states[-1].u)
+
+
+@pytest.mark.parametrize(
+    "spec, u0",
+    [(rw_family_spec(3, 1.0, k=1.0, a=-1.0), -0.5), *QUADRATURE_CASES[1:]],
+    ids=["rw n=3", *QUADRATURE_IDS[1:]],
+)
+def test_an_ulp_of_u0_barely_moves_the_leaves(spec, u0):
+    leaves = flow_leaves(spec, u0, 15.0, 32)
+    for nudged in (np.nextafter(u0, 0.0), np.nextafter(u0, -1.0)):
+        moved = flow_leaves(spec, nudged, 15.0, 32)
+        assert np.array_equal(moved.times, leaves.times)
+        assert np.all(np.abs(moved.u - leaves.u) <= 1e-13 * np.abs(leaves.u))
+
+
+def test_flow_leaves_stop_at_the_halt_slice(rw):
+    # u = -0.5 e^{-t/3} reaches u = -1e-12 at t = 3 log(0.5e12), before t_end
+    leaves = flow_leaves(rw, -0.5, 100.0, 32)
+    assert leaves.reached_singularity
+    t_halt = 3.0 * math.log(0.5 / arwmass.imcf._HALT_U)
+    assert abs(leaves.times[-1] - t_halt) <= 1e-13 * t_halt
+    assert abs(leaves.u[-1] + arwmass.imcf._HALT_U) <= 1e-13 * arwmass.imcf._HALT_U
+    grid = np.linspace(0.0, 100.0, 32)
+    assert np.array_equal(leaves.times[:-1], grid[grid < t_halt])
+    assert (np.diff(leaves.times) > 0).all() and (np.diff(leaves.u) > 0).all()
+    assert not flow_leaves(rw, -0.5, 80.0, 32).reached_singularity
+
+
+STALLING = make_spec(3, 1.0, "log(-tau)", a=-1.0, psi="-0.01/tau")
+
+
+def test_flow_leaves_abort_where_the_mean_curvature_flips():
+    # H changes sign near u = -0.01, which the flow reaches before t = 10
+    with pytest.raises(FlowError, match="mean curvature") as info:
+        flow_leaves(STALLING, -0.5, 30.0, 8)
+    u = float(str(info.value).rsplit("u = ", 1)[1])
+    assert u == pytest.approx(-0.01, rel=1e-3)
+    with pytest.raises(FlowError, match="mean curvature"):
+        imcf_run(STALLING, u0=-0.5, t_end=30.0)
+
+
+def test_a_sign_flip_beyond_t_end_does_not_abort():
+    leaves = flow_leaves(STALLING, -0.5, 1.0, 8)
+    run = imcf_run(STALLING, u0=-0.5, t_end=1.0, tolerance=1e-12)
+    assert abs(leaves.u[-1] - run.states[-1].u) <= 1e-10 * abs(run.states[-1].u)
+    # the same flow close to the sign flip: panels shrink toward it
+    near = flow_leaves(STALLING, -0.5, 8.0, 8)
+    assert near.u[-1] < -0.01 and (near.mean_curvature > 0).all()
+
+
+@pytest.mark.parametrize(
+    "t_end, count, tolerance, message",
+    [
+        (0.0, 8, 1e-10, "t_end must be positive and finite, got 0.0"),
+        (math.nan, 8, 1e-10, "t_end must be positive and finite, got nan"),
+        (math.inf, 8, 1e-10, "t_end must be positive and finite, got inf"),
+        (1.0, 1, 1e-10, "count must be at least 2, got 1"),
+        (1.0, 8, 0.0, "tolerance must be positive"),
+    ],
+)
+def test_flow_leaves_reject_bad_arguments(rw, t_end, count, tolerance, message):
+    with pytest.raises(FlowError, match=message):
+        flow_leaves(rw, -0.5, t_end, count, tolerance=tolerance)
+
+
+@pytest.mark.parametrize(
+    "spec, u0",
+    [(rw_family_spec(2, 1.5, k=0.8, a=-1.0), -0.5), *QUADRATURE_CASES],
+    ids=["rw n=2", *QUADRATURE_IDS],
+)
+def test_slice_mean_curvature_on_an_array_matches_each_float(spec, u0):
+    u = np.linspace(u0, 0.1 * u0, 9)
+    h_mean, psi_tilde = arwmass.imcf._slice_mean_curvature(spec.metric, u)
+    assert h_mean.shape == psi_tilde.shape == (9,)
+    for i, ui in enumerate(u):
+        h_ref, p_ref = arwmass.imcf._slice_mean_curvature(spec.metric, float(ui))
+        assert abs(h_mean[i] - h_ref) <= 1e-14 * abs(h_ref)
+        assert abs(psi_tilde[i] - p_ref) <= 1e-14 * max(abs(p_ref), 1.0)
