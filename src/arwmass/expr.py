@@ -13,9 +13,15 @@ Neg(Num(1.5)).  Known functions: exp, log, sin, cos, tan, sqrt, abs.
 ``a^b`` with a non-integer exponent means exp(b*log(a)) and requires a > 0;
 integer exponents follow ordinary powers (negative bases allowed).
 
-Differentiation returns a closed expression in the same grammar.  The only
-simplification performed anywhere is constant folding: subtrees without free
-variables collapse to literals, everything else is left alone.
+Differentiation returns a closed expression in the same grammar, and it is
+sparse: a subtree free of the variable has derivative Num(0.0), which drops
+every product term it would multiply, and a factor Num(1.0) is dropped from
+its product.  Every term it keeps is the full product- or chain-rule term,
+so wherever the full derivative evaluates finite the sparse one has the
+same value; it raises at most where the full one raises, since the dropped
+terms can raise on their own (0.0 * log(-tau) at tau > 0).  The only other
+simplification is constant folding: subtrees without free variables
+collapse to literals, everything else is left alone.
 
 Trees compile to plain Python functions.  ``compile_jet`` compiles a whole
 list of trees at once, typically a field's value, gradient and Hessian, into
@@ -448,7 +454,7 @@ def _fold(expr: Expression) -> tuple[Expression, bool]:
     if not variable:
         try:
             return Num(_eval(folded, {})), False
-        except EvaluationError:
+        except (EvaluationError, ArithmeticError):
             pass
     return folded, variable
 
@@ -457,7 +463,11 @@ def differentiate(expr: Expression, var: str, order: int = 1) -> Expression:
     """Symbolic derivative of ``expr`` w.r.t. ``var``, applied ``order`` times.
 
     The result is a closed expression in the same grammar with constant
-    subtrees folded.
+    subtrees folded and no structurally zero term: a derivative that is
+    identically zero is Num(0.0) itself.  It is undefined at most where
+    ``expr`` is, but may be defined where ``expr`` is not (d/dtau of
+    2*log(-tau) is 2.0 * (-1.0 / -tau)); ``fields`` evaluates the primitive
+    first wherever that matters.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -467,50 +477,83 @@ def differentiate(expr: Expression, var: str, order: int = 1) -> Expression:
     return node
 
 
+_ZERO = Num(0.0)
+_ONE = Num(1.0)
+
+
+def _is(node: Expression, value: float) -> bool:
+    return isinstance(node, Num) and node.value == value
+
+
+def _times(a: Expression, b: Expression) -> Expression:
+    """a * b, with a structural zero absorbing and a structural one dropped."""
+    if _is(a, 0.0) or _is(b, 0.0):
+        return _ZERO
+    if _is(a, 1.0):
+        return b
+    if _is(b, 1.0):
+        return a
+    return BinOp("*", a, b)
+
+
+def _plus(op: str, a: Expression, b: Expression) -> Expression:
+    """a + b or a - b, dropping a structurally zero term."""
+    if _is(b, 0.0):
+        return a
+    if _is(a, 0.0):
+        return b if op == "+" else Neg(b)
+    return BinOp(op, a, b)
+
+
 def _diff(expr: Expression, var: str) -> Expression:
+    """d expr / d var, sparse as the module docstring says: each kept term
+    is the full rule's term in the same order and association."""
     if isinstance(expr, (Num, Const)):
-        return Num(0.0)
+        return _ZERO
     if isinstance(expr, Var):
-        return Num(1.0) if expr.name == var else Num(0.0)
+        return _ONE if expr.name == var else _ZERO
     if isinstance(expr, Neg):
-        return Neg(_diff(expr.operand, var))
+        d = _diff(expr.operand, var)
+        return _ZERO if _is(d, 0.0) else Neg(d)
     if isinstance(expr, BinOp):
         a, b = expr.left, expr.right
         da, db = _diff(a, var), _diff(b, var)
-        if expr.op == "+":
-            return BinOp("+", da, db)
-        if expr.op == "-":
-            return BinOp("-", da, db)
+        if _is(da, 0.0) and _is(db, 0.0):
+            return _ZERO
+        if expr.op in "+-":
+            return _plus(expr.op, da, db)
         if expr.op == "*":
-            return BinOp("+", BinOp("*", da, b), BinOp("*", a, db))
+            return _plus("+", _times(da, b), _times(a, db))
         if expr.op == "/":
-            num = BinOp("-", BinOp("*", da, b), BinOp("*", a, db))
+            num = _plus("-", _times(da, b), _times(a, db))
             return BinOp("/", num, BinOp("^", b, Num(2.0)))
         # power rules: constant exponent, constant base, then the general form
         if not free_variables(b):
-            dpow = BinOp("*", b, BinOp("^", a, BinOp("-", b, Num(1.0))))
-            return BinOp("*", dpow, da)
+            dpow = BinOp("*", b, BinOp("^", a, BinOp("-", b, _ONE)))
+            return _times(dpow, da)
         if not free_variables(a):
-            return BinOp("*", BinOp("*", expr, Call("log", a)), db)
-        bracket = BinOp("+", BinOp("*", db, Call("log", a)), BinOp("/", BinOp("*", b, da), a))
-        return BinOp("*", expr, bracket)
+            return _times(BinOp("*", expr, Call("log", a)), db)
+        by_base = _ZERO if _is(da, 0.0) else BinOp("/", _times(b, da), a)
+        return BinOp("*", expr, _plus("+", _times(db, Call("log", a)), by_base))
     if isinstance(expr, Call):
         a = expr.arg
         da = _diff(a, var)
+        if _is(da, 0.0):
+            return _ZERO
         if expr.fn == "exp":
-            return BinOp("*", expr, da)
+            return _times(expr, da)
         if expr.fn == "log":
             return BinOp("/", da, a)
         if expr.fn == "sin":
-            return BinOp("*", Call("cos", a), da)
+            return _times(Call("cos", a), da)
         if expr.fn == "cos":
-            return BinOp("*", Neg(Call("sin", a)), da)
+            return _times(Neg(Call("sin", a)), da)
         if expr.fn == "tan":
-            return BinOp("*", BinOp("+", Num(1.0), BinOp("^", expr, Num(2.0))), da)
+            return _times(BinOp("+", _ONE, BinOp("^", expr, Num(2.0))), da)
         if expr.fn == "sqrt":
             return BinOp("/", da, BinOp("*", Num(2.0), expr))
         # abs: a/|a| * a', undefined at 0 like the derivative itself
-        return BinOp("*", BinOp("/", a, expr), da)
+        return _times(BinOp("/", a, expr), da)
     raise TypeError(f"not an expression node: {expr!r}")
 
 

@@ -94,7 +94,12 @@ class ExprField(ScalarField):
     """Field backed by an expression; partials are symbolic, then compiled.
 
     A jet is compiled into one function per order, scalar and vectorized,
-    on first use.  Its scalar values are bit-identical to ``partial``.
+    on first use.  Its scalar values are bit-identical to ``partial``.  A
+    partial raises wherever the field itself raises, although its sparse
+    derivative tree may be defined there, because ``partial`` evaluates the
+    value first; a jet always includes the value.  A partial that is
+    structurally zero is 0.0 wherever the field is defined, even where a
+    sibling partial raises (d/dtau of sqrt(theta1) at theta1 = 0).
     """
 
     def __init__(self, expr: Expression, dim: int):
@@ -125,6 +130,8 @@ class ExprField(ScalarField):
             fn = compile_expression(self._expression(key), self._names)
             self._compiled[key] = fn
         try:
+            if key:  # a derivative raises wherever the field itself does
+                self._compiled[()](*event[: self.dim])
             return fn(*event[: self.dim])
         except (EvaluationError, ArithmeticError, ValueError) as exc:
             point = np.asarray(event[: self.dim], dtype=float).tolist()
@@ -208,7 +215,11 @@ class TimeFunction(ABC):
 
 
 class ExprTimeFunction(TimeFunction):
-    """Time profile backed by an expression in tau (any derivative order)."""
+    """Time profile backed by an expression in tau (any derivative order).
+
+    A derivative raises wherever the profile itself raises: the profile is
+    evaluated first.
+    """
 
     max_order = 6
 
@@ -226,6 +237,8 @@ class ExprTimeFunction(TimeFunction):
             self._exprs.append(nxt)
             self._compiled.append(compile_expression(nxt, ("tau",)))
         try:
+            if order:  # a derivative raises wherever the profile itself does
+                self._compiled[0](tau)
             return self._compiled[order](tau)
         except (EvaluationError, ArithmeticError, ValueError) as exc:
             raise DomainError(f"{exc} at tau = {tau}") from None

@@ -7,10 +7,12 @@ from arwmass.expr import (
     BinOp,
     Call,
     DomainError,
+    Neg,
     Num,
     ParseError,
     UnboundVariableError,
     Var,
+    _emit_program,
     compile_expression,
     differentiate,
     evaluate,
@@ -106,6 +108,14 @@ def test_fold_constants_collapses_numeric_subtrees():
     assert folded == BinOp("*", Num(2.0), Var("tau"))
 
 
+def test_fold_constants_leaves_an_overflowing_subtree_intact():
+    # like log(-1), the overflow surfaces when the tree is evaluated
+    expr = parse("1e-192^-2 * tau")
+    assert fold_constants(expr) == expr
+    with pytest.raises((OverflowError, DomainError)):
+        evaluate(expr, {"tau": 1.0})
+
+
 @pytest.mark.parametrize(
     "source, var",
     [
@@ -137,6 +147,36 @@ def test_second_derivative():
 def test_derivative_of_unrelated_variable_is_zero():
     expr = parse("sin(theta1)")
     assert evaluate(differentiate(expr, "tau"), {"theta1": 0.3}) == 0.0
+    assert differentiate(expr, "tau") == Num(0.0)
+
+
+def _nodes(expr):
+    yield expr
+    if isinstance(expr, Neg):
+        yield from _nodes(expr.operand)
+    elif isinstance(expr, Call):
+        yield from _nodes(expr.arg)
+    elif isinstance(expr, BinOp):
+        yield from _nodes(expr.left)
+        yield from _nodes(expr.right)
+
+
+def test_derivative_writes_no_zero_terms():
+    deriv = differentiate(parse("2*log(-tau)"), "tau")
+    products = [node for node in _nodes(deriv) if isinstance(node, BinOp) and node.op == "*"]
+    assert products
+    assert not any(Num(0.0) in (node.left, node.right) for node in products)
+
+
+def test_jet_program_stays_small():
+    # the sigma_11 field of a custom n = 2 spec with an angular lambda
+    sigma = parse("exp(2*(sin(theta1)^2*(0.03*cos(theta1))))*sin(theta1)^2")
+    names = ("tau", "theta1", "theta2")
+    jet = [sigma] + [differentiate(sigma, name) for name in names]
+    for i, first in enumerate(names):
+        jet += [differentiate(jet[1 + i], second) for second in names[i:]]
+    lines, _ = _emit_program(tuple(jet), names)
+    assert len(lines) <= 60
 
 
 def test_compile_matches_evaluate():

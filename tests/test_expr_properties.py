@@ -7,6 +7,8 @@ same trees each time.
 import math
 import struct
 
+import numpy as np
+import numpy.testing as npt
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,8 @@ from arwmass.expr import (
     compile_jet,
     differentiate,
     evaluate,
+    fold_constants,
+    free_variables,
     parse,
     to_source,
 )
@@ -102,3 +106,121 @@ def test_derivative_agrees_with_central_differences(expr, x, tau):
     exact = evaluate(differentiate(expr, "x"), {"x": x, "tau": tau, "theta1": 0.5})
     scale = max(1.0, abs(exact), abs(f(x - h)), abs(f(x)), abs(f(x + h)))
     assert math.isclose(exact, estimate, rel_tol=0.0, abs_tol=1e-6 * scale)
+
+
+# ---------------------------------------------------------------------------
+# the sparse derivative against the dense one it replaced
+
+
+def _dense_diff(expr, var):
+    """Every product- and chain-rule term, structurally zero ones included."""
+    if isinstance(expr, (Num, Const)):
+        return Num(0.0)
+    if isinstance(expr, Var):
+        return Num(1.0) if expr.name == var else Num(0.0)
+    if isinstance(expr, Neg):
+        return Neg(_dense_diff(expr.operand, var))
+    if isinstance(expr, BinOp):
+        a, b = expr.left, expr.right
+        da, db = _dense_diff(a, var), _dense_diff(b, var)
+        if expr.op == "+":
+            return BinOp("+", da, db)
+        if expr.op == "-":
+            return BinOp("-", da, db)
+        if expr.op == "*":
+            return BinOp("+", BinOp("*", da, b), BinOp("*", a, db))
+        if expr.op == "/":
+            num = BinOp("-", BinOp("*", da, b), BinOp("*", a, db))
+            return BinOp("/", num, BinOp("^", b, Num(2.0)))
+        if not free_variables(b):
+            dpow = BinOp("*", b, BinOp("^", a, BinOp("-", b, Num(1.0))))
+            return BinOp("*", dpow, da)
+        if not free_variables(a):
+            return BinOp("*", BinOp("*", expr, Call("log", a)), db)
+        bracket = BinOp("+", BinOp("*", db, Call("log", a)), BinOp("/", BinOp("*", b, da), a))
+        return BinOp("*", expr, bracket)
+    a = expr.arg
+    da = _dense_diff(a, var)
+    if expr.fn == "exp":
+        return BinOp("*", expr, da)
+    if expr.fn == "log":
+        return BinOp("/", da, a)
+    if expr.fn == "sin":
+        return BinOp("*", Call("cos", a), da)
+    if expr.fn == "cos":
+        return BinOp("*", Neg(Call("sin", a)), da)
+    if expr.fn == "tan":
+        return BinOp("*", BinOp("+", Num(1.0), BinOp("^", expr, Num(2.0))), da)
+    if expr.fn == "sqrt":
+        return BinOp("/", da, BinOp("*", Num(2.0), expr))
+    return BinOp("*", BinOp("/", a, expr), da)
+
+
+def _dense_differentiate(expr, var):
+    return fold_constants(_dense_diff(expr, var))
+
+
+def _size(expr):
+    if isinstance(expr, (Neg, Call)):
+        return 1 + _size(expr.operand if isinstance(expr, Neg) else expr.arg)
+    if isinstance(expr, BinOp):
+        return 1 + _size(expr.left) + _size(expr.right)
+    return 1
+
+
+@PROPERTY
+@given(
+    TREES,
+    st.sampled_from(VARIABLES),
+    st.floats(-20.0, 20.0),
+    st.floats(-20.0, 20.0),
+    st.floats(-20.0, 20.0),
+)
+@example(parse("2*log(-tau)"), "tau", 0.0, 0.5, 0.0)
+@example(parse("sqrt(theta1)"), "tau", 0.0, 0.5, 0.0)
+def test_sparse_derivative_is_the_dense_one_without_its_zero_terms(expr, var, x, tau, theta1):
+    sparse, dense = differentiate(expr, var), _dense_differentiate(expr, var)
+    assert _size(sparse) <= _size(dense)
+    at = {"x": x, "tau": tau, "theta1": theta1}
+    dense_value = _outcome(lambda: evaluate(dense, at))
+    sparse_value = _outcome(lambda: evaluate(sparse, at))
+    if sparse_value == ("raised",):
+        assert dense_value == ("raised",)
+    if dense_value != ("raised",):
+        (value,) = struct.unpack("<d", dense_value[1])
+        if math.isfinite(value):
+            assert struct.unpack("<d", sparse_value[1])[0] == value
+
+
+_POINTS = np.random.default_rng(0).uniform(-1.0, 1.0, (3, 16))
+
+
+def _jet_trees(expr, derive):
+    first = {var: derive(expr, var) for var in VARIABLES}
+    second = [
+        derive(first[VARIABLES[i]], VARIABLES[j])
+        for i in range(len(VARIABLES))
+        for j in range(i, len(VARIABLES))
+    ]
+    return [expr, *first.values(), *second]
+
+
+def _vectorized_jet(trees):
+    _, vectorized = compile_jet(trees, VARIABLES)
+    try:
+        values = vectorized(*_POINTS)
+    except EvaluationError:
+        return None
+    return np.array([np.broadcast_to(value, _POINTS.shape[1:]) for value in values])
+
+
+@PROPERTY
+@given(SMOOTH)
+def test_sparse_vectorized_jet_agrees_with_the_dense_one(expr):
+    dense = _vectorized_jet(_jet_trees(expr, _dense_differentiate))
+    sparse = _vectorized_jet(_jet_trees(expr, differentiate))
+    if dense is None:
+        return
+    assert sparse is not None
+    finite = np.isfinite(dense)
+    npt.assert_allclose(sparse[finite], dense[finite], rtol=1e-15, atol=0.0)

@@ -330,3 +330,31 @@ def test_scalar_overflow_is_a_domain_error_naming_the_point():
         profile.derivative(-1.0, 2)
     with pytest.raises(DomainError, match=r"at tau = -2\.0"):
         profile.derivative(-2.0, 0)
+
+
+def test_a_derivative_raises_wherever_its_profile_does():
+    # d/dtau of 2*log(-tau) is 2*(-1/-tau), which alone is finite at tau > 0
+    profile = ExprTimeFunction(parse("2*log(-tau)"))
+    assert profile.derivative(-0.5, 1) == -4.0
+    with pytest.raises(DomainError, match=r"at tau = 0\.5"):
+        profile.derivative(0.5, 1)
+
+
+def test_a_partial_raises_wherever_its_field_does():
+    # log(cos(theta1) + 0.5) is undefined past theta1 = 2 pi / 3; its tau
+    # partial is structurally zero
+    field = ExprField(parse("log(cos(theta1) + 0.5)"), 3)
+    assert field.partial(np.array([-0.5, 1.0, 0.3]), (0,)) == 0.0
+    with pytest.raises(DomainError, match=r"at event \[-0\.5, 2\.5, 0\.3\]"):
+        field.partial(np.array([-0.5, 2.5, 0.3]), (0,))
+
+
+def test_a_structurally_zero_partial_does_not_raise_on_its_own():
+    # d/dtheta1 sqrt(theta1) divides by zero at theta1 = 0, d/dtau does not
+    field = ExprField(parse("sqrt(theta1)"), 3)
+    event = np.array([-0.5, 0.0, 0.3])
+    assert field.partial(event, (0,)) == 0.0
+    with pytest.raises(DomainError, match="division by zero"):
+        field.partial(event, (1,))
+    with pytest.raises(DomainError, match=r"at event \[-0\.5, 0\.0, 0\.3\]"):
+        field.jet(event, 1)
