@@ -9,12 +9,18 @@ Every function takes one event of shape (dim,) or an array of events of
 shape (..., dim).  curvature_batch assembles all of its events in one
 vectorized pass through curvature_from_jets, the package's one curvature
 stack (a graph's induced metric goes through it too), whose bundle carries
-the Christoffel symbols.  The two checks feed it blocks of at most
+the Christoffel symbols.  Its contractions are the stacked matrix products
+of the tensors module, one small product per event: Gamma, d Gamma from
+g^ad (1/2 d_e bracket_dbc - d_e g_dm Gamma^m_bc), the Gamma Gamma term of
+Riemann and R_abcd = g_ae R^e_bcd.  _assemble returns the metric jets of
+the assembly with its bundle, so that a caller also reading psi_tilde or
+sigma at the same events (the conformal check, slice integrals, the slab)
+need not evaluate them again.  The two checks feed it blocks of at most
 _BLOCK_EVENTS events (stencil points included), since an assembly holds up
-to ~19 kB per event at its peak (metric_jets plus curvature_from_jets,
-under tracemalloc); any number of events then runs in bounded memory, and
-the divergence makes one assembly per block.  They return floats for one
-event and arrays with the events' leading axes for a batch.
+to ~12 kB per event at its peak (metric_jets plus curvature_from_jets, 96
+events, under tracemalloc); any number of events then runs in bounded
+memory, and the divergence makes one assembly per block.  They return
+floats for one event and arrays with the events' leading axes for a batch.
 """
 
 from __future__ import annotations
@@ -25,7 +31,14 @@ import numpy as np
 
 from . import tensors
 from .fields import split_jet
-from .geometry import ARWSpec, GeometryError, SpacetimeMetric, metric_jets, _invert_metric
+from .geometry import (
+    ARWSpec,
+    GeometryError,
+    MetricJets,
+    SpacetimeMetric,
+    _invert_metric,
+    metric_jets,
+)
 
 __all__ = [
     "CurvatureBundle",
@@ -68,8 +81,16 @@ def curvature_batch(metric: SpacetimeMetric, events) -> CurvatureBundle:
     event to rounding (numpy may sum a contraction in another order), and
     raises the errors :func:`curvature_at` raises, naming the event.
     """
-    g, dg, ddg = metric_jets(metric, events, order=2)
-    return curvature_from_jets(g, dg, ddg, _invert_metric(g, events))
+    return _assemble(metric, events)[1]
+
+
+def _assemble(metric: SpacetimeMetric, events) -> tuple[MetricJets, CurvatureBundle]:
+    """The order-2 :func:`metric_jets` at events of shape (..., dim) and the
+    curvature bundle built from them: :func:`curvature_batch` together with
+    the field jets of the same evaluation, for callers that also read
+    psi_tilde or sigma there."""
+    jets = metric_jets(metric, events, order=2)
+    return jets, curvature_from_jets(jets.g, jets.dg, jets.ddg, _invert_metric(jets.g, events))
 
 
 def curvature_from_jets(g, dg, ddg, g_inv) -> CurvatureBundle:
@@ -81,7 +102,7 @@ def curvature_from_jets(g, dg, ddg, g_inv) -> CurvatureBundle:
     gamma = tensors.christoffel(g_inv, dg)
     dgamma = tensors.christoffel_derivative(g_inv, dg, ddg)
     riem = tensors.riemann_up(gamma, dgamma)
-    riem_low = np.einsum("...ae,...ebcd->...abcd", g, riem)
+    riem_low = tensors.contract_first(g, riem)
     ricci = tensors.ricci_from_riemann(riem)
     scalar = np.einsum("...bd,...bd->...", g_inv, ricci)
     einstein = ricci - 0.5 * scalar[..., None, None] * g
@@ -157,11 +178,11 @@ def conformal_residuals(spec: ARWSpec, event) -> ConformalResiduals:
 
 def _conformal(spec: ARWSpec, events) -> tuple:
     dim = spec.n + 1
-    full = curvature_batch(spec.metric, events)
+    jets, full = _assemble(spec.metric, events)
+    # phi = psi_tilde jets, from the full metric's assembly
+    phi, dphi, ddphi = split_jet(jets.psi_tilde, dim)
+    del jets
     base = curvature_batch(spec.conformal_metric, events)
-
-    # phi = psi_tilde jets
-    phi, dphi, ddphi = split_jet(spec.metric.psi_tilde.jet(events, 2), dim)
 
     hess = ddphi - np.einsum("...lab,...l->...ab", base.christoffel, dphi)
     box = np.einsum("...ab,...ab->...", base.g_inv, hess)

@@ -363,7 +363,8 @@ def evaluate(expr: Expression, bindings: Mapping[str, float] | None = None) -> f
 
     Unbound variables and domain violations (log of non-positive, sqrt of
     negative, zero division, non-integer power of a non-positive base) raise,
-    they never return NaN silently.
+    they never return NaN silently.  A power or a function call whose result
+    overflows, such as 1e-192^-2 or exp(800), raises DomainError.
     """
     bindings = bindings or {}
     return _eval(expr, bindings)
@@ -392,7 +393,10 @@ def _eval(expr: Expression, bindings: Mapping[str, float]) -> float:
             return a * b
         if expr.op == "/":
             return _div(a, b)
-        return _pow(a, b)
+        try:
+            return _pow(a, b)
+        except OverflowError as exc:
+            raise DomainError(f"{a}^{b}: {exc}") from None
     if isinstance(expr, Call):
         arg = _eval(expr.arg, bindings)
         try:

@@ -38,6 +38,7 @@ from .expr import (
 COORD_NAMES = ("tau", "theta1", "theta2", "theta3")
 
 
+@lru_cache(maxsize=None)
 def jet_keys(dim: int, order: int) -> tuple:
     """Partial-derivative axes of a jet, in its layout: the value, then the
     gradient, then the Hessian's upper triangle row by row."""

@@ -33,6 +33,7 @@ from .fields import (
     TimeFunction,
     as_expression,
     as_time_function,
+    jet_keys,
     split_jet,
 )
 
@@ -84,13 +85,33 @@ class SpacetimeMetric:
         return COORD_NAMES[: self.dim]
 
 
-def metric_jets(metric: SpacetimeMetric, event, order: int = 2):
-    """Metric g plus coordinate derivatives to the requested order.
+@dataclass(frozen=True)
+class MetricJets:
+    """The metric g of one assembly, its coordinate derivatives and the
+    field jets it was built from, at one event or with the events' leading
+    axes.
 
-    Returns (g, dg, ddg); entries beyond ``order`` are None.  ``event`` is
-    one event or an array of events of shape (..., dim), and every returned
-    array carries its leading axes.  All derivatives are exact (symbolic or
-    closed-form chain rule), nothing is finite differenced here.
+    ``dg`` and ``ddg`` are None beyond the assembly's order.  ``psi_tilde``
+    is the jet of psi_tilde and ``sigma[..., i, j, :]`` the jet of sigma_ij,
+    both in the fields.jet_keys layout of that order.
+    """
+
+    g: np.ndarray
+    dg: np.ndarray | None
+    ddg: np.ndarray | None
+    psi_tilde: np.ndarray
+    sigma: np.ndarray
+
+
+def metric_jets(metric: SpacetimeMetric, event, order: int = 2) -> MetricJets:
+    """Metric g plus coordinate derivatives to the requested order, with the
+    jets of psi_tilde and sigma they come from.
+
+    ``event`` is one event or an array of events of shape (..., dim), and
+    every returned array carries its leading axes.  Each field's jet is
+    evaluated once, sigma_ij for i <= j only.  All derivatives are exact
+    (symbolic or closed-form chain rule), nothing is finite differenced
+    here.
     """
     events = np.asarray(event, dtype=float)
     n, dim = metric.n, metric.dim
@@ -99,28 +120,25 @@ def metric_jets(metric: SpacetimeMetric, event, order: int = 2):
             f"events of an n = {n} metric have dim = {dim} coordinates, got shape {events.shape}"
         )
     batch = events.shape[:-1]
-    p0, p1, p2 = split_jet(metric.psi_tilde.jet(events, order), dim)
+    psi = metric.psi_tilde.jet(events, order)
+    sigma = _sigma_jets(metric, events, order)
+    p0, p1, p2 = split_jet(psi, dim)
+    s0, s1, s2 = split_jet(sigma, dim)
 
-    # eta = -dtau^2 + sigma and its derivatives, sigma filled from its jets
+    # eta = -dtau^2 + sigma and its derivatives
     eta = np.zeros(batch + (dim, dim))
     eta[..., 0, 0] = -1.0
-    deta = np.zeros(batch + (dim, dim, dim)) if order >= 1 else None
-    ddeta = np.zeros(batch + (dim, dim, dim, dim)) if order >= 2 else None
-    for i in range(1, dim):
-        for j in range(i, dim):
-            s0, s1, s2 = split_jet(metric.sigma[i - 1][j - 1].jet(events, order), dim)
-            eta[..., i, j] = eta[..., j, i] = s0
-            if order >= 1:
-                deta[..., i, j] = deta[..., j, i] = s1
-            if order >= 2:
-                ddeta[..., i, j] = ddeta[..., j, i] = s2
-
+    eta[..., 1:, 1:] = s0
     scale = np.exp(2.0 * p0)[..., None, None]
     g = scale * eta
     dg = ddg = None
     if order >= 1:
+        deta = np.zeros(batch + (dim, dim, dim))
+        deta[..., 1:, 1:] = s1.swapaxes(-1, -2).swapaxes(-2, -3)  # [i, j, c] -> [c, i, j]
         dg = scale[..., None] * (2.0 * p1[..., :, None, None] * eta[..., None, :, :] + deta)
     if order >= 2:
+        ddeta = np.zeros(batch + (dim, dim, dim, dim))
+        ddeta[..., 1:, 1:] = s2.swapaxes(-4, -2).swapaxes(-3, -1)  # [i, j, c, d] -> [c, d, i, j]
         # summed in place, left to right, to hold few (dim^4)-sized arrays
         pp = 4.0 * p1[..., :, None] * p1[..., None, :] + 2.0 * p2
         ddg = pp[..., None, None] * eta[..., None, None, :, :]
@@ -128,7 +146,18 @@ def metric_jets(metric: SpacetimeMetric, event, order: int = 2):
         ddg += 2.0 * p1[..., None, :, None, None] * deta[..., :, None, :, :]
         ddg += ddeta
         ddg *= scale[..., None, None]
-    return g, dg, ddg
+    return MetricJets(g=g, dg=dg, ddg=ddg, psi_tilde=psi, sigma=sigma)
+
+
+def _sigma_jets(metric: SpacetimeMetric, events: np.ndarray, order: int) -> np.ndarray:
+    """sigma[..., i, j, :], the jet of sigma_ij at events of shape (..., dim),
+    from one evaluation of each sigma_ij with i <= j."""
+    n = metric.n
+    sigma = np.empty(events.shape[:-1] + (n, n, len(jet_keys(metric.dim, order))))
+    for i in range(n):
+        for j in range(i, n):
+            sigma[..., i, j, :] = sigma[..., j, i, :] = metric.sigma[i][j].jet(events, order)
+    return sigma
 
 
 def _invert_metric(g: np.ndarray, event) -> np.ndarray:
@@ -210,7 +239,7 @@ class ARWSpec:
     @cached_property
     def _sigma_fields(self) -> tuple:
         dim = self.n + 1
-        zero = ExprField(Num(0.0), dim)
+        zero = ConstField(0.0)
         diag_sources = _sphere_diag_sources(self.n)
         rows = []
         for i in range(self.n):

@@ -62,6 +62,7 @@ from .geometry import (
     GeometryError,
     SpacetimeMetric,
     _invert_metric,
+    _sigma_jets,
     metric_jets,
 )
 
@@ -231,15 +232,16 @@ class _Ambient:
 
 
 def _ambient(surface: GraphHypersurface, node, order: int) -> _Ambient:
+    """The graph's events over ``node`` and one metric_jets assembly there,
+    to ``order``; psi_tilde's jet is the one that assembly evaluated."""
     node = np.asarray(node, dtype=float)
     n = surface.ambient.n
     if node.ndim == 0 or node.shape[-1] != n:
         raise HypersurfaceError(f"node must supply {n} angles, got shape {node.shape}")
     jet = surface.u_jet(node[..., 0])
     event = np.concatenate((jet[..., :1], node), axis=-1)
-    g, dg, ddg = metric_jets(surface.ambient, event, order=order)
-    psi_jet = surface.ambient.psi_tilde.jet(event, order)
-    return _Ambient(node, jet, event, g, dg, ddg, psi_jet)
+    jets = metric_jets(surface.ambient, event, order=order)
+    return _Ambient(node, jet, event, jets.g, jets.dg, jets.ddg, jets.psi_tilde)
 
 
 def _frame(amb: _Ambient) -> ExtrinsicData:
@@ -443,17 +445,16 @@ def _slice_second_fundamental(metric: SpacetimeMetric, events) -> tuple:
     the slice through its own tau: the hbar of
     :func:`coordinate_slice_curvature` and the fields it is built from.  The
     slice's induced metric is e^{2 psi_tilde} sigma_ij."""
-    n = metric.n
-    psi = metric.psi_tilde.jet(events, 1)
-    sig = np.empty(events.shape[:-1] + (n, n))
-    sigdot = np.empty(events.shape[:-1] + (n, n))
-    for i in range(n):
-        for j in range(n):
-            jet = metric.sigma[i][j].jet(events, 1)
-            sig[..., i, j] = jet[..., 0]
-            sigdot[..., i, j] = jet[..., 1]
-    p, pdot = psi[..., 0, None, None], psi[..., 1, None, None]
-    return np.exp(p) * (-0.5 * sigdot - pdot * sig), sig, psi[..., 0]
+    return _slice_fields(metric.psi_tilde.jet(events, 1), _sigma_jets(metric, events, 1))
+
+
+def _slice_fields(psi_tilde: np.ndarray, sigma: np.ndarray) -> tuple:
+    """:func:`_slice_second_fundamental` from jets of order 1 or 2 of
+    psi_tilde and of sigma_ij (sigma[..., i, j, :]), as metric_jets returns
+    them."""
+    p, pdot = psi_tilde[..., 0, None, None], psi_tilde[..., 1, None, None]
+    sig, sigdot = sigma[..., 0], sigma[..., 1]
+    return np.exp(p) * (-0.5 * sigdot - pdot * sig), sig, psi_tilde[..., 0]
 
 
 # ---------------------------------------------------------------------------

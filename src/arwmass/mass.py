@@ -14,9 +14,11 @@ All spatial integrals exploit the rotational symmetry of the admitted
 perturbations: integrands depend on theta1 only, so each reduces to a
 Gauss-Legendre sum over the theta1 nodes against the round measure.  Slices,
 the slab volume, graphs and IMCF leaves share one leaf integrator,
-_leaf_integral, which supplies the weight and the area element and takes
+_weighted_integral, which applies the weight and the area element and takes
 node values with leading axes (a block of slab slices, the three integrands
-of an IMCF leaf) to geometry.integrate_node_values in one call.
+of an IMCF leaf) to geometry.integrate_node_values in one call.  Slices and
+the slab read psi_tilde and sigma_11 from the field jets of their curvature
+assembly; graphs and leaves go through _leaf_integral, which evaluates them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import _BLOCK_EVENTS, curvature_at, curvature_batch
+from .curvature import _BLOCK_EVENTS, _assemble, curvature_at
 from .expr import (
     Call,
     ExpressionError,
@@ -59,7 +61,13 @@ from .geometry import (
     sample_events,
     sphere_volume,
 )
-from .hypersurface import GraphHypersurface, _ambient, _frame, _slice_second_fundamental
+from .hypersurface import (
+    GraphHypersurface,
+    _ambient,
+    _frame,
+    _slice_fields,
+    _slice_second_fundamental,
+)
 
 __all__ = [
     "MassReport",
@@ -150,8 +158,15 @@ class _Weights:
 
     def log_weight(self, events: np.ndarray):
         """omega f + psi at one event or at events of shape (..., dim)."""
-        f = TimeField(self.f).jet(events, 0)[..., 0]
-        return self.omega * f + self.psi.jet(events, 0)[..., 0]
+        return self.weight_jets(events, 0)[0]
+
+    def weight_jets(self, events: np.ndarray, order: int) -> tuple:
+        """(omega f + psi, the jet of f, the jet of psi) at events, from one
+        evaluation of f and of psi to ``order``; the jets are in the
+        fields.jet_keys layout."""
+        f = TimeField(self.f).jet(events, order)
+        psi = self.psi.jet(events, order)
+        return self.omega * f[..., 0] + psi[..., 0], f, psi
 
 
 def _weights(obj) -> _Weights:
@@ -192,13 +207,23 @@ def _leaf_integral(w: _Weights, grid, events, values, psi_tilde, tilt=1.0, power
     ``tilt`` (v) their values there; ``power`` defaults to n, the area
     element of a leaf.  ``values`` of shape (..., N) broadcasts against the
     events' leading axes, and every row is integrated: a float for (N,).
+    sigma_11 and the weight are evaluated at ``events``.
     """
+    sig11 = w.metric.sigma[0][0].jet(events, 0)[..., 0]
+    log_weight = w.log_weight(events)
+    return _weighted_integral(w, grid, values, log_weight, psi_tilde, sig11, tilt, power)
+
+
+def _weighted_integral(
+    w: _Weights, grid, values, log_weight, psi_tilde, sig11, tilt=1.0, power=None
+):
+    """:func:`_leaf_integral` with omega f + psi (``log_weight``) and sigma_11
+    (``sig11``) already evaluated at the nodes."""
     n = w.n
     power = n if power is None else power
-    sig11 = w.metric.sigma[0][0].jet(events, 0)[..., 0]
     weighted = (
         np.asarray(values, dtype=float)
-        * np.exp(w.log_weight(events))
+        * np.exp(log_weight)
         * np.exp(power * psi_tilde)
         * tilt
         * sig11 ** (n / 2.0)
@@ -211,17 +236,20 @@ def slice_mass_integral(spec, tau: float, grid: QuadratureGrid | None = None) ->
 
     The integrand G_ab nu^a nu^b e^{omega f} e^{psi} is paired with the area
     element e^{n psi_tilde} sqrt(det sigma) of the slice.  All quadrature
-    nodes go through one batched curvature evaluation.
+    nodes go through one batched curvature evaluation, whose field jets
+    supply psi_tilde and sigma_11; f and psi are evaluated once more, for
+    the weight.
     """
     w = _weights(spec)
     w.check_time(tau)
     grid = grid or quadrature_grid(w.n)
 
     events = _slice_events(w.n, tau, grid)
-    bundle = curvature_batch(w.metric, events)
-    p = w.metric.psi_tilde.jet(events, 0)[:, 0]
+    jets, bundle = _assemble(w.metric, events)
+    p = jets.psi_tilde[:, 0]
     g_nu_nu = bundle.einstein[:, 0, 0] * np.exp(-2.0 * p)
-    return _leaf_integral(w, grid, events, g_nu_nu, p)
+    sig11 = jets.sigma[:, 0, 0, 0]
+    return _weighted_integral(w, grid, g_nu_nu, w.log_weight(events), p, sig11)
 
 
 def _graph_integral(
@@ -323,6 +351,12 @@ def slab_balance(
 
     against the spacetime volume element e^{(n+1) psi_tilde} sqrt(det sigma).
     The residual is |B2 - B1 - V| relative to max(|B1|, |B2|, |V|, 1).
+
+    Each block of slices makes one curvature assembly.  Its field jets give
+    psi_tilde, sigma and their tau derivatives, so hbar, the volume element
+    and sigma_11 come from that one evaluation; one more evaluation of f and
+    psi, to first order, gives the weight and omega f' + psi'.  The jets and
+    the curvature stack are released before it.
     """
     w = _weights(spec)
     w.check_time(tau1)
@@ -348,15 +382,17 @@ def slab_balance(
     for start in range(0, len(taus), per_block):
         block = taus[start : start + per_block]
         events = np.stack([_slice_events(n, float(tau), grid) for tau in block])
-        bundle = curvature_batch(metric, events)
+        jets, bundle = _assemble(metric, events)
         g_up = bundle.g_inv @ bundle.einstein @ bundle.g_inv
-        hbar = _slice_second_fundamental(metric, events)[0]
-        fp = np.array([w.f.derivative(float(tau), 1) for tau in block])[:, None]
-        p = metric.psi_tilde.jet(events, 0)[..., 0]
-        psi_dot = w.psi.jet(events, 1)[..., 1]
+        hbar, _, p = _slice_fields(jets.psi_tilde, jets.sigma)
+        sig11 = jets.sigma[..., 0, 0, 0].copy()
+        del jets, bundle
+        log_weight, f, psi = w.weight_jets(events, 1)
         spatial = np.einsum("...ij,...ij->...", g_up[..., 1:, 1:], hbar)
-        time_part = g_up[..., 0, 0] * (w.omega * fp + psi_dot) * np.exp(p)
-        slices = _leaf_integral(w, grid, events, spatial + time_part, p, power=n + 1)
+        time_part = g_up[..., 0, 0] * (w.omega * f[..., 1] + psi[..., 1]) * np.exp(p)
+        slices = _weighted_integral(
+            w, grid, spatial + time_part, log_weight, p, sig11, power=n + 1
+        )
         for wt, integral in zip(weights[start : start + per_block], slices):
             volume += wt * integral
 

@@ -13,17 +13,36 @@ and may be absent.  Index conventions:
     G_ab         = R_ab - 1/2 R g_ab
 
 With these signs the round unit n-sphere has scalar curvature n(n-1) > 0.
+
+Each contraction is one stacked matrix product (numpy's ``@``, one small
+matrix product per event): the indices on either side of the summed one
+are merged into single trailing axes by a reshape, which copies nothing
+for the C-ordered arrays built here.  The derivative of the Christoffel
+symbols uses
+
+    d_e Gamma^a_bc = g^ad ( 1/2 d_e bracket_dbc - d_e g_dm Gamma^m_bc ),
+
+from d_e g^ad = -g^am d_e g_mn g^nd, so the derivative of g^-1 is never
+formed.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
 
 def _permute(a: np.ndarray, *axes: int) -> np.ndarray:
     """np.transpose of the trailing len(axes) axes, leading axes untouched."""
-    lead = a.ndim - len(axes)
-    return np.transpose(a, tuple(range(lead)) + tuple(lead + k for k in axes))
+    return a.transpose(_all_axes(a.ndim, axes))
+
+
+@functools.lru_cache(maxsize=None)  # a few (ndim, axes) pairs occur
+def _all_axes(ndim: int, axes: tuple) -> tuple:
+    lead = ndim - len(axes)
+    return tuple(range(lead)) + tuple(lead + k for k in axes)
 
 
 def _bracket(dg: np.ndarray) -> np.ndarray:
@@ -31,29 +50,44 @@ def _bracket(dg: np.ndarray) -> np.ndarray:
     return _permute(dg, 1, 0, 2) + _permute(dg, 1, 2, 0) - dg
 
 
+def contract_first(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_d m[..., a, d] t[..., d, i, j, ...] for a square ``m`` whose
+    leading axes ``...`` are those of ``t``; the result has the shape of t."""
+    lead = m.ndim - 2
+    rest = math.prod(t.shape[lead + 1 :])
+    return (m @ t.reshape(t.shape[: lead + 1] + (rest,))).reshape(t.shape)
+
+
 def christoffel(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Christoffel symbols Gamma[..., a, b, c] = Gamma^a_bc."""
-    return 0.5 * np.einsum("...ad,...dbc->...abc", g_inv, _bracket(dg))
+    return contract_first(g_inv, 0.5 * _bracket(dg))
 
 
 def christoffel_derivative(
     g_inv: np.ndarray, dg: np.ndarray, ddg: np.ndarray
 ) -> np.ndarray:
     """Coordinate derivative dGamma[..., e, a, b, c] = d_e Gamma^a_bc."""
+    dim = g_inv.shape[-1]
+    gamma = contract_first(g_inv, 0.5 * _bracket(dg))
     # d_e bracket[d,b,c] = dd_(e,b) g_dc + dd_(e,c) g_db - dd_(e,d) g_bc
     dbracket = _permute(ddg, 0, 2, 1, 3) + _permute(ddg, 0, 2, 3, 1) - ddg
-    dg_inv = -np.einsum("...am,...emn,...nd->...ead", g_inv, dg, g_inv)
-    return 0.5 * (
-        np.einsum("...ead,...dbc->...eabc", dg_inv, _bracket(dg))
-        + np.einsum("...ad,...edbc->...eabc", g_inv, dbracket)
-    )
+    # inner[e, d, (b, c)] = 1/2 d_e bracket_dbc - d_e g_dm Gamma^m_bc
+    inner = dbracket.reshape(ddg.shape[:-2] + (dim * dim,))
+    inner *= 0.5
+    inner -= dg @ gamma.reshape(gamma.shape[:-3] + (1, dim, dim * dim))
+    return (g_inv[..., None, :, :] @ inner).reshape(ddg.shape)
 
 
 def riemann_up(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     """Riemann tensor R[..., a, b, c, d] = R^a_bcd."""
-    term = _permute(dgamma, 1, 2, 0, 3)  # d_c Gamma^a_bd -> [a,b,c,d]
-    quad = np.einsum("...ace,...ebd->...abcd", gamma, gamma)
-    return term - _permute(term, 0, 1, 3, 2) + quad - _permute(quad, 0, 1, 3, 2)
+    dim = gamma.shape[-1]
+    lead = gamma.shape[:-3]
+    # both terms laid out [a, c, b, d]: d_c Gamma^a_bd, and Gamma^a_ce
+    # Gamma^e_bd as the product [(a, c), e] @ [e, (b, d)]
+    quad = gamma.reshape(lead + (dim * dim, dim)) @ gamma.reshape(lead + (dim, dim * dim))
+    half = quad.reshape(lead + (dim,) * 4)
+    half += _permute(dgamma, 1, 0, 2, 3)
+    return _permute(half, 0, 2, 1, 3) - _permute(half, 0, 2, 3, 1)
 
 
 def ricci_from_riemann(riemann: np.ndarray) -> np.ndarray:

@@ -301,7 +301,7 @@ def test_criterion_8_randomized_property_suite():
         ext = graph_geometry(surface, node)
         from arwmass.geometry import metric_jets
 
-        g = metric_jets(spec.metric, ext.event, order=1)[0]
+        g = metric_jets(spec.metric, ext.event, order=1).g
         worst["normal"] = max(
             worst["normal"],
             abs(ext.past_normal @ g @ ext.past_normal + 1.0),

@@ -55,7 +55,8 @@ def test_flat_ambient_is_curvature_free():
 def test_christoffels_of_conformally_static_metric(rw_spec):
     event = np.array([-0.3, 1.1, 0.8, 2.0])
     fp = rw_spec.f.derivative(-0.3, 1)
-    g, dg, _ = metric_jets(rw_spec.metric, event, order=1)
+    jets = metric_jets(rw_spec.metric, event, order=1)
+    g, dg = jets.g, jets.dg
     gamma = tensors.christoffel(_invert_metric(g, event), dg)
     assert gamma[0, 0, 0] == pytest.approx(fp, rel=1e-12)
     for i in (1, 2, 3):
@@ -127,7 +128,8 @@ def reference_conformal_residuals(spec, event):
     full = curvature_at(spec.metric, event)
     base = curvature_at(spec.conformal_metric, event)
     phi, dphi, ddphi = split_jet(spec.metric.psi_tilde.jet(event, 2), dim)
-    g_t, dg_t, _ = metric_jets(spec.conformal_metric, event, order=1)
+    jets_t = metric_jets(spec.conformal_metric, event, order=1)
+    g_t, dg_t = jets_t.g, jets_t.dg
     ginv_t = _invert_metric(g_t, event)
     gamma_t = tensors.christoffel(ginv_t, dg_t)
     hess = ddphi - np.einsum("lab,l->ab", gamma_t, dphi)
@@ -153,7 +155,8 @@ def reference_divergence(metric, event, step):
         return bundle.g_inv @ bundle.einstein
 
     dim = metric.dim
-    g, dg, _ = metric_jets(metric, event, order=1)
+    jets = metric_jets(metric, event, order=1)
+    g, dg = jets.g, jets.dg
     gamma = tensors.christoffel(_invert_metric(g, event), dg)
     center = mixed_einstein(event)
     div = np.zeros(dim)
@@ -264,7 +267,8 @@ def reference_two_assembly_divergence(metric, events, step):
     mixed = bundle.g_inv @ bundle.einstein
     center = mixed[..., 0, :, :]
     plus, minus = mixed[..., 1::2, :, :], mixed[..., 2::2, :, :]
-    g, dg, _ = metric_jets(metric, events, order=1)
+    jets = metric_jets(metric, events, order=1)
+    g, dg = jets.g, jets.dg
     gamma = tensors.christoffel(_invert_metric(g, events), dg)
     div = np.zeros(events.shape)
     for a in range(dim):
@@ -298,3 +302,80 @@ def test_divergence_assembles_each_block_once(monkeypatch):
     einstein_divergence_residual(spec.metric, sample_events(spec, 15, seed=8))
     per_block = arwmass.curvature._BLOCK_EVENTS // 9
     assert calls == [(2, (per_block, 9, 4)), (2, (15 - per_block, 9, 4))]
+
+
+# ---------------------------------------------------------------------------
+# the stacked-matmul kernel against the einsum kernel it replaced
+
+
+def _einsum_permute(a, *axes):
+    lead = a.ndim - len(axes)
+    return np.transpose(a, tuple(range(lead)) + tuple(lead + k for k in axes))
+
+
+def _einsum_bracket(dg):
+    return _einsum_permute(dg, 1, 0, 2) + _einsum_permute(dg, 1, 2, 0) - dg
+
+
+def einsum_christoffel(g_inv, dg):
+    return 0.5 * np.einsum("...ad,...dbc->...abc", g_inv, _einsum_bracket(dg))
+
+
+def einsum_christoffel_derivative(g_inv, dg, ddg):
+    """d_e Gamma^a_bc through d_e g^-1, as one three-operand einsum."""
+    dbracket = _einsum_permute(ddg, 0, 2, 1, 3) + _einsum_permute(ddg, 0, 2, 3, 1) - ddg
+    dg_inv = -np.einsum("...am,...emn,...nd->...ead", g_inv, dg, g_inv)
+    return 0.5 * (
+        np.einsum("...ead,...dbc->...eabc", dg_inv, _einsum_bracket(dg))
+        + np.einsum("...ad,...edbc->...eabc", g_inv, dbracket)
+    )
+
+
+def einsum_riemann_up(gamma, dgamma):
+    term = _einsum_permute(dgamma, 1, 2, 0, 3)
+    quad = np.einsum("...ace,...ebd->...abcd", gamma, gamma)
+    return term - _einsum_permute(term, 0, 1, 3, 2) + quad - _einsum_permute(quad, 0, 1, 3, 2)
+
+
+def random_lorentzian_jets(rng, lead, dim):
+    """g = L^T diag(-1, 1, ...) L for a random L near the identity (so g is
+    Lorentzian), dg symmetric in its metric indices and ddg in both index
+    pairs, with leading axes ``lead``."""
+    frame = np.eye(dim) + 0.1 * rng.normal(size=lead + (dim, dim))
+    eta = np.diag([-1.0] + [1.0] * (dim - 1))
+    g = np.swapaxes(frame, -1, -2) @ eta @ frame
+    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    dg = rng.normal(size=lead + (dim, dim, dim))
+    dg = dg + np.swapaxes(dg, -1, -2)
+    ddg = rng.normal(size=lead + (dim,) * 4)
+    ddg = ddg + np.swapaxes(ddg, -1, -2)
+    ddg = ddg + np.swapaxes(ddg, -3, -4)
+    return g, dg, ddg
+
+
+def assert_within_rounding(got, expected):
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (2, 5)], ids=["one", "7", "2x5"])
+@pytest.mark.parametrize("dim", [3, 4])
+def test_matmul_kernel_equals_the_einsum_kernel(dim, lead):
+    rng = np.random.default_rng(100 * dim + len(lead))
+    for _ in range(5):
+        g, dg, ddg = random_lorentzian_jets(rng, lead, dim)
+        g_inv = np.linalg.inv(g)
+        assert np.all(np.linalg.det(g) < 0.0)
+
+        gamma = einsum_christoffel(g_inv, dg)
+        dgamma = einsum_christoffel_derivative(g_inv, dg, ddg)
+        riemann = einsum_riemann_up(gamma, dgamma)
+        assert_within_rounding(tensors.christoffel(g_inv, dg), gamma)
+        assert_within_rounding(tensors.christoffel_derivative(g_inv, dg, ddg), dgamma)
+        assert_within_rounding(tensors.riemann_up(gamma, dgamma), riemann)
+
+        bundle = arwmass.curvature.curvature_from_jets(g, dg, ddg, g_inv)
+        assert_within_rounding(bundle.riemann, riemann)
+        assert_within_rounding(
+            bundle.riemann_lower, np.einsum("...ae,...ebcd->...abcd", g, bundle.riemann)
+        )

@@ -112,7 +112,7 @@ def test_fold_constants_leaves_an_overflowing_subtree_intact():
     # like log(-1), the overflow surfaces when the tree is evaluated
     expr = parse("1e-192^-2 * tau")
     assert fold_constants(expr) == expr
-    with pytest.raises((OverflowError, DomainError)):
+    with pytest.raises(DomainError):
         evaluate(expr, {"tau": 1.0})
 
 

@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from arwmass.expr import Num, parse
+from arwmass.fields import ConstField, ExprField, jet_keys
 from arwmass.geometry import (
     ARWSpec,
     GeometryError,
@@ -171,7 +172,8 @@ def test_one_rule_scaled_onto_each_axis_equals_the_per_axis_rule(n, count):
 def test_flat_chart_metric_is_minkowski():
     metric = flat_chart_metric(3)
     event = np.array([-0.7, 1.2, 0.4, 2.2])
-    g, dg, _ = metric_jets(metric, event, order=1)
+    jets = metric_jets(metric, event, order=1)
+    g, dg = jets.g, jets.dg
     npt.assert_allclose(g, np.diag([-1.0, 1.0, 1.0, 1.0]), atol=0)
     npt.assert_allclose(dg, 0.0, atol=0)
 
@@ -180,7 +182,7 @@ def test_warped_metric_components():
     spec = rw_family_spec(3, 1.0, k=1.0, a=-0.5)
     tau, theta1 = -0.3, 1.0
     event = np.array([tau, theta1, 1.3, 0.7])
-    g, _, _ = metric_jets(spec.metric, event, order=1)
+    g = metric_jets(spec.metric, event, order=1).g
     scale = math.exp(2 * spec.f.value(tau))
     assert g[0, 0] == pytest.approx(-scale, rel=1e-12)
     assert g[1, 1] == pytest.approx(scale, rel=1e-12)
@@ -193,7 +195,48 @@ def test_metric_singular_at_pole():
     spec = rw_family_spec(3, 1.0)
     event = np.array([-0.3, 0.0, 1.0, 1.0])
     with pytest.raises(GeometryError):
-        _invert_metric(metric_jets(spec.metric, event, order=1)[0], event)
+        _invert_metric(metric_jets(spec.metric, event, order=1).g, event)
+
+
+def _angular_spec(n):
+    return make_spec(
+        n, 1.0, "log(-2*tau)", a=-1.0,
+        psi="0.05*cos(theta1)*tau", lam="0.03*cos(theta1)*tau",
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_off_diagonal_sigma_entries_are_constant_zeros(n):
+    spec = _angular_spec(n)
+    events = sample_events(spec, 5, seed=3)
+    for i in range(n):
+        for j in range(n):
+            field = spec.metric.sigma[i][j]
+            if i == j:
+                assert type(field) is ExprField
+                continue
+            assert type(field) is ConstField
+            for order in (0, 1, 2):
+                width = len(jet_keys(n + 1, order))
+                npt.assert_array_equal(field.jet(events[0], order), np.zeros(width))
+                npt.assert_array_equal(field.jet(events, order), np.zeros((5, width)))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_metric_jets_carry_the_field_jets_they_were_built_from(order):
+    spec = _angular_spec(3)
+    metric = spec.metric
+    events = sample_events(spec, 6, seed=4).reshape(2, 3, 4)
+    for at in (events, events[1, 2]):
+        jets = metric_jets(metric, at, order)
+        npt.assert_array_equal(jets.psi_tilde, metric.psi_tilde.jet(at, order))
+        for i in range(3):
+            for j in range(3):
+                npt.assert_array_equal(jets.sigma[..., i, j, :], metric.sigma[i][j].jet(at, order))
+        scale = np.exp(2.0 * jets.psi_tilde[..., 0])[..., None, None]
+        npt.assert_array_equal(jets.g[..., 1:, 1:], scale * jets.sigma[..., 0])
+        assert (jets.dg is None) == (order < 1)
+        assert (jets.ddg is None) == (order < 2)
 
 
 # ---------------------------------------------------------------------------

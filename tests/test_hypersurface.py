@@ -63,7 +63,7 @@ def test_unit_normal_identities(ambient, slice_surface, tilted_surface):
     for surface in (slice_surface, tilted_surface):
         for node in NODES:
             ext = graph_geometry(surface, node)
-            g = metric_jets(ambient.metric, ext.event, order=1)[0]
+            g = metric_jets(ambient.metric, ext.event, order=1).g
             assert ext.past_normal @ g @ ext.past_normal == pytest.approx(-1.0, rel=1e-12)
             # normal is orthogonal to every tangent and past-directed
             npt.assert_allclose(ext.past_normal @ g @ ext.tangents, 0.0, atol=1e-12)
@@ -190,7 +190,8 @@ def reference_node_curvatures(surface, node):
         exprs.append(differentiate(exprs[-1], "theta1"))
     w0, w, wp, wpp = (compile_expression(e, ("theta1",))(float(node[0])) for e in exprs)
     event = np.concatenate(([w0], node))
-    g, dg, ddg = metric_jets(metric, event, order=2)
+    jets = metric_jets(metric, event, order=2)
+    g, dg, ddg = jets.g, jets.dg, jets.ddg
     p0, p1, p2 = split_jet(metric.psi_tilde.jet(event, 2), n + 1)
 
     # the frame

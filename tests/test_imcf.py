@@ -211,7 +211,7 @@ def reference_slice_mean_curvature(metric, u):
     event = np.full(metric.n + 1, _FILL_ANGLE)
     event[0] = u
     hbar = coordinate_slice_curvature(metric, u)(event[1:])
-    g = metric_jets(metric, event, order=1)[0][1:, 1:]
+    g = metric_jets(metric, event, order=1).g[1:, 1:]
     h_mean = float(np.trace(np.linalg.solve(g, hbar)))
     return h_mean, metric.psi_tilde.partial(event, ())
 

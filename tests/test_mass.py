@@ -11,6 +11,7 @@ import arwmass.hypersurface
 import arwmass.mass
 from arwmass.curvature import curvature_at, curvature_batch
 from arwmass.expr import Num, fold_constants
+from arwmass.fields import ExprField, TimeField
 from arwmass.geometry import (
     ConditionReport,
     GeometryError,
@@ -304,6 +305,41 @@ def test_slab_volume_equals_the_per_slice_loop(spec, taus):
     grid = quadrature_grid(spec.n, 14)  # blocks of 6, 6 and 2 slices
     volume = slab_balance(spec, *taus, grid).volume
     assert volume == reference_slab_volume(spec, *taus, grid)
+
+
+def count_field_jets(monkeypatch):
+    """Calls of ExprField.jet and TimeField.jet, by class name."""
+    calls = {"ExprField": 0, "TimeField": 0}
+    for cls in (ExprField, TimeField):
+        original = cls.jet
+
+        def counting(self, *args, _name=cls.__name__, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "jet", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_slab_block_evaluates_each_field_jet_once(n, monkeypatch):
+    # psi_tilde = f + psi and the n diagonal sigma entries in the assembly,
+    # then f and psi once more, for the weight and omega f' + psi'
+    spec = make_spec(
+        n, 1.0, "log(-2*tau)", a=-1.0,
+        psi="0.05*cos(theta1)*tau", lam="0.03*cos(theta1)*tau",
+    )
+    grid = quadrature_grid(n, 8)  # 8 slices of 8 events: one block
+    monkeypatch.setattr(arwmass.mass, "slice_mass_integral", lambda *args: 0.0)
+    calls = count_field_jets(monkeypatch)
+    slab_balance(spec, -0.6, -0.2, grid)
+    assert calls["ExprField"] <= n + 2
+    assert calls["TimeField"] <= 2
+
+    calls.update(ExprField=0, TimeField=0)
+    slice_mass_integral(spec, -0.4, grid)
+    assert calls["ExprField"] <= n + 2
+    assert calls["TimeField"] <= 2
 
 
 # ---------------------------------------------------------------------------

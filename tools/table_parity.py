@@ -11,14 +11,19 @@ tree in its own subprocess with ``ARWMASS_THREADS=1`` and with its own
 not a comparison.  Every table the CLI writes, config digest
 included, and every exit code (or the exception a scenario raised) is
 compared between the trees.  Prints the number of tables compared and each
-difference, and exits 1 if there is any, 0 if there is none.  Nothing is
-written inside either tree: the tables go to a temporary directory.
+difference, and exits 1 if there is any, 0 if there is none.  For a JSON
+table that differs, the line names the largest relative difference among
+its numbers and the field that holds it, and one more line names each
+other field that differs: a boolean, a string (such as a scan
+``direction``), a non-finite number or a list of another length.  Nothing
+is written inside either tree: the tables go to a temporary directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -61,7 +66,8 @@ def collect(tree: str, seeds) -> dict:
 
 def differences(parent: dict, change: dict) -> list:
     """One line for each scenario whose exit code or tables differ, or that
-    only one tree lists."""
+    only one tree lists; a differing JSON table gets its largest relative
+    difference and a line for each non-numeric difference."""
     lines = []
     for key in sorted(parent.keys() | change.keys()):
         if key not in parent or key not in change:
@@ -72,9 +78,52 @@ def differences(parent: dict, change: dict) -> list:
         if old["code"] != new["code"]:
             lines.append(f"{key}: exit code {old['code']!r} -> {new['code']!r}")
         for name in sorted(old["tables"].keys() | new["tables"].keys()):
-            if old["tables"].get(name) != new["tables"].get(name):
+            a, b = old["tables"].get(name), new["tables"].get(name)
+            if a == b:
+                continue
+            try:
+                numbers, others = [], []
+                _compare(json.loads(a), json.loads(b), "", numbers, others)
+            except (TypeError, ValueError):  # absent on one side, or not JSON
                 lines.append(f"{key}: {name} differs")
+                continue
+            head = f"{key}: {name} differs"
+            if numbers:
+                largest, field = max(numbers)
+                head += f", largest relative difference {largest:.2e} in {field}"
+            lines.append(head)
+            lines.extend(f"{key}: {name} {other}" for other in others)
     return lines
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _compare(old, new, path: str, numbers: list, others: list) -> None:
+    """Walk two parsed tables side by side: append (relative difference,
+    field) for every finite number that differs to ``numbers``, and a line
+    for every other differing field to ``others``."""
+    if _is_number(old) and _is_number(new) and math.isfinite(old) and math.isfinite(new):
+        if old != new:
+            numbers.append((abs(old - new) / max(abs(old), abs(new)), path))
+    elif isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        for name in old:
+            _compare(old[name], new[name], f"{path}.{name}" if path else name, numbers, others)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for index, (a, b) in enumerate(zip(old, new)):
+            _compare(a, b, f"{path}[{_label(index, a)}]", numbers, others)
+    elif old != new and not (old != old and new != new):  # NaN on both sides is equal
+        others.append(f"{path}: {json.dumps(old)} -> {json.dumps(new)}")
+
+
+def _label(index: int, item) -> str:
+    """A list entry's name: its ``check`` or ``name`` field, else its index."""
+    if isinstance(item, dict):
+        for field in ("check", "name"):
+            if isinstance(item.get(field), str):
+                return item[field]
+    return str(index)
 
 
 def _run_tree(tree: str, seeds) -> dict:
