@@ -7,10 +7,11 @@ hypersurface module's tests).
 
 Every function takes one event of shape (dim,) or an array of events of
 shape (..., dim).  curvature_batch assembles all of its events in one
-vectorized pass through curvature_from_jets, the package's one curvature
-stack (a graph's induced metric goes through it too), whose bundle carries
-the Christoffel symbols.  Its contractions are the stacked matrix products
-of the tensors module, one small product per event: Gamma, d Gamma from
+vectorized pass: the Gamma stage tensors.christoffel once, then
+curvature_from_jets, the package's one curvature stack (a graph's induced
+metric goes through it too), which takes that Gamma and carries it in its
+bundle.  Its contractions are the stacked matrix products of the tensors
+module, one small product per event: d Gamma from
 g^ad (1/2 d_e bracket_dbc - d_e g_dm Gamma^m_bc), the Gamma Gamma term of
 Riemann and R_abcd = g_ae R^e_bcd.  _assemble returns the metric jets of
 the assembly with its bundle, so that a caller also reading psi_tilde or
@@ -90,17 +91,18 @@ def _assemble(metric: SpacetimeMetric, events) -> tuple[MetricJets, CurvatureBun
     the field jets of the same evaluation, for callers that also read
     psi_tilde or sigma there."""
     jets = metric_jets(metric, events, order=2)
-    return jets, curvature_from_jets(jets.g, jets.dg, jets.ddg, _invert_metric(jets.g, events))
+    g_inv = _invert_metric(jets.g, events)
+    gamma = tensors.christoffel(g_inv, jets.dg)
+    return jets, curvature_from_jets(jets.g, jets.dg, jets.ddg, g_inv, gamma)
 
 
-def curvature_from_jets(g, dg, ddg, g_inv) -> CurvatureBundle:
-    """The curvature stack from metric jets and the inverse metric.
+def curvature_from_jets(g, dg, ddg, g_inv, gamma) -> CurvatureBundle:
+    """The curvature stack from metric jets, their inverse and their Gamma.
 
-    The kernel of :func:`curvature_batch`, for callers that already hold the
-    jets of a metric of any dimension (order 2) and their inverse.
+    The curvature stage of :func:`curvature_batch`, for callers that already
+    hold the order-2 jets of a metric of any dimension, g^-1 and Gamma.
     """
-    gamma = tensors.christoffel(g_inv, dg)
-    dgamma = tensors.christoffel_derivative(g_inv, dg, ddg)
+    dgamma = tensors.christoffel_derivative(g_inv, dg, ddg, gamma)
     riem = tensors.riemann_up(gamma, dgamma)
     riem_low = tensors.contract_first(g, riem)
     ricci = tensors.ricci_from_riemann(riem)
@@ -212,8 +214,8 @@ def einstein_divergence_residual(metric: SpacetimeMetric, event, step: float = 1
     shape (..., dim); each event and its 2 dim stencil points go through one
     curvature assembly.
     """
-    if step <= 0:
-        raise GeometryError("step must be positive")
+    if not 0.0 < step < np.inf:
+        raise GeometryError(f"step must be a positive finite number, got {step}")
     points = 2 * metric.dim + 1
     return _blockwise(lambda block: _divergence(metric, block, step), event, points)[0]
 

@@ -716,7 +716,8 @@ def _emit_program(exprs: tuple, arg_names) -> tuple[list[str], list[str]]:
 
     def operand(node: Expression) -> str:
         if isinstance(node, Num):
-            return f"({float(node.value)!r})"
+            text = repr(float(node.value))
+            return _NON_FINITE.get(text, f"({text})")
         if isinstance(node, Const):
             return "_PI"
         if isinstance(node, Var):
@@ -749,6 +750,9 @@ def _emit_program(exprs: tuple, arg_names) -> tuple[list[str], list[str]]:
     return lines, outputs
 
 
+# a folded overflow leaves inf or nan in the tree, which has no literal
+_NON_FINITE = {"inf": "_INF", "-inf": "(-_INF)", "nan": "_NAN"}
+
 _SCALAR_HELPERS = {
     "_pow": _pow,
     "_div": _div,
@@ -760,6 +764,8 @@ _SCALAR_HELPERS = {
     "_call_sqrt": _sqrt,
     "_call_abs": abs,
     "_PI": math.pi,
+    "_INF": math.inf,
+    "_NAN": math.nan,
 }
 
 
@@ -831,4 +837,6 @@ _VECTOR_HELPERS = {
     "_call_sqrt": _np_sqrt,
     "_call_abs": np.abs,
     "_PI": math.pi,
+    "_INF": math.inf,
+    "_NAN": math.nan,
 }

@@ -23,7 +23,6 @@ import numpy as np
 from .expr import Call, Expression, Num, fold_constants, free_variables, parse
 from .extrapolate import aitken_limit
 from .fields import (
-    COORD_NAMES,
     ConstField,
     ExprField,
     ExprTimeFunction,
@@ -79,10 +78,6 @@ class SpacetimeMetric:
     @property
     def dim(self) -> int:
         return self.n + 1
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return COORD_NAMES[: self.dim]
 
 
 @dataclass(frozen=True)
@@ -217,14 +212,14 @@ class ARWSpec:
     def __post_init__(self):
         if self.n not in (2, 3):
             raise GeometryError(f"spatial dimension n={self.n} not supported (need 2 or 3)")
-        if not self.a < 0.0:
-            raise GeometryError(f"domain start a={self.a} must be negative")
-        if not self.n + self.omega - 2.0 > 0.0:
+        if not -math.inf < self.a < 0.0:
+            raise GeometryError(f"domain start a={self.a} must be negative and finite")
+        if not 0.0 < self.n + self.omega - 2.0 < math.inf:
             raise GeometryError(
-                f"need n + omega - 2 > 0, got {self.n + self.omega - 2.0}"
+                f"need n + omega - 2 > 0 and finite, got {self.n + self.omega - 2.0}"
             )
-        if self.sigma_scale <= 0.0:
-            raise GeometryError("sigma_scale must be positive")
+        if not 0.0 < self.sigma_scale < math.inf:
+            raise GeometryError(f"sigma_scale must be positive and finite, got {self.sigma_scale}")
         for name, e in (("psi", self.psi), ("lambda", self.lam)):
             extra = free_variables(e) - {"tau", "theta1"}
             if extra:
@@ -311,8 +306,8 @@ def rw_family_spec(n: int, omega: float, k: float = 1.0, a: float = -0.5) -> ARW
     Its mass works out to k^2 / gamma_tilde^2 and every curvature quantity
     has a closed form, which makes it the main oracle family.
     """
-    if k <= 0:
-        raise GeometryError("k must be positive")
+    if not 0.0 < k < math.inf:
+        raise GeometryError(f"k must be positive and finite, got {k}")
     gamma_tilde = 0.5 * (n + omega - 2.0)
     profile = Num(1.0 / gamma_tilde) * parse(f"log(-({k!r}) * tau)")
     return ARWSpec(n=n, omega=omega, f=ExprTimeFunction(fold_constants(profile)), a=a)

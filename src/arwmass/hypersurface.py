@@ -24,13 +24,14 @@ assembles the ambient jets once, for all of its nodes and to the order it
 reads (graph_geometry 0, second_fundamental 1, intrinsic_curvature and
 node_curvatures 2), the way curvature.curvature_batch does for events; the
 frame, the second fundamental form, the intrinsic and the ambient curvature
-are all built from that one assembly.  The induced metric's jets are built
-once per assembly, to its order, and the intrinsic curvature is those jets
-run through curvature.curvature_from_jets, the package's one curvature
-stack.  A graph mass integral evaluates all theta1 nodes of a leaf in one
-call, and gauss_codazzi_residuals reads one node_curvatures assembly at its
-nodes and one second_fundamental assembly at all of their Codazzi stencil
-points.  Each check runs on the whole batch in turn and raises, for the
+are all built from that one assembly, each tensor once: the ambient Gamma,
+the induced jets (the frame's induced metric is their order 0), and the
+induced inverse and Gamma-hat, which the second fundamental form and the
+curvature stacks (curvature.curvature_from_jets) share.  A graph mass
+integral evaluates all theta1 nodes of a leaf in one call, and
+gauss_codazzi_residuals reads one node_curvatures assembly at its nodes and
+one second_fundamental assembly at all of their Codazzi stencil points.
+Each check runs on the whole batch in turn and raises, for the
 first node in C order that fails it, the error that node raises on its own.
 The two residual checks, gauss_codazzi_residuals and
 conformal_extrinsic_residual, return floats for one node and arrays for an
@@ -60,6 +61,7 @@ from .fields import as_expression, split_jet
 from .geometry import (
     ARWSpec,
     GeometryError,
+    MetricJets,
     SpacetimeMetric,
     _invert_metric,
     _sigma_jets,
@@ -108,23 +110,18 @@ class GraphHypersurface:
         object.__setattr__(self, "u", u)
 
     @cached_property
-    def _programs(self) -> dict:
-        """Derivative count -> (scalar, vectorized) programs, compiled on first
-        use and stored fully built, since threads share a surface."""
-        return {}
+    def _programs(self) -> tuple:
+        """(scalar, vectorized) programs of u and its first three theta1
+        derivatives, compiled on first use."""
+        exprs = [self.u]
+        for _ in range(3):
+            exprs.append(differentiate(exprs[-1], "theta1"))
+        return compile_jet(exprs, ("theta1",))
 
-    def _u_values(self, theta1, count: int) -> np.ndarray:
-        """u and its first ``count - 1`` theta1 derivatives at theta1, or with
-        shape (..., count) at an array of theta1 values; raises DomainError
-        naming the first failing theta1."""
-        programs = self._programs.get(count)
-        if programs is None:
-            exprs = [self.u]
-            for _ in range(count - 1):
-                exprs.append(differentiate(exprs[-1], "theta1"))
-            programs = compile_jet(exprs, ("theta1",))
-            self._programs[count] = programs
-        scalar, vectorized = programs
+    def u_jet(self, theta1) -> np.ndarray:
+        """(u, u', u'', u''') at theta1, or with shape (..., 4) at an array of
+        theta1 values; raises DomainError naming the first failing theta1."""
+        scalar, vectorized = self._programs
         theta = np.asarray(theta1, dtype=float)
         if theta.ndim == 0:
             try:
@@ -136,22 +133,17 @@ class GraphHypersurface:
         except DomainError:
             # value by value, so the first failing theta1 raises its own error
             # (or, where numpy merely overflowed to inf, this is the scalar result)
-            jets = np.array([self._u_values(t, count) for t in theta.ravel()])
-            return jets.reshape(theta.shape + (count,))
-        out = np.empty(theta.shape + (count,))
+            jets = np.array([self.u_jet(t) for t in theta.ravel()])
+            return jets.reshape(theta.shape + (4,))
+        out = np.empty(theta.shape + (4,))
         for k, value in enumerate(values):
             out[..., k] = value
         return out
 
-    def u_jet(self, theta1) -> np.ndarray:
-        """(u, u', u'', u''') at theta1, or with shape (..., 4) at an array of
-        theta1 values."""
-        return self._u_values(theta1, 4)
-
     def event(self, node) -> np.ndarray:
         """The event (u(theta1), node) over one node or an array of nodes."""
         node = np.asarray(node, dtype=float)
-        return np.concatenate((self._u_values(node[..., 0], 1), node), axis=-1)
+        return np.concatenate((self.u_jet(node[..., 0])[..., :1], node), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -159,8 +151,8 @@ class ExtrinsicData:
     """Hypersurface data at one node of the spatial chart, or at an array of
     nodes with every entry carrying the nodes' leading axes.
 
-    ``h``, ``mean_curvature`` and ``norm_a_sq`` are populated by
-    :func:`second_fundamental` and left None by :func:`graph_geometry`.
+    The frame (``sigma`` included) comes from the assembly; ``h``,
+    ``mean_curvature`` and ``norm_a_sq`` are None from :func:`graph_geometry`.
     """
 
     node: np.ndarray
@@ -171,6 +163,7 @@ class ExtrinsicData:
     past_normal: np.ndarray  # nu^alpha
     tangents: np.ndarray  # x^alpha_i, shape (..., n+1, n)
     psi_tilde: float | np.ndarray
+    sigma: np.ndarray  # sigma_ij at the event, from the assembly's field jets
     h: np.ndarray | None = None
     mean_curvature: float | np.ndarray | None = None
     norm_a_sq: float | np.ndarray | None = None
@@ -192,33 +185,43 @@ class GaussCodazziResiduals:
 
 @dataclass(frozen=True)
 class _Ambient:
-    """The graph's points over the nodes and the ambient jets there.
+    """The graph's points over the nodes and one metric_jets assembly there.
 
-    Assembled once per call; the frame, the induced jets, the ambient
-    Christoffel symbols and the ambient curvature all read from it.
+    Assembled once per call; each tensor derived from it is a cached
+    property, built on first read and shared by every reader.
     """
 
     node: np.ndarray
     u_jet: np.ndarray
     event: np.ndarray
-    g: np.ndarray
-    dg: np.ndarray | None
-    ddg: np.ndarray | None
-    psi_jet: np.ndarray  # psi_tilde, in the fields.jet_keys layout
+    jets: MetricJets
 
     @cached_property
     def g_inv(self) -> np.ndarray:
-        return _invert_metric(self.g, self.event)
+        return _invert_metric(self.jets.g, self.event)
+
+    @cached_property
+    def christoffel(self) -> np.ndarray:
+        return tensors.christoffel(self.g_inv, self.jets.dg)
 
     @cached_property
     def curvature(self) -> CurvatureBundle:
         """The ambient curvature stack; needs an order-2 assembly."""
-        return curvature_from_jets(self.g, self.dg, self.ddg, self.g_inv)
+        jets = self.jets
+        return curvature_from_jets(jets.g, jets.dg, jets.ddg, self.g_inv, self.christoffel)
 
     @cached_property
     def induced(self) -> tuple:
         """:func:`_induced_jets`, built once per assembly."""
         return _induced_jets(self)
+
+    @cached_property
+    def induced_inverse(self) -> np.ndarray:
+        return _invert_metric(self.induced[0], self.event)
+
+    @cached_property
+    def induced_christoffel(self) -> np.ndarray:
+        return tensors.christoffel(self.induced_inverse, self.induced[1])
 
     @cached_property
     def slopes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -232,26 +235,23 @@ class _Ambient:
 
 
 def _ambient(surface: GraphHypersurface, node, order: int) -> _Ambient:
-    """The graph's events over ``node`` and one metric_jets assembly there,
-    to ``order``; psi_tilde's jet is the one that assembly evaluated."""
+    """The graph's events over ``node`` and their metric_jets to ``order``."""
     node = np.asarray(node, dtype=float)
     n = surface.ambient.n
     if node.ndim == 0 or node.shape[-1] != n:
         raise HypersurfaceError(f"node must supply {n} angles, got shape {node.shape}")
     jet = surface.u_jet(node[..., 0])
     event = np.concatenate((jet[..., :1], node), axis=-1)
-    jets = metric_jets(surface.ambient, event, order=order)
-    return _Ambient(node, jet, event, jets.g, jets.dg, jets.ddg, jets.psi_tilde)
+    return _Ambient(node, jet, event, metric_jets(surface.ambient, event, order=order))
 
 
 def _frame(amb: _Ambient) -> ExtrinsicData:
     """The frame at the assembled nodes (induced metric and its inverse,
-    tilt, past normal, tangents), as ExtrinsicData without h.  Raises
-    HypersurfaceError where the graph is not spacelike."""
+    tilt, past normal, tangents, sigma), as ExtrinsicData without h.
+    Raises HypersurfaceError where the graph is not spacelike."""
     n = amb.node.shape[-1]
-    p = amb.psi_jet[..., 0]
-    scale = np.exp(2.0 * p)[..., None, None]
-    sigma = amb.g[..., 1:, 1:] / scale
+    p = amb.jets.psi_tilde[..., 0]
+    sigma = amb.jets.sigma[..., 0]
     sigma_inv = _invert_metric(sigma, amb.event)
 
     du, _ = amb.slopes
@@ -266,7 +266,6 @@ def _frame(amb: _Ambient) -> ExtrinsicData:
         )
     v = np.sqrt(1.0 - du_sq)
 
-    g = scale * (sigma - du[..., :, None] * du[..., None, :])
     nu = np.empty(amb.event.shape)
     nu[..., 0] = 1.0
     nu[..., 1:] = np.einsum("...ij,...j->...i", sigma_inv, du)
@@ -277,12 +276,13 @@ def _frame(amb: _Ambient) -> ExtrinsicData:
     return ExtrinsicData(
         node=amb.node,
         event=amb.event,
-        induced_metric=g,
-        inverse=_invert_metric(g, amb.event),
+        induced_metric=amb.induced[0],
+        inverse=amb.induced_inverse,
         tilt=v,
         past_normal=nu,
         tangents=tangents,
         psi_tilde=p,
+        sigma=sigma,
     )
 
 
@@ -301,7 +301,7 @@ def graph_geometry(surface: GraphHypersurface, node) -> ExtrinsicData:
 
 def _induced_jets(amb: _Ambient):
     """g_ij of the graph with surface-coordinate derivatives to the order of
-    the assembly ``amb`` (1 or 2; the second derivatives are None at 1).
+    the assembly ``amb`` (0, 1 or 2; derivatives beyond it are None).
 
     Writes the induced metric as F_ij(u(theta), theta) - T_ij with
     F_ij the ambient spatial block and T_ij = e^{2 psi_tilde} u_i u_j, and
@@ -311,8 +311,8 @@ def _induced_jets(amb: _Ambient):
     leading axes.
     """
     n = amb.node.shape[-1]
-    g, dg, ddg = amb.g, amb.dg, amb.ddg
-    p0, p1, p2 = split_jet(amb.psi_jet, n + 1)
+    g, dg, ddg = amb.jets.g, amb.jets.dg, amb.jets.ddg
+    p0, p1, p2 = split_jet(amb.jets.psi_tilde, n + 1)
     E0 = np.exp(2.0 * p0)
     w, wp, wpp = amb.u_jet[..., 1], amb.u_jet[..., 2], amb.u_jet[..., 3]
     uk, ukl = amb.slopes
@@ -321,6 +321,8 @@ def _induced_jets(amb: _Ambient):
     sp = slice(1, None)
     ghat = g[..., sp, sp].copy()
     ghat[..., 0, 0] -= E0 * w**2
+    if dg is None:
+        return ghat, None, None
 
     phat = p1[..., :1] * uk + p1[..., 1:]
     dE = 2.0 * phat * E0[..., None]
@@ -363,14 +365,15 @@ def _induced_jets(amb: _Ambient):
     return ghat, dghat, ddghat
 
 
-def _intrinsic_curvature(amb: _Ambient, ext: ExtrinsicData) -> CurvatureBundle:
-    return curvature_from_jets(*amb.induced, ext.inverse)
+def _intrinsic_curvature(amb: _Ambient) -> CurvatureBundle:
+    return curvature_from_jets(*amb.induced, amb.induced_inverse, amb.induced_christoffel)
 
 
 def intrinsic_curvature(surface: GraphHypersurface, node) -> CurvatureBundle:
     """Riemann/Ricci/scalar curvature of the induced metric, all exact."""
     amb = _ambient(surface, node, order=2)
-    return _intrinsic_curvature(amb, _frame(amb))  # the frame checks spacelikeness
+    _frame(amb)  # checks spacelikeness
+    return _intrinsic_curvature(amb)
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +381,12 @@ def intrinsic_curvature(surface: GraphHypersurface, node) -> CurvatureBundle:
 
 
 def _second_fundamental(amb: _Ambient, ext: ExtrinsicData) -> ExtrinsicData:
-    _, dghat, _ = amb.induced
-    gamma_hat = tensors.christoffel(ext.inverse, dghat)
-
+    gamma_hat = amb.induced_christoffel
     uk, ukl = amb.slopes
     u_i, u_j = uk[..., :, None], uk[..., None, :]
     u_hess = ukl - np.einsum("...kij,...k->...ij", gamma_hat, uk)
 
-    g0 = tensors.christoffel(amb.g_inv, amb.dg)[..., 0, :, :]
+    g0 = amb.christoffel[..., 0, :, :]
     rhs = -(
         u_hess
         + g0[..., :1, :1] * (u_i * u_j)
@@ -417,7 +418,7 @@ def node_curvatures(
     ambient jets at its events; equal to the three separate calls."""
     amb = _ambient(surface, node, order=2)
     ext = _frame(amb)
-    return _second_fundamental(amb, ext), _intrinsic_curvature(amb, ext), amb.curvature
+    return _second_fundamental(amb, ext), _intrinsic_curvature(amb), amb.curvature
 
 
 def coordinate_slice_curvature(metric: SpacetimeMetric, tau: float):
@@ -477,6 +478,8 @@ def gauss_codazzi_residuals(
     with their leading axes, evaluated in blocks whose Codazzi stencils hold
     at most curvature._BLOCK_EVENTS nodes.
     """
+    if not 0.0 < fd_step < np.inf:
+        raise GeometryError(f"fd_step must be a positive finite number, got {fd_step}")
 
     def residuals(nodes) -> tuple:
         return _gauss_codazzi(surface, nodes, fd_step)

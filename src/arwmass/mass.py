@@ -16,9 +16,10 @@ Gauss-Legendre sum over the theta1 nodes against the round measure.  Slices,
 the slab volume, graphs and IMCF leaves share one leaf integrator,
 _weighted_integral, which applies the weight and the area element and takes
 node values with leading axes (a block of slab slices, the three integrands
-of an IMCF leaf) to geometry.integrate_node_values in one call.  Slices and
-the slab read psi_tilde and sigma_11 from the field jets of their curvature
-assembly; graphs and leaves go through _leaf_integral, which evaluates them.
+of an IMCF leaf) to geometry.integrate_node_values in one call.  Callers
+pass psi_tilde and sigma_11 from the field jets of their own assembly
+(graphs and leaves from their ExtrinsicData), and tcc_check reads its frame
+from the g of its curvature bundles: no field is evaluated a second time.
 """
 
 from __future__ import annotations
@@ -199,26 +200,18 @@ def _slice_events(n: int, tau: float, grid: QuadratureGrid) -> np.ndarray:
     return events
 
 
-def _leaf_integral(w: _Weights, grid, events, values, psi_tilde, tilt=1.0, power=None):
-    """The integral of ``values`` e^{omega f} e^{psi} e^{power psi_tilde} v
-    sigma_11^{n/2} over the theta1 nodes of ``grid``.
-
-    ``events`` (..., N, dim) holds the event of each node, ``psi_tilde`` and
-    ``tilt`` (v) their values there; ``power`` defaults to n, the area
-    element of a leaf.  ``values`` of shape (..., N) broadcasts against the
-    events' leading axes, and every row is integrated: a float for (N,).
-    sigma_11 and the weight are evaluated at ``events``.
-    """
-    sig11 = w.metric.sigma[0][0].jet(events, 0)[..., 0]
-    log_weight = w.log_weight(events)
-    return _weighted_integral(w, grid, values, log_weight, psi_tilde, sig11, tilt, power)
-
-
 def _weighted_integral(
     w: _Weights, grid, values, log_weight, psi_tilde, sig11, tilt=1.0, power=None
 ):
-    """:func:`_leaf_integral` with omega f + psi (``log_weight``) and sigma_11
-    (``sig11``) already evaluated at the nodes."""
+    """The integral of ``values`` e^{omega f} e^{psi} e^{power psi_tilde} v
+    sigma_11^{n/2} over the theta1 nodes of ``grid``.
+
+    ``log_weight`` (omega f + psi), ``psi_tilde``, ``sig11`` (sigma_11) and
+    ``tilt`` (v) are their values at the nodes, read by the caller from its
+    own evaluation; ``power`` defaults to n, the area element of a leaf.
+    ``values`` of shape (..., N) broadcasts against their leading axes, and
+    every row is integrated: a float for (N,).
+    """
     n = w.n
     power = n if power is None else power
     weighted = (
@@ -275,7 +268,8 @@ def _graph_integral(
         for node in nodes:
             w.check_time(factor(surface, node)[0].event[0])
         raise
-    return _leaf_integral(w, grid, ext.event, values, ext.psi_tilde, tilt=ext.tilt)
+    lw = w.log_weight(ext.event)
+    return _weighted_integral(w, grid, values, lw, ext.psi_tilde, ext.sigma[..., 0, 0], ext.tilt)
 
 
 def _einstein_normal(ext, bundle) -> np.ndarray:
@@ -515,8 +509,9 @@ def tcc_check(
     direction order.  A NaN value is a violation too: it makes the minimum
     NaN and the check fail.  ``events`` is an (m, n+1) array with m >= 1.
 
-    Each event makes one ``curvature_at`` call, and its directions are drawn
-    as two arrays from one generator stream: the k - 1 random chi, then the
+    Each event makes one ``curvature_at`` call, whose diagonal g gives the
+    frame e_a = |g_aa|^{-1/2} d_a, and its directions are drawn as two
+    arrays from one generator stream: the k - 1 random chi, then the
     k vectors d as one (k, n) normal draw.  These are the numbers a loop
     drawing one d per direction consumes, and Ric(nu, nu) of all directions
     is one contraction.  Against such a loop a value moves by ~1 ulp, a few
@@ -531,8 +526,7 @@ def tcc_check(
         events = sample_events(spec, 100, seed=seed)
     rng = np.random.default_rng(seed + 1)
     w = _weights(spec)
-    metric = w.metric
-    n = w.n
+    metric, n = w.metric, w.n
     events = np.asarray(events, dtype=float)
     if events.shape[:1] == (0,):
         raise GeometryError("the TCC check needs at least one event, got 0")
@@ -545,12 +539,8 @@ def tcc_check(
     chi = np.zeros((m, k))
     d = np.empty((m, k, n))
     for j, event in enumerate(events):
-        ricci[j] = curvature_at(metric, event).ricci
-        p = metric.psi_tilde.partial(event, ())
-        frame[j, 0, 0] = math.exp(-p)
-        for i in range(n):
-            sig = metric.sigma[i][i].partial(event, ())
-            frame[j, i + 1, i + 1] = math.exp(-p) / math.sqrt(sig)
+        bundle = curvature_at(metric, event)
+        ricci[j], frame[j] = bundle.ricci, np.diag(np.abs(np.diagonal(bundle.g)) ** -0.5)
         chi[j, 1:] = rng.uniform(0.0, 2.5, k - 1)
         d[j] = rng.normal(size=(k, n))
     d /= np.linalg.norm(d, axis=-1, keepdims=True)

@@ -77,10 +77,10 @@ class SAdSParams:
     def __post_init__(self):
         if self.n < 2:
             raise GeometryError(f"need n >= 2, got {self.n}")
-        if self.lam > 0.0:
-            raise GeometryError(f"Lambda must be <= 0, got {self.lam}")
-        if not self.mass > 0.0:
-            raise GeometryError(f"mass parameter must be positive, got {self.mass}")
+        if not -math.inf < self.lam <= 0.0:
+            raise GeometryError(f"Lambda must be finite and <= 0, got {self.lam}")
+        if not 0.0 < self.mass < math.inf:
+            raise GeometryError(f"mass parameter must be positive and finite, got {self.mass}")
 
 
 class Profile(NamedTuple):

@@ -23,7 +23,7 @@ symbols uses
     d_e Gamma^a_bc = g^ad ( 1/2 d_e bracket_dbc - d_e g_dm Gamma^m_bc ),
 
 from d_e g^ad = -g^am d_e g_mn g^nd, so the derivative of g^-1 is never
-formed.
+formed; Gamma itself is an argument, computed once by the caller.
 """
 
 from __future__ import annotations
@@ -64,11 +64,11 @@ def christoffel(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 
 
 def christoffel_derivative(
-    g_inv: np.ndarray, dg: np.ndarray, ddg: np.ndarray
+    g_inv: np.ndarray, dg: np.ndarray, ddg: np.ndarray, gamma: np.ndarray
 ) -> np.ndarray:
-    """Coordinate derivative dGamma[..., e, a, b, c] = d_e Gamma^a_bc."""
+    """Coordinate derivative dGamma[..., e, a, b, c] = d_e Gamma^a_bc, from
+    the Christoffel symbols ``gamma`` of the same jets."""
     dim = g_inv.shape[-1]
-    gamma = contract_first(g_inv, 0.5 * _bracket(dg))
     # d_e bracket[d,b,c] = dd_(e,b) g_dc + dd_(e,c) g_db - dd_(e,d) g_bc
     dbracket = _permute(ddg, 0, 2, 1, 3) + _permute(ddg, 0, 2, 3, 1) - ddg
     # inner[e, d, (b, c)] = 1/2 d_e bracket_dbc - d_e g_dm Gamma^m_bc

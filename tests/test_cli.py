@@ -362,6 +362,63 @@ def test_overflow_during_evaluation_exits_two(tmp_path, capsys):
     assert "validation failure: math range error at tau = -1.0" in err
 
 
+def test_non_finite_literal_in_an_expression_exits_two(tmp_path, capsys):
+    # 1e308*10 folds to inf: the program runs, and the metric it makes is
+    # degenerate
+    config = {
+        "spacetime": {
+            "kind": "custom", "n": 3, "omega": 1.0,
+            "f": "log(-tau)", "a": -1.0, "psi": "1e308*10*tau",
+        },
+        "command": "mass",
+        "grid": 8,
+        "schedule": {"K": 3},
+        "output": {"path": str(tmp_path / "out")},
+    }
+    assert main([write_config(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "validation failure: degenerate metric at event" in err
+
+
+SADS = {"kind": "sads", "n": 3, "lambda": -1.0, "mass": 1.0}
+RW = {"kind": "rw-family", "n": 3, "omega": 1.0, "k": 2.0, "a": -0.5}
+CUSTOM = {"kind": "custom", "n": 2, "omega": 1.0, "f": "log(-tau)", "a": -1.0}
+
+
+@pytest.mark.parametrize(
+    "spacetime, field, value, message",
+    [
+        (SADS, "lambda", math.nan, "Lambda must be finite and <= 0, got nan"),
+        (SADS, "lambda", math.inf, "Lambda must be finite and <= 0, got inf"),
+        (SADS, "lambda", -math.inf, "Lambda must be finite and <= 0, got -inf"),
+        (SADS, "lambda", 1.0, "Lambda must be finite and <= 0, got 1.0"),
+        (SADS, "mass", math.inf, "mass parameter must be positive and finite, got inf"),
+        (SADS, "mass", math.nan, "mass parameter must be positive and finite, got nan"),
+        (SADS, "mass", -1.0, "mass parameter must be positive and finite, got -1.0"),
+        (RW, "k", math.nan, "k must be positive and finite, got nan"),
+        (RW, "k", math.inf, "k must be positive and finite, got inf"),
+        (RW, "k", -1.0, "k must be positive and finite, got -1.0"),
+        (RW, "omega", math.inf, "need n + omega - 2 > 0 and finite, got inf"),
+        (CUSTOM, "sigma_scale", math.nan, "sigma_scale must be positive and finite, got nan"),
+        (CUSTOM, "sigma_scale", math.inf, "sigma_scale must be positive and finite, got inf"),
+        (CUSTOM, "sigma_scale", -1.0, "sigma_scale must be positive and finite, got -1.0"),
+        (CUSTOM, "omega", math.nan, "need n + omega - 2 > 0 and finite, got nan"),
+        (CUSTOM, "a", -math.inf, "domain start a=-inf must be negative and finite"),
+    ],
+)
+def test_spacetime_parameters_out_of_range_or_not_finite_exit_two(
+    tmp_path, spacetime, field, value, message, capsys
+):
+    config = {
+        "spacetime": dict(spacetime, **{field: value}),
+        "command": "validate",
+        "output": {"path": str(tmp_path / "out")},
+    }
+    assert main([write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr().err == f"validation failure: {message}\n"
+
+
 def test_unknown_variable_is_a_config_error(tmp_path, capsys):
     config = {
         "spacetime": {"kind": "custom", "n": 2, "omega": 1.0, "f": "log(-t)", "a": -1.0},

@@ -118,6 +118,33 @@ def test_divergence_residual_vanishes_for_flat_metric():
     assert einstein_divergence_residual(metric, event) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf])
+def test_divergence_rejects_a_step_that_is_not_positive_and_finite(rw_spec, step):
+    event = np.array([-0.4, 1.2, 1.0, 2.0])
+    with pytest.raises(GeometryError, match="step must be a positive finite number"):
+        einstein_divergence_residual(rw_spec.metric, event, step=step)
+
+
+def test_curvature_batch_builds_gamma_once_and_passes_it_on(rw_spec, monkeypatch):
+    built, received = [], []
+    christoffel = tensors.christoffel
+    derivative = tensors.christoffel_derivative
+
+    def counting(*args):
+        built.append(christoffel(*args))
+        return built[-1]
+
+    def receiving(g_inv, dg, ddg, gamma):
+        received.append(gamma)
+        return derivative(g_inv, dg, ddg, gamma)
+
+    monkeypatch.setattr(tensors, "christoffel", counting)
+    monkeypatch.setattr(tensors, "christoffel_derivative", receiving)
+    bundle = curvature_batch(rw_spec.metric, sample_events(rw_spec, 7, seed=3))
+    assert len(built) == len(received) == 1
+    assert received[0] is built[0] is bundle.christoffel
+
+
 # ---------------------------------------------------------------------------
 # the batched checks against the one-event code they replaced
 
@@ -371,10 +398,13 @@ def test_matmul_kernel_equals_the_einsum_kernel(dim, lead):
         dgamma = einsum_christoffel_derivative(g_inv, dg, ddg)
         riemann = einsum_riemann_up(gamma, dgamma)
         assert_within_rounding(tensors.christoffel(g_inv, dg), gamma)
-        assert_within_rounding(tensors.christoffel_derivative(g_inv, dg, ddg), dgamma)
+        kernel_gamma = tensors.christoffel(g_inv, dg)
+        assert_within_rounding(
+            tensors.christoffel_derivative(g_inv, dg, ddg, kernel_gamma), dgamma
+        )
         assert_within_rounding(tensors.riemann_up(gamma, dgamma), riemann)
 
-        bundle = arwmass.curvature.curvature_from_jets(g, dg, ddg, g_inv)
+        bundle = arwmass.curvature.curvature_from_jets(g, dg, ddg, g_inv, kernel_gamma)
         assert_within_rounding(bundle.riemann, riemann)
         assert_within_rounding(
             bundle.riemann_lower, np.einsum("...ae,...ebcd->...abcd", g, bundle.riemann)

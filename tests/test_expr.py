@@ -14,6 +14,7 @@ from arwmass.expr import (
     Var,
     _emit_program,
     compile_expression,
+    compile_jet,
     differentiate,
     evaluate,
     fold_constants,
@@ -189,6 +190,29 @@ def test_compile_matches_evaluate():
         assert fn(tau, theta) == pytest.approx(
             evaluate(expr, {"tau": tau, "theta1": theta}), rel=1e-15
         )
+
+
+@pytest.mark.parametrize(
+    "source, literal",
+    [
+        ("1e308*10*tau", math.inf),
+        ("-1e308*10*tau", -math.inf),
+        ("(1e308*10 - 1e308*10)*tau", math.nan),
+        ("exp(tau) + 1e308*10", math.inf),
+    ],
+)
+def test_non_finite_literals_compile_like_evaluate(source, literal):
+    # folding an overflow leaves a non-finite Num, which has no Python literal
+    expr = fold_constants(parse(source))
+    assert f"Num(value={literal!r})" in repr(expr)
+    taus = [-1.0, 0.0, 2.0]
+    expected = [evaluate(expr, {"tau": tau}) for tau in taus]
+    scalar_expr = compile_expression(expr, ("tau",))
+    scalar_jet, vectorized = compile_jet([expr], ("tau",))
+    # assert_array_equal counts NaN as equal to NaN
+    np.testing.assert_array_equal([scalar_expr(tau) for tau in taus], expected)
+    np.testing.assert_array_equal([scalar_jet(tau)[0] for tau in taus], expected)
+    np.testing.assert_array_equal(vectorized(np.array(taus))[0], expected)
 
 
 def test_compile_accepts_numpy_scalars():

@@ -7,10 +7,11 @@ import pytest
 import arwmass.curvature
 import arwmass.geometry
 import arwmass.hypersurface
+import arwmass.tensors
 from arwmass.curvature import _blockwise, curvature_at
 from arwmass.expr import DomainError, compile_expression, differentiate
 from arwmass.fields import split_jet
-from arwmass.geometry import make_spec, metric_jets, rw_family_spec
+from arwmass.geometry import GeometryError, make_spec, metric_jets, rw_family_spec
 from arwmass.hypersurface import (
     GaussCodazziResiduals,
     GraphHypersurface,
@@ -245,7 +246,7 @@ def reference_node_curvatures(surface, node):
     mixed = g_inv @ h
 
     # the intrinsic curvature
-    riem = riemann_up(gamma_hat, christoffel_derivative(g_inv, dghat, ddghat))
+    riem = riemann_up(gamma_hat, christoffel_derivative(g_inv, dghat, ddghat, gamma_hat))
     return {
         "event": event,
         "tilt": v,
@@ -567,7 +568,7 @@ def reference_intrinsic_curvature(surface, node):
     g_inv = arwmass.hypersurface._frame(amb).inverse
     ghat, dghat, ddghat = arwmass.hypersurface._induced_jets(amb)
     gamma = christoffel(g_inv, dghat)
-    riem = riemann_up(gamma, christoffel_derivative(g_inv, dghat, ddghat))
+    riem = riemann_up(gamma, christoffel_derivative(g_inv, dghat, ddghat, gamma))
     ricci = ricci_from_riemann(riem)
     return {
         "g": ghat,
@@ -589,6 +590,30 @@ def test_intrinsic_curvature_equals_the_surface_stack(spec, u):
         for name, expected in reference_intrinsic_curvature(surface, node).items():
             npt.assert_array_equal(getattr(curv, name), expected, err_msg=name)
             npt.assert_array_equal(getattr(shared, name), expected, err_msg=name)
+
+
+def test_node_curvatures_build_each_christoffel_stack_once(monkeypatch):
+    # Gamma-hat of the induced metric and the ambient Gamma, each read by
+    # the second fundamental form and by its curvature stack
+    shapes = []
+    original = arwmass.tensors.christoffel
+
+    def counting(g_inv, dg):
+        shapes.append(dg.shape)
+        return original(g_inv, dg)
+
+    monkeypatch.setattr(arwmass.tensors, "christoffel", counting)
+    spec, u = BATCH_CASES[2]
+    node_curvatures(GraphHypersurface(u=u, ambient=spec.metric), _nodes(3, 5))
+    assert sorted(shapes) == [(5, 3, 3, 3), (5, 4, 4, 4)]
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
+def test_gauss_codazzi_rejects_a_step_that_is_not_positive_and_finite(
+    tilted_surface, step
+):
+    with pytest.raises(GeometryError, match="fd_step must be a positive finite number"):
+        gauss_codazzi_residuals(tilted_surface, np.array([1.0, 1.1, 1.4]), fd_step=step)
 
 
 def test_node_curvatures_build_the_induced_jets_once(monkeypatch):

@@ -32,8 +32,8 @@ from arwmass.hypersurface import (
 from arwmass.mass import (
     _FILL_ANGLE,
     TccReport,
-    _leaf_integral,
     _slice_events,
+    _weighted_integral,
     _weights,
     graph_mass_integral,
     mass_limit,
@@ -180,6 +180,23 @@ def test_graph_integral_assembles_ambient_jets_once_per_node(rw1, monkeypatch):
     assert calls == [(2, (grid.nodes_per_axis, 4))]
 
 
+def test_graph_integral_evaluates_sigma_11_once(rw1, monkeypatch):
+    # the leaf weight reads sigma_11 from the frame's jets
+    sigma_11 = rw1.metric.sigma[0][0]
+    orders = []
+    original = ExprField.jet
+
+    def counting(self, events, order=2):
+        if self is sigma_11:
+            orders.append(order)
+        return original(self, events, order)
+
+    monkeypatch.setattr(ExprField, "jet", counting)
+    surface = GraphHypersurface(u="-0.3 + 0.02*cos(theta1)", ambient=rw1.metric)
+    graph_mass_integral(rw1, surface, quadrature_grid(3, 12))
+    assert orders == [2]
+
+
 def test_graph_integral_skips_the_intrinsic_curvature(rw1, monkeypatch):
     # G(nu, nu) reads the normal and the ambient Einstein tensor only
     def forbidden(*args):
@@ -282,7 +299,11 @@ def reference_slab_volume(spec, tau1, tau2, grid):
         psi_dot = w.psi.jet(events, 1)[:, 1]
         spatial = np.einsum("kij,kij->k", g_up[:, 1:, 1:], hbar)
         time_part = g_up[:, 0, 0] * (w.omega * fp + psi_dot) * np.exp(p)
-        volume += wt * _leaf_integral(w, grid, events, spatial + time_part, p, power=n + 1)
+        sig11 = metric.sigma[0][0].jet(events, 0)[:, 0]
+        log_weight = w.log_weight(events)
+        volume += wt * _weighted_integral(
+            w, grid, spatial + time_part, log_weight, p, sig11, power=n + 1
+        )
     return volume
 
 
@@ -515,6 +536,23 @@ def test_tcc_draws_twice_and_assembles_once_per_event(monkeypatch):
     assert generator.rng.bit_generator.state == rng.bit_generator.state
 
 
+def test_tcc_reads_its_frame_from_the_curvature_bundle(monkeypatch):
+    # e_a = |g_aa|^{-1/2} d_a from the bundle's g: no field is evaluated
+    # outside the curvature assembly
+    spec = TCC_VIOLATION_SPEC
+    calls = []
+    original = ExprField.partial
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExprField, "partial", counting)
+    report = tcc_check(spec, sample_events(spec, 5, seed=1), seed=6)
+    assert calls == []
+    assert report.samples == 5 * 32
+
+
 @pytest.mark.parametrize(
     "events, message",
     [
@@ -538,7 +576,7 @@ def test_tcc_fails_on_nan_and_lists_its_directions(rw1, monkeypatch):
         if np.array_equal(event, events[1]):
             ricci = bundle.ricci.copy()
             ricci[0, 0] = math.nan
-            return SimpleNamespace(ricci=ricci)
+            return SimpleNamespace(g=bundle.g, ricci=ricci)
         return bundle
 
     monkeypatch.setattr(arwmass.mass, "curvature_at", nan_at_the_second_event)
@@ -667,11 +705,14 @@ def test_leaf_integral_takes_rows_of_node_values(rw1):
     w = _weights(rw1)
     events = np.stack([_slice_events(3, tau, grid) for tau in (-0.4, -0.2)])
     p = w.metric.psi_tilde.jet(events, 0)[..., 0]
+    s = w.metric.sigma[0][0].jet(events, 0)[..., 0]
+    lw = w.log_weight(events)
     values = np.cos(events[..., 1]) + events[..., 0]
-    block = _leaf_integral(w, grid, events, values, p, power=4)
-    stacked = _leaf_integral(w, grid, events[0], np.stack((values[0], 2 * values[0])), p[0])
+    block = _weighted_integral(w, grid, values, lw, p, s, power=4)
+    rows = np.stack((values[0], 2 * values[0]))
+    stacked = _weighted_integral(w, grid, rows, lw[0], p[0], s[0])
     assert block.shape == stacked.shape == (2,)
-    assert list(block) == [_leaf_integral(w, grid, e, v, q, power=4)
-                           for e, v, q in zip(events, values, p)]
-    assert list(stacked) == [_leaf_integral(w, grid, events[0], v, p[0])
+    assert list(block) == [_weighted_integral(w, grid, v, x, q, t, power=4)
+                           for v, x, q, t in zip(values, lw, p, s)]
+    assert list(stacked) == [_weighted_integral(w, grid, v, lw[0], p[0], s[0])
                              for v in (values[0], 2 * values[0])]
