@@ -25,12 +25,12 @@ collapse to literals, everything else is left alone.
 
 Trees compile to plain Python functions.  ``compile_jet`` compiles a whole
 list of trees at once, typically a field's value, gradient and Hessian, into
-one function that evaluates every distinct subtree once (derivative trees
-repeat the same subtrees dozens of times).  The same source runs in two
+one :class:`Program` that evaluates every distinct subtree once (derivative
+trees repeat the same subtrees dozens of times).  The same source runs in two
 forms: on floats, calling the helpers ``evaluate`` calls, so every result
 is bit-identical to ``evaluate``; and on numpy arrays, with vectorized
 domain checks that raise DomainError wherever some element would make the
-scalar form raise (overflow included).
+scalar form raise (overflow included).  Calling the program picks the form.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ __all__ = [
     "fold_constants",
     "compile_expression",
     "compile_jet",
+    "Program",
 ]
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "tan", "sqrt", "abs")
@@ -679,26 +680,56 @@ def compile_expression(expr: Expression, arg_names: tuple[str, ...]) -> Callable
     return types.FunctionType(code, _SCALAR_HELPERS)
 
 
-def compile_jet(exprs, arg_names: tuple[str, ...]) -> tuple[Callable, Callable]:
-    """(scalar, vectorized) callables returning the tuple of values of ``exprs``.
+def compile_jet(exprs, arg_names: tuple[str, ...]) -> "Program":
+    """The :class:`Program` of ``exprs`` at positional ``arg_names``."""
+    return Program(exprs, arg_names)
 
-    Both run one compiled program in which subtrees shared between or within
-    the expressions are evaluated once.  The scalar one is bit-identical to
-    :func:`compile_expression` on each expression.  The vectorized one takes
-    numpy arrays; its helpers raise DomainError wherever an element would
-    make a scalar helper raise, overflow included, and entries without free
-    variables come back as plain floats.
+
+class Program:
+    """Expressions compiled into one program; shared subtrees run once.
+
+    ``program(points)`` takes one point (k,) or points (..., k) of the k
+    arguments and returns the values along a trailing axis.  One point runs
+    ``scalar`` on Python floats, bit-identical to :func:`evaluate`.  An
+    array runs ``vectorized``, or where its checks raise, runs the points one
+    by one in C order: the first failing point raises its own DomainError,
+    ``... at theta1 = x`` for one argument, ``... at event [...]`` for more.
     """
-    lines, outputs = _emit_program(tuple(exprs), arg_names)
-    code = _code(lines, "return (" + "".join(f"{out}, " for out in outputs) + ")", arg_names)
-    on_arrays = types.FunctionType(code, _VECTOR_HELPERS)
 
-    def vectorized(*args):
+    def __init__(self, exprs, arg_names: tuple[str, ...]):
+        lines, outputs = _emit_program(tuple(exprs), arg_names)
+        code = _code(lines, "return (" + "".join(f"{out}, " for out in outputs) + ")", arg_names)
+        self.names = tuple(arg_names)
+        self.scalar = types.FunctionType(code, _SCALAR_HELPERS)
+        self._on_arrays = types.FunctionType(code, _VECTOR_HELPERS)
+
+    def vectorized(self, *columns) -> tuple:
+        """The values on arrays, one per argument (constants as floats)."""
         # inf and nan propagate silently in arithmetic, as on Python floats
         with np.errstate(all="ignore"):
-            return on_arrays(*args)
+            return self._on_arrays(*columns)
 
-    return types.FunctionType(code, _SCALAR_HELPERS), vectorized
+    def __call__(self, points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        if points.ndim == 1:
+            return np.array(self._at(points))
+        try:
+            values = self.vectorized(*np.moveaxis(points, -1, 0))
+        except DomainError:
+            flat = np.array([self._at(point) for point in points.reshape(-1, points.shape[-1])])
+            return flat.reshape(points.shape[:-1] + flat.shape[-1:])
+        out = np.empty(points.shape[:-1] + (len(values),))
+        for k, value in enumerate(values):
+            out[..., k] = value
+        return out
+
+    def _at(self, point: np.ndarray) -> tuple:
+        args = point.tolist()
+        try:
+            return self.scalar(*args)
+        except (EvaluationError, ArithmeticError, ValueError) as exc:
+            where = f"{self.names[0]} = {args[0]}" if len(args) == 1 else f"event {args}"
+            raise DomainError(f"{exc} at {where}") from None
 
 
 def _code(lines, ret: str, arg_names):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .expr import (
     EvaluationError,
     Expression,
     Num,
+    Program,
     UnboundVariableError,
     compile_expression,
     compile_jet,
@@ -94,13 +94,13 @@ class ScalarField(ABC):
 class ExprField(ScalarField):
     """Field backed by an expression; partials are symbolic, then compiled.
 
-    A jet is compiled into one function per order, scalar and vectorized,
-    on first use.  Its scalar values are bit-identical to ``partial``.  A
-    partial raises wherever the field itself raises, although its sparse
-    derivative tree may be defined there, because ``partial`` evaluates the
-    value first; a jet always includes the value.  A partial that is
-    structurally zero is 0.0 wherever the field is defined, even where a
-    sibling partial raises (d/dtau of sqrt(theta1) at theta1 = 0).
+    A jet runs the expr.Program of its :func:`jet_keys`, a partial the last
+    output of the program of the value and that partial, each compiled on
+    first use.  So a partial raises wherever the field itself raises, though
+    its sparse derivative tree may be defined there; a jet always includes
+    the value.  A structurally zero partial is 0.0 wherever the field is
+    defined, even where a sibling raises (d/dtau of sqrt(theta1) at theta1
+    = 0).  At one event, jet values are bit-identical to ``partial``.
     """
 
     def __init__(self, expr: Expression, dim: int):
@@ -111,10 +111,8 @@ class ExprField(ScalarField):
         self.dim = dim
         self._names = names
         self._exprs: dict[tuple[int, ...], Expression] = {(): expr}
-        self._compiled = {(): compile_expression(expr, names)}
-        # order -> (scalar, vectorized) jet, compiled on first use.  Threads
-        # share a field, so an entry is only ever stored fully built.
-        self._jets: dict[int, tuple[Callable, Callable]] = {}
+        # Threads share a field, so a program is only ever stored fully built.
+        self._programs: dict[tuple, Program] = {}
 
     def _expression(self, key: tuple[int, ...]) -> Expression:
         found = self._exprs.get(key)
@@ -124,47 +122,18 @@ class ExprField(ScalarField):
             self._exprs[key] = found
         return found
 
+    def _program(self, keys: tuple) -> Program:
+        program = self._programs.get(keys)
+        if program is None:
+            program = compile_jet([self._expression(key) for key in keys], self._names)
+            self._programs[keys] = program
+        return program
+
     def partial(self, event, axes: tuple[int, ...] = ()) -> float:
-        key = tuple(sorted(axes))
-        fn = self._compiled.get(key)
-        if fn is None:
-            fn = compile_expression(self._expression(key), self._names)
-            self._compiled[key] = fn
-        try:
-            if key:  # a derivative raises wherever the field itself does
-                self._compiled[()](*event[: self.dim])
-            return fn(*event[: self.dim])
-        except (EvaluationError, ArithmeticError, ValueError) as exc:
-            point = np.asarray(event[: self.dim], dtype=float).tolist()
-            raise DomainError(f"{exc} at event {point}") from None
+        return float(self._program(((), tuple(sorted(axes))))(event[: self.dim])[-1])
 
     def jet(self, events, order: int = 2) -> np.ndarray:
-        events = np.asarray(events, dtype=float)
-        jets = self._jets.get(order)
-        if jets is None:
-            exprs = [self._expression(key) for key in jet_keys(self.dim, order)]
-            jets = compile_jet(exprs, self._names)
-            self._jets[order] = jets
-        scalar, vectorized = jets
-        if events.ndim == 1:
-            try:
-                return np.array(scalar(*events[: self.dim]))
-            except (EvaluationError, ArithmeticError, ValueError) as exc:
-                raise DomainError(f"{exc} at event {events.tolist()}") from None
-        try:
-            values = vectorized(*(events[..., axis] for axis in range(self.dim)))
-        except DomainError:
-            # Event by event, the first failing event raises exactly the
-            # pointwise error; the vectorized checks may also trip where a
-            # numpy scalar overflows to inf instead, and then this is the
-            # pointwise result.
-            flat = events.reshape(-1, events.shape[-1])
-            jets = np.array([self.jet(event, order) for event in flat])
-            return jets.reshape(events.shape[:-1] + jets.shape[-1:])
-        out = np.empty(events.shape[:-1] + (len(values),))
-        for k, value in enumerate(values):
-            out[..., k] = value
-        return out
+        return self._program(jet_keys(self.dim, order))(events)
 
 
 def _zero_jet(events, order: int) -> np.ndarray:

@@ -106,7 +106,8 @@ def metric_jets(metric: SpacetimeMetric, event, order: int = 2) -> MetricJets:
     every returned array carries its leading axes.  Each field's jet is
     evaluated once, sigma_ij for i <= j only.  All derivatives are exact
     (symbolic or closed-form chain rule), nothing is finite differenced
-    here.
+    here.  A non-finite field jet raises GeometryError naming the field
+    and its first such event, before any product is formed.
     """
     events = np.asarray(event, dtype=float)
     n, dim = metric.n, metric.dim
@@ -117,6 +118,7 @@ def metric_jets(metric: SpacetimeMetric, event, order: int = 2) -> MetricJets:
     batch = events.shape[:-1]
     psi = metric.psi_tilde.jet(events, order)
     sigma = _sigma_jets(metric, events, order)
+    _require_finite(psi, sigma, events)
     p0, p1, p2 = split_jet(psi, dim)
     s0, s1, s2 = split_jet(sigma, dim)
 
@@ -155,6 +157,26 @@ def _sigma_jets(metric: SpacetimeMetric, events: np.ndarray, order: int) -> np.n
     return sigma
 
 
+def _raise_at_first(bad, event, message: str) -> None:
+    """Raise GeometryError for the first of events (..., dim) where ``bad`` holds."""
+    if np.any(bad):
+        events = np.reshape(event, (-1, np.shape(event)[-1]))
+        first = events[int(np.argmax(np.ravel(bad)))]
+        raise GeometryError(f"{message} at event {first.tolist()}")
+
+
+def _require_finite(psi: np.ndarray, sigma: np.ndarray, events: np.ndarray) -> None:
+    """Raise GeometryError naming the first non-finite field jet and event."""
+    if np.isfinite(psi).all() and np.isfinite(sigma).all():
+        return
+    n = sigma.shape[-2]
+    jets = [("psi_tilde", psi)] + [
+        (f"sigma_{i + 1}{j + 1}", sigma[..., i, j, :]) for i in range(n) for j in range(i, n)
+    ]
+    for name, jet in jets:
+        _raise_at_first(~np.isfinite(jet).all(axis=-1), events, f"{name} is not finite")
+
+
 def _invert_metric(g: np.ndarray, event) -> np.ndarray:
     """Inverse of g, shape (..., m, m), one matrix per event of ``event``.
 
@@ -163,10 +185,7 @@ def _invert_metric(g: np.ndarray, event) -> np.ndarray:
     det = np.linalg.det(g)
     scale = np.max(np.abs(g), axis=(-2, -1)) ** g.shape[-1]
     bad = ~np.isfinite(det) | (scale == 0.0) | (np.abs(det) < 1e-14 * scale)
-    if np.any(bad):
-        events = np.reshape(event, (-1, np.shape(event)[-1]))
-        first = events[int(np.argmax(np.ravel(bad)))]
-        raise GeometryError(f"degenerate metric at event {first.tolist()}")
+    _raise_at_first(bad, event, "degenerate metric")
     return np.linalg.inv(g)
 
 
@@ -477,7 +496,8 @@ def arw_validate(spec: ARWSpec, sample_times=None) -> ArwValidation:
         limit (must converge to a positive value; divergence is growth by
         more than 10x per decade),
       * boundedness of f'' + gamma_tilde |f'|^2,
-      * the derivative ratios |f^{(m)}| / |f'|^m for m = 2, 3.
+      * the derivative ratios |f^{(m)}| / |f'|^m for m = 2, 3,
+      * finite psi_tilde and sigma_ij (one metric_jets assembly, angles pi/2).
     """
     if sample_times is None:
         sample_times = geometric_schedule(spec.a, 12)
@@ -485,6 +505,9 @@ def arw_validate(spec: ARWSpec, sample_times=None) -> ArwValidation:
     if np.any(times >= 0) or np.any(times < spec.a):
         raise GeometryError("sample times must lie in [a, 0)")
     gt = spec.gamma_tilde
+    events = np.full((len(times), spec.n + 1), 0.5 * math.pi)
+    events[:, 0] = times
+    metric_jets(spec.metric, events, 0)
 
     fp = np.array([spec.f.derivative(t, 1) for t in times])
     fpp = np.array([spec.f.derivative(t, 2) for t in times])

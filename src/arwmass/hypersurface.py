@@ -49,14 +49,7 @@ import numpy as np
 from . import tensors
 from .curvature import CurvatureBundle, _blockwise, curvature_from_jets
 from .curvature import curvature_at  # noqa: F401  (bound here for perfbench/tracer.py)
-from .expr import (
-    DomainError,
-    EvaluationError,
-    Expression,
-    compile_jet,
-    differentiate,
-    free_variables,
-)
+from .expr import Expression, Program, compile_jet, differentiate, free_variables
 from .fields import as_expression, split_jet
 from .geometry import (
     ARWSpec,
@@ -110,9 +103,9 @@ class GraphHypersurface:
         object.__setattr__(self, "u", u)
 
     @cached_property
-    def _programs(self) -> tuple:
-        """(scalar, vectorized) programs of u and its first three theta1
-        derivatives, compiled on first use."""
+    def _program(self) -> Program:
+        """The program of u and its first three theta1 derivatives,
+        compiled on first use."""
         exprs = [self.u]
         for _ in range(3):
             exprs.append(differentiate(exprs[-1], "theta1"))
@@ -121,24 +114,7 @@ class GraphHypersurface:
     def u_jet(self, theta1) -> np.ndarray:
         """(u, u', u'', u''') at theta1, or with shape (..., 4) at an array of
         theta1 values; raises DomainError naming the first failing theta1."""
-        scalar, vectorized = self._programs
-        theta = np.asarray(theta1, dtype=float)
-        if theta.ndim == 0:
-            try:
-                return np.array(scalar(float(theta)))
-            except (EvaluationError, ArithmeticError, ValueError) as exc:
-                raise DomainError(f"{exc} at theta1 = {float(theta)}") from None
-        try:
-            values = vectorized(theta)
-        except DomainError:
-            # value by value, so the first failing theta1 raises its own error
-            # (or, where numpy merely overflowed to inf, this is the scalar result)
-            jets = np.array([self.u_jet(t) for t in theta.ravel()])
-            return jets.reshape(theta.shape + (4,))
-        out = np.empty(theta.shape + (4,))
-        for k, value in enumerate(values):
-            out[..., k] = value
-        return out
+        return self._program(np.asarray(theta1, dtype=float)[..., None])
 
     def event(self, node) -> np.ndarray:
         """The event (u(theta1), node) over one node or an array of nodes."""
@@ -539,17 +515,18 @@ def conformal_extrinsic_residual(spec: ARWSpec, u, node):
     with nutilde the past-directed unit normal of the conformal chart.
     Returns the max-abs entry of the difference, a float for one node and
     an array with the leading axes of nodes of shape (..., n); both sides
-    are evaluated through their own metrics.
+    are evaluated through their own metrics (psi_tilde's gradient too).
     """
     surf = GraphHypersurface(u=u, ambient=spec.metric)
     surf_conf = GraphHypersurface(u=u, ambient=spec.conformal_metric)
 
     def residual(nodes) -> tuple:
-        ext = second_fundamental(surf, nodes)
+        amb = _ambient(surf, nodes, order=1)
+        ext = _second_fundamental(amb, _frame(amb))
         ext_conf = second_fundamental(surf_conf, nodes)
         mixed = ext.inverse @ ext.h
         mixed_conf = ext_conf.inverse @ ext_conf.h
-        dpsi = spec.metric.psi_tilde.jet(ext.event, 1)[..., None, 1:]
+        dpsi = amb.jets.psi_tilde[..., None, 1:]
         drift = dpsi @ ext_conf.past_normal[..., :, None]
         scaled = np.exp(ext.psi_tilde)[..., None, None] * mixed
         res = scaled - mixed_conf - drift * np.eye(spec.n)

@@ -50,7 +50,7 @@ from .geometry import (
     quadrature_grid,
 )
 from .hypersurface import GraphHypersurface, _slice_second_fundamental, node_curvatures
-from .mass import _FILL_ANGLE, _einstein_normal, _graph_integral, _weights
+from .mass import _FILL_ANGLE, _einstein_normal, _graph_integral, _slice_events, _weights
 
 __all__ = [
     "FlowError",
@@ -151,8 +151,7 @@ def _slice_mean_curvature(metric: SpacetimeMetric, u):
     slice fields; H is traced with the induced metric e^{2 psi_tilde} sigma.
     Floats for a float u, arrays of u's shape for an array."""
     u = np.asarray(u, dtype=float)
-    events = np.full(u.shape + (metric.n + 1,), _FILL_ANGLE)
-    events[..., 0] = u
+    events = _slice_events(metric.n, u, _FILL_ANGLE)
     hbar, sigma, p = _slice_second_fundamental(metric, events)
     g = np.exp(2.0 * p)[..., None, None] * sigma
     h_mean = np.trace(np.linalg.solve(g, hbar), axis1=-2, axis2=-1)

@@ -192,11 +192,13 @@ def _weights(obj) -> _Weights:
     raise TypeError(f"expected an ARWSpec or SpacetimeMetric, got {type(obj).__name__}")
 
 
-def _slice_events(n: int, tau: float, grid: QuadratureGrid) -> np.ndarray:
-    """The events (tau, theta1, fill angles) of the theta1 nodes of ``grid``."""
-    events = np.full((grid.nodes_per_axis, n + 1), _FILL_ANGLE)
-    events[:, 0] = tau
-    events[:, 1] = grid.axis_nodes[0]
+def _slice_events(n: int, tau, theta1) -> np.ndarray:
+    """The events (tau, theta1, fill angles), shape (..., n+1), with the
+    leading axes of ``tau`` and ``theta1`` broadcast together."""
+    shape = np.broadcast_shapes(np.shape(tau), np.shape(theta1))
+    events = np.full(shape + (n + 1,), _FILL_ANGLE)
+    events[..., 0] = tau
+    events[..., 1] = theta1
     return events
 
 
@@ -237,7 +239,7 @@ def slice_mass_integral(spec, tau: float, grid: QuadratureGrid | None = None) ->
     w.check_time(tau)
     grid = grid or quadrature_grid(w.n)
 
-    events = _slice_events(w.n, tau, grid)
+    events = _slice_events(w.n, tau, grid.axis_nodes[0])
     jets, bundle = _assemble(w.metric, events)
     p = jets.psi_tilde[:, 0]
     g_nu_nu = bundle.einstein[:, 0, 0] * np.exp(-2.0 * p)
@@ -258,8 +260,7 @@ def _graph_integral(
     data (the frame at least) with node values of shape (N,) or (k, N),
     whose rows are integrated separately.
     """
-    nodes = np.full((grid.nodes_per_axis, w.n), _FILL_ANGLE)
-    nodes[:, 0] = grid.axis_nodes[0]
+    nodes = _slice_events(w.n, 0.0, grid.axis_nodes[0])[:, 1:]  # the angles of a slice
     try:
         ext, values = factor(surface, nodes)
         w.check_time(ext.event[:, 0])
@@ -375,7 +376,7 @@ def slab_balance(
     volume = 0.0
     for start in range(0, len(taus), per_block):
         block = taus[start : start + per_block]
-        events = np.stack([_slice_events(n, float(tau), grid) for tau in block])
+        events = _slice_events(n, block[:, None], grid.axis_nodes[0])
         jets, bundle = _assemble(metric, events)
         g_up = bundle.g_inv @ bundle.einstein @ bundle.g_inv
         hbar, _, p = _slice_fields(jets.psi_tilde, jets.sigma)
@@ -440,9 +441,7 @@ def monotonicity_scan(
 
     fp = np.array([spec.f.derivative(float(t), 1) for t in times])
     thetas = grid.axis_nodes[0][::4]
-    events = np.full((len(times), len(thetas), n + 1), _FILL_ANGLE)
-    events[..., 0] = times[:, None]
-    events[..., 1] = thetas
+    events = _slice_events(n, times[:, None], thetas)
     g_inv = np.empty(events.shape + (n + 1,))
     einstein = np.empty_like(g_inv)
     for index in np.ndindex(events.shape[:-1]):

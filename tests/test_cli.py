@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -362,23 +363,43 @@ def test_overflow_during_evaluation_exits_two(tmp_path, capsys):
     assert "validation failure: math range error at tau = -1.0" in err
 
 
+NON_FINITE_PSI = {
+    "kind": "custom", "n": 3, "omega": 1.0,
+    "f": "log(-tau)", "a": -1.0, "psi": "1e308*10*tau",
+}
+
+
 def test_non_finite_literal_in_an_expression_exits_two(tmp_path, capsys):
-    # 1e308*10 folds to inf: the program runs, and the metric it makes is
-    # degenerate
+    # 1e308*10 folds to inf: the program runs, and metric_jets names the
+    # field whose jet is not finite before it forms any product
     config = {
-        "spacetime": {
-            "kind": "custom", "n": 3, "omega": 1.0,
-            "f": "log(-tau)", "a": -1.0, "psi": "1e308*10*tau",
-        },
+        "spacetime": NON_FINITE_PSI,
         "command": "mass",
         "grid": 8,
         "schedule": {"K": 3},
         "output": {"path": str(tmp_path / "out")},
     }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([write_config(tmp_path, config)]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "validation failure: psi_tilde is not finite at event [-1.0, " in err
+
+
+def test_validate_rejects_a_non_finite_psi(tmp_path, capsys):
+    # the conditions read f alone; the assembly at the sample times reads psi
+    config = {
+        "spacetime": NON_FINITE_PSI,
+        "command": "validate",
+        "output": {"path": str(tmp_path / "out")},
+    }
     assert main([write_config(tmp_path, config)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "validation failure: degenerate metric at event" in err
+    assert "validation failure: psi_tilde is not finite at event [-1.0, " in err
+    assert not (tmp_path / "out" / "validate.csv").exists()
 
 
 SADS = {"kind": "sads", "n": 3, "lambda": -1.0, "mass": 1.0}

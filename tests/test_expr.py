@@ -1,8 +1,11 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import arwmass
 from arwmass.expr import (
     BinOp,
     Call,
@@ -10,6 +13,7 @@ from arwmass.expr import (
     Neg,
     Num,
     ParseError,
+    Program,
     UnboundVariableError,
     Var,
     _emit_program,
@@ -208,7 +212,8 @@ def test_non_finite_literals_compile_like_evaluate(source, literal):
     taus = [-1.0, 0.0, 2.0]
     expected = [evaluate(expr, {"tau": tau}) for tau in taus]
     scalar_expr = compile_expression(expr, ("tau",))
-    scalar_jet, vectorized = compile_jet([expr], ("tau",))
+    program = compile_jet([expr], ("tau",))
+    scalar_jet, vectorized = program.scalar, program.vectorized
     # assert_array_equal counts NaN as equal to NaN
     np.testing.assert_array_equal([scalar_expr(tau) for tau in taus], expected)
     np.testing.assert_array_equal([scalar_jet(tau)[0] for tau in taus], expected)
@@ -227,3 +232,62 @@ def test_compiled_source_has_no_numpy_scalar_reprs():
     expr = BinOp("*", Num(np.float64(0.5)), Var("tau"))
     fn = compile_expression(expr, ("tau",))
     assert fn(2.0) == 1.0
+
+
+PROGRAM_TREES = [parse(s) for s in ("log(x) + y^2", "sin(x)*y", "2.5", "sqrt(x)/y")]
+
+
+def test_program_on_one_point_is_evaluate_bit_for_bit():
+    program = compile_jet(PROGRAM_TREES, ("x", "y"))
+    assert isinstance(program, Program)
+    for point in ([0.7, -1.3], [2.0, 0.25]):
+        got = program(np.array(point))
+        assert got.shape == (4,)
+        expected = [evaluate(e, {"x": point[0], "y": point[1]}) for e in PROGRAM_TREES]
+        assert got.tolist() == expected
+
+
+def test_program_on_an_array_is_its_vectorized_tuple_packed():
+    program = compile_jet(PROGRAM_TREES, ("x", "y"))
+    points = np.random.default_rng(3).uniform(0.1, 2.0, (2, 3, 2))
+    got = program(points)
+    assert got.shape == (2, 3, 4)
+    values = program.vectorized(points[..., 0], points[..., 1])
+    for k, value in enumerate(values):
+        np.testing.assert_array_equal(got[..., k], np.broadcast_to(value, (2, 3)))
+
+
+def test_program_names_the_first_failing_point_in_c_order():
+    program = compile_jet(PROGRAM_TREES, ("x", "y"))
+    points = np.full((2, 3, 2), 0.5)
+    points[1, 0, 0] = -2.0  # log and sqrt of a negative value
+    points[0, 2, 0] = -1.0  # first in C order
+    with pytest.raises(DomainError) as batched:
+        program(points)
+    assert str(batched.value) == "log of non-positive value -1.0 at event [-1.0, 0.5]"
+    with pytest.raises(DomainError) as one:
+        program(points[0, 2])
+    assert str(one.value) == str(batched.value)
+    single = compile_jet([parse("sqrt(theta1)")], ("theta1",))
+    with pytest.raises(DomainError) as named:
+        single(np.array([[4.0], [-0.25], [-1.0]]))
+    assert str(named.value) == "sqrt of negative value -0.25 at theta1 = -0.25"
+    with pytest.raises(DomainError, match=r"^math range error at event \[800\.0, 1\.0\]$"):
+        compile_jet([parse("exp(x)*y")], ("x", "y"))(np.array([800.0, 1.0]))
+
+
+def test_only_expr_calls_a_programs_functions():
+    # every other module applies a program by calling it
+    source = pathlib.Path(arwmass.__file__).parent
+    callers = []
+    for path in sorted(source.glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("scalar", "vectorized")
+            ):
+                callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []

@@ -85,7 +85,7 @@ def _outcome(fn):
 @PROPERTY
 @given(TREES, st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
 def test_compiled_scalar_program_is_evaluate_bit_for_bit(expr, x, tau, theta1):
-    scalar, _ = compile_jet((expr,), VARIABLES)
+    scalar = compile_jet((expr,), VARIABLES).scalar
     compiled = _outcome(lambda: scalar(x, tau, theta1)[0])
     evaluated = _outcome(lambda: evaluate(expr, {"x": x, "tau": tau, "theta1": theta1}))
     assert compiled == evaluated
@@ -206,7 +206,7 @@ def _jet_trees(expr, derive):
 
 
 def _vectorized_jet(trees):
-    _, vectorized = compile_jet(trees, VARIABLES)
+    vectorized = compile_jet(trees, VARIABLES).vectorized
     try:
         values = vectorized(*_POINTS)
     except EvaluationError:

@@ -628,3 +628,35 @@ def test_node_curvatures_build_the_induced_jets_once(monkeypatch):
     spec, u = BATCH_CASES[2]
     node_curvatures(GraphHypersurface(u=u, ambient=spec.metric), _nodes(3, 5))
     assert calls == [(5, 3)]
+
+
+def test_conformal_extrinsic_residual_evaluates_psi_once_per_block(monkeypatch):
+    # the drift term reads psi_tilde's gradient from the assembly that
+    # second_fundamental builds, and its values keep their bits
+    spec = make_spec(
+        3, 1.0, "log(-2*tau)", a=-1.0,
+        psi="0.05*cos(theta1)*tau", lam="0.03*cos(theta1)*tau",
+    )
+    u = "-0.4 + 0.03*sin(theta1)*sin(theta1)"
+    nodes = _nodes(spec.n, 10)
+    ext = second_fundamental(GraphHypersurface(u=u, ambient=spec.metric), nodes)
+    ext_conf = second_fundamental(GraphHypersurface(u=u, ambient=spec.conformal_metric), nodes)
+    dpsi = spec.metric.psi_tilde.jet(ext.event, 1)[..., None, 1:]
+    drift = dpsi @ ext_conf.past_normal[..., :, None]
+    res = (
+        np.exp(ext.psi_tilde)[..., None, None] * (ext.inverse @ ext.h)
+        - ext_conf.inverse @ ext_conf.h
+        - drift * np.eye(spec.n)
+    )
+    expected = np.max(np.abs(res), axis=(-2, -1))
+
+    jet, orders = spec.psi_field.jet, []
+
+    def counting(events, order=2):
+        orders.append(order)
+        return jet(events, order)
+
+    monkeypatch.setattr(spec.psi_field, "jet", counting)
+    got = conformal_extrinsic_residual(spec, u, nodes)
+    assert orders == [1]
+    npt.assert_array_equal(got, expected)

@@ -188,7 +188,7 @@ def test_jet_shares_subexpressions():
     expr = parse("exp(sin(theta1)^2 * tau) * sin(theta1)^2")
     field = ExprField(expr, 2)
     exprs = [field._expression(key) for key in jet_keys(2, 2)]
-    jet, _ = compile_jet(exprs, ("tau", "theta1"))
+    jet = compile_jet(exprs, ("tau", "theta1")).scalar
     single = [compile_expression(e, ("tau", "theta1")) for e in exprs]
     assert jet.__code__.co_nlocals < sum(fn.__code__.co_nlocals for fn in single)
     assert list(jet(-0.3, 0.7)) == [fn(-0.3, 0.7) for fn in single]
@@ -210,7 +210,8 @@ def test_jet_shares_subexpressions():
     ],
 )
 def test_vectorized_jet_raises_where_scalar_raises(source, values):
-    scalar, vectorized = compile_jet([parse(source)], ("x",))
+    program = compile_jet([parse(source)], ("x",))
+    scalar, vectorized = program.scalar, program.vectorized
     raised = False
     expected = []
     for x in values:
@@ -325,6 +326,17 @@ def test_scalar_overflow_is_a_domain_error_naming_the_point():
         field.partial(event, (1,))
     with pytest.raises(DomainError, match=r"at event \[-0\.5, 1\.0, 0\.3\]"):
         field.jet(event, 1)
+    # an integer power on a numpy scalar would give inf; programs run on
+    # Python floats, so jets and partials raise like evaluate
+    power = ExprField(parse("theta1^400 + tau"), 3)
+    event = np.array([-0.5, 10.0, 0.3])
+    for evaluate_at in (
+        lambda: power.partial(event),
+        lambda: power.jet(event, 0),
+        lambda: power.jet(np.stack([event - [0.0, 9.0, 0.0], event]), 0),
+    ):
+        with pytest.raises(DomainError, match=r"range.* at event \[-0\.5, 10\.0, 0\.3\]"):
+            evaluate_at()
     profile = ExprTimeFunction(parse("log(-tau) + exp(-800*tau)"))
     with pytest.raises(DomainError, match=r"at tau = -1\.0"):
         profile.derivative(-1.0, 2)
@@ -358,3 +370,27 @@ def test_a_structurally_zero_partial_does_not_raise_on_its_own():
         field.partial(event, (1,))
     with pytest.raises(DomainError, match=r"at event \[-0\.5, 0\.0, 0\.3\]"):
         field.jet(event, 1)
+
+
+def test_constructing_a_field_compiles_nothing(monkeypatch):
+    # one program cache: a jet and a partial each compile on first use only
+    import arwmass.expr
+
+    code = arwmass.expr._code
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return code(*args)
+
+    monkeypatch.setattr(arwmass.expr, "_code", counting)
+    field = ExprField(parse("exp(tau)*sin(theta1)^2"), 3)
+    assert calls == []
+    event = np.array([-0.5, 1.0, 0.3])
+    for _ in range(2):
+        field.jet(event, 2)
+        field.jet(np.stack([event, event]), 2)
+        field.partial(event, (1, 0))
+    assert len(calls) == 2
+    assert field.partial(event, (0, 1)) == field.jet(event, 2)[jet_keys(3, 2).index((0, 1))]
+    assert len(calls) == 2

@@ -290,7 +290,7 @@ def reference_slab_volume(spec, tau1, tau2, grid):
     half = 0.5 * (tau2 - tau1)
     volume = 0.0
     for tau, wt in zip(tau1 + half * (x + 1.0), half * gw):
-        events = _slice_events(n, float(tau), grid)
+        events = _slice_events(n, float(tau), grid.axis_nodes[0])
         bundle = curvature_batch(metric, events)
         g_up = bundle.g_inv @ bundle.einstein @ bundle.g_inv
         hbar = coordinate_slice_curvature(metric, float(tau))(events[:, 1:])
@@ -703,7 +703,7 @@ def test_leaf_integral_takes_rows_of_node_values(rw1):
     # to its own call
     grid = quadrature_grid(3, 12)
     w = _weights(rw1)
-    events = np.stack([_slice_events(3, tau, grid) for tau in (-0.4, -0.2)])
+    events = np.stack([_slice_events(3, tau, grid.axis_nodes[0]) for tau in (-0.4, -0.2)])
     p = w.metric.psi_tilde.jet(events, 0)[..., 0]
     s = w.metric.sigma[0][0].jet(events, 0)[..., 0]
     lw = w.log_weight(events)
