@@ -21,12 +21,13 @@ in JSON) so identical configs produce byte-identical artifacts.
 Exit codes: 0 success; 1 config error (unknown kind/command, missing field,
 unparseable expression, unknown variable, a count below its minimum: grid
 and schedule K at least 2, imcf max_leaves at least 2, check events at least
-1; an imcf t_end or tolerance that is not a positive finite number); 2
-validation failure (a validate/check run whose conditions do not hold, or a
-domain error, overflow included, while evaluating an expression); 3
-numerical abort (H <= 0, non-spacelike graph, quadrature breakdown, singular
-linear algebra: numpy's LinAlgError, although a ValueError, is not a config
-error).
+1; an imcf t_end or tolerance that is not a positive finite number; a start
+time outside the domain: a schedule a outside [a, 0) or an imcf u0 outside
+(a, 0), NaN included); 2 validation failure (a validate/check run whose
+conditions do not hold, or a domain error, overflow included, while
+evaluating an expression); 3 numerical abort (H <= 0, non-spacelike graph,
+quadrature breakdown, singular linear algebra: numpy's LinAlgError, although
+a ValueError, is not a config error).
 
 ARWMASS_THREADS caps the worker threads used for independent sub-reports.
 """
@@ -157,6 +158,8 @@ def _schedule_size(config) -> int:
 
 def _schedule(config, spec):
     start = float(config.get("schedule", {}).get("a", spec.a))
+    if not spec.a <= start < 0.0:
+        raise ConfigError(f"schedule a = {start} outside [{spec.a}, 0)")
     return geometric_schedule(start, _schedule_size(config))
 
 
@@ -271,6 +274,8 @@ def _cmd_mass(spec, config, grid, seed):
 def _cmd_imcf(spec, config, grid, seed):
     section = config.get("imcf", {})
     u0 = float(section.get("u0", 0.5 * spec.a))
+    if not spec.a < u0 < 0.0:
+        raise ConfigError(f"imcf u0 = {u0} outside ({spec.a}, 0)")
     t_end = _positive(section, "t_end", 15.0, "imcf t_end")
     tolerance = _positive(section, "tolerance", 1e-10, "imcf tolerance")
     # the leaves sit at max_leaves evenly spaced flow times, 0 and t_end included

@@ -173,9 +173,7 @@ class SumField(ScalarField):
 
 
 class TimeFunction(ABC):
-    """Scalar function of tau with derivatives up to the stated order."""
-
-    max_order: int = 3
+    """Scalar function of tau with its derivatives."""
 
     @abstractmethod
     def derivative(self, tau: float, order: int) -> float: ...
@@ -190,8 +188,6 @@ class ExprTimeFunction(TimeFunction):
     A derivative raises wherever the profile itself raises: the profile is
     evaluated first.
     """
-
-    max_order = 6
 
     def __init__(self, expr: Expression):
         unknown = free_variables(expr) - {"tau"}
@@ -212,29 +208,6 @@ class ExprTimeFunction(TimeFunction):
             return self._compiled[order](tau)
         except (EvaluationError, ArithmeticError, ValueError) as exc:
             raise DomainError(f"{exc} at tau = {tau}") from None
-
-
-class ShiftedScaledTimeFunction(TimeFunction):
-    """g(tau) = base(tau / time_scale) + shift.
-
-    Used by the normalization map, which rescales the time coordinate while
-    shifting the profile by a constant.
-    """
-
-    def __init__(self, base: TimeFunction, time_scale: float, shift: float):
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
-        self.base = base
-        self.time_scale = float(time_scale)
-        self.shift = float(shift)
-        self.max_order = base.max_order
-
-    def derivative(self, tau: float, order: int) -> float:
-        inner = self.base.derivative(tau / self.time_scale, order)
-        result = inner / self.time_scale**order
-        if order == 0:
-            result += self.shift
-        return result
 
 
 class TimeField(ScalarField):

@@ -116,11 +116,6 @@ class GraphHypersurface:
         theta1 values; raises DomainError naming the first failing theta1."""
         return self._program(np.asarray(theta1, dtype=float)[..., None])
 
-    def event(self, node) -> np.ndarray:
-        """The event (u(theta1), node) over one node or an array of nodes."""
-        node = np.asarray(node, dtype=float)
-        return np.concatenate((self.u_jet(node[..., 0])[..., :1], node), axis=-1)
-
 
 @dataclass(frozen=True)
 class ExtrinsicData:

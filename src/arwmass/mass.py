@@ -20,12 +20,18 @@ of an IMCF leaf) to geometry.integrate_node_values in one call.  Callers
 pass psi_tilde and sigma_11 from the field jets of their own assembly
 (graphs and leaves from their ExtrinsicData), and tcc_check reads its frame
 from the g of its curvature bundles: no field is evaluated a second time.
+
+Both gauge moves are the time change tau = phi(s), with f -> f o phi +
+log phi', psi -> psi o phi and lambda -> lambda o phi - log phi'; normalize
+puts its constant log phi' into sigma_scale instead of lambda.  psi and
+lambda are substituted symbolically, and f, of any time profile, goes
+through _TimeChange with derivatives up to order 3.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -33,10 +39,12 @@ import numpy as np
 from .curvature import _BLOCK_EVENTS, _assemble, curvature_at
 from .expr import (
     Call,
+    Expression,
     ExpressionError,
     Num,
     Var,
-    compile_expression,
+    compile_jet,
+    differentiate,
     fold_constants,
     substitute,
 )
@@ -44,7 +52,6 @@ from .extrapolate import aitken_limit
 from .fields import (
     ConstField,
     ScalarField,
-    ShiftedScaledTimeFunction,
     TimeField,
     TimeFunction,
     as_time_function,
@@ -57,7 +64,6 @@ from .geometry import (
     SpacetimeMetric,
     geometric_schedule,
     integrate_node_values,
-    integrate_rotationally_symmetric,
     quadrature_grid,
     sample_events,
     sphere_volume,
@@ -565,68 +571,64 @@ def tcc_check(
 # Gauge moves
 
 
+class _TimeChange(TimeFunction):
+    """f o phi + log phi' for the time change tau = phi(s), up to order 3.
+
+    ``phi`` is an expression in tau.  One program gives phi and its first
+    three derivatives and log phi' with its first three; f's derivatives at
+    phi(s) enter by the chain rule.
+    """
+
+    def __init__(self, base: TimeFunction, phi: Expression):
+        self.base = base
+        exprs = [phi, Call("log", differentiate(phi, "tau"))]
+        jets = [differentiate(e, "tau", k) for e in exprs for k in range(4)]
+        self._program = compile_jet(jets, ("tau",))
+
+    def derivative(self, tau: float, order: int) -> float:
+        if not 0 <= order <= 3:
+            raise ValueError(f"derivative order {order} not available (max 3)")
+        phi, d1, d2, d3, *log_d1 = self._program(np.array([tau])).tolist()
+        b = [self.base.derivative(phi, k) if k <= order else 0.0 for k in range(4)]
+        chain = (
+            b[0],
+            b[1] * d1,
+            b[2] * d1 * d1 + b[1] * d2,
+            b[3] * d1**3 + 3.0 * b[2] * d1 * d2 + b[1] * d3,
+        )
+        return chain[order] + log_d1[order]
+
+
 def normalize(spec: ARWSpec, grid: QuadratureGrid | None = None):
     """Rescale the spatial metric to unit-sphere volume.
 
     Returns (spec', scale) with sigma_bar -> scale * sigma_bar.  Keeping the
-    spacetime fixed as a tensor forces the companion moves
-
-        f(tau) -> f(tau / sqrt(scale)) - log(scale)/2,   a -> sqrt(scale) a,
-
-    i.e. the time coordinate stretches by sqrt(scale) while the conformal
-    factor sheds the constant the spatial rescale absorbed.  psi and lambda
-    are reparametrized accordingly.  The limiting spatial volume uses the
-    lambda-profile at tau = 0, where admissible perturbations vanish.
+    spacetime fixed as a tensor forces the time change tau = phi(s) with
+    phi(s) = s / sqrt(scale), a -> sqrt(scale) a: f -> f o phi + log phi'
+    sheds the constant the spatial rescale absorbed, and psi and lambda are
+    composed with phi.  The constant log phi' goes into sigma_scale, not
+    into lambda.  Both volumes are taken with the grid's own rule, the
+    limiting one from the lambda-profile at tau = 0, where admissible
+    perturbations vanish; a spec already of unit volume keeps scale 1.0.
     """
     grid = grid or quadrature_grid(spec.n)
     lam0 = fold_constants(substitute(spec.lam, "tau", Num(0.0)))
-    lam_fn = compile_expression(lam0, ("theta1",))
-    vol = integrate_rotationally_symmetric(
-        grid,
-        lambda t1: (spec.sigma_scale * math.exp(2.0 * lam_fn(t1))) ** (spec.n / 2.0),
-    )
-    scale = float((sphere_volume(spec.n) / vol) ** (2.0 / spec.n))
+    lam = compile_jet([lam0], ("theta1",))(grid.axis_nodes[0][:, None])[:, 0]
+    density = (spec.sigma_scale * np.exp(2.0 * lam)) ** (spec.n / 2.0)
+    unit, vol = integrate_node_values(grid, [np.ones_like(lam), density])
+    scale = float((unit / vol) ** (2.0 / spec.n))
     if abs(scale - 1.0) < 1e-14:
         return spec, 1.0
     root = math.sqrt(scale)
     stretched = Var("tau") / Num(root)
-    spec2 = ARWSpec(
-        n=spec.n,
-        omega=spec.omega,
-        f=ShiftedScaledTimeFunction(spec.f, time_scale=root, shift=-0.5 * math.log(scale)),
+    return replace(
+        spec,
+        f=_TimeChange(spec.f, stretched),
         psi=fold_constants(substitute(spec.psi, "tau", stretched)),
         lam=fold_constants(substitute(spec.lam, "tau", stretched)),
         a=root * spec.a,
         sigma_scale=spec.sigma_scale * scale,
-    )
-    return spec2, scale
-
-
-class _ReparametrizedTime(TimeFunction):
-    """f o phibar + log phibar' for the quadratic change phibar(s) = s + eps s^2."""
-
-    max_order = 3
-
-    def __init__(self, base: TimeFunction, eps: float):
-        self.base = base
-        self.eps = eps
-
-    def derivative(self, tau: float, order: int) -> float:
-        e = self.eps
-        phi = tau + e * tau * tau
-        d1 = 1.0 + 2.0 * e * tau
-        if order == 0:
-            return self.base.value(phi) + math.log(d1)
-        b1 = self.base.derivative(phi, 1)
-        if order == 1:
-            return b1 * d1 + 2.0 * e / d1
-        b2 = self.base.derivative(phi, 2)
-        if order == 2:
-            return b2 * d1 * d1 + 2.0 * e * b1 - 4.0 * e * e / d1**2
-        b3 = self.base.derivative(phi, 3)
-        if order == 3:
-            return b3 * d1**3 + 6.0 * e * b2 * d1 + 16.0 * e**3 / d1**3
-        raise ValueError(f"derivative order {order} not available (max 3)")
+    ), scale
 
 
 def reparametrize_time(spec: ARWSpec, eps: float) -> ARWSpec:
@@ -639,7 +641,8 @@ def reparametrize_time(spec: ARWSpec, eps: float) -> ARWSpec:
         psi~ = psi o phibar,
 
     which leaves omega and the recovered mass unchanged (phibar' -> 1 at the
-    singularity).
+    singularity).  Any time profile is accepted, the Schwarzschild-AdS one
+    included.
     """
     if eps == 0.0:
         return spec
@@ -650,16 +653,12 @@ def reparametrize_time(spec: ARWSpec, eps: float) -> ARWSpec:
     if 1.0 + 2.0 * eps * a_new <= 0.0:
         raise GeometryError(f"phibar is not monotone over [{spec.a}, 0) for eps = {eps}")
 
-    phi = fold_constants(
-        Var("tau") + Num(eps) * Var("tau") * Var("tau")
-    )
+    phi = fold_constants(Var("tau") + Num(eps) * Var("tau") * Var("tau"))
     dphi = fold_constants(Num(1.0) + Num(2.0 * eps) * Var("tau"))
-    return ARWSpec(
-        n=spec.n,
-        omega=spec.omega,
-        f=_ReparametrizedTime(spec.f, eps),
+    return replace(
+        spec,
+        f=_TimeChange(spec.f, phi),
         psi=fold_constants(substitute(spec.psi, "tau", phi)),
         lam=fold_constants(substitute(spec.lam, "tau", phi) - Call("log", dphi)),
         a=a_new,
-        sigma_scale=spec.sigma_scale,
     )

@@ -335,8 +335,6 @@ _RADIUS_CACHE = 4096
 class SAdSTimeFunction(TimeFunction):
     """f = log r as a function of the brane time, via the exact chain rule."""
 
-    max_order = 3
-
     def __init__(self, params: SAdSParams):
         self.params = params
         # lru_cache is safe to share between threads; r_of_x0 is looked up

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from arwmass.curvature import conformal_residuals, curvature_at
-from arwmass.fields import ShiftedScaledTimeFunction
+from arwmass.expr import Num, Var
 from arwmass.geometry import (
     ARWSpec,
     geometric_schedule,
@@ -32,6 +32,7 @@ from arwmass.hypersurface import (
 )
 from arwmass.imcf import flow_diagnostics, imcf_run, mass_along_flow
 from arwmass.mass import (
+    _TimeChange,
     mass_limit,
     normalize,
     reparametrize_time,
@@ -244,9 +245,7 @@ def test_criterion_7_presentation_independence():
     pre = ARWSpec(
         n=3,
         omega=1.0,
-        f=ShiftedScaledTimeFunction(
-            spec.f, time_scale=math.sqrt(c), shift=-0.5 * math.log(c)
-        ),
+        f=_TimeChange(spec.f, Var("tau") / Num(math.sqrt(c))),
         a=math.sqrt(c) * spec.a,
         sigma_scale=c,
     )

@@ -486,6 +486,29 @@ def test_imcf_t_end_and_tolerance_must_be_positive_and_finite(
     assert not (tmp_path / "out" / "imcf.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        *(
+            (dict(SMALL_IMCF, imcf=dict(SMALL_IMCF["imcf"], u0=u0)),
+             f"imcf u0 = {float(u0)} outside (-0.5, 0)")
+            for u0 in (0.3, "nan", -5.0)
+        ),
+        *(
+            (dict(RW_MASS, schedule={"K": 10, "a": a}),
+             f"schedule a = {float(a)} outside [-0.5, 0)")
+            for a in (0.3, -5.0, "nan")
+        ),
+    ],
+    ids=["u0=0.3", "u0=nan", "u0=-5", "schedule a=0.3", "schedule a=-5", "schedule a=nan"],
+)
+def test_start_times_outside_the_domain_are_config_errors(tmp_path, config, message, capsys):
+    config = dict(config, output={"path": str(tmp_path / "out")})
+    assert main([write_config(tmp_path, config)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out" / f"{config['command']}.csv").exists()
+
+
 def test_imcf_leaves_sit_at_fixed_flow_times(tmp_path):
     for fmt in ("csv", "json"):
         config = dict(

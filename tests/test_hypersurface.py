@@ -173,7 +173,7 @@ def test_graph_overflow_is_a_domain_error(ambient):
     with pytest.raises(DomainError, match=r"at theta1 = 2\.5"):
         surface.u_jet(2.5)
     with pytest.raises(DomainError, match=r"at theta1 = 2\.5"):
-        surface.event(np.array([2.5, 1.0, 1.0]))
+        graph_geometry(surface, np.array([2.5, 1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------

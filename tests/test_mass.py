@@ -10,9 +10,10 @@ import arwmass.geometry
 import arwmass.hypersurface
 import arwmass.mass
 from arwmass.curvature import curvature_at, curvature_batch
-from arwmass.expr import Num, fold_constants
+from arwmass.expr import Num, Var, fold_constants, substitute
 from arwmass.fields import ExprField, TimeField
 from arwmass.geometry import (
+    ARWSpec,
     ConditionReport,
     GeometryError,
     flat_chart_metric,
@@ -32,6 +33,7 @@ from arwmass.hypersurface import (
 from arwmass.mass import (
     _FILL_ANGLE,
     TccReport,
+    _TimeChange,
     _slice_events,
     _weighted_integral,
     _weights,
@@ -638,25 +640,29 @@ def test_normalize_is_identity_for_unit_sphere(rw1, grid):
     assert result is rw1
 
 
+def stretched(spec, c):
+    """The same spacetime with sigma_bar -> c sigma_bar: the time change
+    tau = s / sqrt(c) on f, psi and lambda, and a -> sqrt(c) a."""
+    phi = Var("tau") / Num(math.sqrt(c))
+    return ARWSpec(
+        n=spec.n,
+        omega=spec.omega,
+        f=_TimeChange(spec.f, phi),
+        psi=fold_constants(substitute(spec.psi, "tau", phi)),
+        lam=fold_constants(substitute(spec.lam, "tau", phi)),
+        a=math.sqrt(c) * spec.a,
+        sigma_scale=spec.sigma_scale * c,
+    )
+
+
 def test_normalize_round_trip(grid):
     # re-present the same spacetime with sigma_bar -> c sigma_bar and the
     # companion moves on f and a, then undo the scaling
-    from arwmass.fields import ShiftedScaledTimeFunction
-    from arwmass.geometry import ARWSpec
-
     c = 1.7
     reference = rw_family_spec(3, 1.0, k=1.5, a=-0.5)
     m_ref = mass_limit(reference, grid).m_hat
 
-    pre = ARWSpec(
-        n=3,
-        omega=1.0,
-        f=ShiftedScaledTimeFunction(
-            reference.f, time_scale=math.sqrt(c), shift=-0.5 * math.log(c)
-        ),
-        a=math.sqrt(c) * reference.a,
-        sigma_scale=c,
-    )
+    pre = stretched(reference, c)
     # the raw presentation reports a gauge-dependent number ...
     m_pre = mass_limit(pre, grid).m_hat
     assert m_pre == pytest.approx(m_ref * c ** (-pre.omega / 2), rel=1e-9)
@@ -667,6 +673,59 @@ def test_normalize_round_trip(grid):
     assert renormed.sigma_scale == pytest.approx(1.0, rel=1e-12)
     assert renormed.a == pytest.approx(reference.a, rel=1e-12)
     assert mass_limit(renormed, grid).m_hat == pytest.approx(m_ref, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        rw_family_spec(2, 1.0, k=1.5, a=-0.5),
+        rw_family_spec(3, 1.0, k=1.5, a=-0.5),
+        as_arw_spec(SAdSParams(n=3, lam=0.0, mass=1.0)),
+        make_spec(2, 1.0, "log(-tau)", a=-1.0, lam="0.2*tau"),
+    ],
+    ids=["rw n=2", "rw n=3", "sads n=3", "lambda of tau alone"],
+)
+@pytest.mark.parametrize("nodes", [4, 8])
+def test_normalize_keeps_a_unit_volume_spec_at_every_grid(spec, nodes):
+    # the unit sphere is measured with the grid's own rule, so the
+    # quadrature error of a coarse grid is no reason to rescale
+    result, scale = normalize(spec, quadrature_grid(spec.n, nodes))
+    assert scale == 1.0
+    assert result is spec
+
+
+ANGULAR = make_spec(
+    3, 1.0, "log(-tau)", a=-1.0,
+    psi="0.05*cos(theta1)*exp(tau)", lam="0.03*cos(theta1)*tau",
+)
+
+
+@pytest.mark.parametrize("c", [1.7, 2.3])
+def test_normalize_round_trip_with_angular_perturbations(c):
+    grid = quadrature_grid(3, 24)
+    m_ref = mass_limit(ANGULAR, grid).m_hat
+    renormed, scale = normalize(stretched(ANGULAR, c), grid)
+    assert scale == pytest.approx(1.0 / c, rel=1e-12)
+    assert mass_limit(renormed, grid).m_hat == pytest.approx(m_ref, rel=1e-9)
+
+
+def test_reparametrize_drift_with_angular_perturbations():
+    # the drift is the extrapolation error of the two schedules, not a gauge
+    # dependence
+    grid = quadrature_grid(3, 24)
+    m_ref = mass_limit(ANGULAR, grid).m_hat
+    for eps in (-0.1, 0.1):
+        m_new = mass_limit(reparametrize_time(ANGULAR, eps), grid).m_hat
+        assert m_new == pytest.approx(m_ref, abs=1e-6)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_reparametrize_recovers_the_sads_mass(lam):
+    spec = as_arw_spec(SAdSParams(n=3, lam=lam, mass=1.0))
+    grid = quadrature_grid(3, 24)
+    for eps in (-0.1, 0.1):
+        m_hat = mass_limit(reparametrize_time(spec, eps), grid).m_hat
+        assert m_hat == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reparametrize_preserves_mass(rw1, grid):

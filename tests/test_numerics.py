@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from arwmass.expr import Num, parse
+from arwmass.expr import Num, Var, parse
 from arwmass.extrapolate import aitken_limit
 from arwmass.fields import (
     ExprField,
     ExprTimeFunction,
-    ShiftedScaledTimeFunction,
     as_expression,
     as_time_function,
 )
+from arwmass.mass import _TimeChange
 
 
 def test_aitken_accelerates_geometric_tails():
@@ -64,16 +64,16 @@ def test_expr_time_function_high_order():
         assert f.derivative(tau, order) == pytest.approx(expected, rel=1e-12)
 
 
-def test_shifted_scaled_time_function():
+def test_time_change_stretches_and_shifts():
     base = ExprTimeFunction(parse("log(-tau)"))
     c = 2.25
-    g = ShiftedScaledTimeFunction(base, time_scale=math.sqrt(c), shift=-0.5 * math.log(c))
+    g = _TimeChange(base, Var("tau") / Num(math.sqrt(c)))
     tau = -0.6
-    # g(tau) = base(tau / sqrt(c)) - log(c)/2
+    # g(tau) = base(tau / sqrt(c)) + log(1 / sqrt(c))
     assert g.value(tau) == pytest.approx(
         math.log(0.6 / math.sqrt(c)) - 0.5 * math.log(c), rel=1e-14
     )
-    # chain rule: each order picks up a factor time_scale^{-order}
+    # chain rule: each order picks up a factor sqrt(c)^{-order}
     for order in (1, 2, 3):
         expected = base.derivative(tau / math.sqrt(c), order) * c ** (-order / 2)
         assert g.derivative(tau, order) == pytest.approx(expected, rel=1e-14)
