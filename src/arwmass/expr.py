@@ -16,7 +16,9 @@ integer exponents follow ordinary powers (negative bases allowed).
 Differentiation returns a closed expression in the same grammar, and it is
 sparse: a subtree free of the variable has derivative Num(0.0), which drops
 every product term it would multiply, and a factor Num(1.0) is dropped from
-its product.  Every term it keeps is the full product- or chain-rule term,
+its product; the power rule of a literal exponent b writes b a^(b-1)
+without a^1, a^0 or a factor 1, exactly (a^1 = a and a^0 = 1 for every
+float a).  Every term it keeps is the full product- or chain-rule term,
 so wherever the full derivative evaluates finite the sparse one has the
 same value; it raises at most where the full one raises, since the dropped
 terms can raise on their own (0.0 * log(-tau) at tau > 0).  The only other
@@ -31,6 +33,10 @@ forms: on floats, calling the helpers ``evaluate`` calls, so every result
 is bit-identical to ``evaluate``; and on numpy arrays, with vectorized
 domain checks that raise DomainError wherever some element would make the
 scalar form raise (overflow included).  Calling the program picks the form.
+A power whose exponent is a finite literal has its integer decision taken
+when the program is built, so on arrays it is np.power (or exp(b log a)
+for a non-integer b, after the sign check) followed by the overflow check
+on finite bases; a division by a nonzero literal is a plain division.
 """
 
 from __future__ import annotations
@@ -533,6 +539,12 @@ def _diff(expr: Expression, var: str) -> Expression:
             num = _plus("-", _times(da, b), _times(a, db))
             return BinOp("/", num, BinOp("^", b, Num(2.0)))
         # power rules: constant exponent, constant base, then the general form
+        if isinstance(b, Num):
+            # b a^(b-1), written without the exact a^1 = a, a^0 = 1 and 1 x = x
+            if b.value == 1.0:
+                return da
+            power = a if b.value == 2.0 else BinOp("^", a, Num(b.value - 1.0))
+            return _times(BinOp("*", b, power), da)
         if not free_variables(b):
             dpow = BinOp("*", b, BinOp("^", a, BinOp("-", b, _ONE)))
             return _times(dpow, da)
@@ -758,12 +770,13 @@ def _emit_program(exprs: tuple, arg_names) -> tuple[list[str], list[str]]:
             code = f"(-{operand(node.operand)})"
         elif isinstance(node, BinOp):
             a, b = operand(node.left), operand(node.right)
-            if node.op in "+-*":
+            literal = node.right.value if isinstance(node.right, Num) else None
+            if node.op in "+-*" or (node.op == "/" and literal not in (None, 0.0)):
                 code = f"({a} {node.op} {b})"
             elif node.op == "/":
                 code = f"_div({a}, {b})"
             else:
-                code = f"_pow({a}, {b})"
+                code = f"{_power_helper(literal)}({a}, {b})"
         elif isinstance(node, Call):
             code = f"_call_{node.fn}({operand(node.arg)})"
         else:
@@ -784,8 +797,19 @@ def _emit_program(exprs: tuple, arg_names) -> tuple[list[str], list[str]]:
 # a folded overflow leaves inf or nan in the tree, which has no literal
 _NON_FINITE = {"inf": "_INF", "-inf": "(-_INF)", "nan": "_NAN"}
 
+
+def _power_helper(exponent: float | None) -> str:
+    """The helper of a power: a finite literal exponent has its integer
+    decision taken here, once, instead of at every evaluation."""
+    if exponent is None or not math.isfinite(exponent):
+        return "_pow"
+    return "_pow_integer" if exponent.is_integer() else "_pow_real"
+
+
 _SCALAR_HELPERS = {
     "_pow": _pow,
+    "_pow_integer": _pow,
+    "_pow_real": _pow,
     "_div": _div,
     "_call_exp": math.exp,
     "_call_log": _log,
@@ -807,15 +831,18 @@ _SCALAR_HELPERS = {
 
 
 def _np_raise_if(bad, message: str) -> None:
-    if np.any(bad):
+    # a check on literal operands alone yields a Python bool
+    if bad is True or (bad is not False and bad.any()):
         raise DomainError(message)
 
 
 def _np_overflow(result, *args):
-    finite = np.isfinite(args[0])
-    for arg in args[1:]:
-        finite = finite & np.isfinite(arg)
-    _np_raise_if(np.isinf(result) & finite, "numerical result out of range")
+    infinite = np.isinf(result)
+    if not infinite.any():
+        return result
+    for arg in args:
+        infinite = infinite & np.isfinite(arg)
+    _np_raise_if(infinite, "numerical result out of range")
     return result
 
 
@@ -828,6 +855,16 @@ def _np_pow(a, b):
     else:
         result = np.where(integer, np.power(a, b), np.exp(b * np.log(a)))
     return _np_overflow(result, a, b)
+
+
+def _np_pow_integer(a, b):
+    # 0 to a negative power is infinite: the overflow check raises there
+    return _np_overflow(np.power(a, b), a)
+
+
+def _np_pow_real(a, b):
+    _np_raise_if(a <= 0.0, "non-positive value raised to a non-integer power")
+    return _np_overflow(np.exp(b * np.log(a)), a)
 
 
 def _np_div(a, b):
@@ -859,6 +896,8 @@ def _np_periodic(fn):
 
 _VECTOR_HELPERS = {
     "_pow": _np_pow,
+    "_pow_integer": _np_pow_integer,
+    "_pow_real": _np_pow_real,
     "_div": _np_div,
     "_call_exp": _np_exp,
     "_call_log": _np_log,

@@ -4,11 +4,15 @@ Metrics here are conformally split:
 
     ds^2 = e^{2 psi_tilde} ( -dtau^2 + sigma_ij dx^i dx^j )
 
-with ``psi_tilde`` and the spatial components ``sigma_ij`` supplied as scalar
-fields with exact derivatives (see fields.py).  The cosmological family of
-interest has sigma_ij = e^{2 lambda} sigma_bar_ij with sigma_bar the round
-unit n-sphere and psi_tilde = f(tau) + psi(tau, theta1); the future
-singularity sits at tau = 0 with domain [a, 0), a < 0.
+with psi_tilde = f + psi.  A SpacetimeMetric holds its sources: the time
+profile f, and psi and the spatial components sigma_ij as expressions in
+the chart coordinates, all with exact derivatives (see fields.py).  One
+compiled program per jet order evaluates psi and every non-constant sigma_ij
+together, so their shared subtrees (sin theta1, e^{2 lambda}) run once per
+assembly.  The cosmological family of interest has sigma_ij = e^{2 lambda}
+sigma_bar_ij with sigma_bar the round unit n-sphere and psi_tilde = f(tau) +
+psi(tau, theta1); the future singularity sits at tau = 0 with domain
+[a, 0), a < 0.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import Call, Expression, Num, fold_constants, free_variables, parse
+from .expr import Call, Expression, Num, compile_jet, fold_constants, free_variables, parse
 from .extrapolate import aitken_limit
 from .fields import (
+    COORD_NAMES,
     ConstField,
     ExprField,
     ExprTimeFunction,
@@ -69,15 +74,103 @@ class QuadratureError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class SpacetimeMetric:
-    """Gaussian-form Lorentzian metric on an (n+1)-dimensional chart."""
+    """Gaussian-form Lorentzian metric on an (n+1)-dimensional chart, held as
+    its sources: psi_tilde = f + psi, with ``f`` a time profile (None for
+    none) and ``psi`` an expression in the chart coordinates, and ``sigma_exprs``
+    the n x n expressions of sigma_ij.
+
+    ``psi_field``, ``psi_tilde`` and ``sigma`` are the same sources as scalar
+    fields, one field each: the entry-by-entry reference.  An assembly runs
+    :meth:`field_jets` instead.
+    """
 
     n: int
-    psi_tilde: ScalarField
-    sigma: tuple  # n x n tuple-of-tuples of ScalarField
+    sigma_exprs: tuple  # n x n tuple-of-tuples of Expression
+    psi: Expression = Num(0.0)
+    f: TimeFunction | None = None
+    # one expr.Program per jet order, compiled on first use; threads share a
+    # metric, so a program is only ever stored fully built
+    _programs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.n + 1
+
+    @cached_property
+    def psi_field(self) -> ScalarField:
+        return _source_field(self.psi, self.dim)
+
+    @cached_property
+    def psi_tilde(self) -> ScalarField:
+        if self.f is None:
+            return self.psi_field
+        return SumField(TimeField(self.f), self.psi_field)
+
+    @cached_property
+    def sigma(self) -> tuple:
+        return tuple(tuple(_source_field(e, self.dim) for e in row) for row in self.sigma_exprs)
+
+    @cached_property
+    def conformal_metric(self) -> SpacetimeMetric:
+        """-dtau^2 + sigma on the same chart: the conformal factor stripped.
+        It shares this metric's sigma fields, and so their derivative trees."""
+        stripped = SpacetimeMetric(n=self.n, sigma_exprs=self.sigma_exprs)
+        stripped.__dict__["sigma"] = self.sigma
+        return stripped
+
+    @cached_property
+    def _layout(self) -> tuple:
+        """(sources, slots the program evaluates, sigma's slots): slot 0
+        holds psi and slot 1 + k the k-th sigma_ij with i <= j, whose slot is
+        index[i, j] = index[j, i]."""
+        upper = [(i, j) for i in range(self.n) for j in range(i, self.n)]
+        sources = [(self.psi, self.psi_field)]
+        sources += [(self.sigma_exprs[i][j], self.sigma[i][j]) for i, j in upper]
+        evaluated = [k for k, (expr, _) in enumerate(sources) if not isinstance(expr, Num)]
+        index = np.empty((self.n, self.n), dtype=int)
+        for k, (i, j) in enumerate(upper):
+            index[i, j] = index[j, i] = 1 + k
+        return sources, evaluated, index
+
+    def _program(self, order: int):
+        """The expr.Program of the jets to ``order`` of the evaluated slots."""
+        program = self._programs.get(order)
+        if program is None:
+            sources, evaluated, _ = self._layout
+            keys = jet_keys(self.dim, order)
+            exprs = [sources[k][1]._expression(key) for k in evaluated for key in keys]
+            program = compile_jet(exprs, COORD_NAMES[: self.dim])
+            self._programs[order] = program
+        return program
+
+    def field_jets(self, events: np.ndarray, order: int) -> tuple:
+        """(psi_tilde, sigma, f, psi): the jets of psi_tilde, of sigma_ij as
+        sigma[..., i, j, :], and of the f and psi summed into psi_tilde, at
+        events of shape (..., dim), in the fields.jet_keys layout of ``order``.
+
+        One program call evaluates psi and every non-constant sigma_ij; a
+        literal source is filled in, and f is zero without a time profile.
+        Each jet keeps the bits of its field's own jet.
+        """
+        width = len(jet_keys(self.dim, order))
+        batch = events.shape[:-1]
+        f = np.zeros(batch + (width,)) if self.f is None else TimeField(self.f).jet(events, order)
+        sources, evaluated, index = self._layout
+        jets = np.zeros(batch + (len(sources), width))
+        for k, (expr, _) in enumerate(sources):
+            if isinstance(expr, Num):
+                jets[..., k, 0] = expr.value
+        if evaluated:
+            values = self._program(order)(events)
+            jets[..., evaluated, :] = values.reshape(batch + (len(evaluated), width))
+        psi = jets[..., 0, :]
+        psi_tilde = psi if self.f is None else f + psi
+        return psi_tilde, jets[..., index, :], f, psi
+
+
+def _source_field(expr: Expression, dim: int) -> ScalarField:
+    """A literal as a ConstField, any other source as an ExprField."""
+    return ConstField(expr.value) if isinstance(expr, Num) else ExprField(expr, dim)
 
 
 @dataclass(frozen=True)
@@ -87,8 +180,9 @@ class MetricJets:
     axes.
 
     ``dg`` and ``ddg`` are None beyond the assembly's order.  ``psi_tilde``
-    is the jet of psi_tilde and ``sigma[..., i, j, :]`` the jet of sigma_ij,
-    both in the fields.jet_keys layout of that order.
+    is the jet of psi_tilde, ``sigma[..., i, j, :]`` the jet of sigma_ij and
+    ``f`` and ``psi`` the jets summed into psi_tilde, all in the
+    fields.jet_keys layout of that order.
     """
 
     g: np.ndarray
@@ -96,16 +190,18 @@ class MetricJets:
     ddg: np.ndarray | None
     psi_tilde: np.ndarray
     sigma: np.ndarray
+    f: np.ndarray
+    psi: np.ndarray
 
 
 def metric_jets(metric: SpacetimeMetric, event, order: int = 2) -> MetricJets:
     """Metric g plus coordinate derivatives to the requested order, with the
-    jets of psi_tilde and sigma they come from.
+    field jets they come from.
 
     ``event`` is one event or an array of events of shape (..., dim), and
-    every returned array carries its leading axes.  Each field's jet is
-    evaluated once, sigma_ij for i <= j only.  All derivatives are exact
-    (symbolic or closed-form chain rule), nothing is finite differenced
+    every returned array carries its leading axes.  The field jets come from
+    one :meth:`SpacetimeMetric.field_jets` evaluation.  All derivatives are
+    exact (symbolic or closed-form chain rule), nothing is finite differenced
     here.  A non-finite field jet raises GeometryError naming the field
     and its first such event, before any product is formed.
     """
@@ -116,8 +212,7 @@ def metric_jets(metric: SpacetimeMetric, event, order: int = 2) -> MetricJets:
             f"events of an n = {n} metric have dim = {dim} coordinates, got shape {events.shape}"
         )
     batch = events.shape[:-1]
-    psi = metric.psi_tilde.jet(events, order)
-    sigma = _sigma_jets(metric, events, order)
+    psi, sigma, f_jet, psi_jet = metric.field_jets(events, order)
     _require_finite(psi, sigma, events)
     p0, p1, p2 = split_jet(psi, dim)
     s0, s1, s2 = split_jet(sigma, dim)
@@ -143,18 +238,7 @@ def metric_jets(metric: SpacetimeMetric, event, order: int = 2) -> MetricJets:
         ddg += 2.0 * p1[..., None, :, None, None] * deta[..., :, None, :, :]
         ddg += ddeta
         ddg *= scale[..., None, None]
-    return MetricJets(g=g, dg=dg, ddg=ddg, psi_tilde=psi, sigma=sigma)
-
-
-def _sigma_jets(metric: SpacetimeMetric, events: np.ndarray, order: int) -> np.ndarray:
-    """sigma[..., i, j, :], the jet of sigma_ij at events of shape (..., dim),
-    from one evaluation of each sigma_ij with i <= j."""
-    n = metric.n
-    sigma = np.empty(events.shape[:-1] + (n, n, len(jet_keys(metric.dim, order))))
-    for i in range(n):
-        for j in range(i, n):
-            sigma[..., i, j, :] = sigma[..., j, i, :] = metric.sigma[i][j].jet(events, order)
-    return sigma
+    return MetricJets(g=g, dg=dg, ddg=ddg, psi_tilde=psi, sigma=sigma, f=f_jet, psi=psi_jet)
 
 
 def _raise_at_first(bad, event, message: str) -> None:
@@ -182,21 +266,20 @@ def _invert_metric(g: np.ndarray, event) -> np.ndarray:
 
     Raises GeometryError naming the first event whose matrix is degenerate.
     """
-    det = np.linalg.det(g)
-    scale = np.max(np.abs(g), axis=(-2, -1)) ** g.shape[-1]
-    bad = ~np.isfinite(det) | (scale == 0.0) | (np.abs(det) < 1e-14 * scale)
+    # the determinant of g over its largest entry: scale-free, so no power
+    # of that entry underflows or overflows
+    size = np.max(np.abs(g), axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = np.linalg.det(g / size[..., None, None])
+    bad = ~np.isfinite(det) | (size == 0.0) | (np.abs(det) < 1e-14)
     _raise_at_first(bad, event, "degenerate metric")
     return np.linalg.inv(g)
 
 
 def flat_chart_metric(n: int) -> SpacetimeMetric:
     """-dtau^2 + delta_ij dx^i dx^j on the coordinate box (a flat ambient)."""
-    one = ConstField(1.0)
-    zero = ConstField(0.0)
-    sigma = tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-    return SpacetimeMetric(n=n, psi_tilde=ConstField(0.0), sigma=sigma)
+    sigma = tuple(tuple(Num(1.0 if i == j else 0.0) for j in range(n)) for i in range(n))
+    return SpacetimeMetric(n=n, sigma_exprs=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -251,39 +334,32 @@ class ARWSpec:
         return 0.5 * (self.n + self.omega - 2.0)
 
     @cached_property
-    def _sigma_fields(self) -> tuple:
-        dim = self.n + 1
-        zero = ConstField(0.0)
-        diag_sources = _sphere_diag_sources(self.n)
+    def _sigma_exprs(self) -> tuple:
+        """sigma_ij = sigma_scale e^{2 lambda} sigma_bar_ij, a literal factor
+        1 left out (exactly: 1 x = x, and its derivatives are x's)."""
+        conformal = fold_constants(Call("exp", Num(2.0) * self.lam))
+        if self.sigma_scale != 1.0:
+            conformal = fold_constants(Num(self.sigma_scale) * conformal)
         rows = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                if i != j:
-                    row.append(zero)
-                    continue
-                expr = parse(diag_sources[i])
-                expr = Num(self.sigma_scale) * Call("exp", Num(2.0) * self.lam) * expr
-                row.append(ExprField(fold_constants(expr), dim))
-            rows.append(tuple(row))
+        for i, source in enumerate(_sphere_diag_sources(self.n)):
+            sphere = parse(source)
+            if conformal == Num(1.0):
+                diagonal = sphere
+            elif sphere == Num(1.0):
+                diagonal = conformal
+            else:
+                diagonal = conformal * sphere
+            rows.append(tuple(diagonal if j == i else Num(0.0) for j in range(self.n)))
         return tuple(rows)
 
     @cached_property
-    def psi_field(self) -> ExprField:
-        """psi as a field on the chart (shared by the metric and the weights)."""
-        return ExprField(self.psi, self.n + 1)
-
-    @cached_property
     def metric(self) -> SpacetimeMetric:
-        psi_tilde = SumField(TimeField(self.f), self.psi_field)
-        return SpacetimeMetric(n=self.n, psi_tilde=psi_tilde, sigma=self._sigma_fields)
+        return SpacetimeMetric(n=self.n, sigma_exprs=self._sigma_exprs, psi=self.psi, f=self.f)
 
-    @cached_property
+    @property
     def conformal_metric(self) -> SpacetimeMetric:
         """Same chart with the conformal factor stripped: -dtau^2 + sigma."""
-        return SpacetimeMetric(
-            n=self.n, psi_tilde=ConstField(0.0), sigma=self._sigma_fields
-        )
+        return self.metric.conformal_metric
 
 
 def make_spec(

@@ -57,7 +57,6 @@ from .geometry import (
     MetricJets,
     SpacetimeMetric,
     _invert_metric,
-    _sigma_jets,
     metric_jets,
 )
 
@@ -122,8 +121,9 @@ class ExtrinsicData:
     """Hypersurface data at one node of the spatial chart, or at an array of
     nodes with every entry carrying the nodes' leading axes.
 
-    The frame (``sigma`` included) comes from the assembly; ``h``,
-    ``mean_curvature`` and ``norm_a_sq`` are None from :func:`graph_geometry`.
+    The frame (``sigma``, ``f`` and ``psi`` included) comes from the
+    assembly; ``h``, ``mean_curvature`` and ``norm_a_sq`` are None from
+    :func:`graph_geometry`.
     """
 
     node: np.ndarray
@@ -135,6 +135,8 @@ class ExtrinsicData:
     tangents: np.ndarray  # x^alpha_i, shape (..., n+1, n)
     psi_tilde: float | np.ndarray
     sigma: np.ndarray  # sigma_ij at the event, from the assembly's field jets
+    f: float | np.ndarray  # the f and psi summed into psi_tilde, from the same jets
+    psi: float | np.ndarray
     h: np.ndarray | None = None
     mean_curvature: float | np.ndarray | None = None
     norm_a_sq: float | np.ndarray | None = None
@@ -218,7 +220,7 @@ def _ambient(surface: GraphHypersurface, node, order: int) -> _Ambient:
 
 def _frame(amb: _Ambient) -> ExtrinsicData:
     """The frame at the assembled nodes (induced metric and its inverse,
-    tilt, past normal, tangents, sigma), as ExtrinsicData without h.
+    tilt, past normal, tangents, sigma, f and psi), as ExtrinsicData without h.
     Raises HypersurfaceError where the graph is not spacelike."""
     n = amb.node.shape[-1]
     p = amb.jets.psi_tilde[..., 0]
@@ -254,6 +256,8 @@ def _frame(amb: _Ambient) -> ExtrinsicData:
         tangents=tangents,
         psi_tilde=p,
         sigma=sigma,
+        f=amb.jets.f[..., 0],
+        psi=amb.jets.psi[..., 0],
     )
 
 
@@ -417,7 +421,7 @@ def _slice_second_fundamental(metric: SpacetimeMetric, events) -> tuple:
     the slice through its own tau: the hbar of
     :func:`coordinate_slice_curvature` and the fields it is built from.  The
     slice's induced metric is e^{2 psi_tilde} sigma_ij."""
-    return _slice_fields(metric.psi_tilde.jet(events, 1), _sigma_jets(metric, events, 1))
+    return _slice_fields(*metric.field_jets(events, 1)[:2])
 
 
 def _slice_fields(psi_tilde: np.ndarray, sigma: np.ndarray) -> tuple:

@@ -17,8 +17,9 @@ the slab volume, graphs and IMCF leaves share one leaf integrator,
 _weighted_integral, which applies the weight and the area element and takes
 node values with leading axes (a block of slab slices, the three integrands
 of an IMCF leaf) to geometry.integrate_node_values in one call.  Callers
-pass psi_tilde and sigma_11 from the field jets of their own assembly
-(graphs and leaves from their ExtrinsicData), and tcc_check reads its frame
+pass psi_tilde, sigma_11 and the weight's omega f + psi from the field jets
+of their own assembly (graphs and leaves from their ExtrinsicData), whose
+one program call evaluated psi and sigma, and tcc_check reads its frame
 from the g of its curvature bundles: no field is evaluated a second time.
 
 Both gauge moves are the time change tau = phi(s), with f -> f o phi +
@@ -49,13 +50,7 @@ from .expr import (
     substitute,
 )
 from .extrapolate import aitken_limit
-from .fields import (
-    ConstField,
-    ScalarField,
-    TimeField,
-    TimeFunction,
-    as_time_function,
-)
+from .fields import TimeFunction
 from .geometry import (
     ARWSpec,
     ConditionReport,
@@ -138,18 +133,17 @@ class TccReport:
 
 @dataclass(frozen=True)
 class _Weights:
-    """Weight data e^{omega f} e^{psi} shared by the mass integrands.
+    """The weight e^{omega f} e^{psi} of the mass integrands, and the domain.
 
-    A bare SpacetimeMetric is admitted for curvature-only checks (flat
-    ambients and the like): the weight degenerates to 1 and no domain is
-    enforced.
+    f and psi are read from the field jets of the caller's own assembly.  A
+    bare SpacetimeMetric is admitted for curvature-only checks (flat
+    ambients and the like): the weight degenerates to 1 (``omega`` None) and
+    no domain is enforced.
     """
 
     metric: SpacetimeMetric
     n: int
-    omega: float
-    f: TimeFunction
-    psi: ScalarField
+    omega: float | None
     a: float | None
 
     def check_time(self, tau) -> None:
@@ -163,38 +157,19 @@ class _Weights:
             first = taus[int(np.argmax(outside))]
             raise GeometryError(f"tau = {first} outside the domain [{self.a}, 0)")
 
-    def log_weight(self, events: np.ndarray):
-        """omega f + psi at one event or at events of shape (..., dim)."""
-        return self.weight_jets(events, 0)[0]
-
-    def weight_jets(self, events: np.ndarray, order: int) -> tuple:
-        """(omega f + psi, the jet of f, the jet of psi) at events, from one
-        evaluation of f and of psi to ``order``; the jets are in the
-        fields.jet_keys layout."""
-        f = TimeField(self.f).jet(events, order)
-        psi = self.psi.jet(events, order)
-        return self.omega * f[..., 0] + psi[..., 0], f, psi
+    def log_weight(self, f, psi):
+        """omega f + psi from values of f and psi, or omega f' + psi' from
+        their tau derivatives; zeros for a bare metric."""
+        if self.omega is None:
+            return np.zeros(np.shape(psi))
+        return self.omega * f + psi
 
 
 def _weights(obj) -> _Weights:
     if isinstance(obj, ARWSpec):
-        return _Weights(
-            metric=obj.metric,
-            n=obj.n,
-            omega=obj.omega,
-            f=obj.f,
-            psi=obj.psi_field,
-            a=obj.a,
-        )
+        return _Weights(metric=obj.metric, n=obj.n, omega=obj.omega, a=obj.a)
     if isinstance(obj, SpacetimeMetric):
-        return _Weights(
-            metric=obj,
-            n=obj.n,
-            omega=0.0,
-            f=as_time_function(0.0),
-            psi=ConstField(0.0),
-            a=None,
-        )
+        return _Weights(metric=obj, n=obj.n, omega=None, a=None)
     raise TypeError(f"expected an ARWSpec or SpacetimeMetric, got {type(obj).__name__}")
 
 
@@ -238,8 +213,7 @@ def slice_mass_integral(spec, tau: float, grid: QuadratureGrid | None = None) ->
     The integrand G_ab nu^a nu^b e^{omega f} e^{psi} is paired with the area
     element e^{n psi_tilde} sqrt(det sigma) of the slice.  All quadrature
     nodes go through one batched curvature evaluation, whose field jets
-    supply psi_tilde and sigma_11; f and psi are evaluated once more, for
-    the weight.
+    supply psi_tilde, sigma_11 and the weight.
     """
     w = _weights(spec)
     w.check_time(tau)
@@ -250,7 +224,8 @@ def slice_mass_integral(spec, tau: float, grid: QuadratureGrid | None = None) ->
     p = jets.psi_tilde[:, 0]
     g_nu_nu = bundle.einstein[:, 0, 0] * np.exp(-2.0 * p)
     sig11 = jets.sigma[:, 0, 0, 0]
-    return _weighted_integral(w, grid, g_nu_nu, w.log_weight(events), p, sig11)
+    log_weight = w.log_weight(jets.f[:, 0], jets.psi[:, 0])
+    return _weighted_integral(w, grid, g_nu_nu, log_weight, p, sig11)
 
 
 def _graph_integral(
@@ -275,7 +250,7 @@ def _graph_integral(
         for node in nodes:
             w.check_time(factor(surface, node)[0].event[0])
         raise
-    lw = w.log_weight(ext.event)
+    lw = w.log_weight(ext.f, ext.psi)
     return _weighted_integral(w, grid, values, lw, ext.psi_tilde, ext.sigma[..., 0, 0], ext.tilt)
 
 
@@ -354,10 +329,10 @@ def slab_balance(
     The residual is |B2 - B1 - V| relative to max(|B1|, |B2|, |V|, 1).
 
     Each block of slices makes one curvature assembly.  Its field jets give
-    psi_tilde, sigma and their tau derivatives, so hbar, the volume element
-    and sigma_11 come from that one evaluation; one more evaluation of f and
-    psi, to first order, gives the weight and omega f' + psi'.  The jets and
-    the curvature stack are released before it.
+    psi_tilde, sigma, f, psi and their tau derivatives, so hbar, the volume
+    element, sigma_11, the weight and omega f' + psi' all come from that one
+    evaluation.  The jets and the curvature stack are released before the
+    block is integrated.
     """
     w = _weights(spec)
     w.check_time(tau1)
@@ -387,10 +362,11 @@ def slab_balance(
         g_up = bundle.g_inv @ bundle.einstein @ bundle.g_inv
         hbar, _, p = _slice_fields(jets.psi_tilde, jets.sigma)
         sig11 = jets.sigma[..., 0, 0, 0].copy()
+        log_weight = w.log_weight(jets.f[..., 0], jets.psi[..., 0])
+        drift = w.log_weight(jets.f[..., 1], jets.psi[..., 1])  # omega f' + psi'
         del jets, bundle
-        log_weight, f, psi = w.weight_jets(events, 1)
         spatial = np.einsum("...ij,...ij->...", g_up[..., 1:, 1:], hbar)
-        time_part = g_up[..., 0, 0] * (w.omega * f[..., 1] + psi[..., 1]) * np.exp(p)
+        time_part = g_up[..., 0, 0] * drift * np.exp(p)
         slices = _weighted_integral(
             w, grid, spatial + time_part, log_weight, p, sig11, power=n + 1
         )

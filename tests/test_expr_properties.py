@@ -17,6 +17,7 @@ from arwmass.expr import (
     BinOp,
     Call,
     Const,
+    DomainError,
     EvaluationError,
     Neg,
     Num,
@@ -224,3 +225,88 @@ def test_sparse_vectorized_jet_agrees_with_the_dense_one(expr):
     assert sparse is not None
     finite = np.isfinite(dense)
     npt.assert_allclose(sparse[finite], dense[finite], rtol=1e-15, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# literal exponents and divisors on arrays
+
+EXPONENTS = tuple(Num(e) for e in (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0))
+LITERALS = st.builds(
+    Num, st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0, 0.5)), st.floats(-4.0, 4.0))
+)
+
+
+def _literal_trees():
+    """Trees whose powers take literal exponents (those of EXPONENTS) or
+    subtrees, on literal bases or subtrees, with literal or subtree divisors."""
+    leaves = st.one_of(LITERALS, st.sampled_from(VARIABLES).map(Var))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(BinOp, st.sampled_from("+-*"), children, children),
+            st.builds(BinOp, st.just("/"), children, st.one_of(LITERALS, children)),
+            st.builds(
+                BinOp,
+                st.just("^"),
+                st.one_of(LITERALS, children),
+                st.one_of(st.sampled_from(EXPONENTS), children),
+            ),
+            st.builds(Call, st.sampled_from(FUNCTIONS), children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _generic(expr):
+    """``expr`` with every literal exponent and divisor behind a double
+    negation: the same value, but the program decides at run time."""
+    if isinstance(expr, Neg):
+        return Neg(_generic(expr.operand))
+    if isinstance(expr, Call):
+        return Call(expr.fn, _generic(expr.arg))
+    if isinstance(expr, BinOp):
+        right = _generic(expr.right)
+        if expr.op in "/^" and isinstance(right, Num):
+            right = Neg(Neg(right))
+        return BinOp(expr.op, _generic(expr.left), right)
+    return expr
+
+
+def _applied(program, points):
+    """("value", the outputs' bits) or ("raised", the DomainError's message)."""
+    try:
+        return ("value", program(points).tobytes())
+    except DomainError as exc:
+        return ("raised", str(exc))
+
+
+COORDINATES = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-3.0, 3.0))
+
+
+@PROPERTY
+@given(
+    _literal_trees(),
+    st.lists(st.tuples(COORDINATES, COORDINATES, COORDINATES), min_size=1, max_size=5),
+)
+@example(parse("x^-2 + x^0.5 + x^1 + x^0 + x/1.73"), [(0.5, 0.0, 0.0), (0.0, 0.0, 0.0)])
+@example(parse("(x - 1)^0.5 / 2"), [(2.0, 0.0, 0.0), (0.5, 0.0, 0.0)])
+@example(parse("2^x + log(2) + 0^-1"), [(1.0, 0.0, 0.0)])
+@example(parse("(1e300 * x)^2"), [(0.5, 0.0, 0.0), (2.0, 0.0, 0.0)])
+@example(parse("(1e300 * x)^2.5"), [(0.5, 0.0, 0.0)])
+@example(parse("x^-1"), [(1.0, 0.0, 0.0), (-0.0, 0.0, 0.0)])
+def test_literal_powers_on_arrays_act_as_the_generic_program(expr, points):
+    # a jet on (k, 3) points takes the literal path of each power and
+    # division; it keeps the bits of the run-time decision, and raises the
+    # DomainError of its first failing point, which raises it alone
+    trees = [expr] + [differentiate(expr, var) for var in VARIABLES]
+    points = np.array(points)
+    program = compile_jet(trees, VARIABLES)
+    got = _applied(program, points)
+    assert got == _applied(compile_jet([_generic(t) for t in trees], VARIABLES), points)
+    alone = [_applied(program, point) for point in points]
+    failing = [outcome for outcome in alone if outcome[0] == "raised"]
+    if failing:
+        assert got == failing[0]
+    else:
+        assert got[0] == "value"

@@ -1,12 +1,14 @@
 import math
+import threading
 from typing import Callable
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from arwmass.expr import Num, parse
-from arwmass.fields import ConstField, ExprField, jet_keys
+import arwmass.geometry
+from arwmass.expr import Num, Program, parse
+from arwmass.fields import ConstField, ExprField, TimeField, jet_keys
 from arwmass.geometry import (
     ARWSpec,
     GeometryError,
@@ -25,6 +27,8 @@ from arwmass.geometry import (
     sample_events,
     sphere_volume,
 )
+from arwmass.mass import slice_mass_integral
+from arwmass.sads import SAdSParams, as_arw_spec
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +202,16 @@ def test_metric_singular_at_pole():
         _invert_metric(metric_jets(spec.metric, event, order=1).g, event)
 
 
+def test_a_tiny_regular_metric_is_not_degenerate():
+    # e^{2f} = tau^2 = 1e-120 near the singularity: the fourth power of the
+    # largest entry underflows, the determinant of g over it does not
+    spec = rw_family_spec(3, 1.0, k=1.0, a=-0.5)
+    assert slice_mass_integral(spec, -1e-60) == pytest.approx(6.0 * math.pi**2, rel=1e-13)
+    event = np.array([-1e-60, 1.0, 1.3, 0.7])
+    g = metric_jets(spec.metric, event, order=0).g
+    assert np.array_equal(_invert_metric(g, event), np.linalg.inv(g))
+
+
 def _angular_spec(n):
     return make_spec(
         n, 1.0, "log(-2*tau)", a=-1.0,
@@ -222,21 +236,77 @@ def test_off_diagonal_sigma_entries_are_constant_zeros(n):
                 npt.assert_array_equal(field.jet(events, order), np.zeros((5, width)))
 
 
+def _bits(array):
+    return np.asarray(array, dtype=float).view(np.int64)
+
+
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_metric_jets_carry_the_field_jets_they_were_built_from(order):
-    spec = _angular_spec(3)
-    metric = spec.metric
-    events = sample_events(spec, 6, seed=4).reshape(2, 3, 4)
+    scaled = make_spec(
+        3, 1.0, "log(-2*tau)", a=-1.0,
+        psi="0.05*cos(theta1)*tau", lam="0.03*cos(theta1)*tau", sigma_scale=1.7,
+    )
+    sads = as_arw_spec(SAdSParams(n=3, lam=-1.0, mass=1.0))
+    for spec in (_angular_spec(3), _angular_spec(2), sads, scaled):
+        _assert_jets_carry_their_fields(spec, order)
+
+
+def _assert_jets_carry_their_fields(spec, order):
+    n, metric = spec.n, spec.metric
+    events = sample_events(spec, 6, seed=4).reshape(2, 3, n + 1)
     for at in (events, events[1, 2]):
         jets = metric_jets(metric, at, order)
-        npt.assert_array_equal(jets.psi_tilde, metric.psi_tilde.jet(at, order))
-        for i in range(3):
-            for j in range(3):
-                npt.assert_array_equal(jets.sigma[..., i, j, :], metric.sigma[i][j].jet(at, order))
+        npt.assert_array_equal(_bits(jets.psi_tilde), _bits(metric.psi_tilde.jet(at, order)))
+        npt.assert_array_equal(_bits(jets.f), _bits(TimeField(spec.f).jet(at, order)))
+        npt.assert_array_equal(_bits(jets.psi), _bits(metric.psi_field.jet(at, order)))
+        for i in range(n):
+            for j in range(n):
+                sigma_ij = metric.sigma[i][j].jet(at, order)
+                npt.assert_array_equal(_bits(jets.sigma[..., i, j, :]), _bits(sigma_ij))
         scale = np.exp(2.0 * jets.psi_tilde[..., 0])[..., None, None]
         npt.assert_array_equal(jets.g[..., 1:, 1:], scale * jets.sigma[..., 0])
         assert (jets.dg is None) == (order < 1)
         assert (jets.ddg is None) == (order < 2)
+
+
+def test_a_shared_metric_builds_one_program_per_order_under_a_race(monkeypatch):
+    # two threads assemble a fresh metric at orders 1 and 2, and both build
+    # each program at once: the cache keeps one fully built program per
+    # order, and both threads get the same bits
+    spec = _angular_spec(3)
+    metric = spec.metric
+    events = sample_events(spec, 8, seed=5)
+    spec.f.derivative(-0.5, 2)  # the profile's own derivative list is not thread-safe
+    both_building = threading.Barrier(2, timeout=10)
+    compile_jet = arwmass.geometry.compile_jet
+
+    def lockstep(exprs, names):
+        both_building.wait()
+        return compile_jet(exprs, names)
+
+    monkeypatch.setattr(arwmass.geometry, "compile_jet", lockstep)
+    results = [None, None]
+
+    def assemble(k):
+        results[k] = [metric_jets(metric, events, order) for order in (1, 2)]
+
+    threads = [threading.Thread(target=assemble, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    monkeypatch.setattr(arwmass.geometry, "compile_jet", compile_jet)
+
+    assert sorted(metric._programs) == [1, 2]
+    assert all(isinstance(program, Program) for program in metric._programs.values())
+    fresh = _angular_spec(3).metric
+    for first, second, order in zip(*results, (1, 2)):
+        reference = metric_jets(fresh, events, order)
+        for name in ("g", "dg", "ddg", "psi_tilde", "sigma", "f", "psi"):
+            if getattr(reference, name) is None:
+                continue
+            npt.assert_array_equal(_bits(getattr(first, name)), _bits(getattr(reference, name)))
+            npt.assert_array_equal(_bits(getattr(second, name)), _bits(getattr(reference, name)))
 
 
 # ---------------------------------------------------------------------------

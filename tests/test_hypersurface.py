@@ -9,8 +9,8 @@ import arwmass.geometry
 import arwmass.hypersurface
 import arwmass.tensors
 from arwmass.curvature import _blockwise, curvature_at
-from arwmass.expr import DomainError, compile_expression, differentiate
-from arwmass.fields import split_jet
+from arwmass.expr import DomainError, Program, compile_expression, differentiate
+from arwmass.fields import ExprField, TimeField, split_jet
 from arwmass.geometry import GeometryError, make_spec, metric_jets, rw_family_spec
 from arwmass.hypersurface import (
     GaussCodazziResiduals,
@@ -650,13 +650,23 @@ def test_conformal_extrinsic_residual_evaluates_psi_once_per_block(monkeypatch):
     )
     expected = np.max(np.abs(res), axis=(-2, -1))
 
-    jet, orders = spec.psi_field.jet, []
+    # one call of each metric's program, two of the graphs' programs of u,
+    # and no field jet but f's, summed into psi_tilde by the full metric
+    programs, fields = [], []
 
-    def counting(events, order=2):
-        orders.append(order)
-        return jet(events, order)
+    def counting(calls, original):
+        def call(self, *args):
+            calls.append(self)
+            return original(self, *args)
 
-    monkeypatch.setattr(spec.psi_field, "jet", counting)
+        return call
+
+    monkeypatch.setattr(Program, "__call__", counting(programs, Program.__call__))
+    for cls in (ExprField, TimeField):
+        monkeypatch.setattr(cls, "jet", counting(fields, cls.jet))
     got = conformal_extrinsic_residual(spec, u, nodes)
-    assert orders == [1]
+    assert len(programs) == 4
+    assert programs.count(spec.metric._programs[1]) == 1
+    assert programs.count(spec.conformal_metric._programs[1]) == 1
+    assert [type(field) for field in fields] == [TimeField]
     npt.assert_array_equal(got, expected)

@@ -147,6 +147,11 @@ def test_lemma_quantity_decays_to_zero(rw):
         assert sample.mean_curvature_form == pytest.approx(6 * PI2, rel=1e-9)
 
 
+def log_weight(spec, event):
+    """omega f + psi at one event, from f and the psi field pointwise."""
+    return spec.omega * spec.f.value(event[0]) + spec.metric.psi_field.partial(event, ())
+
+
 def reference_mass_along_flow(spec, leaves, grid):
     """(I, lemma, H form) per leaf from the separate per-node calls:
     second_fundamental, curvature_at and intrinsic_curvature, each of which
@@ -172,7 +177,7 @@ def reference_mass_along_flow(spec, leaves, grid):
             ])
             sig11 = w.metric.sigma[0][0].partial(ext.event, ())
             totals += values * (
-                math.exp(w.log_weight(ext.event))
+                math.exp(log_weight(spec, ext.event))
                 * math.exp(n * ext.psi_tilde)
                 * ext.tilt
                 * sig11 ** (n / 2.0)

@@ -71,7 +71,7 @@ SPECS = _specs()
 
 def _fields(spec):
     metric = spec.metric
-    return [metric.psi_tilde, spec.psi_field] + [
+    return [metric.psi_tilde, metric.psi_field] + [
         metric.sigma[i][j] for i in range(spec.n) for j in range(spec.n)
     ]
 

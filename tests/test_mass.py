@@ -10,7 +10,7 @@ import arwmass.geometry
 import arwmass.hypersurface
 import arwmass.mass
 from arwmass.curvature import curvature_at, curvature_batch
-from arwmass.expr import Num, Var, fold_constants, substitute
+from arwmass.expr import Num, Program, Var, fold_constants, substitute
 from arwmass.fields import ExprField, TimeField
 from arwmass.geometry import (
     ARWSpec,
@@ -20,6 +20,7 @@ from arwmass.geometry import (
     geometric_schedule,
     integrate_rotationally_symmetric,
     make_spec,
+    metric_jets,
     quadrature_grid,
     rw_family_spec,
     sample_events,
@@ -115,6 +116,11 @@ def test_flat_ambient_gives_zero(grid):
     assert graph_mass_integral(metric, surface, grid) == 0.0
 
 
+def log_weight(spec, event):
+    """omega f + psi at one event, from f and the psi field pointwise."""
+    return spec.omega * spec.f.value(event[0]) + spec.metric.psi_field.partial(event, ())
+
+
 def reference_graph_mass_integral(spec, surface, grid):
     """The per-node loop graph_mass_integral replaced: graph_geometry and
     curvature_at at every node, each assembling its own ambient jets."""
@@ -131,7 +137,7 @@ def reference_graph_mass_integral(spec, surface, grid):
         nu = ext.past_normal
         return (
             float(nu @ curvature_at(metric, ext.event).einstein @ nu)
-            * math.exp(w.log_weight(ext.event))
+            * math.exp(log_weight(spec, ext.event))
             * math.exp(n * ext.psi_tilde)
             * ext.tilt
             * sig11 ** (n / 2.0)
@@ -182,21 +188,19 @@ def test_graph_integral_assembles_ambient_jets_once_per_node(rw1, monkeypatch):
     assert calls == [(2, (grid.nodes_per_axis, 4))]
 
 
-def test_graph_integral_evaluates_sigma_11_once(rw1, monkeypatch):
-    # the leaf weight reads sigma_11 from the frame's jets
-    sigma_11 = rw1.metric.sigma[0][0]
-    orders = []
-    original = ExprField.jet
-
-    def counting(self, events, order=2):
-        if self is sigma_11:
-            orders.append(order)
-        return original(self, events, order)
-
-    monkeypatch.setattr(ExprField, "jet", counting)
-    surface = GraphHypersurface(u="-0.3 + 0.02*cos(theta1)", ambient=rw1.metric)
-    graph_mass_integral(rw1, surface, quadrature_grid(3, 12))
-    assert orders == [2]
+def test_graph_integral_evaluates_sigma_11_once(monkeypatch):
+    # sigma_11 and the leaf weight come from the frame's assembly: one call
+    # of the metric's program beside the graph's own program of u, and no
+    # jet of f or psi for the weight
+    spec = make_spec(
+        3, 1.0, "log(-2*tau)", a=-1.0,
+        psi="0.05*cos(theta1)*tau", lam="0.03*cos(theta1)*tau",
+    )
+    surface = GraphHypersurface(u="-0.3 + 0.02*cos(theta1)", ambient=spec.metric)
+    programs, calls = count_evaluations(monkeypatch)
+    graph_mass_integral(spec, surface, quadrature_grid(3, 12))
+    assert programs == [surface._program, spec.metric._programs[2]]
+    assert calls == {"ExprField": 0, "TimeField": 1}
 
 
 def test_graph_integral_skips_the_intrinsic_curvature(rw1, monkeypatch):
@@ -296,13 +300,13 @@ def reference_slab_volume(spec, tau1, tau2, grid):
         bundle = curvature_batch(metric, events)
         g_up = bundle.g_inv @ bundle.einstein @ bundle.g_inv
         hbar = coordinate_slice_curvature(metric, float(tau))(events[:, 1:])
-        fp = w.f.derivative(float(tau), 1)
+        fp = spec.f.derivative(float(tau), 1)
         p = metric.psi_tilde.jet(events, 0)[:, 0]
-        psi_dot = w.psi.jet(events, 1)[:, 1]
+        psi = metric.psi_field.jet(events, 1)
         spatial = np.einsum("kij,kij->k", g_up[:, 1:, 1:], hbar)
-        time_part = g_up[:, 0, 0] * (w.omega * fp + psi_dot) * np.exp(p)
+        time_part = g_up[:, 0, 0] * (w.omega * fp + psi[:, 1]) * np.exp(p)
         sig11 = metric.sigma[0][0].jet(events, 0)[:, 0]
-        log_weight = w.log_weight(events)
+        log_weight = w.omega * spec.f.value(float(tau)) + psi[:, 0]
         volume += wt * _weighted_integral(
             w, grid, spatial + time_part, log_weight, p, sig11, power=n + 1
         )
@@ -330,8 +334,17 @@ def test_slab_volume_equals_the_per_slice_loop(spec, taus):
     assert volume == reference_slab_volume(spec, *taus, grid)
 
 
-def count_field_jets(monkeypatch):
-    """Calls of ExprField.jet and TimeField.jet, by class name."""
+def count_evaluations(monkeypatch):
+    """(the expr.Programs called, in call order; calls of ExprField.jet and
+    TimeField.jet by class name)."""
+    programs = []
+    call = Program.__call__
+
+    def counting_program(self, points):
+        programs.append(self)
+        return call(self, points)
+
+    monkeypatch.setattr(Program, "__call__", counting_program)
     calls = {"ExprField": 0, "TimeField": 0}
     for cls in (ExprField, TimeField):
         original = cls.jet
@@ -341,28 +354,30 @@ def count_field_jets(monkeypatch):
             return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "jet", counting)
-    return calls
+    return programs, calls
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_slab_block_evaluates_each_field_jet_once(n, monkeypatch):
-    # psi_tilde = f + psi and the n diagonal sigma entries in the assembly,
-    # then f and psi once more, for the weight and omega f' + psi'
+    # one call of the metric's program evaluates psi and the n diagonal
+    # sigma entries of the block, f's jet is summed into psi_tilde there,
+    # and the weight and omega f' + psi' are read from the same assembly
     spec = make_spec(
         n, 1.0, "log(-2*tau)", a=-1.0,
         psi="0.05*cos(theta1)*tau", lam="0.03*cos(theta1)*tau",
     )
     grid = quadrature_grid(n, 8)  # 8 slices of 8 events: one block
     monkeypatch.setattr(arwmass.mass, "slice_mass_integral", lambda *args: 0.0)
-    calls = count_field_jets(monkeypatch)
+    programs, calls = count_evaluations(monkeypatch)
     slab_balance(spec, -0.6, -0.2, grid)
-    assert calls["ExprField"] <= n + 2
-    assert calls["TimeField"] <= 2
+    assert programs == [spec.metric._programs[2]]
+    assert calls == {"ExprField": 0, "TimeField": 1}
 
+    programs.clear()
     calls.update(ExprField=0, TimeField=0)
     slice_mass_integral(spec, -0.4, grid)
-    assert calls["ExprField"] <= n + 2
-    assert calls["TimeField"] <= 2
+    assert programs == [spec.metric._programs[2]]
+    assert calls == {"ExprField": 0, "TimeField": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +780,8 @@ def test_leaf_integral_takes_rows_of_node_values(rw1):
     events = np.stack([_slice_events(3, tau, grid.axis_nodes[0]) for tau in (-0.4, -0.2)])
     p = w.metric.psi_tilde.jet(events, 0)[..., 0]
     s = w.metric.sigma[0][0].jet(events, 0)[..., 0]
-    lw = w.log_weight(events)
+    jets = metric_jets(w.metric, events, 0)
+    lw = w.log_weight(jets.f[..., 0], jets.psi[..., 0])
     values = np.cos(events[..., 1]) + events[..., 0]
     block = _weighted_integral(w, grid, values, lw, p, s, power=4)
     rows = np.stack((values[0], 2 * values[0]))
