@@ -33,10 +33,9 @@ forms: on floats, calling the helpers ``evaluate`` calls, so every result
 is bit-identical to ``evaluate``; and on numpy arrays, with vectorized
 domain checks that raise DomainError wherever some element would make the
 scalar form raise (overflow included).  Calling the program picks the form.
-A power whose exponent is a finite literal has its integer decision taken
-when the program is built, so on arrays it is np.power (or exp(b log a)
-for a non-integer b, after the sign check) followed by the overflow check
-on finite bases; a division by a nonzero literal is a plain division.
+A power whose exponent is a finite integer literal is known to be an
+integer power when the program is built, so on arrays it is np.power
+followed by the overflow check on finite bases.
 """
 
 from __future__ import annotations
@@ -770,13 +769,12 @@ def _emit_program(exprs: tuple, arg_names) -> tuple[list[str], list[str]]:
             code = f"(-{operand(node.operand)})"
         elif isinstance(node, BinOp):
             a, b = operand(node.left), operand(node.right)
-            literal = node.right.value if isinstance(node.right, Num) else None
-            if node.op in "+-*" or (node.op == "/" and literal not in (None, 0.0)):
+            if node.op in "+-*":
                 code = f"({a} {node.op} {b})"
             elif node.op == "/":
                 code = f"_div({a}, {b})"
             else:
-                code = f"{_power_helper(literal)}({a}, {b})"
+                code = f"{_power_helper(node.right)}({a}, {b})"
         elif isinstance(node, Call):
             code = f"_call_{node.fn}({operand(node.arg)})"
         else:
@@ -798,18 +796,17 @@ def _emit_program(exprs: tuple, arg_names) -> tuple[list[str], list[str]]:
 _NON_FINITE = {"inf": "_INF", "-inf": "(-_INF)", "nan": "_NAN"}
 
 
-def _power_helper(exponent: float | None) -> str:
-    """The helper of a power: a finite literal exponent has its integer
-    decision taken here, once, instead of at every evaluation."""
-    if exponent is None or not math.isfinite(exponent):
-        return "_pow"
-    return "_pow_integer" if exponent.is_integer() else "_pow_real"
+def _power_helper(exponent: Expression) -> str:
+    """The helper of a power: a finite integer literal exponent is known to
+    be one here, once, instead of at every evaluation (inf and nan are not
+    integers)."""
+    integer = isinstance(exponent, Num) and float(exponent.value).is_integer()
+    return "_pow_integer" if integer else "_pow"
 
 
 _SCALAR_HELPERS = {
     "_pow": _pow,
     "_pow_integer": _pow,
-    "_pow_real": _pow,
     "_div": _div,
     "_call_exp": math.exp,
     "_call_log": _log,
@@ -862,11 +859,6 @@ def _np_pow_integer(a, b):
     return _np_overflow(np.power(a, b), a)
 
 
-def _np_pow_real(a, b):
-    _np_raise_if(a <= 0.0, "non-positive value raised to a non-integer power")
-    return _np_overflow(np.exp(b * np.log(a)), a)
-
-
 def _np_div(a, b):
     _np_raise_if(b == 0.0, "division by zero")
     return a / b
@@ -897,7 +889,6 @@ def _np_periodic(fn):
 _VECTOR_HELPERS = {
     "_pow": _np_pow,
     "_pow_integer": _np_pow_integer,
-    "_pow_real": _np_pow_real,
     "_div": _np_div,
     "_call_exp": _np_exp,
     "_call_log": _np_log,

@@ -88,6 +88,9 @@ class SpacetimeMetric:
     sigma_exprs: tuple  # n x n tuple-of-tuples of Expression
     psi: Expression = Num(0.0)
     f: TimeFunction | None = None
+    # the fields of sigma_exprs when another metric built them already: a
+    # conformal metric takes its parent's, and so their derivative trees
+    shared_sigma: tuple | None = field(default=None, repr=False)
     # one expr.Program per jet order, compiled on first use; threads share a
     # metric, so a program is only ever stored fully built
     _programs: dict = field(default_factory=dict, init=False, repr=False)
@@ -108,15 +111,15 @@ class SpacetimeMetric:
 
     @cached_property
     def sigma(self) -> tuple:
+        if self.shared_sigma is not None:
+            return self.shared_sigma
         return tuple(tuple(_source_field(e, self.dim) for e in row) for row in self.sigma_exprs)
 
     @cached_property
     def conformal_metric(self) -> SpacetimeMetric:
         """-dtau^2 + sigma on the same chart: the conformal factor stripped.
         It shares this metric's sigma fields, and so their derivative trees."""
-        stripped = SpacetimeMetric(n=self.n, sigma_exprs=self.sigma_exprs)
-        stripped.__dict__["sigma"] = self.sigma
-        return stripped
+        return SpacetimeMetric(n=self.n, sigma_exprs=self.sigma_exprs, shared_sigma=self.sigma)
 
     @cached_property
     def _layout(self) -> tuple:

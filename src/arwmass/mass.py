@@ -239,8 +239,11 @@ def _graph_integral(
     ``factor(surface, nodes)`` builds the parts of the graph's geometry it
     reads from one assembly over all theta1 nodes, and returns the extrinsic
     data (the frame at least) with node values of shape (N,) or (k, N),
-    whose rows are integrated separately.
+    whose rows are integrated separately.  The weight reads f and psi from
+    that assembly, so a spec's graph must lie in the spec's own metric.
     """
+    if w.omega is not None and surface.ambient is not w.metric:
+        raise GeometryError("the graph's ambient is not the metric of the spec that weighs it")
     nodes = _slice_events(w.n, 0.0, grid.axis_nodes[0])[:, 1:]  # the angles of a slice
     try:
         ext, values = factor(surface, nodes)

@@ -296,8 +296,8 @@ COORDINATES = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-3.0,
 @example(parse("(1e300 * x)^2.5"), [(0.5, 0.0, 0.0)])
 @example(parse("x^-1"), [(1.0, 0.0, 0.0), (-0.0, 0.0, 0.0)])
 def test_literal_powers_on_arrays_act_as_the_generic_program(expr, points):
-    # a jet on (k, 3) points takes the literal path of each power and
-    # division; it keeps the bits of the run-time decision, and raises the
+    # a jet on (k, 3) points takes the integer path of each integer literal
+    # exponent; it keeps the bits of the run-time decision, and raises the
     # DomainError of its first failing point, which raises it alone
     trees = [expr] + [differentiate(expr, var) for var in VARIABLES]
     points = np.array(points)

@@ -14,6 +14,7 @@ from arwmass.geometry import (
     GeometryError,
     QuadratureError,
     QuadratureGrid,
+    SpacetimeMetric,
     _invert_metric,
     arw_validate,
     flat_chart_metric,
@@ -267,6 +268,18 @@ def _assert_jets_carry_their_fields(spec, order):
         npt.assert_array_equal(jets.g[..., 1:, 1:], scale * jets.sigma[..., 0])
         assert (jets.dg is None) == (order < 1)
         assert (jets.ddg is None) == (order < 2)
+
+
+def test_the_conformal_metric_shares_the_sigma_fields():
+    # one set of sigma fields, so their derivative trees are built once
+    spec = make_spec(3, 1.0, "log(-tau)", a=-1.0, lam="0.03*cos(theta1)*tau")
+    conformal = spec.conformal_metric
+    assert conformal.sigma is spec.metric.sigma
+    assert conformal.sigma_exprs is spec.metric.sigma_exprs
+    assert conformal.f is None and conformal.psi == Num(0.0)
+    # a metric built alone makes fields of its own
+    alone = SpacetimeMetric(n=3, sigma_exprs=spec.metric.sigma_exprs)
+    assert alone.sigma is not spec.metric.sigma
 
 
 def test_a_shared_metric_builds_one_program_per_order_under_a_race(monkeypatch):

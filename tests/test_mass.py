@@ -203,6 +203,18 @@ def test_graph_integral_evaluates_sigma_11_once(monkeypatch):
     assert calls == {"ExprField": 0, "TimeField": 1}
 
 
+def test_a_spec_weighs_only_graphs_in_its_own_metric(rw1, grid):
+    # the weight e^{omega f + psi} is read from the assembly over the graph's
+    # ambient: over another metric it would silently drop to 1
+    for ambient in (rw1.conformal_metric, flat_chart_metric(3)):
+        surface = GraphHypersurface(u=-0.3, ambient=ambient)
+        with pytest.raises(GeometryError, match="ambient is not the metric"):
+            graph_mass_integral(rw1, surface, grid)
+    # a bare metric weighs by 1 and takes its own graphs
+    conformal = GraphHypersurface(u=-0.3, ambient=rw1.conformal_metric)
+    assert math.isfinite(graph_mass_integral(rw1.conformal_metric, conformal, grid))
+
+
 def test_graph_integral_skips_the_intrinsic_curvature(rw1, monkeypatch):
     # G(nu, nu) reads the normal and the ambient Einstein tensor only
     def forbidden(*args):
