@@ -21,13 +21,13 @@ in JSON) so identical configs produce byte-identical artifacts.
 Exit codes: 0 success; 1 config error (unknown kind/command, missing field,
 unparseable expression, unknown variable, a count below its minimum: grid
 and schedule K at least 2, imcf max_leaves at least 2, check events at least
-1; an imcf t_end or tolerance that is not a positive finite number; a start
-time outside the domain: a schedule a outside [a, 0) or an imcf u0 outside
-(a, 0), NaN included); 2 validation failure (a validate/check run whose
-conditions do not hold, or a domain error, overflow included, while
-evaluating an expression); 3 numerical abort (H <= 0, non-spacelike graph,
-quadrature breakdown, singular linear algebra: numpy's LinAlgError, although
-a ValueError, is not a config error).
+1; an imcf t_end or tolerance, or a check "tolerances" value, that is not
+a positive finite number; a start time outside the domain: a schedule a
+outside [a, 0) or an imcf u0 outside (a, 0), NaN included); 2 validation
+failure (a validate/check run whose conditions do not hold, or a domain
+error, overflow included, while evaluating an expression); 3 numerical
+abort (H <= 0, non-spacelike graph, quadrature breakdown, singular linear
+algebra: numpy's LinAlgError, although a ValueError, is not a config error).
 
 ARWMASS_THREADS caps the worker threads used for independent sub-reports.
 """
@@ -233,7 +233,7 @@ def _cmd_mass(spec, config, grid, seed):
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         limit_f = pool.submit(mass_limit, spec, grid, schedule)
         scan_f = pool.submit(monotonicity_scan, spec, schedule, grid)
-        tcc_f = pool.submit(tcc_check, spec, None, 32, seed)
+        tcc_f = pool.submit(tcc_check, spec, seed=seed)
     report, scan, tcc = limit_f.result(), scan_f.result(), tcc_f.result()
 
     header = (
@@ -302,10 +302,11 @@ def _cmd_imcf(spec, config, grid, seed):
 
 def _cmd_check(spec, config, grid, seed):
     bounds = dict(_CHECK_BOUNDS)
-    for name, value in config.get("tolerances", {}).items():
+    tolerances = config.get("tolerances", {})
+    for name in tolerances:
         if name not in bounds:
             raise ConfigError(f"unknown check tolerance '{name}'")
-        bounds[name] = float(value)
+        bounds[name] = _positive(tolerances, name, bounds[name], f"check tolerance '{name}'")
     count = int(config.get("events", 50))
     if count < 1:
         raise ConfigError("check needs at least one event")

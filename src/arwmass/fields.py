@@ -1,17 +1,18 @@
-"""Scalar fields on a coordinate chart with exact partial derivatives.
+"""The sources of a metric with exact partial derivatives.
 
 Tensor assembly needs metric components together with first and second
 coordinate derivatives (and occasionally third, for validation ratios).  Two
-sources supply them: symbolic expressions in the chart coordinates, and
-functions of the time coordinate alone whose derivatives are known in closed
-form (the Schwarzschild-AdS profile is carried that way because its time
-coordinate has no closed-form inverse).  Both are wrapped here behind one
-small interface.
+kinds of source supply them: expressions in the chart coordinates, whose
+derivatives are symbolic, and functions of the time coordinate alone whose
+derivatives are known in closed form (the Schwarzschild-AdS profile is
+carried that way because its time coordinate has no closed-form inverse).
 
-Besides single partials, every field hands out its *jet*: value, gradient
-and Hessian up to a given order in one array, at one event or at an array of
-events.  The jet is what tensor assembly consumes; ``partial`` stays as the
-entry-by-entry reference.
+What assembly consumes is a *jet*: value, gradient and Hessian up to a given
+order in one array, at one event or at an array of events.  An
+:class:`ExprField` memoizes the derivative trees of one expression and hands
+out its jet and single partials, the entry-by-entry reference;
+:func:`time_jet` gives the jet of a time profile.  geometry.SpacetimeMetric
+evaluates the jets of all its sources in one program.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .expr import (
     compile_jet,
     differentiate,
     free_variables,
+    parse,
 )
 
 #: Chart coordinate names, time first.  Index 0 is always tau.
@@ -67,32 +69,9 @@ def split_jet(jet: np.ndarray, dim: int):
     return value, grad, hess
 
 
-class ScalarField(ABC):
-    """A scalar function of the chart coordinates with exact partials."""
-
-    @abstractmethod
-    def partial(self, event, axes: tuple[int, ...] = ()) -> float:
-        """Mixed partial derivative along coordinate ``axes`` at ``event``.
-
-        ``axes`` is a tuple of coordinate indices (possibly with repeats);
-        the empty tuple returns the value itself.  Order of axes does not
-        matter.
-        """
-
-    @abstractmethod
-    def jet(self, events, order: int = 2) -> np.ndarray:
-        """Partials up to ``order`` (at most 2) at ``events``, shape (..., dim).
-
-        The trailing axis of the result follows :func:`jet_keys`; the leading
-        axes are those of ``events``, none for a single event.
-        """
-
-    def value(self, event) -> float:
-        return self.partial(event, ())
-
-
-class ExprField(ScalarField):
-    """Field backed by an expression; partials are symbolic, then compiled.
+class ExprField:
+    """An expression in the chart coordinates with its partials: symbolic,
+    memoized per derivative key, then compiled.
 
     A jet runs the expr.Program of its :func:`jet_keys`, a partial the last
     output of the program of the value and that partial, each compiled on
@@ -134,38 +113,6 @@ class ExprField(ScalarField):
 
     def jet(self, events, order: int = 2) -> np.ndarray:
         return self._program(jet_keys(self.dim, order))(events)
-
-
-def _zero_jet(events, order: int) -> np.ndarray:
-    shape = np.shape(events)
-    return np.zeros(shape[:-1] + (len(jet_keys(shape[-1], order)),))
-
-
-class ConstField(ScalarField):
-    def __init__(self, value: float):
-        self._value = float(value)
-
-    def partial(self, event, axes: tuple[int, ...] = ()) -> float:
-        return self._value if not axes else 0.0
-
-    def jet(self, events, order: int = 2) -> np.ndarray:
-        out = _zero_jet(events, order)
-        out[..., 0] = self._value
-        return out
-
-
-class SumField(ScalarField):
-    def __init__(self, *parts: ScalarField):
-        self._parts = parts
-
-    def partial(self, event, axes: tuple[int, ...] = ()) -> float:
-        return sum(part.partial(event, axes) for part in self._parts)
-
-    def jet(self, events, order: int = 2) -> np.ndarray:
-        total = self._parts[0].jet(events, order)
-        for part in self._parts[1:]:
-            total = total + part.jet(events, order)
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -210,31 +157,25 @@ class ExprTimeFunction(TimeFunction):
             raise DomainError(f"{exc} at tau = {tau}") from None
 
 
-class TimeField(ScalarField):
-    """Adapter presenting a TimeFunction as a field constant in the angles."""
+def time_jet(tf: TimeFunction, events, order: int) -> np.ndarray:
+    """The jet to ``order`` of a time profile, a field constant in the
+    angles, at events of shape (..., dim), in the :func:`jet_keys` layout.
 
-    def __init__(self, tf: TimeFunction):
-        self.tf = tf
-
-    def partial(self, event, axes: tuple[int, ...] = ()) -> float:
-        if any(axis != 0 for axis in axes):
-            return 0.0
-        return self.tf.derivative(event[0], len(axes))
-
-    def jet(self, events, order: int = 2) -> np.ndarray:
-        events = np.asarray(events, dtype=float)
-        out = _zero_jet(events, order)
-        # the events of a slice share one time: the profile is evaluated
-        # once per distinct tau
-        taus = events[..., 0].reshape(-1)
-        profile = {}
-        for tau in taus:
-            if tau not in profile:
-                profile[tau] = [self.tf.derivative(tau, k) for k in range(order + 1)]
-        values = np.array([profile[tau] for tau in taus])
-        positions = (0, 1, 1 + events.shape[-1])[: order + 1]
-        out[..., positions] = values.reshape(out.shape[:-1] + (order + 1,))
-        return out
+    The events of a slice share one time: the profile's derivatives are
+    evaluated once per distinct tau.
+    """
+    events = np.asarray(events, dtype=float)
+    dim = events.shape[-1]
+    out = np.zeros(events.shape[:-1] + (len(jet_keys(dim, order)),))
+    taus = events[..., 0].reshape(-1)
+    profile = {}
+    for tau in taus:
+        if tau not in profile:
+            profile[tau] = [tf.derivative(tau, k) for k in range(order + 1)]
+    values = np.array([profile[tau] for tau in taus])
+    positions = (0, 1, 1 + dim)[: order + 1]
+    out[..., positions] = values.reshape(out.shape[:-1] + (order + 1,))
+    return out
 
 
 def as_time_function(profile) -> TimeFunction:
@@ -244,8 +185,6 @@ def as_time_function(profile) -> TimeFunction:
     if isinstance(profile, Expression):
         return ExprTimeFunction(profile)
     if isinstance(profile, str):
-        from .expr import parse
-
         return ExprTimeFunction(parse(profile))
     if isinstance(profile, (int, float)):
         return ExprTimeFunction(Num(float(profile)))
@@ -256,8 +195,6 @@ def as_expression(source) -> Expression:
     if isinstance(source, Expression):
         return source
     if isinstance(source, str):
-        from .expr import parse
-
         return parse(source)
     if isinstance(source, (int, float)):
         return Num(float(source))

@@ -6,11 +6,12 @@ Metrics here are conformally split:
 
 with psi_tilde = f + psi.  A SpacetimeMetric holds its sources: the time
 profile f, and psi and the spatial components sigma_ij as expressions in
-the chart coordinates, all with exact derivatives (see fields.py).  One
-compiled program per jet order evaluates psi and every non-constant sigma_ij
-together, so their shared subtrees (sin theta1, e^{2 lambda}) run once per
-assembly.  The cosmological family of interest has sigma_ij = e^{2 lambda}
-sigma_bar_ij with sigma_bar the round unit n-sphere and psi_tilde = f(tau) +
+the chart coordinates, all with exact derivatives (see fields.py).  It is
+the only assembler of their jets: one compiled program per jet order
+evaluates psi and every non-constant sigma_ij together, so their shared
+subtrees (sin theta1, e^{2 lambda}) run once per assembly.  The
+cosmological family of interest has sigma_ij = e^{2 lambda} sigma_bar_ij
+with sigma_bar the round unit n-sphere and psi_tilde = f(tau) +
 psi(tau, theta1); the future singularity sits at tau = 0 with domain
 [a, 0), a < 0.
 """
@@ -28,17 +29,14 @@ from .expr import Call, Expression, Num, compile_jet, fold_constants, free_varia
 from .extrapolate import aitken_limit
 from .fields import (
     COORD_NAMES,
-    ConstField,
     ExprField,
     ExprTimeFunction,
-    ScalarField,
-    SumField,
-    TimeField,
     TimeFunction,
     as_expression,
     as_time_function,
     jet_keys,
     split_jet,
+    time_jet,
 )
 
 __all__ = [
@@ -77,20 +75,17 @@ class SpacetimeMetric:
     """Gaussian-form Lorentzian metric on an (n+1)-dimensional chart, held as
     its sources: psi_tilde = f + psi, with ``f`` a time profile (None for
     none) and ``psi`` an expression in the chart coordinates, and ``sigma_exprs``
-    the n x n expressions of sigma_ij.
-
-    ``psi_field``, ``psi_tilde`` and ``sigma`` are the same sources as scalar
-    fields, one field each: the entry-by-entry reference.  An assembly runs
-    :meth:`field_jets` instead.
+    the n x n expressions of sigma_ij.  An assembly reads their jets from
+    :meth:`field_jets`.
     """
 
     n: int
     sigma_exprs: tuple  # n x n tuple-of-tuples of Expression
     psi: Expression = Num(0.0)
     f: TimeFunction | None = None
-    # the fields of sigma_exprs when another metric built them already: a
-    # conformal metric takes its parent's, and so their derivative trees
-    shared_sigma: tuple | None = field(default=None, repr=False)
+    # slot -> ExprField of sigma_ij when another metric built them already:
+    # a conformal metric takes its parent's, and so their derivative trees
+    shared_sigma: dict | None = field(default=None, repr=False)
     # one expr.Program per jet order, compiled on first use; threads share a
     # metric, so a program is only ever stored fully built
     _programs: dict = field(default_factory=dict, init=False, repr=False)
@@ -100,48 +95,37 @@ class SpacetimeMetric:
         return self.n + 1
 
     @cached_property
-    def psi_field(self) -> ScalarField:
-        return _source_field(self.psi, self.dim)
-
-    @cached_property
-    def psi_tilde(self) -> ScalarField:
-        if self.f is None:
-            return self.psi_field
-        return SumField(TimeField(self.f), self.psi_field)
-
-    @cached_property
-    def sigma(self) -> tuple:
-        if self.shared_sigma is not None:
-            return self.shared_sigma
-        return tuple(tuple(_source_field(e, self.dim) for e in row) for row in self.sigma_exprs)
-
-    @cached_property
     def conformal_metric(self) -> SpacetimeMetric:
         """-dtau^2 + sigma on the same chart: the conformal factor stripped.
         It shares this metric's sigma fields, and so their derivative trees."""
-        return SpacetimeMetric(n=self.n, sigma_exprs=self.sigma_exprs, shared_sigma=self.sigma)
+        sigma = {k: fld for k, fld in self._layout[1].items() if k}
+        return SpacetimeMetric(n=self.n, sigma_exprs=self.sigma_exprs, shared_sigma=sigma)
 
     @cached_property
     def _layout(self) -> tuple:
-        """(sources, slots the program evaluates, sigma's slots): slot 0
-        holds psi and slot 1 + k the k-th sigma_ij with i <= j, whose slot is
-        index[i, j] = index[j, i]."""
+        """(sources, fields, index): slot 0 holds psi and slot 1 + k the
+        k-th sigma_ij with i <= j, whose slot is index[i, j] = index[j, i].
+        ``fields`` maps each evaluated slot, one whose source is not a
+        literal, to the ExprField memoizing its derivative trees."""
         upper = [(i, j) for i in range(self.n) for j in range(i, self.n)]
-        sources = [(self.psi, self.psi_field)]
-        sources += [(self.sigma_exprs[i][j], self.sigma[i][j]) for i, j in upper]
-        evaluated = [k for k, (expr, _) in enumerate(sources) if not isinstance(expr, Num)]
+        sources = [self.psi] + [self.sigma_exprs[i][j] for i, j in upper]
+        shared = self.shared_sigma or {}
+        fields = {
+            k: shared.get(k) or ExprField(expr, self.dim)
+            for k, expr in enumerate(sources)
+            if not isinstance(expr, Num)
+        }
         index = np.empty((self.n, self.n), dtype=int)
         for k, (i, j) in enumerate(upper):
             index[i, j] = index[j, i] = 1 + k
-        return sources, evaluated, index
+        return sources, fields, index
 
     def _program(self, order: int):
         """The expr.Program of the jets to ``order`` of the evaluated slots."""
         program = self._programs.get(order)
         if program is None:
-            sources, evaluated, _ = self._layout
             keys = jet_keys(self.dim, order)
-            exprs = [sources[k][1]._expression(key) for k in evaluated for key in keys]
+            exprs = [fld._expression(key) for fld in self._layout[1].values() for key in keys]
             program = compile_jet(exprs, COORD_NAMES[: self.dim])
             self._programs[order] = program
         return program
@@ -153,27 +137,23 @@ class SpacetimeMetric:
 
         One program call evaluates psi and every non-constant sigma_ij; a
         literal source is filled in, and f is zero without a time profile.
-        Each jet keeps the bits of its field's own jet.
+        Each jet keeps the bits of its source's own jet: ExprField.jet, or
+        fields.time_jet for f.
         """
         width = len(jet_keys(self.dim, order))
         batch = events.shape[:-1]
-        f = np.zeros(batch + (width,)) if self.f is None else TimeField(self.f).jet(events, order)
-        sources, evaluated, index = self._layout
+        f = np.zeros(batch + (width,)) if self.f is None else time_jet(self.f, events, order)
+        sources, fields, index = self._layout
         jets = np.zeros(batch + (len(sources), width))
-        for k, (expr, _) in enumerate(sources):
+        for k, expr in enumerate(sources):
             if isinstance(expr, Num):
                 jets[..., k, 0] = expr.value
-        if evaluated:
+        if fields:
             values = self._program(order)(events)
-            jets[..., evaluated, :] = values.reshape(batch + (len(evaluated), width))
+            jets[..., list(fields), :] = values.reshape(batch + (len(fields), width))
         psi = jets[..., 0, :]
         psi_tilde = psi if self.f is None else f + psi
         return psi_tilde, jets[..., index, :], f, psi
-
-
-def _source_field(expr: Expression, dim: int) -> ScalarField:
-    """A literal as a ConstField, any other source as an ExprField."""
-    return ConstField(expr.value) if isinstance(expr, Num) else ExprField(expr, dim)
 
 
 @dataclass(frozen=True)

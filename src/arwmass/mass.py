@@ -17,10 +17,11 @@ the slab volume, graphs and IMCF leaves share one leaf integrator,
 _weighted_integral, which applies the weight and the area element and takes
 node values with leading axes (a block of slab slices, the three integrands
 of an IMCF leaf) to geometry.integrate_node_values in one call.  Callers
-pass psi_tilde, sigma_11 and the weight's omega f + psi from the field jets
-of their own assembly (graphs and leaves from their ExtrinsicData), whose
-one program call evaluated psi and sigma, and tcc_check reads its frame
-from the g of its curvature bundles: no field is evaluated a second time.
+pass psi_tilde, sigma_11 and the weight's omega f + psi from the source jets
+of their own metric assembly (graphs and leaves from their ExtrinsicData),
+which SpacetimeMetric.field_jets evaluated in one program call, and
+tcc_check reads its frame from the g of its curvature bundles: no source is
+evaluated a second time.
 
 Both gauge moves are the time change tau = phi(s), with f -> f o phi +
 log phi', psi -> psi o phi and lambda -> lambda o phi - log phi'; normalize
@@ -88,6 +89,8 @@ __all__ = [
 
 # interior values for the angles a rotationally symmetric integrand ignores
 _FILL_ANGLE = 1.1
+# the random unit timelike directions tcc_check draws per event, chi = 0 among them
+_TCC_DIRECTIONS = 32
 
 
 @dataclass(frozen=True)
@@ -480,11 +483,11 @@ def monotonicity_scan(
 def tcc_check(
     spec: ARWSpec,
     events=None,
-    directions_per_event: int = 32,
     seed: int = 0,
     tol: float = 1e-9,
 ) -> TccReport:
-    """Minimum of Ric(nu, nu) over random unit timelike directions.
+    """Minimum of Ric(nu, nu) over _TCC_DIRECTIONS = 32 random unit timelike
+    directions per event.
 
     Directions are boost-parameterized in an orthonormal frame,
     nu = cosh(chi) e_0 + sinh(chi) d^i e_i with |d| = 1; chi = 0 (the slice
@@ -502,8 +505,6 @@ def tcc_check(
     ulp of |nu| |Ric| |nu| at most (np.cosh against math.cosh, and the
     order of the sums), and keeps its bits at chi = 0.
     """
-    if directions_per_event < 32:
-        raise GeometryError("need at least 32 directions per event")
     if events is None:
         if not isinstance(spec, ARWSpec):
             raise GeometryError("events are required when passing a bare metric")
@@ -517,7 +518,7 @@ def tcc_check(
     if events.shape[1:] != (n + 1,):
         raise GeometryError(f"events must have shape (m, {n + 1}), got {events.shape}")
 
-    m, k = len(events), directions_per_event
+    m, k = len(events), _TCC_DIRECTIONS
     ricci = np.empty((m, n + 1, n + 1))
     frame = np.zeros((m, n + 1, n + 1))  # frame[j, a] = hatted basis vector a at event j
     chi = np.zeros((m, k))

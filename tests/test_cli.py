@@ -197,6 +197,18 @@ def test_check_scaled_bounds_keep_overrides(tmp_path):
     assert main([write_config(tmp_path, config)]) == 2
 
 
+@pytest.mark.parametrize(
+    "value, error",
+    [("nan", "finite, got nan"), ("inf", "finite, got inf"), (0, "positive, got 0.0"),
+     (-1, "positive, got -1.0")],
+)
+def test_check_tolerances_must_be_positive_and_finite(tmp_path, value, error, capsys):
+    config = dict(STEEP_CHECK, tolerances={"codazzi": value}, output={"path": str(tmp_path)})
+    assert main([write_config(tmp_path, config)]) == 1
+    assert capsys.readouterr().err == f"config error: check tolerance 'codazzi' must be {error}\n"
+    assert not (tmp_path / "check.csv").exists()
+
+
 def record_assemblies(monkeypatch):
     """The number of events of every curvature_batch and metric_jets call,
     through each module binding the check battery reaches."""

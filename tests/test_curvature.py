@@ -25,6 +25,7 @@ from arwmass.geometry import (
     sample_events,
 )
 from arwmass.sads import SAdSParams, as_arw_spec
+from sources import source_jets
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +155,7 @@ def reference_conformal_residuals(spec, event):
     dim = spec.n + 1
     full = curvature_at(spec.metric, event)
     base = curvature_at(spec.conformal_metric, event)
-    phi, dphi, ddphi = split_jet(spec.metric.psi_tilde.jet(event, 2), dim)
+    phi, dphi, ddphi = split_jet(source_jets(spec.metric, event, 2).psi_tilde, dim)
     jets_t = metric_jets(spec.conformal_metric, event, order=1)
     g_t, dg_t = jets_t.g, jets_t.dg
     ginv_t = _invert_metric(g_t, event)

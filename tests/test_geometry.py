@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import threading
 from typing import Callable
 
@@ -6,9 +8,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import arwmass.fields
 import arwmass.geometry
 from arwmass.expr import Num, Program, parse
-from arwmass.fields import ConstField, ExprField, TimeField, jet_keys
+from arwmass.fields import ExprField, jet_keys
 from arwmass.geometry import (
     ARWSpec,
     GeometryError,
@@ -30,6 +33,7 @@ from arwmass.geometry import (
 )
 from arwmass.mass import slice_mass_integral
 from arwmass.sads import SAdSParams, as_arw_spec
+from sources import source_jets
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +228,14 @@ def _angular_spec(n):
 def test_off_diagonal_sigma_entries_are_constant_zeros(n):
     spec = _angular_spec(n)
     events = sample_events(spec, 5, seed=3)
-    for i in range(n):
-        for j in range(n):
-            field = spec.metric.sigma[i][j]
-            if i == j:
-                assert type(field) is ExprField
-                continue
-            assert type(field) is ConstField
-            for order in (0, 1, 2):
-                width = len(jet_keys(n + 1, order))
-                npt.assert_array_equal(field.jet(events[0], order), np.zeros(width))
-                npt.assert_array_equal(field.jet(events, order), np.zeros((5, width)))
+    off_diagonal = ~np.eye(n, dtype=bool)
+    literal = [[isinstance(expr, Num) for expr in row] for row in spec.metric.sigma_exprs]
+    assert literal == off_diagonal.tolist()
+    for order in (0, 1, 2):
+        for at in (events[0], events):
+            sigma = metric_jets(spec.metric, at, order).sigma
+            assert sigma.shape == at.shape[:-1] + (n, n, len(jet_keys(n + 1, order)))
+            assert not np.any(sigma[..., off_diagonal, :])
 
 
 def _bits(array):
@@ -257,29 +258,48 @@ def _assert_jets_carry_their_fields(spec, order):
     events = sample_events(spec, 6, seed=4).reshape(2, 3, n + 1)
     for at in (events, events[1, 2]):
         jets = metric_jets(metric, at, order)
-        npt.assert_array_equal(_bits(jets.psi_tilde), _bits(metric.psi_tilde.jet(at, order)))
-        npt.assert_array_equal(_bits(jets.f), _bits(TimeField(spec.f).jet(at, order)))
-        npt.assert_array_equal(_bits(jets.psi), _bits(metric.psi_field.jet(at, order)))
-        for i in range(n):
-            for j in range(n):
-                sigma_ij = metric.sigma[i][j].jet(at, order)
-                npt.assert_array_equal(_bits(jets.sigma[..., i, j, :]), _bits(sigma_ij))
+        reference = source_jets(metric, at, order)
+        for name in ("psi_tilde", "f", "psi", "sigma"):
+            npt.assert_array_equal(_bits(getattr(jets, name)), _bits(getattr(reference, name)))
         scale = np.exp(2.0 * jets.psi_tilde[..., 0])[..., None, None]
         npt.assert_array_equal(jets.g[..., 1:, 1:], scale * jets.sigma[..., 0])
         assert (jets.dg is None) == (order < 1)
         assert (jets.ddg is None) == (order < 2)
 
 
-def test_the_conformal_metric_shares_the_sigma_fields():
-    # one set of sigma fields, so their derivative trees are built once
+def test_the_conformal_metric_differentiates_nothing_after_its_parent(monkeypatch):
+    # the conformal metric shares its parent's sigma fields, and so their
+    # derivative trees: they are built once
     spec = make_spec(3, 1.0, "log(-tau)", a=-1.0, lam="0.03*cos(theta1)*tau")
+    events = sample_events(spec, 4, seed=2)
+    metric_jets(spec.metric, events, 2)
+    differentiate, calls = arwmass.fields.differentiate, []
+    monkeypatch.setattr(
+        arwmass.fields, "differentiate", lambda *args: calls.append(args) or differentiate(*args)
+    )
     conformal = spec.conformal_metric
-    assert conformal.sigma is spec.metric.sigma
     assert conformal.sigma_exprs is spec.metric.sigma_exprs
     assert conformal.f is None and conformal.psi == Num(0.0)
-    # a metric built alone makes fields of its own
-    alone = SpacetimeMetric(n=3, sigma_exprs=spec.metric.sigma_exprs)
-    assert alone.sigma is not spec.metric.sigma
+    metric_jets(conformal, events, 2)
+    assert calls == []
+    # a metric built alone differentiates its 3 diagonal entries itself
+    metric_jets(SpacetimeMetric(n=3, sigma_exprs=spec.metric.sigma_exprs), events, 2)
+    assert len(calls) == 3 * (len(jet_keys(4, 2)) - 1)
+
+
+def test_only_fields_and_geometry_use_expr_fields_and_time_jets():
+    # the metric is the only assembler of its sources' jets; the package
+    # root re-exports ExprField, which names it in an import only
+    source = pathlib.Path(arwmass.geometry.__file__).parent
+    users = []
+    for path in sorted(source.glob("*.py")):
+        if path.name in ("fields.py", "geometry.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in ("ExprField", "time_jet"):
+                users.append(f"{path.name}:{node.lineno}")
+    assert users == []
 
 
 def test_a_shared_metric_builds_one_program_per_order_under_a_race(monkeypatch):
@@ -327,13 +347,11 @@ def test_a_shared_metric_builds_one_program_per_order_under_a_race(monkeypatch):
 
 
 def test_make_spec_damps_angular_perturbation_at_poles():
-    from arwmass.fields import ExprField
-
     spec = make_spec(3, 1.0, "log(-tau)", a=-0.5, psi="0.1*cos(theta1)")
     psi = ExprField(spec.psi, 4)
     tau = -0.3
-    near_pole = psi.value(np.array([tau, 1e-4, 1.0, 1.0]))
-    interior = psi.value(np.array([tau, 0.3, 1.0, 1.0]))
+    near_pole = psi.partial(np.array([tau, 1e-4, 1.0, 1.0]))
+    interior = psi.partial(np.array([tau, 0.3, 1.0, 1.0]))
     assert abs(near_pole) < 1e-6
     assert abs(interior) > 1e-3
 

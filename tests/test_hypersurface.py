@@ -10,7 +10,7 @@ import arwmass.hypersurface
 import arwmass.tensors
 from arwmass.curvature import _blockwise, curvature_at
 from arwmass.expr import DomainError, Program, compile_expression, differentiate
-from arwmass.fields import ExprField, TimeField, split_jet
+from arwmass.fields import ExprField, split_jet
 from arwmass.geometry import GeometryError, make_spec, metric_jets, rw_family_spec
 from arwmass.hypersurface import (
     GaussCodazziResiduals,
@@ -31,6 +31,7 @@ from arwmass.tensors import (
     ricci_from_riemann,
     riemann_up,
 )
+from sources import source_jets
 
 NODES = [
     np.array([0.4, 1.0, 2.0]),
@@ -193,7 +194,7 @@ def reference_node_curvatures(surface, node):
     event = np.concatenate(([w0], node))
     jets = metric_jets(metric, event, order=2)
     g, dg, ddg = jets.g, jets.dg, jets.ddg
-    p0, p1, p2 = split_jet(metric.psi_tilde.jet(event, 2), n + 1)
+    p0, p1, p2 = split_jet(source_jets(metric, event, 2).psi_tilde, n + 1)
 
     # the frame
     scale = math.exp(2.0 * p0)
@@ -415,7 +416,7 @@ def reference_conformal_extrinsic(spec, u, node):
     ext_conf = second_fundamental(GraphHypersurface(u=u, ambient=spec.conformal_metric), node)
     mixed = ext.inverse @ ext.h
     mixed_conf = ext_conf.inverse @ ext_conf.h
-    drift = float(spec.metric.psi_tilde.jet(ext.event, 1)[1:] @ ext_conf.past_normal)
+    drift = float(source_jets(spec.metric, ext.event, 1).psi_tilde[1:] @ ext_conf.past_normal)
     res = math.exp(ext.psi_tilde) * mixed - mixed_conf - drift * np.eye(spec.n)
     return float(np.max(np.abs(res))), max(np.max(np.abs(mixed_conf)), abs(drift))
 
@@ -641,7 +642,7 @@ def test_conformal_extrinsic_residual_evaluates_psi_once_per_block(monkeypatch):
     nodes = _nodes(spec.n, 10)
     ext = second_fundamental(GraphHypersurface(u=u, ambient=spec.metric), nodes)
     ext_conf = second_fundamental(GraphHypersurface(u=u, ambient=spec.conformal_metric), nodes)
-    dpsi = spec.metric.psi_tilde.jet(ext.event, 1)[..., None, 1:]
+    dpsi = source_jets(spec.metric, ext.event, 1).psi_tilde[..., None, 1:]
     drift = dpsi @ ext_conf.past_normal[..., :, None]
     res = (
         np.exp(ext.psi_tilde)[..., None, None] * (ext.inverse @ ext.h)
@@ -662,11 +663,11 @@ def test_conformal_extrinsic_residual_evaluates_psi_once_per_block(monkeypatch):
         return call
 
     monkeypatch.setattr(Program, "__call__", counting(programs, Program.__call__))
-    for cls in (ExprField, TimeField):
-        monkeypatch.setattr(cls, "jet", counting(fields, cls.jet))
+    monkeypatch.setattr(ExprField, "jet", counting(fields, ExprField.jet))
+    monkeypatch.setattr(arwmass.geometry, "time_jet", counting(fields, arwmass.geometry.time_jet))
     got = conformal_extrinsic_residual(spec, u, nodes)
     assert len(programs) == 4
     assert programs.count(spec.metric._programs[1]) == 1
     assert programs.count(spec.conformal_metric._programs[1]) == 1
-    assert [type(field) for field in fields] == [TimeField]
+    assert fields == [spec.f]
     npt.assert_array_equal(got, expected)

@@ -29,6 +29,7 @@ from arwmass.imcf import (
 )
 from arwmass.mass import _FILL_ANGLE, _weights
 from arwmass.sads import SAdSParams, as_arw_spec, x0_of_r
+from sources import source_jets
 
 PI2 = math.pi**2
 
@@ -149,7 +150,7 @@ def test_lemma_quantity_decays_to_zero(rw):
 
 def log_weight(spec, event):
     """omega f + psi at one event, from f and the psi field pointwise."""
-    return spec.omega * spec.f.value(event[0]) + spec.metric.psi_field.partial(event, ())
+    return spec.omega * spec.f.value(event[0]) + source_jets(spec.metric, event, 0).psi[0]
 
 
 def reference_mass_along_flow(spec, leaves, grid):
@@ -175,7 +176,7 @@ def reference_mass_along_flow(spec, leaves, grid):
                 scalar - (ext.norm_a_sq - ext.mean_curvature**2 / n),
                 (n - 1) / (2.0 * n) * ext.mean_curvature**2,
             ])
-            sig11 = w.metric.sigma[0][0].partial(ext.event, ())
+            sig11 = source_jets(w.metric, ext.event, 0).sigma[0, 0, 0]
             totals += values * (
                 math.exp(log_weight(spec, ext.event))
                 * math.exp(n * ext.psi_tilde)
@@ -212,13 +213,13 @@ def test_mass_along_flow_matches_separate_node_calls(spec, leaves):
 def reference_slice_mean_curvature(metric, u):
     """(H, psi_tilde) of the slice {tau = u} as the flow read them before one
     slice evaluation: the coordinate_slice_curvature closure traced with the
-    order-1 metric block, and psi_tilde through ``partial``."""
+    order-1 metric block, and psi_tilde from its sources one by one."""
     event = np.full(metric.n + 1, _FILL_ANGLE)
     event[0] = u
     hbar = coordinate_slice_curvature(metric, u)(event[1:])
     g = metric_jets(metric, event, order=1).g[1:, 1:]
     h_mean = float(np.trace(np.linalg.solve(g, hbar)))
-    return h_mean, metric.psi_tilde.partial(event, ())
+    return h_mean, source_jets(metric, event, 0).psi_tilde[0]
 
 
 SADS_FLOW = SAdSParams(3, -1.0, 1.0)

@@ -33,7 +33,7 @@ from arwmass.expr import (
     free_variables,
     parse,
 )
-from arwmass.fields import COORD_NAMES, ExprField, ExprTimeFunction, jet_keys
+from arwmass.fields import COORD_NAMES, ExprField, ExprTimeFunction, jet_keys, time_jet
 from arwmass.geometry import (
     GeometryError,
     integrate_rotationally_symmetric,
@@ -45,6 +45,7 @@ from arwmass.geometry import (
 from arwmass.hypersurface import coordinate_slice_curvature
 from arwmass.mass import slab_balance, slice_mass_integral
 from arwmass.sads import SAdSParams, as_arw_spec
+from sources import source_fields, source_jets
 
 FILL_ANGLE = 1.1
 
@@ -69,13 +70,6 @@ def _specs():
 SPECS = _specs()
 
 
-def _fields(spec):
-    metric = spec.metric
-    return [metric.psi_tilde, metric.psi_field] + [
-        metric.sigma[i][j] for i in range(spec.n) for j in range(spec.n)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # references
 
@@ -90,9 +84,10 @@ def reference_slice_integral(spec, tau, grid):
         event[0] = tau
         event[1] = theta1
         bundle = curvature_at(metric, event)
-        p = metric.psi_tilde.partial(event, ())
+        sources = source_jets(metric, event, 0)
+        p = sources.psi_tilde[0]
         g_nu_nu = bundle.einstein[0, 0] * math.exp(-2.0 * p)
-        sig11 = metric.sigma[0][0].partial(event, ())
+        sig11 = sources.sigma[0, 0, 0]
         log_weight = spec.omega * spec.f.value(event[0]) + psi.partial(event, ())
         return g_nu_nu * math.exp(log_weight) * math.exp(n * p) * sig11 ** (n / 2.0)
 
@@ -116,11 +111,12 @@ def reference_slab_volume(spec, tau1, tau2, grid):
             event[1] = theta1
             bundle = curvature_at(metric, event)
             g_up = bundle.g_inv @ bundle.einstein @ bundle.g_inv
-            p = metric.psi_tilde.partial(event, ())
+            sources = source_jets(metric, event, 0)
+            p = sources.psi_tilde[0]
             spatial = float(np.einsum("ij,ij->", g_up[1:, 1:], hbar(event[1:])))
             time_part = g_up[0, 0] * (spec.omega * fp + psi.partial(event, (0,))) * math.exp(p)
             log_weight = spec.omega * spec.f.value(event[0]) + psi.partial(event, ())
-            sig11 = metric.sigma[0][0].partial(event, ())
+            sig11 = sources.sigma[0, 0, 0]
             return (
                 (spatial + time_part)
                 * math.exp(log_weight)
@@ -161,27 +157,41 @@ def test_scalar_jets_are_bitwise_equal_to_partials(name):
     spec = SPECS[name]
     dim = spec.n + 1
     for event in sample_events(spec, 4, seed=3):
-        for field in _fields(spec):
+        for field in source_fields(spec.metric):
             for order in (0, 1, 2):
                 jet = field.jet(event, order)
                 keys = jet_keys(dim, order)
                 assert jet.shape == (len(keys),)
                 partials = np.array([field.partial(event, key) for key in keys])
-                if isinstance(field, ExprField):
-                    npt.assert_array_equal(jet.view(np.int64), partials.view(np.int64))
-                else:
-                    npt.assert_array_equal(jet, partials)
+                npt.assert_array_equal(jet.view(np.int64), partials.view(np.int64))
 
 
 @pytest.mark.parametrize("name", SPECS)
 def test_vectorized_jets_match_scalar_jets(name):
     spec = SPECS[name]
     events = sample_events(spec, 6, seed=4).reshape(2, 3, spec.n + 1)
-    for field in _fields(spec):
+    for field in source_fields(spec.metric):
         batched = field.jet(events, 2)
         pointwise = np.array([[field.jet(e, 2) for e in row] for row in events])
         assert batched.shape == pointwise.shape
         npt.assert_allclose(batched, pointwise, rtol=1e-14, atol=1e-14 * np.abs(pointwise).max())
+
+
+def test_time_jet_evaluates_the_profile_once_per_distinct_tau(monkeypatch):
+    # a block of 3 slices of 4 events: order + 1 derivatives per slice time
+    spec = SPECS["custom n=3"]
+    events = sample_events(spec, 12, seed=5).reshape(3, 4, 4)
+    events[..., 0] = np.array([[-0.6], [-0.4], [-0.2]])
+    derivative, calls = ExprTimeFunction.derivative, []
+    monkeypatch.setattr(
+        ExprTimeFunction, "derivative", lambda *args: calls.append(args[2]) or derivative(*args)
+    )
+    for order in (0, 1, 2):
+        calls.clear()
+        jet = time_jet(spec.f, events, order)
+        assert calls == list(range(order + 1)) * 3
+        reference = source_jets(spec.metric, events, order).f
+        npt.assert_array_equal(jet.view(np.int64), reference.view(np.int64))
 
 
 def test_jet_shares_subexpressions():
@@ -231,9 +241,7 @@ def test_fold_constants_matches_recursive_version(name):
     spec = SPECS[name]
     dim = spec.n + 1
     trees = []
-    for field in _fields(spec):
-        if not isinstance(field, ExprField):
-            continue
+    for field in source_fields(spec.metric):
         trees.append(field._expression(()))
         for key in jet_keys(dim, 2)[1:]:
             trees.append(_diff(field._expression(key[:-1]), COORD_NAMES[key[-1]]))

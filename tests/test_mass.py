@@ -11,7 +11,7 @@ import arwmass.hypersurface
 import arwmass.mass
 from arwmass.curvature import curvature_at, curvature_batch
 from arwmass.expr import Num, Program, Var, fold_constants, substitute
-from arwmass.fields import ExprField, TimeField
+from arwmass.fields import ExprField
 from arwmass.geometry import (
     ARWSpec,
     ConditionReport,
@@ -48,6 +48,7 @@ from arwmass.mass import (
     tcc_check,
 )
 from arwmass.sads import SAdSParams, as_arw_spec, oracle_mass_integral, x0_of_r
+from sources import source_jets
 
 PI2 = math.pi**2
 
@@ -118,7 +119,7 @@ def test_flat_ambient_gives_zero(grid):
 
 def log_weight(spec, event):
     """omega f + psi at one event, from f and the psi field pointwise."""
-    return spec.omega * spec.f.value(event[0]) + spec.metric.psi_field.partial(event, ())
+    return spec.omega * spec.f.value(event[0]) + source_jets(spec.metric, event, 0).psi[0]
 
 
 def reference_graph_mass_integral(spec, surface, grid):
@@ -133,7 +134,7 @@ def reference_graph_mass_integral(spec, surface, grid):
         node[0] = theta1
         ext = graph_geometry(surface, node)
         w.check_time(ext.event[0])
-        sig11 = metric.sigma[0][0].partial(ext.event, ())
+        sig11 = source_jets(metric, ext.event, 0).sigma[0, 0, 0]
         nu = ext.past_normal
         return (
             float(nu @ curvature_at(metric, ext.event).einstein @ nu)
@@ -200,7 +201,7 @@ def test_graph_integral_evaluates_sigma_11_once(monkeypatch):
     programs, calls = count_evaluations(monkeypatch)
     graph_mass_integral(spec, surface, quadrature_grid(3, 12))
     assert programs == [surface._program, spec.metric._programs[2]]
-    assert calls == {"ExprField": 0, "TimeField": 1}
+    assert calls == {"ExprField.jet": 0, "time_jet": 1}
 
 
 def test_a_spec_weighs_only_graphs_in_its_own_metric(rw1, grid):
@@ -313,11 +314,12 @@ def reference_slab_volume(spec, tau1, tau2, grid):
         g_up = bundle.g_inv @ bundle.einstein @ bundle.g_inv
         hbar = coordinate_slice_curvature(metric, float(tau))(events[:, 1:])
         fp = spec.f.derivative(float(tau), 1)
-        p = metric.psi_tilde.jet(events, 0)[:, 0]
-        psi = metric.psi_field.jet(events, 1)
+        sources = source_jets(metric, events, 0)
+        p = sources.psi_tilde[:, 0]
+        psi = source_jets(metric, events, 1).psi
         spatial = np.einsum("kij,kij->k", g_up[:, 1:, 1:], hbar)
         time_part = g_up[:, 0, 0] * (w.omega * fp + psi[:, 1]) * np.exp(p)
-        sig11 = metric.sigma[0][0].jet(events, 0)[:, 0]
+        sig11 = sources.sigma[:, 0, 0, 0]
         log_weight = w.omega * spec.f.value(float(tau)) + psi[:, 0]
         volume += wt * _weighted_integral(
             w, grid, spatial + time_part, log_weight, p, sig11, power=n + 1
@@ -348,7 +350,7 @@ def test_slab_volume_equals_the_per_slice_loop(spec, taus):
 
 def count_evaluations(monkeypatch):
     """(the expr.Programs called, in call order; calls of ExprField.jet and
-    TimeField.jet by class name)."""
+    fields.time_jet by name)."""
     programs = []
     call = Program.__call__
 
@@ -357,15 +359,15 @@ def count_evaluations(monkeypatch):
         return call(self, points)
 
     monkeypatch.setattr(Program, "__call__", counting_program)
-    calls = {"ExprField": 0, "TimeField": 0}
-    for cls in (ExprField, TimeField):
-        original = cls.jet
+    calls = {"ExprField.jet": 0, "time_jet": 0}
+    for owner, name in ((ExprField, "jet"), (arwmass.geometry, "time_jet")):
+        original = getattr(owner, name)
 
-        def counting(self, *args, _name=cls.__name__, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(self, *args, **kwargs)
+        def counting(*args, _original=original, **kwargs):
+            calls[_original.__qualname__] += 1
+            return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cls, "jet", counting)
+        monkeypatch.setattr(owner, name, counting)
     return programs, calls
 
 
@@ -383,13 +385,13 @@ def test_a_slab_block_evaluates_each_field_jet_once(n, monkeypatch):
     programs, calls = count_evaluations(monkeypatch)
     slab_balance(spec, -0.6, -0.2, grid)
     assert programs == [spec.metric._programs[2]]
-    assert calls == {"ExprField": 0, "TimeField": 1}
+    assert calls == {"ExprField.jet": 0, "time_jet": 1}
 
     programs.clear()
-    calls.update(ExprField=0, TimeField=0)
+    calls.update(dict.fromkeys(calls, 0))
     slice_mass_integral(spec, -0.4, grid)
     assert programs == [spec.metric._programs[2]]
-    assert calls == {"ExprField": 0, "TimeField": 1}
+    assert calls == {"ExprField.jet": 0, "time_jet": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +448,12 @@ def reference_tcc(spec, events, directions_per_event=32, seed=0, tol=1e-9):
     minimum, samples, violations, values, sizes = math.inf, 0, [], [], []
     for event in np.asarray(events, dtype=float):
         bundle = curvature_at(metric, event)
-        p = metric.psi_tilde.partial(event, ())
+        sources = source_jets(metric, event, 0)
+        p = sources.psi_tilde[0]
         frame = np.zeros((n + 1, n + 1))
         frame[0, 0] = math.exp(-p)
         for i in range(n):
-            sig = metric.sigma[i][i].partial(event, ())
+            sig = sources.sigma[i, i, 0]
             frame[i + 1, i + 1] = math.exp(-p) / math.sqrt(sig)
         chis = np.concatenate(([0.0], rng.uniform(0.0, 2.5, directions_per_event - 1)))
         for chi in chis:
@@ -790,8 +793,9 @@ def test_leaf_integral_takes_rows_of_node_values(rw1):
     grid = quadrature_grid(3, 12)
     w = _weights(rw1)
     events = np.stack([_slice_events(3, tau, grid.axis_nodes[0]) for tau in (-0.4, -0.2)])
-    p = w.metric.psi_tilde.jet(events, 0)[..., 0]
-    s = w.metric.sigma[0][0].jet(events, 0)[..., 0]
+    sources = source_jets(w.metric, events, 0)
+    p = sources.psi_tilde[..., 0]
+    s = sources.sigma[..., 0, 0, 0]
     jets = metric_jets(w.metric, events, 0)
     lw = w.log_weight(jets.f[..., 0], jets.psi[..., 0])
     values = np.cos(events[..., 1]) + events[..., 0]
