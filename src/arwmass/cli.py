@@ -11,25 +11,24 @@ A scenario is a single JSON document::
       "output": {"path": "out", "format": "csv"}
     }
 
-kinds: "sads" (n, lambda, mass), "rw-family" (n, omega, k, a), "custom"
-(n, omega, f, a and optional psi/lambda/sigma_scale, expressions in tau and
-theta1).  Commands: validate, mass, imcf, check, sads-demo; each writes
-``<command>.csv`` or ``.json`` into the output directory.  Every table
-carries a ``# config-digest: <sha256>`` comment (a ``config_digest`` field
-in JSON) so identical configs produce byte-identical artifacts.
+Every section and key it may hold, with its type, default and minimum, is in
+``_SCHEMA``, listed as the config reference table of the README; a document
+that breaks it is a config error naming the key.  Commands: validate, mass,
+imcf, check, sads-demo; each writes ``<command>.csv`` or ``.json`` into the
+output directory.  Every table carries a ``# config-digest: <sha256>``
+comment (a ``config_digest`` field in JSON) so identical configs produce
+byte-identical artifacts.
 
-Exit codes: 0 success; 1 config error (unknown kind/command, missing field,
-unparseable expression, unknown variable, a count below its minimum: grid
-and schedule K at least 2, imcf max_leaves at least 2, check events at least
-1; an imcf t_end or tolerance, or a check "tolerances" value, that is not
-a positive finite number; a start time outside the domain: a schedule a
-outside [a, 0) or an imcf u0 outside (a, 0), NaN included); 2 validation
-failure (a validate/check run whose conditions do not hold, or a domain
-error, overflow included, while evaluating an expression); 3 numerical
-abort (H <= 0, non-spacelike graph, quadrature breakdown, singular linear
-algebra: numpy's LinAlgError, although a ValueError, is not a config error).
+Exit codes:
 
-ARWMASS_THREADS caps the worker threads used for independent sub-reports.
+- 0 success;
+- 1 config error: a document that breaks ``_SCHEMA``, an unparseable
+  expression or unknown variable, a start time outside the domain, or
+  sads-demo on another kind of spacetime;
+- 2 validation failure: failed conditions, or a domain error or overflow
+  while evaluating an expression;
+- 3 numerical abort: H <= 0, a non-spacelike graph, a quadrature breakdown,
+  singular linear algebra (numpy's LinAlgError, although a ValueError).
 """
 
 from __future__ import annotations
@@ -71,109 +70,150 @@ from .mass import mass_limit, monotonicity_scan, slab_balance, slice_mass_integr
 __all__ = ["ConfigError", "main", "run"]
 
 _COMMANDS = ("validate", "mass", "imcf", "check", "sads-demo")
-
-# default residual bounds for the `check` command, overridable per check
-# via the config's "tolerances" mapping
-_CHECK_BOUNDS = {
-    "conformal-ricci": 1e-8,
-    "conformal-scalar": 1e-8,
-    "gauss-trace": 1e-7,
-    "gauss-full": 1e-6,
-    "codazzi": 1e-6,
-    "slab-balance": 1e-6,
-    "einstein-divergence": 1e-3,
-}
 # checks whose bound is relative to the curvature scale max(1, max |R|) of the
 # sampled events
 _CURVATURE_SCALED = ("conformal-ricci", "conformal-scalar")
+_REQUIRED = object()  # the default of a key the document must give
+
+# The scenario document: section -> key -> (type, default, minimum of a count).
+# Types: "count" is a JSON integer, "number" an integer or a float (NaN and
+# infinities included), "positive" a positive finite number, "string" text,
+# "section" an object read by the table of that name, and a tuple lists the
+# allowed values.  A spacetime is read by "spacetime" and the table of its
+# kind.  A default of None is filled in from the spec by the command.
+_SCHEMA = {
+    "config": {
+        "command": (_COMMANDS, _REQUIRED, None),
+        "spacetime": ("section", _REQUIRED, None),
+        "grid": ("count", 48, 2),
+        "seed": ("count", 0, None),
+        "schedule": ("section", {}, None),
+        "imcf": ("section", {}, None),
+        "events": ("count", 50, 1),
+        "tolerances": ("section", {}, None),
+        "output": ("section", {}, None),
+    },
+    "spacetime": {"kind": (("sads", "rw-family", "custom"), _REQUIRED, None)},
+    "spacetime sads": {
+        "n": ("count", _REQUIRED, None),
+        "lambda": ("number", _REQUIRED, None),
+        "mass": ("number", _REQUIRED, None),
+    },
+    "spacetime rw-family": {
+        "n": ("count", _REQUIRED, None),
+        "omega": ("number", _REQUIRED, None),
+        "k": ("number", _REQUIRED, None),
+        "a": ("number", -0.5, None),
+    },
+    "spacetime custom": {
+        "n": ("count", _REQUIRED, None),
+        "omega": ("number", _REQUIRED, None),
+        "f": ("string", _REQUIRED, None),
+        "a": ("number", _REQUIRED, None),
+        "psi": ("string", "0", None),
+        "lambda": ("string", "0", None),
+        "sigma_scale": ("number", 1.0, None),
+    },
+    "schedule": {"K": ("count", 10, 2), "a": ("number", None, None)},
+    "imcf": {
+        "u0": ("number", None, None),
+        "t_end": ("positive", 15.0, None),
+        "tolerance": ("positive", 1e-10, None),
+        # the leaves sit at max_leaves evenly spaced flow times, 0 and t_end included
+        "max_leaves": ("count", 32, 2),
+    },
+    # the residual bounds of the check command
+    "tolerances": {
+        "conformal-ricci": ("positive", 1e-8, None),
+        "conformal-scalar": ("positive", 1e-8, None),
+        "gauss-trace": ("positive", 1e-7, None),
+        "gauss-full": ("positive", 1e-6, None),
+        "codazzi": ("positive", 1e-6, None),
+        "slab-balance": ("positive", 1e-6, None),
+        "einstein-divergence": ("positive", 1e-3, None),
+    },
+    "output": {"path": ("string", ".", None), "format": (("csv", "json"), "csv", None)},
+}
 
 
 class ConfigError(Exception):
     """The scenario document is malformed or inconsistent."""
 
 
-def _require(mapping, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"missing required field '{key}' in {context}")
-    return mapping[key]
+def _read(document, section: str = "config") -> dict:
+    """The typed values of a section of the scenario document, every default
+    filled in; raises ConfigError naming the first key ``_SCHEMA`` rejects."""
+    if not isinstance(document, dict):
+        raise ConfigError(f"{section} must be an object, got {document!r}")
+    table = _SCHEMA[section]
+    if section == "spacetime":
+        kind = _value(document, section, "kind", table["kind"])
+        table = {**table, **_SCHEMA[f"spacetime {kind}"]}
+    for key in document:
+        if key not in table:
+            raise ConfigError(f"unknown key '{key}' in {section}")
+    return {key: _value(document, section, key, table[key]) for key in table}
 
 
-def _build_spacetime(config):
-    """(spec, sads_params_or_None) from the spacetime section."""
-    section = _require(config, "spacetime", "config")
-    kind = _require(section, "kind", "spacetime")
-    if kind == "sads":
-        params = sads.SAdSParams(
-            n=int(_require(section, "n", "spacetime")),
-            lam=float(_require(section, "lambda", "spacetime")),
-            mass=float(_require(section, "mass", "spacetime")),
-        )
-        return sads.as_arw_spec(params), params
-    if kind == "rw-family":
-        spec = rw_family_spec(
-            int(_require(section, "n", "spacetime")),
-            float(_require(section, "omega", "spacetime")),
-            k=float(_require(section, "k", "spacetime")),
-            a=float(section.get("a", -0.5)),
-        )
-        return spec, None
-    if kind == "custom":
-        spec = make_spec(
-            int(_require(section, "n", "spacetime")),
-            float(_require(section, "omega", "spacetime")),
-            _require(section, "f", "spacetime"),
-            a=float(_require(section, "a", "spacetime")),
-            psi=section.get("psi", "0"),
-            lam=section.get("lambda", "0"),
-            sigma_scale=float(section.get("sigma_scale", 1.0)),
-        )
-        return spec, None
-    raise ConfigError(f"unknown spacetime kind '{kind}'")
-
-
-def _positive(section, key: str, default: float, name: str) -> float:
-    """The positive finite number ``section[key]`` (``default`` if absent);
-    ``name`` is the field as the config error names it."""
-    value = float(section.get(key, default))
-    if not math.isfinite(value):
+def _value(document, section: str, key: str, entry):
+    """One key of a section, checked against its ``_SCHEMA`` entry."""
+    kind, default, minimum = entry
+    if key not in document:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required field '{key}' in {section}")
+        return _read(default, key) if kind == "section" else default
+    value = document[key]
+    if kind == "section":
+        return _read(value, key)
+    name = {"config": key, "tolerances": f"check tolerance '{key}'"}.get(
+        section, f"{section} {key}"
+    )
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"unknown {name} '{value}'")
+        return value
+    if kind == "string":
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
+        return value
+    if kind == "count":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{name} is out of range, got {value}")
+    value = float(value)
+    if kind == "positive" and not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
-    if value <= 0.0:
+    if kind == "positive" and value <= 0.0:
         raise ConfigError(f"{name} must be positive, got {value}")
     return value
 
 
-def _count(section, key: str, default: int, minimum: int, name: str) -> int:
-    """The integer ``section[key]`` (``default`` if absent), which must be
-    at least ``minimum``; ``name`` is the field as the config error names it."""
-    value = int(section.get(key, default))
-    if value < minimum:
-        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
-    return value
+def _build_spacetime(st):
+    """(spec, sads_params_or_None) from the read spacetime section."""
+    if st["kind"] == "sads":
+        params = sads.SAdSParams(n=st["n"], lam=st["lambda"], mass=st["mass"])
+        return sads.as_arw_spec(params), params
+    if st["kind"] == "rw-family":
+        return rw_family_spec(st["n"], st["omega"], k=st["k"], a=st["a"]), None
+    spec = make_spec(
+        st["n"], st["omega"], st["f"], a=st["a"],
+        psi=st["psi"], lam=st["lambda"], sigma_scale=st["sigma_scale"],
+    )
+    return spec, None
 
 
-def _schedule_size(config) -> int:
-    """The schedule's K: the slices tau_k = a 2^{-k} run over k = 0..K."""
-    return _count(config.get("schedule", {}), "K", 10, 2, "schedule K")
-
-
-def _schedule(config, spec):
-    start = float(config.get("schedule", {}).get("a", spec.a))
+def _schedule(schedule, spec):
+    """The slices tau_k = a 2^{-k}, k = 0..K, from a read schedule section."""
+    start = spec.a if schedule["a"] is None else schedule["a"]
     if not spec.a <= start < 0.0:
         raise ConfigError(f"schedule a = {start} outside [{spec.a}, 0)")
-    return geometric_schedule(start, _schedule_size(config))
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ARWMASS_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"ARWMASS_THREADS is not an integer: {raw!r}") from exc
-    if count < 1:
-        raise ConfigError("ARWMASS_THREADS must be >= 1")
-    return count
+    return geometric_schedule(start, schedule["K"])
 
 
 def _digest(config) -> str:
@@ -211,7 +251,7 @@ def _write_table(path: str, digest: str, header, rows, fmt: str, payload) -> Non
 # Commands: each returns (exit_code, header, rows, json_payload)
 
 
-def _cmd_validate(spec, config, grid, seed):
+def _cmd_validate(spec, scenario, grid):
     report = arw_validate(spec)
     header = ("condition", "passed", "detail")
     rows = [(c.name, c.passed, c.detail) for c in report.conditions]
@@ -228,12 +268,12 @@ def _cmd_validate(spec, config, grid, seed):
     return (0 if report.passed else 2), header, rows, payload
 
 
-def _cmd_mass(spec, config, grid, seed):
-    schedule = _schedule(config, spec)
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+def _cmd_mass(spec, scenario, grid):
+    schedule = _schedule(scenario["schedule"], spec)
+    with ThreadPoolExecutor(max_workers=1) as pool:
         limit_f = pool.submit(mass_limit, spec, grid, schedule)
         scan_f = pool.submit(monotonicity_scan, spec, schedule, grid)
-        tcc_f = pool.submit(tcc_check, spec, seed=seed)
+        tcc_f = pool.submit(tcc_check, spec, seed=scenario["seed"])
     report, scan, tcc = limit_f.result(), scan_f.result(), tcc_f.result()
 
     header = (
@@ -271,17 +311,13 @@ def _cmd_mass(spec, config, grid, seed):
     return 0, header, rows, payload
 
 
-def _cmd_imcf(spec, config, grid, seed):
-    section = config.get("imcf", {})
-    u0 = float(section.get("u0", 0.5 * spec.a))
+def _cmd_imcf(spec, scenario, grid):
+    imcf = scenario["imcf"]
+    u0 = 0.5 * spec.a if imcf["u0"] is None else imcf["u0"]
     if not spec.a < u0 < 0.0:
         raise ConfigError(f"imcf u0 = {u0} outside ({spec.a}, 0)")
-    t_end = _positive(section, "t_end", 15.0, "imcf t_end")
-    tolerance = _positive(section, "tolerance", 1e-10, "imcf tolerance")
-    # the leaves sit at max_leaves evenly spaced flow times, 0 and t_end included
-    max_leaves = _count(section, "max_leaves", 32, 2, "imcf max_leaves")
 
-    leaves = flow_leaves(spec, u0, t_end, max_leaves, tolerance=tolerance)
+    leaves = flow_leaves(spec, u0, imcf["t_end"], imcf["max_leaves"], tolerance=imcf["tolerance"])
     samples = mass_along_flow(spec, leaves.u, grid, max_leaves=None)
 
     header = ("t", "u", "H", "f_of_u", "mass_integral", "lemma_quantity")
@@ -293,26 +329,17 @@ def _cmd_imcf(spec, config, grid, seed):
     ]
     payload = {
         "reached_singularity": leaves.reached_singularity,
-        "tolerance": tolerance,
+        "tolerance": imcf["tolerance"],
         "panels": leaves.panels,
         "rows": [dict(zip(header, row)) for row in rows],
     }
     return 0, header, rows, payload
 
 
-def _cmd_check(spec, config, grid, seed):
-    bounds = dict(_CHECK_BOUNDS)
-    tolerances = config.get("tolerances", {})
-    for name in tolerances:
-        if name not in bounds:
-            raise ConfigError(f"unknown check tolerance '{name}'")
-        bounds[name] = _positive(tolerances, name, bounds[name], f"check tolerance '{name}'")
-    count = int(config.get("events", 50))
-    if count < 1:
-        raise ConfigError("check needs at least one event")
-
+def _cmd_check(spec, scenario, grid):
+    bounds = dict(scenario["tolerances"])
     # one batched call per stage; each evaluates in bounded blocks of events
-    events = sample_events(spec, count, seed=seed)
+    events = sample_events(spec, scenario["events"], seed=scenario["seed"])
     conformal = conformal_residuals(spec, events)
     # the conformal residuals are rounding errors of curvature of size max |R|
     curvature_scale = max(1.0, float(np.max(np.abs(conformal.scalar_curvature))))
@@ -352,11 +379,11 @@ def _cmd_check(spec, config, grid, seed):
     return (0 if payload["passed"] else 2), header, rows, payload
 
 
-def _cmd_sads_demo(spec, config, grid, seed, params):
+def _cmd_sads_demo(spec, scenario, grid, params):
     if params is None:
         raise ConfigError("sads-demo requires spacetime kind 'sads'")
 
-    k_max = _schedule_size(config)
+    k_max = scenario["schedule"]["K"]
     r0 = sads.horizon(params)
     radii = [0.9 * r0 * 0.5**k for k in range(k_max + 1)]
     norm = 0.5 * params.n * (params.n - 1) * sphere_volume(params.n)
@@ -389,23 +416,16 @@ def _cmd_sads_demo(spec, config, grid, seed, params):
 
 def run(config, output_dir: str | None = None) -> int:
     """Execute a scenario dict; returns the process exit code."""
-    command = _require(config, "command", "config")
-    if command not in _COMMANDS:
-        raise ConfigError(f"unknown command '{command}'")
-
-    output = config.get("output", {})
-    fmt = output.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format '{fmt}'")
-    directory = output_dir or output.get("path", ".")
+    scenario = _read(config)
+    command, fmt = scenario["command"], scenario["output"]["format"]
+    directory = output_dir or scenario["output"]["path"]
     os.makedirs(directory, exist_ok=True)
 
-    spec, params = _build_spacetime(config)
-    grid = quadrature_grid(spec.n, _count(config, "grid", 48, 2, "grid"))
-    seed = int(config.get("seed", 0))
+    spec, params = _build_spacetime(scenario["spacetime"])
+    grid = quadrature_grid(spec.n, scenario["grid"])
 
     if command == "sads-demo":
-        code, header, rows, payload = _cmd_sads_demo(spec, config, grid, seed, params)
+        code, header, rows, payload = _cmd_sads_demo(spec, scenario, grid, params)
     else:
         handler = {
             "validate": _cmd_validate,
@@ -413,7 +433,7 @@ def run(config, output_dir: str | None = None) -> int:
             "imcf": _cmd_imcf,
             "check": _cmd_check,
         }[command]
-        code, header, rows, payload = handler(spec, config, grid, seed)
+        code, header, rows, payload = handler(spec, scenario, grid)
 
     path = os.path.join(directory, f"{command}.{fmt}")
     _write_table(path, _digest(config), header, rows, fmt, payload)
@@ -434,7 +454,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, or an integer too long to read
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

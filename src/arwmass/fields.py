@@ -168,11 +168,15 @@ def time_jet(tf: TimeFunction, events, order: int) -> np.ndarray:
     dim = events.shape[-1]
     out = np.zeros(events.shape[:-1] + (len(jet_keys(dim, order)),))
     taus = events[..., 0].reshape(-1)
-    profile = {}
+    # one lookup per event: a NaN tau never equals its key, so it recomputes
+    # its row and reaches the finiteness check of the assembly
+    profile, rows = {}, []
     for tau in taus:
-        if tau not in profile:
-            profile[tau] = [tf.derivative(tau, k) for k in range(order + 1)]
-    values = np.array([profile[tau] for tau in taus])
+        row = profile.get(tau)
+        if row is None:
+            row = profile[tau] = [tf.derivative(tau, k) for k in range(order + 1)]
+        rows.append(row)
+    values = np.array(rows)
     positions = (0, 1, 1 + dim)[: order + 1]
     out[..., positions] = values.reshape(out.shape[:-1] + (order + 1,))
     return out

@@ -1,10 +1,16 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arwmass.cli
 import arwmass.curvature
@@ -67,15 +73,6 @@ def test_output_dir_flag_wins(tmp_path):
     assert not (tmp_path / "a").exists()
 
 
-def test_thread_cap_is_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("ARWMASS_THREADS", "1")
-    config = dict(RW_MASS, output={"path": str(tmp_path / "out")})
-    assert main([write_config(tmp_path, config)]) == 0
-
-    monkeypatch.setenv("ARWMASS_THREADS", "zero")
-    assert main([write_config(tmp_path, config)]) == 1
-
-
 def test_missing_field_names_the_field(tmp_path, capsys):
     config = {
         "spacetime": {"kind": "custom", "n": 3, "f": "log(-tau)", "a": -0.5},
@@ -116,6 +113,9 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert main([str(broken)]) == 1
+    broken.write_text('{"command": "validate", "grid": ' + "9" * 5000 + "}")
+    assert main([str(broken)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_validate_json_output(tmp_path):
@@ -199,7 +199,7 @@ def test_check_scaled_bounds_keep_overrides(tmp_path):
 
 @pytest.mark.parametrize(
     "value, error",
-    [("nan", "finite, got nan"), ("inf", "finite, got inf"), (0, "positive, got 0.0"),
+    [(math.nan, "finite, got nan"), (math.inf, "finite, got inf"), (0, "positive, got 0.0"),
      (-1, "positive, got -1.0")],
 )
 def test_check_tolerances_must_be_positive_and_finite(tmp_path, value, error, capsys):
@@ -251,7 +251,7 @@ def test_check_runs_many_events_in_bounded_blocks(tmp_path, monkeypatch):
 def test_check_needs_an_event(tmp_path, capsys):
     config = dict(STEEP_CHECK, events=0, output={"path": str(tmp_path / "out")})
     assert main([write_config(tmp_path, config)]) == 1
-    assert "at least one event" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: events must be at least 1, got 0\n"
 
 
 def test_imcf_command(tmp_path):
@@ -504,12 +504,12 @@ def test_imcf_t_end_and_tolerance_must_be_positive_and_finite(
         *(
             (dict(SMALL_IMCF, imcf=dict(SMALL_IMCF["imcf"], u0=u0)),
              f"imcf u0 = {float(u0)} outside (-0.5, 0)")
-            for u0 in (0.3, "nan", -5.0)
+            for u0 in (0.3, math.nan, -5.0)
         ),
         *(
             (dict(RW_MASS, schedule={"K": 10, "a": a}),
              f"schedule a = {float(a)} outside [-0.5, 0)")
-            for a in (0.3, -5.0, "nan")
+            for a in (0.3, -5.0, math.nan)
         ),
     ],
     ids=["u0=0.3", "u0=nan", "u0=-5", "schedule a=0.3", "schedule a=-5", "schedule a=nan"],
@@ -538,3 +538,139 @@ def test_imcf_leaves_sit_at_fixed_flow_times(tmp_path):
         "config_digest", "reached_singularity", "tolerance", "panels", "rows"
     }
     assert payload["panels"] >= 1 and not payload["reached_singularity"]
+
+
+CUSTOM_VALIDATE = {
+    "spacetime": dict(CUSTOM, psi="0.05*cos(theta1)*exp(tau)"),
+    "command": "validate",
+}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (dict(RW_MASS, spacetime=dict(RW, n=2.9)), "spacetime n must be an integer, got 2.9"),
+        (dict(RW_MASS, grid=12.9), "grid must be an integer, got 12.9"),
+        (dict(RW_MASS, grid="12"), "grid must be an integer, got '12'"),
+        (dict(RW_MASS, grid=True), "grid must be an integer, got True"),
+        (dict(RW_MASS, schedule={"K": 3.7}), "schedule K must be an integer, got 3.7"),
+        (dict(RW_MASS, seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(STEEP_CHECK, events=2.5), "events must be an integer, got 2.5"),
+        (dict(RW_MASS, spacetime=dict(RW, k="2.0")), "spacetime k must be a number, got '2.0'"),
+        (dict(RW_MASS, spacetime=dict(RW, k=True)), "spacetime k must be a number, got True"),
+        (dict(RW_MASS, shedule={"K": 3}), "unknown key 'shedule' in config"),
+        (dict(RW_MASS, spacetime=dict(RW, kk=2.0)), "unknown key 'kk' in spacetime"),
+        (dict(CUSTOM_VALIDATE, spacetime=dict(CUSTOM, lamda="0.1*cos(theta1)")),
+         "unknown key 'lamda' in spacetime"),
+        (dict(CUSTOM_VALIDATE, spacetime=dict(CUSTOM, psi=0)),
+         "spacetime psi must be a string, got 0"),
+        (dict(RW_MASS, schedule=[1]), "schedule must be an object, got [1]"),
+        (dict(RW_MASS, output="x"), "output must be an object, got 'x'"),
+        (dict(SMALL_IMCF, imcf=[1]), "imcf must be an object, got [1]"),
+        (dict(STEEP_CHECK, tolerances=["codazzi"]),
+         "tolerances must be an object, got ['codazzi']"),
+        (dict(RW_MASS, spacetime=[RW]), f"spacetime must be an object, got {[RW]!r}"),
+        (dict(STEEP_CHECK, tolerances={"codazzi": "nan"}),
+         "check tolerance 'codazzi' must be a number, got 'nan'"),
+        (dict(STEEP_CHECK, tolerances={"codaz": 1e-6}), "unknown key 'codaz' in tolerances"),
+        (dict(SMALL_IMCF, imcf=dict(SMALL_IMCF["imcf"], u0="nan")),
+         "imcf u0 must be a number, got 'nan'"),
+        (dict(RW_MASS, schedule={"K": 10, "a": "nan"}), "schedule a must be a number, got 'nan'"),
+        (dict(RW_MASS, spacetime=dict(RW, k=10**400)),
+         f"spacetime k is out of range, got {10**400}"),
+    ],
+    ids=["n=2.9", "grid=12.9", "grid='12'", "grid=true", "K=3.7", "seed=1.5", "events=2.5",
+         "k='2.0'", "k=true", "shedule", "spacetime kk", "spacetime lamda", "psi=0",
+         "schedule list", "output string", "imcf list", "tolerances list", "spacetime list",
+         "tolerance 'nan'", "tolerance codaz", "u0='nan'", "schedule a='nan'", "huge k"],
+)
+def test_documents_that_break_the_schema_are_config_errors(tmp_path, config, message, capsys):
+    # every rejection names its key; nothing runs and nothing is written
+    assert main([write_config(tmp_path, config), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# small valid documents of every command (grid 4, K 2, events 1), so that a
+# mutant runs in milliseconds even when it falls back to a default
+SMALL_RW = {"kind": "rw-family", "n": 2, "omega": 1.5, "k": 1.0, "a": -0.5}
+SMALL_SADS = {"kind": "sads", "n": 2, "lambda": -1.0, "mass": 1.0}
+VALID = (
+    {"spacetime": SMALL_RW, "command": "mass", "grid": 4,
+     "schedule": {"K": 2, "a": -0.5}, "seed": 0, "output": {"format": "json"}},
+    {"spacetime": SMALL_RW, "command": "imcf", "grid": 4,
+     "imcf": {"u0": -0.25, "t_end": 1.0, "tolerance": 1e-8, "max_leaves": 2}},
+    {"spacetime": {**CUSTOM, "psi": "0.05*cos(theta1)*exp(tau)", "lambda": "0.02*cos(theta1)",
+                   "sigma_scale": 1.0},
+     "command": "check", "grid": 4, "events": 1, "seed": 1, "tolerances": {"codazzi": 1e-6}},
+    {"spacetime": SMALL_SADS, "command": "sads-demo", "grid": 4, "schedule": {"K": 2}},
+    {"spacetime": SMALL_SADS, "command": "validate", "grid": 4, "output": {"path": "x"}},
+)
+# no large integer among them, so no mutant asks for a huge grid
+ODD_VALUES = (None, True, "12", 2.5, -1, [1], {}, math.nan, math.inf)
+NAMES = ("grid", "seed", "events", "K", "a", "n", "kind", "imcf", "shedule", "kk")
+
+
+@st.composite
+def mutants(draw):
+    """A valid document with one key dropped, renamed or given an odd value,
+    or one section replaced by an odd value."""
+    config = copy.deepcopy(draw(st.sampled_from(VALID)))
+    spots = [(config, key) for key in config]
+    spots += [(section, key) for section in config.values() if isinstance(section, dict)
+              for key in section]
+    parent, key = draw(st.sampled_from(spots))
+    how = draw(st.sampled_from(("drop", "rename", "section", "value")))
+    if how == "drop":
+        del parent[key]
+    elif how == "rename":
+        parent[draw(st.sampled_from(NAMES))] = parent.pop(key)
+    elif how == "section":
+        config[draw(st.sampled_from([k for k, v in config.items() if isinstance(v, dict)]))] = (
+            draw(st.sampled_from(ODD_VALUES))
+        )
+    else:
+        parent[key] = draw(st.sampled_from(ODD_VALUES))
+    return config
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(config=mutants())
+def test_mutated_documents_exit_with_a_documented_code(tmp_path_factory, config):
+    directory = tmp_path_factory.mktemp("mutant")
+    path = directory / "scenario.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([str(path), "--output-dir", str(directory / "out")])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("config error: ")
+
+
+def test_readme_config_reference_is_the_schema():
+    lines = (pathlib.Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| section | key | type | default | minimum |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    expected = []
+    for section, table in arwmass.cli._SCHEMA.items():
+        for key, (kind, default, minimum) in table.items():
+            if isinstance(kind, tuple):
+                kind = "one of " + ", ".join(f"`{value}`" for value in kind)
+            if default is arwmass.cli._REQUIRED:
+                default = "required"
+            elif default is not None:  # None: the command derives it from the spec
+                default = f"`{json.dumps(default)}`"
+            minimum = "" if minimum is None else str(minimum)
+            expected.append([f"`{section}`", f"`{key}`", kind, default, minimum])
+    assert [row[:2] for row in rows] == [row[:2] for row in expected]
+    for row, want in zip(rows, expected):
+        if want[3] is None:
+            assert "spacetime's `a`" in row[3], row
+            want[3] = row[3]
+        assert row == want

@@ -36,6 +36,7 @@ from arwmass.expr import (
 from arwmass.fields import COORD_NAMES, ExprField, ExprTimeFunction, jet_keys, time_jet
 from arwmass.geometry import (
     GeometryError,
+    arw_validate,
     integrate_rotationally_symmetric,
     make_spec,
     quadrature_grid,
@@ -192,6 +193,16 @@ def test_time_jet_evaluates_the_profile_once_per_distinct_tau(monkeypatch):
         assert calls == list(range(order + 1)) * 3
         reference = source_jets(spec.metric, events, order).f
         npt.assert_array_equal(jet.view(np.int64), reference.view(np.int64))
+
+
+def test_a_nan_time_is_a_geometry_error_naming_the_event():
+    # a NaN tau is no key of the per-tau memo: its row is recomputed, and the
+    # assembly's finiteness check names the event
+    spec = SPECS["rw n=3"]
+    with pytest.raises(GeometryError, match=r"^psi_tilde is not finite at event \[nan, 1.0, "):
+        curvature_at(spec.metric, [math.nan, 1, 1, 1])
+    with pytest.raises(GeometryError, match=r"^psi_tilde is not finite at event \[nan, "):
+        arw_validate(spec, [-0.4, math.nan, -0.05])
 
 
 def test_jet_shares_subexpressions():

@@ -4,8 +4,10 @@
 
 Runs every scenario that ``perfbench/scenarios.py`` lists for the three
 workloads and the given seeds through ``arwmass.cli.run``, once per tree, each
-tree in its own subprocess with ``ARWMASS_THREADS=1`` and with its own
-``src/`` and ``perfbench/`` first on the path.  A tree whose ``arwmass`` or
+tree in its own subprocess with its own ``src/`` and ``perfbench/`` first on
+the path.  The subprocess sets ``ARWMASS_THREADS=1``: trees from before the
+CLI's mass pool was fixed at one worker read that variable, and their tables
+are deterministic only with one.  A tree whose ``arwmass`` or
 ``scenarios`` module is imported from anywhere else (a tree without
 ``src/arwmass``, say, while ``PYTHONPATH`` names another one) is an error,
 not a comparison.  Every table the CLI writes, config digest
