@@ -86,7 +86,7 @@ _SCHEMA = {
         "command": (_COMMANDS, _REQUIRED, None),
         "spacetime": ("section", _REQUIRED, None),
         "grid": ("count", 48, 2),
-        "seed": ("count", 0, None),
+        "seed": ("count", 0, 0),
         "schedule": ("section", {}, None),
         "imcf": ("section", {}, None),
         "events": ("count", 50, 1),

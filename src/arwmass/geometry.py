@@ -151,7 +151,7 @@ class SpacetimeMetric:
         if fields:
             values = self._program(order)(events)
             jets[..., list(fields), :] = values.reshape(batch + (len(fields), width))
-        psi = jets[..., 0, :]
+        psi = jets[..., 0, :].copy()  # a view would keep every source's jet alive
         psi_tilde = psi if self.f is None else f + psi
         return psi_tilde, jets[..., index, :], f, psi
 
@@ -269,12 +269,14 @@ def flat_chart_metric(n: int) -> SpacetimeMetric:
 # The spacetime container
 
 
+def _check_dimension(n: int) -> None:
+    if n not in (2, 3):
+        raise GeometryError(f"spatial dimension n={n} not supported (need 2 or 3)")
+
+
 def _sphere_diag_sources(n: int) -> list[str]:
-    if n == 2:
-        return ["1", "sin(theta1)^2"]
-    if n == 3:
-        return ["1", "sin(theta1)^2", "sin(theta1)^2 * sin(theta2)^2"]
-    raise GeometryError(f"spatial dimension n={n} not supported (need 2 or 3)")
+    _check_dimension(n)
+    return ["1", "sin(theta1)^2", "sin(theta1)^2 * sin(theta2)^2"][:n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,8 +297,7 @@ class ARWSpec:
     sigma_scale: float = 1.0
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise GeometryError(f"spatial dimension n={self.n} not supported (need 2 or 3)")
+        _check_dimension(self.n)
         if not -math.inf < self.a < 0.0:
             raise GeometryError(f"domain start a={self.a} must be negative and finite")
         if not 0.0 < self.n + self.omega - 2.0 < math.inf:
@@ -384,6 +385,7 @@ def rw_family_spec(n: int, omega: float, k: float = 1.0, a: float = -0.5) -> ARW
     Its mass works out to k^2 / gamma_tilde^2 and every curvature quantity
     has a closed form, which makes it the main oracle family.
     """
+    _check_dimension(n)
     if not 0.0 < k < math.inf:
         raise GeometryError(f"k must be positive and finite, got {k}")
     gamma_tilde = 0.5 * (n + omega - 2.0)
@@ -407,6 +409,7 @@ class QuadratureGrid:
     nodes_per_axis: int
     axis_nodes: tuple
     axis_weights: tuple
+    rule: tuple  # (x, w), the unscaled rule on [-1, 1] the axes are scaled from
 
     @cached_property
     def _sine_powers(self) -> np.ndarray:
@@ -432,6 +435,7 @@ def quadrature_grid(n: int, nodes_per_axis: int = 48) -> QuadratureGrid:
         nodes_per_axis=nodes_per_axis,
         axis_nodes=tuple(nodes),
         axis_weights=tuple(weights),
+        rule=(x, w),
     )
 
 

@@ -27,8 +27,8 @@ frame, the second fundamental form, the intrinsic and the ambient curvature
 are all built from that one assembly, each tensor once: the ambient Gamma,
 the induced jets (the frame's induced metric is their order 0), and the
 induced inverse and Gamma-hat, which the second fundamental form and the
-curvature stacks (curvature.curvature_from_jets) share.  A graph mass
-integral evaluates all theta1 nodes of a leaf in one call, and
+curvature stacks (curvature.curvature_from_jets) share.  Graph mass
+integrals assemble blocks of whole leaves, given as theta1-jets, and
 gauss_codazzi_residuals reads one node_curvatures assembly at its nodes and
 one second_fundamental assembly at all of their Codazzi stencil points.
 Each check runs on the whole batch in turn and raises, for the
@@ -213,9 +213,13 @@ def _ambient(surface: GraphHypersurface, node, order: int) -> _Ambient:
     n = surface.ambient.n
     if node.ndim == 0 or node.shape[-1] != n:
         raise HypersurfaceError(f"node must supply {n} angles, got shape {node.shape}")
-    jet = surface.u_jet(node[..., 0])
-    event = np.concatenate((jet[..., :1], node), axis=-1)
-    return _Ambient(node, jet, event, metric_jets(surface.ambient, event, order=order))
+    return _assembly(surface.ambient, node, surface.u_jet(node[..., 0]), order)
+
+
+def _assembly(metric: SpacetimeMetric, node, u_jet, order: int) -> _Ambient:
+    """The events of graphs with theta1-jets ``u_jet`` over ``node``, assembled."""
+    event = np.concatenate((u_jet[..., :1], node), axis=-1)
+    return _Ambient(node, u_jet, event, metric_jets(metric, event, order=order))
 
 
 def _frame(amb: _Ambient) -> ExtrinsicData:
@@ -391,9 +395,12 @@ def node_curvatures(
     """:func:`second_fundamental`, :func:`intrinsic_curvature` and the
     ambient :func:`curvature_at` at ``node``, from one assembly of the
     ambient jets at its events; equal to the three separate calls."""
-    amb = _ambient(surface, node, order=2)
-    ext = _frame(amb)
-    return _second_fundamental(amb, ext), _intrinsic_curvature(amb), amb.curvature
+    return _node_curvatures(_ambient(surface, node, order=2))
+
+
+def _node_curvatures(amb: _Ambient) -> tuple:
+    bundle = amb.curvature  # before the induced stack: a lower peak of memory
+    return _second_fundamental(amb, _frame(amb)), _intrinsic_curvature(amb), bundle
 
 
 def coordinate_slice_curvature(metric: SpacetimeMetric, tau: float):

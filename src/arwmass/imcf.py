@@ -9,7 +9,7 @@ where H(u) is the mean curvature of the coordinate slice {tau = u}.  A leaf
 sequence of this kind runs straight into the singularity with |u| decaying
 like e^{-gamma t}, gamma = gamma_tilde / n, and f(u(t)) asymptotically a
 line of slope -1/n.  The mass integral along the leaves reproduces the
-slice-limit mass.
+slice-limit mass; mass_along_flow takes them as one stack of constant graphs.
 
 The flow is autonomous, so its time is one integral,
 
@@ -41,7 +41,6 @@ import numpy as np
 
 from .curvature import curvature_at  # noqa: F401  (bound here for perfbench/tracer.py)
 from .expr import Num, fold_constants, free_variables
-from .fields import as_expression
 from .geometry import (
     ARWSpec,
     GeometryError,
@@ -49,7 +48,7 @@ from .geometry import (
     SpacetimeMetric,
     quadrature_grid,
 )
-from .hypersurface import GraphHypersurface, _slice_second_fundamental, node_curvatures
+from .hypersurface import _node_curvatures, _slice_second_fundamental
 from .mass import _FILL_ANGLE, _einstein_normal, _graph_integral, _slice_events, _weights
 
 __all__ = [
@@ -420,8 +419,8 @@ def mass_along_flow(
 
     and the mean-curvature form (n-1)/(2n) int H^2 e^{omega f} e^{psi}; the
     last two bracket I(M(t)) in the limit.  ``trajectory`` may also be a
-    plain sequence of leaf coordinates u.  Long trajectories are subsampled
-    to ``max_leaves`` evenly spaced leaves (pass None to integrate on all).
+    plain sequence of leaves u, subsampled to ``max_leaves`` evenly spaced
+    ones (None keeps all) and integrated as one stack of jets (u, 0, 0, 0).
     """
     w = _weights(spec)
     grid = grid or quadrature_grid(w.n)
@@ -431,8 +430,8 @@ def mass_along_flow(
     else:
         pairs = [(math.nan, float(u)) for u in trajectory]
 
-    def factor(surface, nodes):
-        ext, intrinsic, bundle = node_curvatures(surface, nodes)
+    def factor(amb):
+        ext, intrinsic, bundle = _node_curvatures(amb)
         values = np.stack(
             (
                 _einstein_normal(ext, bundle),
@@ -442,17 +441,12 @@ def mass_along_flow(
         )
         return ext, values
 
-    samples = []
-    for t, u in _select_leaves(pairs, max_leaves):
-        surface = GraphHypersurface(as_expression(u), w.metric)
-        mass, lemma, h_form = _graph_integral(w, surface, grid, factor)
-        samples.append(
-            FlowMassSample(
-                t=t,
-                u=u,
-                mass_integral=float(mass),
-                lemma_quantity=float(lemma),
-                mean_curvature_form=float(h_form),
-            )
-        )
-    return tuple(samples)
+    def leaf(u):  # the jet of the constant graph u
+        return lambda theta1: np.broadcast_to((u, 0.0, 0.0, 0.0), np.shape(theta1) + (4,))
+
+    leaves = _select_leaves(pairs, max_leaves)
+    integrals = _graph_integral(w, w.metric, [leaf(u) for _, u in leaves], grid, factor)
+    return tuple(
+        FlowMassSample(t, u, float(mass), float(lemma), float(h_form))
+        for (t, u), (mass, lemma, h_form) in zip(leaves, integrals)
+    )

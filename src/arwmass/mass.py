@@ -16,12 +16,13 @@ Gauss-Legendre sum over the theta1 nodes against the round measure.  Slices,
 the slab volume, graphs and IMCF leaves share one leaf integrator,
 _weighted_integral, which applies the weight and the area element and takes
 node values with leading axes (a block of slab slices, the three integrands
-of an IMCF leaf) to geometry.integrate_node_values in one call.  Callers
-pass psi_tilde, sigma_11 and the weight's omega f + psi from the source jets
-of their own metric assembly (graphs and leaves from their ExtrinsicData),
-which SpacetimeMetric.field_jets evaluated in one program call, and
-tcc_check reads its frame from the g of its curvature bundles: no source is
-evaluated a second time.
+of a block of IMCF leaves) to geometry.integrate_node_values in one call,
+graphs and leaves through _graph_integral, which takes stacks of graphs as
+theta1-jets.  Callers pass psi_tilde, sigma_11 and the weight's omega f +
+psi from the source jets of their own metric assembly (graphs and leaves
+from their ExtrinsicData), which SpacetimeMetric.field_jets evaluated in
+one program call, and tcc_check reads its frame from the g of its
+curvature bundles: no source is evaluated a second time.
 
 Both gauge moves are the time change tau = phi(s), with f -> f o phi +
 log phi', psi -> psi o phi and lambda -> lambda o phi - log phi'; normalize
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -66,7 +66,7 @@ from .geometry import (
 )
 from .hypersurface import (
     GraphHypersurface,
-    _ambient,
+    _assembly,
     _frame,
     _slice_fields,
     _slice_second_fundamental,
@@ -231,33 +231,41 @@ def slice_mass_integral(spec, tau: float, grid: QuadratureGrid | None = None) ->
     return _weighted_integral(w, grid, g_nu_nu, log_weight, p, sig11)
 
 
-def _graph_integral(
-    w: _Weights,
-    surface: GraphHypersurface,
-    grid: QuadratureGrid,
-    factor: Callable[..., tuple],
-):
-    """The leaf integral of ``factor`` over the graph.
+def _graph_integral(w: _Weights, metric, u_jets: list, grid: QuadratureGrid, factor) -> list:
+    """The leaf integrals of ``factor`` over a stack of graphs in ``metric``.
 
-    ``factor(surface, nodes)`` builds the parts of the graph's geometry it
-    reads from one assembly over all theta1 nodes, and returns the extrinsic
-    data (the frame at least) with node values of shape (N,) or (k, N),
-    whose rows are integrated separately.  The weight reads f and psi from
-    that assembly, so a spec's graph must lie in the spec's own metric.
+    ``u_jets`` holds one callable per graph, theta1 -> (u, u', u'', u''').
+    Whole graphs go in blocks of at most _BLOCK_EVENTS events (one at least)
+    through one order-2 assembly, from which ``factor(amb)`` builds what it
+    reads and returns the frame with values of shape (M,) or (k, M), M = L N.
+    The weight reads f and psi from the same assembly, released before the
+    block is integrated.  Returns each graph's integral: a float, or k floats.
     """
-    if w.omega is not None and surface.ambient is not w.metric:
-        raise GeometryError("the graph's ambient is not the metric of the spec that weighs it")
-    nodes = _slice_events(w.n, 0.0, grid.axis_nodes[0])[:, 1:]  # the angles of a slice
-    try:
-        ext, values = factor(surface, nodes)
-        w.check_time(ext.event[:, 0])
-    except (GeometryError, ExpressionError):
-        # node by node, so the first failing node raises what it raises alone
-        for node in nodes:
-            w.check_time(factor(surface, node)[0].event[0])
-        raise
-    lw = w.log_weight(ext.f, ext.psi)
-    return _weighted_integral(w, grid, values, lw, ext.psi_tilde, ext.sigma[..., 0, 0], ext.tilt)
+    theta = grid.axis_nodes[0]
+    nodes = _slice_events(w.n, 0.0, theta)[:, 1:]  # the angles of a slice
+    per_block = max(1, _BLOCK_EVENTS // len(theta))
+    integrals = []
+    for start in range(0, len(u_jets), per_block):
+        block = u_jets[start : start + per_block]
+        try:
+            jets = np.concatenate([u_jet(theta) for u_jet in block])
+            ext, values = factor(_assembly(metric, np.tile(nodes, (len(block), 1)), jets, 2))
+            w.check_time(ext.event[:, 0])
+        except (GeometryError, ExpressionError):
+            # leaf by leaf, node by node: the first failing node raises its own error
+            for u_jet in block:
+                for node in nodes:
+                    w.check_time(factor(_assembly(metric, node, u_jet(node[0]), 2))[0].event[0])
+            raise
+        # copies with the leaf and node axes (L, N), so that the assembly goes
+        shape = (len(block), len(theta))
+        fields = values, w.log_weight(ext.f, ext.psi), ext.psi_tilde, ext.sigma[:, 0, 0], ext.tilt
+        del ext
+        values, lw, p, sig11, tilt = (np.array(x).reshape(x.shape[:-1] + shape) for x in fields)
+        del fields
+        leaves = _weighted_integral(w, grid, values, lw, p, sig11, tilt)
+        integrals.extend(np.moveaxis(leaves, -1, 0))
+    return integrals
 
 
 def _einstein_normal(ext, bundle) -> np.ndarray:
@@ -273,14 +281,15 @@ def graph_mass_integral(
     """The mass integrand over a spacelike graph with its own normal."""
     w = _weights(spec)
     grid = grid or quadrature_grid(w.n)
+    if w.omega is not None and surface.ambient is not w.metric:
+        raise GeometryError("the graph's ambient is not the metric of the spec that weighs it")
 
-    def factor(surface, nodes):
+    def factor(amb):
         # G(nu, nu) reads the frame and the ambient curvature only
-        amb = _ambient(surface, nodes, order=2)
         ext = _frame(amb)
         return ext, _einstein_normal(ext, amb.curvature)
 
-    return _graph_integral(w, surface, grid, factor)
+    return float(_graph_integral(w, surface.ambient, [surface.u_jet], grid, factor)[0])
 
 
 def mass_limit(
@@ -354,7 +363,7 @@ def slab_balance(
 
     # Gauss-Legendre in tau across the slab, in blocks of whole slices of at
     # most _BLOCK_EVENTS events, each slice's integral added in tau order
-    x, gw = np.polynomial.legendre.leggauss(grid.nodes_per_axis)
+    x, gw = grid.rule
     half = 0.5 * (tau2 - tau1)
     taus = tau1 + half * (x + 1.0)
     weights = half * gw

@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import TimeFunction
-from .geometry import ARWSpec, GeometryError, sphere_volume
+from .geometry import ARWSpec, GeometryError, _check_dimension, sphere_volume
 
 __all__ = [
     "SAdSParams",
@@ -366,6 +366,7 @@ def as_arw_spec(params: SAdSParams) -> ARWSpec:
     The domain is clipped to r <= 0.99 r0: near the horizon h_tilde -> 0
     makes f' vanish, and the decay conditions concern the r -> 0 end only.
     """
+    _check_dimension(params.n)  # before any float arithmetic on n
     r0 = horizon(params)
     a = x0_of_r(params, 0.99 * r0)
     return ARWSpec(n=params.n, omega=1.0, f=SAdSTimeFunction(params), a=a)

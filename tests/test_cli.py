@@ -452,6 +452,16 @@ def test_spacetime_parameters_out_of_range_or_not_finite_exit_two(
     assert capsys.readouterr().err == f"validation failure: {message}\n"
 
 
+@pytest.mark.parametrize("spacetime", [SADS, RW, CUSTOM], ids=["sads", "rw-family", "custom"])
+@pytest.mark.parametrize("n", [4, 10**400], ids=["n=4", "huge n"])
+def test_an_unsupported_dimension_exits_two_for_every_kind(tmp_path, spacetime, n, capsys):
+    # the dimension is checked before any float arithmetic on n
+    config = {"spacetime": dict(spacetime, n=n), "command": "validate"}
+    assert main([write_config(tmp_path, config), "--output-dir", str(tmp_path / "out")]) == 2
+    message = f"spatial dimension n={n} not supported (need 2 or 3)"
+    assert capsys.readouterr().err == f"validation failure: {message}\n"
+
+
 def test_unknown_variable_is_a_config_error(tmp_path, capsys):
     config = {
         "spacetime": {"kind": "custom", "n": 2, "omega": 1.0, "f": "log(-t)", "a": -1.0},
@@ -555,6 +565,7 @@ CUSTOM_VALIDATE = {
         (dict(RW_MASS, grid=True), "grid must be an integer, got True"),
         (dict(RW_MASS, schedule={"K": 3.7}), "schedule K must be an integer, got 3.7"),
         (dict(RW_MASS, seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(SMALL_IMCF, seed=-1), "seed must be at least 0, got -1"),
         (dict(STEEP_CHECK, events=2.5), "events must be an integer, got 2.5"),
         (dict(RW_MASS, spacetime=dict(RW, k="2.0")), "spacetime k must be a number, got '2.0'"),
         (dict(RW_MASS, spacetime=dict(RW, k=True)), "spacetime k must be a number, got True"),
@@ -579,10 +590,11 @@ CUSTOM_VALIDATE = {
         (dict(RW_MASS, spacetime=dict(RW, k=10**400)),
          f"spacetime k is out of range, got {10**400}"),
     ],
-    ids=["n=2.9", "grid=12.9", "grid='12'", "grid=true", "K=3.7", "seed=1.5", "events=2.5",
-         "k='2.0'", "k=true", "shedule", "spacetime kk", "spacetime lamda", "psi=0",
-         "schedule list", "output string", "imcf list", "tolerances list", "spacetime list",
-         "tolerance 'nan'", "tolerance codaz", "u0='nan'", "schedule a='nan'", "huge k"],
+    ids=["n=2.9", "grid=12.9", "grid='12'", "grid=true", "K=3.7", "seed=1.5", "seed=-1",
+         "events=2.5", "k='2.0'", "k=true", "shedule", "spacetime kk", "spacetime lamda",
+         "psi=0", "schedule list", "output string", "imcf list", "tolerances list",
+         "spacetime list", "tolerance 'nan'", "tolerance codaz", "u0='nan'",
+         "schedule a='nan'", "huge k"],
 )
 def test_documents_that_break_the_schema_are_config_errors(tmp_path, config, message, capsys):
     # every rejection names its key; nothing runs and nothing is written

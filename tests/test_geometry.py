@@ -166,9 +166,11 @@ def test_grid_nodes_avoid_poles():
 @pytest.mark.parametrize("count", [2, 24, 96])
 def test_one_rule_scaled_onto_each_axis_equals_the_per_axis_rule(n, count):
     grid = quadrature_grid(n, count)
+    x, w = np.polynomial.legendre.leggauss(count)
+    # the grid keeps the unscaled rule, which the slab's tau rule reuses
+    assert np.array_equal(grid.rule[0], x) and np.array_equal(grid.rule[1], w)
     for axis in range(n):
         lo, hi = 0.0, 2.0 * math.pi if axis == n - 1 else math.pi
-        x, w = np.polynomial.legendre.leggauss(count)
         half = 0.5 * (hi - lo)
         assert np.array_equal(grid.axis_nodes[axis], lo + half * (x + 1.0))
         assert np.array_equal(grid.axis_weights[axis], half * w)

@@ -4,10 +4,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import arwmass.curvature
+import arwmass.geometry
+import arwmass.hypersurface
 import arwmass.imcf
 from arwmass.curvature import curvature_at
+from arwmass.expr import DomainError
 from arwmass.fields import as_expression
 from arwmass.geometry import (
+    GeometryError,
     make_spec,
     metric_jets,
     quadrature_grid,
@@ -208,6 +213,63 @@ def test_mass_along_flow_matches_separate_node_calls(spec, leaves):
     for sample, ref in zip(samples, reference):
         got = [sample.mass_integral, sample.lemma_quantity, sample.mean_curvature_form]
         npt.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
+def leaf_numbers(sample):
+    return sample.mass_integral, sample.lemma_quantity, sample.mean_curvature_form
+
+
+@pytest.mark.parametrize(
+    "spec, u0",
+    [
+        (rw_family_spec(2, 1.5, k=0.8, a=-1.0), -0.7),
+        (rw_family_spec(3, 1.0, k=1.3, a=-1.0), -0.6),
+        (as_arw_spec(SADS_ADS), x0_of_r(SADS_ADS, 0.6)),
+    ],
+    ids=["rw n=2", "rw n=3", "sads lambda<0"],
+)
+def test_blocks_of_leaves_keep_the_bits_of_each_leaf_alone(spec, u0):
+    # grid 24: a block holds 4 leaves, so 9 leaves go as 4 + 4 + 1
+    grid = quadrature_grid(spec.n, 24)
+    assert arwmass.curvature._BLOCK_EVENTS // 24 == 4
+    run = imcf_run(spec, u0=u0, t_end=6.0)
+    listed = np.linspace(u0, 0.1 * u0, 9).tolist()
+    for samples in (mass_along_flow(spec, listed, grid), mass_along_flow(spec, run, grid, 9)):
+        assert len(samples) == 9
+        for sample in samples:
+            alone = mass_along_flow(spec, [sample.u], grid)[0]
+            assert leaf_numbers(sample) == leaf_numbers(alone)
+
+
+def test_a_block_of_leaves_is_one_assembly(rw, monkeypatch):
+    calls = []
+    original = arwmass.geometry.metric_jets
+
+    def counting(*args, **kwargs):
+        calls.append((kwargs.get("order", 2), np.shape(args[1])))
+        return original(*args, **kwargs)
+
+    for module in (arwmass.geometry, arwmass.hypersurface, arwmass.curvature):
+        monkeypatch.setattr(module, "metric_jets", counting)
+    mass_along_flow(rw, np.linspace(-0.9, -0.1, 9), quadrature_grid(3, 24))
+    assert calls == [(2, (96, 4)), (2, (96, 4)), (2, (24, 4))]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({5: -1.5, 7: -1.25}, "tau = -1.5 outside the domain [-1.0, 0)"),
+        ({6: 0.1}, "log of non-positive value -0.1 at tau = 0.1"),
+        ({2: -1.5, 1: 0.2}, "log of non-positive value -0.2 at tau = 0.2"),
+    ],
+    ids=["below a", "above 0", "first leaf first"],
+)
+def test_a_leaf_outside_the_domain_raises_its_own_error(rw, bad, message):
+    leaves = np.linspace(-0.9, -0.1, 9)
+    leaves[list(bad)] = list(bad.values())
+    with pytest.raises(GeometryError if "outside" in message else DomainError) as error:
+        mass_along_flow(rw, leaves, quadrature_grid(3, 24))
+    assert str(error.value) == message
 
 
 def reference_slice_mean_curvature(metric, u):
