@@ -251,7 +251,7 @@ def _write_table(path: str, digest: str, header, rows, fmt: str, payload) -> Non
 # Commands: each returns (exit_code, header, rows, json_payload)
 
 
-def _cmd_validate(spec, scenario, grid):
+def _cmd_validate(spec):
     report = arw_validate(spec)
     header = ("condition", "passed", "detail")
     rows = [(c.name, c.passed, c.detail) for c in report.conditions]
@@ -422,18 +422,16 @@ def run(config, output_dir: str | None = None) -> int:
     os.makedirs(directory, exist_ok=True)
 
     spec, params = _build_spacetime(scenario["spacetime"])
-    grid = quadrature_grid(spec.n, scenario["grid"])
 
-    if command == "sads-demo":
-        code, header, rows, payload = _cmd_sads_demo(spec, scenario, grid, params)
+    if command == "validate":  # the one command without a quadrature grid
+        code, header, rows, payload = _cmd_validate(spec)
     else:
-        handler = {
-            "validate": _cmd_validate,
-            "mass": _cmd_mass,
-            "imcf": _cmd_imcf,
-            "check": _cmd_check,
-        }[command]
-        code, header, rows, payload = handler(spec, scenario, grid)
+        grid = quadrature_grid(spec.n, scenario["grid"])
+        if command == "sads-demo":
+            code, header, rows, payload = _cmd_sads_demo(spec, scenario, grid, params)
+        else:
+            handler = {"mass": _cmd_mass, "imcf": _cmd_imcf, "check": _cmd_check}[command]
+            code, header, rows, payload = handler(spec, scenario, grid)
 
     path = os.path.join(directory, f"{command}.{fmt}")
     _write_table(path, _digest(config), header, rows, fmt, payload)

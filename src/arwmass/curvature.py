@@ -5,6 +5,16 @@ scalar curvature n(n-1) > 0, and the contracted Gauss equation for spacelike
 hypersurfaces reads R = -(H^2 - |A|^2) + 2 G_ab nu^a nu^b (verified in the
 hypersurface module's tests).
 
+Two kernels compute the Einstein tensor.  The full stack serves
+curvature_at and curvature_batch (the TCC and the monotonicity probes),
+graphs, IMCF leaves and the conformal, divergence and Gauss-Codazzi checks,
+its own checks.  warped_einstein serves only the slice and slab integrands
+of an ARWSpec, a warped product B x_w S^{n-1} over the base B = (tau,
+theta1), whose Einstein tensor follows from the base (O'Neill,
+Semi-Riemannian Geometry, 1983, ch. 7, Cor. 43): from the same order-2
+field jets, with no (dim)^4 ddg and no stack on it, and exact to the
+poles, where the full stack drifts by up to ~6e-11.
+
 Every function takes one event of shape (dim,) or an array of events of
 shape (..., dim).  curvature_batch assembles all of its events in one
 vectorized pass: the Gamma stage tensors.christoffel once, then
@@ -13,10 +23,9 @@ metric goes through it too), which takes that Gamma and carries it in its
 bundle.  Its contractions are the stacked matrix products of the tensors
 module, one small product per event: d Gamma from
 g^ad (1/2 d_e bracket_dbc - d_e g_dm Gamma^m_bc), the Gamma Gamma term of
-Riemann and R_abcd = g_ae R^e_bcd.  _assemble returns the metric jets of
-the assembly with its bundle, so that a caller also reading psi_tilde or
-sigma at the same events (the conformal check, slice integrals, the slab)
-need not evaluate them again.  The two checks feed it blocks of at most
+Riemann and R_abcd = g_ae R^e_bcd, formed only when read.  _assemble
+returns the metric jets of the assembly with its bundle, so that the
+conformal check reads psi_tilde there and evaluates it once.  The two checks feed it blocks of at most
 _BLOCK_EVENTS events (stencil points included), since an assembly holds up
 to ~12 kB per event at its peak (metric_jets plus curvature_from_jets, 96
 events, under tracemalloc); any number of events then runs in bounded
@@ -27,17 +36,20 @@ floats for one event and arrays with the events' leading axes for a batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import tensors
-from .fields import split_jet
+from .fields import jet_keys, split_jet
 from .geometry import (
     ARWSpec,
     GeometryError,
     MetricJets,
     SpacetimeMetric,
     _invert_metric,
+    _require_finite,
+    _require_nondegenerate,
     metric_jets,
 )
 
@@ -49,6 +61,7 @@ __all__ = [
     "ConformalResiduals",
     "conformal_residuals",
     "einstein_divergence_residual",
+    "warped_einstein",
 ]
 
 # Most events one curvature assembly takes from a batch of the check functions
@@ -68,10 +81,14 @@ class CurvatureBundle:
     g_inv: np.ndarray
     christoffel: np.ndarray
     riemann: np.ndarray
-    riemann_lower: np.ndarray
     ricci: np.ndarray
     scalar: float | np.ndarray
     einstein: np.ndarray
+
+    @cached_property
+    def riemann_lower(self) -> np.ndarray:
+        """R_abcd = g_ae R^e_bcd, formed on first read (the Gauss check)."""
+        return tensors.contract_first(self.g, self.riemann)
 
 
 def curvature_batch(metric: SpacetimeMetric, events) -> CurvatureBundle:
@@ -104,7 +121,6 @@ def curvature_from_jets(g, dg, ddg, g_inv, gamma) -> CurvatureBundle:
     """
     dgamma = tensors.christoffel_derivative(g_inv, dg, ddg, gamma)
     riem = tensors.riemann_up(gamma, dgamma)
-    riem_low = tensors.contract_first(g, riem)
     ricci = tensors.ricci_from_riemann(riem)
     scalar = np.einsum("...bd,...bd->...", g_inv, ricci)
     einstein = ricci - 0.5 * scalar[..., None, None] * g
@@ -113,7 +129,6 @@ def curvature_from_jets(g, dg, ddg, g_inv, gamma) -> CurvatureBundle:
         g_inv=g_inv,
         christoffel=gamma,
         riemann=riem,
-        riemann_lower=riem_low,
         ricci=ricci,
         scalar=scalar,
         einstein=einstein,
@@ -126,6 +141,51 @@ def curvature_at(metric: SpacetimeMetric, event) -> CurvatureBundle:
     All metric derivatives entering here are exact; no finite differencing.
     """
     return curvature_batch(metric, np.asarray(event, dtype=float))
+
+
+def warped_einstein(metric: SpacetimeMetric, events) -> tuple:
+    """((psi_tilde, sigma, f, psi), (G_tautau, G_theta1theta1, G_F)) at
+    events (..., dim) of the metric of an ARWSpec: its order-2 field_jets,
+    and the Einstein tensor's base block and fibre coefficient, G_ab = G_F
+    g_ab on S^{n-1}, from the base e^{2 psi_tilde}(-dtau^2 + sigma_11
+    dtheta1^2) and the warp e^mu sin theta1, mu = psi_tilde + 1/2 log
+    sigma_11.  It raises what curvature_batch raises, at the same first
+    event.  cot theta1 only multiplies theta1 derivatives, and 1/sin^2 -
+    cot^2 = 1 is folded in, so no term blows up at the poles.
+    """
+    events = np.asarray(events, dtype=float)
+    fields = metric.field_jets(events, 2)
+    psi_tilde, sigma = fields[:2]
+    _require_finite(psi_tilde, sigma, events)
+    eta = np.zeros(events.shape[:-1] + (metric.dim, metric.dim))
+    eta[..., 0, 0] = -1.0
+    eta[..., 1:, 1:] = sigma[..., 0]
+    _require_nondegenerate(np.exp(2.0 * psi_tilde[..., 0])[..., None, None] * eta, events)
+
+    # a = psi_tilde and s = sigma_11 with their tau (0) and theta1 (1) partials
+    keys = jet_keys(metric.dim, 2)
+    at = [keys.index(key) for key in ((), (0,), (1,), (0, 0), (1, 1))]
+    a, a0, a1, a00, a11 = (psi_tilde[..., k] for k in at)
+    s, s0, s1, s00, s11 = (sigma[..., 0, 0, k] for k in at)
+    d = metric.n - 1  # the fibre's dimension
+    cot = 1.0 / np.tan(events[..., 1])
+    # the partials of mu
+    b0, b1 = a0 + 0.5 * s0 / s, a1 + 0.5 * s1 / s
+    b00 = a00 + 0.5 * (s00 / s - s0 * s0 / s**2)
+    b11 = a11 + 0.5 * (s11 / s - s1 * s1 / s**2)
+    e = np.exp(-2.0 * a)  # -g^tautau
+    es = e / s  # g^theta1theta1
+    # Hess_B w / w on the two base directions, Delta w / w, (1 - |grad w|^2) / w^2
+    h00 = b00 + b0 * b0 - a0 * b0 - (a1 / s) * (b1 + cot)
+    h11 = b11 + b1 * cot - 1.0 - s * b0 * b0
+    lap = es * h11 - e * h00
+    q = es * (1.0 - b1 * b1 - 2.0 * b1 * cot) + e * b0 * b0
+    # the Gauss curvature of the base, and the scalar curvature
+    gauss = e * (b00 + b0 * b0 - a0 * b0) - es * (a11 + a1 * a1 - a1 * b1)
+    scalar = 2.0 * gauss - 2.0 * d * lap + d * (d - 1) * q
+    base = gauss - 0.5 * scalar
+    fibre = (d - 1) * q - lap - 0.5 * scalar
+    return fields, (-base / e - d * h00, base * s / e - d * h11, fibre)
 
 
 def _blockwise(kernel, events, points: int = 1) -> tuple:

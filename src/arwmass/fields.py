@@ -162,23 +162,22 @@ def time_jet(tf: TimeFunction, events, order: int) -> np.ndarray:
     angles, at events of shape (..., dim), in the :func:`jet_keys` layout.
 
     The events of a slice share one time: the profile's derivatives are
-    evaluated once per distinct tau.
+    evaluated once per distinct tau, in order of first appearance, so the
+    first failing tau raises its own error, and each event's row is gathered
+    by its tau's index.  A NaN tau is a key of its own, whose NaN row
+    reaches the finiteness check of the assembly.
     """
     events = np.asarray(events, dtype=float)
     dim = events.shape[-1]
     out = np.zeros(events.shape[:-1] + (len(jet_keys(dim, order)),))
-    taus = events[..., 0].reshape(-1)
-    # one lookup per event: a NaN tau never equals its key, so it recomputes
-    # its row and reaches the finiteness check of the assembly
-    profile, rows = {}, []
-    for tau in taus:
-        row = profile.get(tau)
-        if row is None:
-            row = profile[tau] = [tf.derivative(tau, k) for k in range(order + 1)]
-        rows.append(row)
-    values = np.array(rows)
+    taus = events[..., 0].reshape(-1).tolist()
+    index = {tau: k for k, tau in enumerate(dict.fromkeys(taus))}
+    rows = np.array(
+        [[tf.derivative(np.float64(tau), m) for m in range(order + 1)] for tau in index]
+    )
+    inverse = np.fromiter(map(index.__getitem__, taus), int, len(taus))
     positions = (0, 1, 1 + dim)[: order + 1]
-    out[..., positions] = values.reshape(out.shape[:-1] + (order + 1,))
+    out[..., positions] = rows[inverse].reshape(out.shape[:-1] + (order + 1,))
     return out
 
 

@@ -244,11 +244,9 @@ def _require_finite(psi: np.ndarray, sigma: np.ndarray, events: np.ndarray) -> N
         _raise_at_first(~np.isfinite(jet).all(axis=-1), events, f"{name} is not finite")
 
 
-def _invert_metric(g: np.ndarray, event) -> np.ndarray:
-    """Inverse of g, shape (..., m, m), one matrix per event of ``event``.
-
-    Raises GeometryError naming the first event whose matrix is degenerate.
-    """
+def _require_nondegenerate(g: np.ndarray, event) -> None:
+    """Raise GeometryError naming the first event of ``event`` whose matrix
+    g, shape (..., m, m), is degenerate."""
     # the determinant of g over its largest entry: scale-free, so no power
     # of that entry underflows or overflows
     size = np.max(np.abs(g), axis=(-2, -1))
@@ -256,6 +254,12 @@ def _invert_metric(g: np.ndarray, event) -> np.ndarray:
         det = np.linalg.det(g / size[..., None, None])
     bad = ~np.isfinite(det) | (size == 0.0) | (np.abs(det) < 1e-14)
     _raise_at_first(bad, event, "degenerate metric")
+
+
+def _invert_metric(g: np.ndarray, event) -> np.ndarray:
+    """Inverse of g, shape (..., m, m), one matrix per event of ``event``,
+    after :func:`_require_nondegenerate`."""
+    _require_nondegenerate(g, event)
     return np.linalg.inv(g)
 
 

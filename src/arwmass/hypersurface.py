@@ -476,7 +476,7 @@ def _gauss_codazzi(surface: GraphHypersurface, node, fd_step: float) -> tuple:
     h = ext.h
 
     riem = bundle.riemann_lower
-    pull = np.einsum("...abcd,...ai,...bj,...ck,...dl->...ijkl", riem, x, x, x, x)
+    pull = np.einsum("...abcd,...ai,...bj,...ck,...dl->...ijkl", riem, x, x, x, x, optimize=True)
     hh = np.einsum("...ik,...jl->...ijkl", h, h) - np.einsum("...il,...jk->...ijkl", h, h)
     gauss_full = np.max(np.abs(curv.riemann_lower + hh - pull), axis=(-4, -3, -2, -1))
 
@@ -503,7 +503,7 @@ def _gauss_codazzi(surface: GraphHypersurface, node, fd_step: float) -> tuple:
         - np.einsum("...mkj,...im->...kij", curv.christoffel, h)
     )
     h_ij_k = np.moveaxis(grad_h, -3, -1)  # h_ij;k
-    rbar_nu = np.einsum("...abcd,...a,...bi,...cj,...dk->...ijk", riem, nu, x, x, x)
+    rbar_nu = np.einsum("...abcd,...a,...bi,...cj,...dk->...ijk", riem, nu, x, x, x, optimize=True)
     codazzi = np.max(
         np.abs(h_ij_k - np.swapaxes(h_ij_k, -2, -1) - rbar_nu), axis=(-3, -2, -1)
     )

@@ -24,6 +24,12 @@ from their ExtrinsicData), which SpacetimeMetric.field_jets evaluated in
 one program call, and tcc_check reads its frame from the g of its
 curvature bundles: no source is evaluated a second time.
 
+Slices and the slab volume, whose integrands need G on the coordinate
+slices of an ARWSpec only, read the base kernel curvature.warped_einstein;
+graphs, leaves, the TCC and the monotonicity probes need the full tensor in
+any direction and read the full stack (curvature_at, hypersurface
+assemblies).
+
 Both gauge moves are the time change tau = phi(s), with f -> f o phi +
 log phi', psi -> psi o phi and lambda -> lambda o phi - log phi'; normalize
 puts its constant log phi' into sigma_scale instead of lambda.  psi and
@@ -38,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curvature import _BLOCK_EVENTS, _assemble, curvature_at
+from .curvature import _BLOCK_EVENTS, curvature_at, warped_einstein
 from .expr import (
     Call,
     Expression,
@@ -168,12 +174,14 @@ class _Weights:
         return self.omega * f + psi
 
 
-def _weights(obj) -> _Weights:
+def _weights(obj, bare: bool = True) -> _Weights:
+    """The weights of an ARWSpec, or of a bare SpacetimeMetric if ``bare``."""
     if isinstance(obj, ARWSpec):
         return _Weights(metric=obj.metric, n=obj.n, omega=obj.omega, a=obj.a)
-    if isinstance(obj, SpacetimeMetric):
+    if bare and isinstance(obj, SpacetimeMetric):
         return _Weights(metric=obj, n=obj.n, omega=None, a=None)
-    raise TypeError(f"expected an ARWSpec or SpacetimeMetric, got {type(obj).__name__}")
+    expected = "an ARWSpec or SpacetimeMetric" if bare else "an ARWSpec"
+    raise TypeError(f"expected {expected}, got {type(obj).__name__}")
 
 
 def _slice_events(n: int, tau, theta1) -> np.ndarray:
@@ -214,21 +222,21 @@ def slice_mass_integral(spec, tau: float, grid: QuadratureGrid | None = None) ->
     """I(tau) over the coordinate slice, with the slice unit normal.
 
     The integrand G_ab nu^a nu^b e^{omega f} e^{psi} is paired with the area
-    element e^{n psi_tilde} sqrt(det sigma) of the slice.  All quadrature
-    nodes go through one batched curvature evaluation, whose field jets
-    supply psi_tilde, sigma_11 and the weight.
+    element e^{n psi_tilde} sqrt(det sigma) of the slice.  ``spec`` is an
+    ARWSpec: all quadrature nodes go through one call of the base kernel
+    curvature.warped_einstein, G(nu, nu) = e^{-2 psi_tilde} G_tautau, whose
+    field jets supply psi_tilde, sigma_11 and the weight.
     """
-    w = _weights(spec)
+    w = _weights(spec, bare=False)
     w.check_time(tau)
     grid = grid or quadrature_grid(w.n)
 
     events = _slice_events(w.n, tau, grid.axis_nodes[0])
-    jets, bundle = _assemble(w.metric, events)
-    p = jets.psi_tilde[:, 0]
-    g_nu_nu = bundle.einstein[:, 0, 0] * np.exp(-2.0 * p)
-    sig11 = jets.sigma[:, 0, 0, 0]
-    log_weight = w.log_weight(jets.f[:, 0], jets.psi[:, 0])
-    return _weighted_integral(w, grid, g_nu_nu, log_weight, p, sig11)
+    (psi_tilde, sigma, f, psi), (g_tt, _, _) = warped_einstein(w.metric, events)
+    p = psi_tilde[:, 0]
+    g_nu_nu = g_tt * np.exp(-2.0 * p)
+    log_weight = w.log_weight(f[:, 0], psi[:, 0])
+    return _weighted_integral(w, grid, g_nu_nu, log_weight, p, sigma[:, 0, 0, 0])
 
 
 def _graph_integral(w: _Weights, metric, u_jets: list, grid: QuadratureGrid, factor) -> list:
@@ -343,13 +351,16 @@ def slab_balance(
     against the spacetime volume element e^{(n+1) psi_tilde} sqrt(det sigma).
     The residual is |B2 - B1 - V| relative to max(|B1|, |B2|, |V|, 1).
 
-    Each block of slices makes one curvature assembly.  Its field jets give
-    psi_tilde, sigma, f, psi and their tau derivatives, so hbar, the volume
-    element, sigma_11, the weight and omega f' + psi' all come from that one
-    evaluation.  The jets and the curvature stack are released before the
-    block is integrated.
+    ``spec`` is an ARWSpec, and each block of slices makes one call of the
+    base kernel curvature.warped_einstein: with g diagonal, G^00 =
+    e^{-4 psi_tilde} G_tautau, and G^{ij} hbar_ij is the theta1 entry
+    (e^{-2 psi_tilde} / sigma_11)^2 G_theta1theta1 hbar_11 plus n - 1 equal
+    fibre terms G_F g^{aa} hbar_aa = G_F e^{-2 psi_tilde} hbar_11 / sigma_11.
+    Its field jets give psi_tilde, sigma, f, psi and their tau derivatives,
+    so hbar, the volume element, sigma_11, the weight and omega f' + psi'
+    all come from that one evaluation.
     """
-    w = _weights(spec)
+    w = _weights(spec, bare=False)
     w.check_time(tau1)
     w.check_time(tau2)
     if not tau1 < tau2:
@@ -373,15 +384,14 @@ def slab_balance(
     for start in range(0, len(taus), per_block):
         block = taus[start : start + per_block]
         events = _slice_events(n, block[:, None], grid.axis_nodes[0])
-        jets, bundle = _assemble(metric, events)
-        g_up = bundle.g_inv @ bundle.einstein @ bundle.g_inv
-        hbar, _, p = _slice_fields(jets.psi_tilde, jets.sigma)
-        sig11 = jets.sigma[..., 0, 0, 0].copy()
-        log_weight = w.log_weight(jets.f[..., 0], jets.psi[..., 0])
-        drift = w.log_weight(jets.f[..., 1], jets.psi[..., 1])  # omega f' + psi'
-        del jets, bundle
-        spatial = np.einsum("...ij,...ij->...", g_up[..., 1:, 1:], hbar)
-        time_part = g_up[..., 0, 0] * drift * np.exp(p)
+        (psi_tilde, sigma, f, psi), (g_tt, g_thth, g_fibre) = warped_einstein(metric, events)
+        hbar, _, p = _slice_fields(psi_tilde, sigma)
+        sig11 = sigma[..., 0, 0, 0]
+        log_weight = w.log_weight(f[..., 0], psi[..., 0])
+        drift = w.log_weight(f[..., 1], psi[..., 1])  # omega f' + psi'
+        e = np.exp(-2.0 * p)
+        spatial = ((e / sig11) ** 2 * g_thth + (n - 1) * g_fibre * e / sig11) * hbar[..., 0, 0]
+        time_part = e * e * g_tt * drift * np.exp(p)
         slices = _weighted_integral(
             w, grid, spatial + time_part, log_weight, p, sig11, power=n + 1
         )

@@ -210,10 +210,11 @@ def test_check_tolerances_must_be_positive_and_finite(tmp_path, value, error, ca
 
 
 def record_assemblies(monkeypatch):
-    """The number of events of every curvature_batch and metric_jets call,
-    through each module binding the check battery reaches."""
+    """The number of events of every curvature_batch, metric_jets and
+    warped_einstein call, through each module binding the check battery
+    reaches."""
     sizes = []
-    for name in ("curvature_batch", "metric_jets"):
+    for name in ("curvature_batch", "metric_jets", "warped_einstein"):
         original = getattr(arwmass.curvature, name)
 
         def recording(metric, events, *args, _original=original, **kwargs):

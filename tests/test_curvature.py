@@ -12,6 +12,7 @@ from arwmass.curvature import (
     curvature_at,
     curvature_batch,
     einstein_divergence_residual,
+    warped_einstein,
 )
 from arwmass.expr import DomainError
 from arwmass.fields import split_jet
@@ -21,9 +22,11 @@ from arwmass.geometry import (
     flat_chart_metric,
     make_spec,
     metric_jets,
+    quadrature_grid,
     rw_family_spec,
     sample_events,
 )
+from arwmass.mass import _slice_events, normalize, reparametrize_time
 from arwmass.sads import SAdSParams, as_arw_spec
 from sources import source_jets
 
@@ -410,3 +413,69 @@ def test_matmul_kernel_equals_the_einsum_kernel(dim, lead):
         assert_within_rounding(
             bundle.riemann_lower, np.einsum("...ae,...ebcd->...abcd", g, bundle.riemann)
         )
+
+
+# ---------------------------------------------------------------------------
+# the base kernel of the slice and slab integrands
+
+
+def _warped_specs():
+    angular = {"psi": "0.05*cos(theta1)*exp(tau)", "lam": "0.03*cos(theta1)"}
+    scaled = make_spec(3, 1.1, "log(-tau)", a=-1.0, sigma_scale=1.7, **angular)
+    return {
+        "rw n=2": rw_family_spec(2, 1.5, k=1.3, a=-0.5),
+        "rw n=3": rw_family_spec(3, 1.0, k=2.0, a=-0.5),
+        "sads n=3 lambda=0": as_arw_spec(SAdSParams(n=3, lam=0.0, mass=1.0)),
+        "sads n=2 lambda<0": as_arw_spec(SAdSParams(n=2, lam=-1.0, mass=0.9)),
+        "sads n=3 lambda<0": as_arw_spec(SADS_ADS),
+        # rw profiles with theta1-dependent psi and lambda that vanish at tau = 0
+        "decaying n=2": make_spec(
+            2, 1.5, "1.3333333333333333*log(-2.2*tau)", a=-1.0,
+            psi="0.06*cos(theta1)*tau", lam="0.04*cos(theta1)*tau",
+        ),
+        "decaying n=3": make_spec(
+            3, 1.0, "log(-1.7*tau)", a=-1.0,
+            psi="0.05*cos(theta1)*tau", lam="0.03*cos(theta1)*tau",
+        ),
+        "angular n=2": make_spec(2, 1.0, "2*log(-tau)", a=-1.0, **angular),
+        "angular n=3": make_spec(3, 0.9, "log(-tau)", a=-1.0, **angular),
+        "sigma_scale 1.7": scaled,
+        "normalized": normalize(scaled)[0],
+        "reparametrized": reparametrize_time(make_spec(2, 1.0, "log(-tau)", a=-1.0, **angular), 0.1),
+    }
+
+
+WARPED_SPECS = _warped_specs()
+
+
+@pytest.mark.parametrize("name", WARPED_SPECS)
+def test_base_kernel_matches_the_full_stack_node_by_node(name):
+    spec = WARPED_SPECS[name]
+    theta = quadrature_grid(spec.n, 96).axis_nodes[0]
+    events = _slice_events(spec.n, np.array([[0.9], [0.5], [0.05]]) * spec.a, theta)
+    fields, (g_tt, g_thth, g_fibre) = warped_einstein(spec.metric, events)
+    full = curvature_batch(spec.metric, events)
+    npt.assert_array_equal(fields[0], spec.metric.field_jets(events, 2)[0])
+    # G_ab = G_F g_ab on the fibre, every fibre direction alike
+    expected = [full.einstein[..., 0, 0], full.einstein[..., 1, 1]]
+    expected += [full.einstein[..., k, k] / full.g[..., k, k] for k in range(2, spec.n + 1)]
+    # relative to each component's largest value on its slice, since G_thth
+    # and G_F change sign; the full stack loses digits next to the poles
+    away = np.sin(theta) >= 0.1
+    for got, want in zip((g_tt, g_thth) + (g_fibre,) * (spec.n - 1), expected):
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want)[:, away] <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("name", ["rw n=2", "rw n=3"])
+def test_base_kernel_keeps_the_rw_slice_integrand_constant_to_the_poles(name):
+    # G(nu, nu) depends on tau alone; the full stack drifts by up to ~6e-11
+    # relative at the nodes next to the poles of grid 96
+    spec = WARPED_SPECS[name]
+    theta = quadrature_grid(spec.n, 96).axis_nodes[0]
+    for tau in (0.9 * spec.a, 0.3 * spec.a, 1e-3 * spec.a):
+        (psi_tilde, *_), (g_tt, _, _) = warped_einstein(
+            spec.metric, _slice_events(spec.n, tau, theta)
+        )
+        g_nu_nu = g_tt * np.exp(-2.0 * psi_tilde[:, 0])
+        assert np.ptp(g_nu_nu) <= 1e-15 * abs(g_nu_nu[0])

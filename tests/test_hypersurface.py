@@ -374,12 +374,15 @@ def test_codazzi_stencil_matches_the_pointwise_stencil(tilted_surface):
 
 def reference_gauss_codazzi(surface, node, fd_step=0.01):
     """gauss_codazzi_residuals as it ran on one node before it took batches,
-    with the size of each identity's terms."""
+    with the size of each identity's terms.  The two five-operand
+    contractions go pairwise in numpy's optimized order, as in the code."""
     ext = second_fundamental(surface, node)
     curv = intrinsic_curvature(surface, node)
     amb = curvature_at(surface.ambient, ext.event)
     x, nu, h = ext.tangents, ext.past_normal, ext.h
-    pull = np.einsum("abcd,ai,bj,ck,dl->ijkl", amb.riemann_lower, x, x, x, x)
+    pull = np.einsum(
+        "abcd,ai,bj,ck,dl->ijkl", amb.riemann_lower, x, x, x, x, optimize=True
+    )
     hh = np.einsum("ik,jl->ijkl", h, h) - np.einsum("il,jk->ijkl", h, h)
     gauss_full = float(np.max(np.abs(curv.riemann_lower + hh - pull)))
     g_nu_nu = float(nu @ amb.einstein @ nu)
@@ -399,7 +402,9 @@ def reference_gauss_codazzi(surface, node, fd_step=0.01):
         - np.einsum("mkj,im->kij", curv.christoffel, h)
     )
     h_ij_k = grad_h.transpose(1, 2, 0)
-    rbar_nu = np.einsum("abcd,a,bi,cj,dk->ijk", amb.riemann_lower, nu, x, x, x)
+    rbar_nu = np.einsum(
+        "abcd,a,bi,cj,dk->ijk", amb.riemann_lower, nu, x, x, x, optimize=True
+    )
     codazzi = float(np.max(np.abs(h_ij_k - h_ij_k.transpose(0, 2, 1) - rbar_nu)))
     scales = (
         max(abs(curv.scalar), ext.mean_curvature**2, ext.norm_a_sq, abs(2.0 * g_nu_nu)),
@@ -486,7 +491,8 @@ def test_batched_conformal_extrinsic_matches_the_one_node_code(spec, u):
 def reference_three_call_gauss_codazzi(surface, node, fd_step=0.01):
     """gauss_codazzi_residuals as it ran before it read one assembly at the
     nodes: second_fundamental, intrinsic_curvature and curvature_at each
-    assembled the ambient jets of a block."""
+    assembled the ambient jets of a block.  The five-operand contractions go
+    in numpy's optimized order, as in the code."""
 
     def block(nodes) -> tuple:
         ext = second_fundamental(surface, nodes)
@@ -494,7 +500,9 @@ def reference_three_call_gauss_codazzi(surface, node, fd_step=0.01):
         amb = curvature_at(surface.ambient, ext.event)
         x, nu, h = ext.tangents, ext.past_normal, ext.h
         riem = amb.riemann_lower
-        pull = np.einsum("...abcd,...ai,...bj,...ck,...dl->...ijkl", riem, x, x, x, x)
+        pull = np.einsum(
+            "...abcd,...ai,...bj,...ck,...dl->...ijkl", riem, x, x, x, x, optimize=True
+        )
         hh = np.einsum("...ik,...jl->...ijkl", h, h) - np.einsum("...il,...jk->...ijkl", h, h)
         gauss_full = np.max(np.abs(curv.riemann_lower + hh - pull), axis=(-4, -3, -2, -1))
         g_nu_nu = (nu[..., None, :] @ amb.einstein @ nu[..., :, None])[..., 0, 0]
@@ -517,7 +525,9 @@ def reference_three_call_gauss_codazzi(surface, node, fd_step=0.01):
             - np.einsum("...mkj,...im->...kij", curv.christoffel, h)
         )
         h_ij_k = np.moveaxis(grad_h, -3, -1)
-        rbar_nu = np.einsum("...abcd,...a,...bi,...cj,...dk->...ijk", riem, nu, x, x, x)
+        rbar_nu = np.einsum(
+            "...abcd,...a,...bi,...cj,...dk->...ijk", riem, nu, x, x, x, optimize=True
+        )
         codazzi = np.max(
             np.abs(h_ij_k - np.swapaxes(h_ij_k, -2, -1) - rbar_nu), axis=(-3, -2, -1)
         )

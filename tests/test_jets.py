@@ -195,9 +195,17 @@ def test_time_jet_evaluates_the_profile_once_per_distinct_tau(monkeypatch):
         npt.assert_array_equal(jet.view(np.int64), reference.view(np.int64))
 
 
+def test_time_jet_raises_for_the_first_failing_time_in_event_order():
+    # the distinct times are evaluated in order of first appearance, not sorted
+    profile = ExprTimeFunction(parse("log(-tau)"))
+    events = np.array([[-0.5, 1.0, 1.0], [0.3, 1.0, 1.0], [-0.5, 2.0, 1.0], [0.2, 1.0, 1.0]])
+    with pytest.raises(DomainError, match=r"at tau = 0\.3$"):
+        time_jet(profile, events, 2)
+
+
 def test_a_nan_time_is_a_geometry_error_naming_the_event():
-    # a NaN tau is no key of the per-tau memo: its row is recomputed, and the
-    # assembly's finiteness check names the event
+    # a NaN tau gets a NaN row of the profile's jet, and the assembly's
+    # finiteness check names the event
     spec = SPECS["rw n=3"]
     with pytest.raises(GeometryError, match=r"^psi_tilde is not finite at event \[nan, 1.0, "):
         curvature_at(spec.metric, [math.nan, 1, 1, 1])

@@ -9,7 +9,7 @@ import arwmass.curvature
 import arwmass.geometry
 import arwmass.hypersurface
 import arwmass.mass
-from arwmass.curvature import curvature_at, curvature_batch
+from arwmass.curvature import curvature_at, warped_einstein
 from arwmass.expr import Num, Program, Var, fold_constants, substitute
 from arwmass.fields import ExprField
 from arwmass.geometry import (
@@ -301,8 +301,8 @@ def test_slab_requires_ordered_times(rw1, grid):
 
 
 def reference_slab_volume(spec, tau1, tau2, grid):
-    """The slab volume as it ran before it took blocks of slices: one
-    curvature assembly per tau node."""
+    """The slab volume as a loop over its slices: one call of the base
+    kernel per tau node, the field jets from the sources one by one."""
     w = _weights(spec)
     metric, n = w.metric, w.n
     x, gw = np.polynomial.legendre.leggauss(grid.nodes_per_axis)
@@ -310,16 +310,17 @@ def reference_slab_volume(spec, tau1, tau2, grid):
     volume = 0.0
     for tau, wt in zip(tau1 + half * (x + 1.0), half * gw):
         events = _slice_events(n, float(tau), grid.axis_nodes[0])
-        bundle = curvature_batch(metric, events)
-        g_up = bundle.g_inv @ bundle.einstein @ bundle.g_inv
+        _, (g_tt, g_thth, g_fibre) = warped_einstein(metric, events)
         hbar = coordinate_slice_curvature(metric, float(tau))(events[:, 1:])
         fp = spec.f.derivative(float(tau), 1)
         sources = source_jets(metric, events, 0)
         p = sources.psi_tilde[:, 0]
         psi = source_jets(metric, events, 1).psi
-        spatial = np.einsum("kij,kij->k", g_up[:, 1:, 1:], hbar)
-        time_part = g_up[:, 0, 0] * (w.omega * fp + psi[:, 1]) * np.exp(p)
         sig11 = sources.sigma[:, 0, 0, 0]
+        # g is diagonal: G^{ij} hbar_ij is the theta1 entry and n - 1 fibre terms
+        e = np.exp(-2.0 * p)
+        spatial = ((e / sig11) ** 2 * g_thth + (n - 1) * g_fibre * e / sig11) * hbar[:, 0, 0]
+        time_part = e * e * g_tt * (w.omega * fp + psi[:, 1]) * np.exp(p)
         log_weight = w.omega * spec.f.value(float(tau)) + psi[:, 0]
         volume += wt * _weighted_integral(
             w, grid, spatial + time_part, log_weight, p, sig11, power=n + 1
@@ -346,6 +347,15 @@ def test_slab_volume_equals_the_per_slice_loop(spec, taus):
     grid = quadrature_grid(spec.n, 14)  # blocks of 6, 6 and 2 slices
     volume = slab_balance(spec, *taus, grid).volume
     assert volume == reference_slab_volume(spec, *taus, grid)
+
+
+def test_slice_and_slab_integrals_need_an_arw_spec():
+    # the base kernel relies on sigma_ij = sigma_scale e^{2 lambda} sigma_bar_ij
+    metric = rw_family_spec(3, 1.0, k=1.0, a=-0.5).metric
+    with pytest.raises(TypeError, match="^expected an ARWSpec, got SpacetimeMetric$"):
+        slice_mass_integral(metric, -0.3)
+    with pytest.raises(TypeError, match="^expected an ARWSpec, got SpacetimeMetric$"):
+        slab_balance(metric, -0.4, -0.2)
 
 
 def count_evaluations(monkeypatch):
