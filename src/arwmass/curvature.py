@@ -25,12 +25,20 @@ module, one small product per event: d Gamma from
 g^ad (1/2 d_e bracket_dbc - d_e g_dm Gamma^m_bc), the Gamma Gamma term of
 Riemann and R_abcd = g_ae R^e_bcd, formed only when read.  _assemble
 returns the metric jets of the assembly with its bundle, so that the
-conformal check reads psi_tilde there and evaluates it once.  The two checks feed it blocks of at most
-_BLOCK_EVENTS events (stencil points included), since an assembly holds up
-to ~12 kB per event at its peak (metric_jets plus curvature_from_jets, 96
-events, under tracemalloc); any number of events then runs in bounded
-memory, and the divergence makes one assembly per block.  They return
-floats for one event and arrays with the events' leading axes for a batch.
+conformal check reads psi_tilde there and evaluates it once.
+
+Each kernel has one block bound, set by the memory a block holds at its
+peak (under tracemalloc) rather than by its event count.  The full stack
+holds ~5.1 kB per event at n = 2 and ~12.4 kB at n = 3 (metric_jets plus
+curvature_from_jets), so the two checks feed it blocks of at most
+_BLOCK_EVENTS = 96 events (stencil points included), ~1.2 MB at n = 3.  The
+base kernel holds ~1.1 and ~2.8 kB per event, so its callers (the slice and
+slab integrals of the mass module) take blocks of at most
+_BASE_BLOCK_EVENTS = 4 _BLOCK_EVENTS = 384 events, which peak below a
+full-stack block at either n.  Any number of events then runs in bounded
+memory, and the divergence makes one assembly per block.  The checks
+return floats for one event and arrays with the events' leading axes for a
+batch.
 """
 
 from __future__ import annotations
@@ -66,6 +74,8 @@ __all__ = [
 
 # Most events one curvature assembly takes from a batch of the check functions
 _BLOCK_EVENTS = 96
+# Most events one warped_einstein call takes: a quarter of the memory per event
+_BASE_BLOCK_EVENTS = 4 * _BLOCK_EVENTS
 
 
 @dataclass(frozen=True)

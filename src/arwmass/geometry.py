@@ -9,10 +9,11 @@ profile f, and psi and the spatial components sigma_ij as expressions in
 the chart coordinates, all with exact derivatives (see fields.py).  It is
 the only assembler of their jets: one compiled program per jet order
 evaluates psi and every non-constant sigma_ij together, so their shared
-subtrees (sin theta1, e^{2 lambda}) run once per assembly.  The
-cosmological family of interest has sigma_ij = e^{2 lambda} sigma_bar_ij
-with sigma_bar the round unit n-sphere and psi_tilde = f(tau) +
-psi(tau, theta1); the future singularity sits at tau = 0 with domain
+subtrees (sin theta1, e^{2 lambda}) run once per assembly.  The conformal
+metric compiles none: it reads the sigma columns of its parent's program.
+The cosmological family of interest has sigma_ij = e^{2 lambda}
+sigma_bar_ij with sigma_bar the round unit n-sphere and psi_tilde = f(tau)
++ psi(tau, theta1); the future singularity sits at tau = 0 with domain
 [a, 0), a < 0.
 """
 
@@ -83,9 +84,9 @@ class SpacetimeMetric:
     sigma_exprs: tuple  # n x n tuple-of-tuples of Expression
     psi: Expression = Num(0.0)
     f: TimeFunction | None = None
-    # slot -> ExprField of sigma_ij when another metric built them already:
-    # a conformal metric takes its parent's, and so their derivative trees
-    shared_sigma: dict | None = field(default=None, repr=False)
+    # the metric whose sigma a conformal metric shares: its fields, and so
+    # their derivative trees, and its programs, whose sigma columns it reads
+    parent: SpacetimeMetric | None = field(default=None, repr=False)
     # one expr.Program per jet order, compiled on first use; threads share a
     # metric, so a program is only ever stored fully built
     _programs: dict = field(default_factory=dict, init=False, repr=False)
@@ -97,9 +98,9 @@ class SpacetimeMetric:
     @cached_property
     def conformal_metric(self) -> SpacetimeMetric:
         """-dtau^2 + sigma on the same chart: the conformal factor stripped.
-        It shares this metric's sigma fields, and so their derivative trees."""
-        sigma = {k: fld for k, fld in self._layout[1].items() if k}
-        return SpacetimeMetric(n=self.n, sigma_exprs=self.sigma_exprs, shared_sigma=sigma)
+        It shares this metric's sigma fields, and so their derivative trees,
+        and evaluates this metric's programs for their sigma columns."""
+        return SpacetimeMetric(n=self.n, sigma_exprs=self.sigma_exprs, parent=self)
 
     @cached_property
     def _layout(self) -> tuple:
@@ -109,7 +110,7 @@ class SpacetimeMetric:
         literal, to the ExprField memoizing its derivative trees."""
         upper = [(i, j) for i in range(self.n) for j in range(i, self.n)]
         sources = [self.psi] + [self.sigma_exprs[i][j] for i, j in upper]
-        shared = self.shared_sigma or {}
+        shared = self.parent._layout[1] if self.parent else {}
         fields = {
             k: shared.get(k) or ExprField(expr, self.dim)
             for k, expr in enumerate(sources)
@@ -135,7 +136,8 @@ class SpacetimeMetric:
         sigma[..., i, j, :], and of the f and psi summed into psi_tilde, at
         events of shape (..., dim), in the fields.jet_keys layout of ``order``.
 
-        One program call evaluates psi and every non-constant sigma_ij; a
+        One program call evaluates psi and every non-constant sigma_ij (a
+        conformal metric calls its parent's and reads the sigma slots); a
         literal source is filled in, and f is zero without a time profile.
         Each jet keeps the bits of its source's own jet: ExprField.jet, or
         fields.time_jet for f.
@@ -149,8 +151,12 @@ class SpacetimeMetric:
             if isinstance(expr, Num):
                 jets[..., k, 0] = expr.value
         if fields:
-            values = self._program(order)(events)
-            jets[..., list(fields), :] = values.reshape(batch + (len(fields), width))
+            owner = self.parent or self
+            slots = list(owner._layout[1])
+            values = owner._program(order)(events).reshape(batch + (len(slots), width))
+            if slots != list(fields):
+                values = values[..., [slots.index(k) for k in fields], :]
+            jets[..., list(fields), :] = values
         psi = jets[..., 0, :].copy()  # a view would keep every source's jet alive
         psi_tilde = psi if self.f is None else f + psi
         return psi_tilde, jets[..., index, :], f, psi

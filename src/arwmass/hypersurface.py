@@ -469,6 +469,13 @@ def gauss_codazzi_residuals(
     return GaussCodazziResiduals(*_blockwise(residuals, node, 4 * surface.ambient.n))
 
 
+# The pairwise order of the two five-operand contractions of the Gauss and
+# Codazzi residuals: Riemann with the first vector, then with the next
+# ones.  It is the order optimize=True (greedy) finds for both at n = 2 and
+# 3, passed as a constant so that no call searches for it.
+_FIVE_OPERAND_PATH = ["einsum_path", (0, 1), (0, 3), (0, 2), (0, 1)]
+
+
 def _gauss_codazzi(surface: GraphHypersurface, node, fd_step: float) -> tuple:
     ext, curv, bundle = node_curvatures(surface, node)
     x = ext.tangents
@@ -476,7 +483,9 @@ def _gauss_codazzi(surface: GraphHypersurface, node, fd_step: float) -> tuple:
     h = ext.h
 
     riem = bundle.riemann_lower
-    pull = np.einsum("...abcd,...ai,...bj,...ck,...dl->...ijkl", riem, x, x, x, x, optimize=True)
+    pull = np.einsum(
+        "...abcd,...ai,...bj,...ck,...dl->...ijkl", riem, x, x, x, x, optimize=_FIVE_OPERAND_PATH
+    )
     hh = np.einsum("...ik,...jl->...ijkl", h, h) - np.einsum("...il,...jk->...ijkl", h, h)
     gauss_full = np.max(np.abs(curv.riemann_lower + hh - pull), axis=(-4, -3, -2, -1))
 
@@ -503,7 +512,9 @@ def _gauss_codazzi(surface: GraphHypersurface, node, fd_step: float) -> tuple:
         - np.einsum("...mkj,...im->...kij", curv.christoffel, h)
     )
     h_ij_k = np.moveaxis(grad_h, -3, -1)  # h_ij;k
-    rbar_nu = np.einsum("...abcd,...a,...bi,...cj,...dk->...ijk", riem, nu, x, x, x, optimize=True)
+    rbar_nu = np.einsum(
+        "...abcd,...a,...bi,...cj,...dk->...ijk", riem, nu, x, x, x, optimize=_FIVE_OPERAND_PATH
+    )
     codazzi = np.max(
         np.abs(h_ij_k - np.swapaxes(h_ij_k, -2, -1) - rbar_nu), axis=(-3, -2, -1)
     )

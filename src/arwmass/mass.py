@@ -25,10 +25,12 @@ one program call, and tcc_check reads its frame from the g of its
 curvature bundles: no source is evaluated a second time.
 
 Slices and the slab volume, whose integrands need G on the coordinate
-slices of an ARWSpec only, read the base kernel curvature.warped_einstein;
-graphs, leaves, the TCC and the monotonicity probes need the full tensor in
-any direction and read the full stack (curvature_at, hypersurface
-assemblies).
+slices of an ARWSpec only, read the base kernel curvature.warped_einstein
+through one loop over tau, _slice_integrals, in blocks of whole slices of
+at most curvature._BASE_BLOCK_EVENTS events; graphs, leaves, the TCC and
+the monotonicity probes need the full tensor in any direction and read the
+full stack (curvature_at, hypersurface assemblies) in blocks of at most
+curvature._BLOCK_EVENTS events.
 
 Both gauge moves are the time change tau = phi(s), with f -> f o phi +
 log phi', psi -> psi o phi and lambda -> lambda o phi - log phi'; normalize
@@ -44,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curvature import _BLOCK_EVENTS, curvature_at, warped_einstein
+from .curvature import _BASE_BLOCK_EVENTS, _BLOCK_EVENTS, curvature_at, warped_einstein
 from .expr import (
     Call,
     Expression,
@@ -218,25 +220,78 @@ def _weighted_integral(
     return integrate_node_values(grid, weighted)
 
 
+def _slice_integrals(w: _Weights, taus: np.ndarray, grid: QuadratureGrid, slab: bool) -> tuple:
+    """(I, J): lists of the mass integral I(tau) and, with ``slab``, of the
+    slab integrand J(tau) (else J is empty), one entry per tau of ``taus``.
+
+    Whole slices go in blocks of at most _BASE_BLOCK_EVENTS events (one
+    slice at least) through one call of the base kernel
+    curvature.warped_einstein each, in _slice_block.  Each integral keeps
+    the bits it has in a block of its own slice alone.
+    """
+    theta = grid.axis_nodes[0]
+    per_block = max(1, _BASE_BLOCK_EVENTS // len(theta))
+    mass, flux = [], []
+    for start in range(0, len(taus), per_block):
+        events = _slice_events(w.n, taus[start : start + per_block, None], theta)
+        block_mass, block_flux = _slice_block(w, grid, events, slab)
+        mass.extend(block_mass)
+        flux.extend(block_flux)
+    return mass, flux
+
+
+def _slice_block(w: _Weights, grid: QuadratureGrid, events: np.ndarray, slab: bool) -> tuple:
+    """(I, J) of the slices of one block, events (slices, N, n+1): arrays
+    of one entry per slice, J empty without ``slab``.  The block's fields
+    are released on return, before the next block is assembled.
+
+    With g diagonal, I integrates G(nu, nu) = e^{-2 psi_tilde} G_tautau
+    against the area element e^{n psi_tilde} sqrt(det sigma), and J
+    integrates
+
+        [ G^{ij} hbar_ij + G^{00}(omega f' + psi') e^{psi_tilde} ] e^{omega f} e^{psi}
+
+    against the volume element e^{(n+1) psi_tilde} sqrt(det sigma), with
+    G^00 = e^{-4 psi_tilde} G_tautau and G^{ij} hbar_ij the theta1 entry
+    (e^{-2 psi_tilde} / sigma_11)^2 G_theta1theta1 hbar_11 plus n - 1 equal
+    fibre terms G_F g^{aa} hbar_aa = G_F e^{-2 psi_tilde} hbar_11 / sigma_11.
+    The kernel's field jets give psi_tilde, sigma, f, psi and their tau
+    derivatives, so hbar, both measures, sigma_11, the weight and
+    omega f' + psi' all come from its one evaluation.
+    """
+    n = w.n
+    # the kernel takes the events flat; its fields get the axes (slices, N) back
+    fields, einstein = warped_einstein(w.metric, events.reshape(-1, n + 1))
+    psi_tilde, sigma, f, psi = (x.reshape(events.shape[:-1] + x.shape[1:]) for x in fields)
+    g_tt, g_thth, g_fibre = (x.reshape(events.shape[:-1]) for x in einstein)
+    p = psi_tilde[..., 0]
+    sig11 = sigma[..., 0, 0, 0]
+    log_weight = w.log_weight(f[..., 0], psi[..., 0])
+    e = np.exp(-2.0 * p)
+    mass = _weighted_integral(w, grid, g_tt * e, log_weight, p, sig11)
+    if not slab:
+        return mass, ()
+    hbar = _slice_fields(psi_tilde, sigma)[0]
+    drift = w.log_weight(f[..., 1], psi[..., 1])  # omega f' + psi'
+    spatial = ((e / sig11) ** 2 * g_thth + (n - 1) * g_fibre * e / sig11) * hbar[..., 0, 0]
+    time_part = e * e * g_tt * drift * np.exp(p)
+    flux = _weighted_integral(w, grid, spatial + time_part, log_weight, p, sig11, power=n + 1)
+    return mass, flux
+
+
 def slice_mass_integral(spec, tau: float, grid: QuadratureGrid | None = None) -> float:
     """I(tau) over the coordinate slice, with the slice unit normal.
 
     The integrand G_ab nu^a nu^b e^{omega f} e^{psi} is paired with the area
     element e^{n psi_tilde} sqrt(det sigma) of the slice.  ``spec`` is an
-    ARWSpec: all quadrature nodes go through one call of the base kernel
-    curvature.warped_einstein, G(nu, nu) = e^{-2 psi_tilde} G_tautau, whose
+    ARWSpec: the slice is one block of _slice_integrals, all its quadrature
+    nodes in one call of the base kernel curvature.warped_einstein, whose
     field jets supply psi_tilde, sigma_11 and the weight.
     """
     w = _weights(spec, bare=False)
     w.check_time(tau)
     grid = grid or quadrature_grid(w.n)
-
-    events = _slice_events(w.n, tau, grid.axis_nodes[0])
-    (psi_tilde, sigma, f, psi), (g_tt, _, _) = warped_einstein(w.metric, events)
-    p = psi_tilde[:, 0]
-    g_nu_nu = g_tt * np.exp(-2.0 * p)
-    log_weight = w.log_weight(f[:, 0], psi[:, 0])
-    return _weighted_integral(w, grid, g_nu_nu, log_weight, p, sigma[:, 0, 0, 0])
+    return float(_slice_integrals(w, np.array([tau], dtype=float), grid, slab=False)[0][0])
 
 
 def _graph_integral(w: _Weights, metric, u_jets: list, grid: QuadratureGrid, factor) -> list:
@@ -351,14 +406,10 @@ def slab_balance(
     against the spacetime volume element e^{(n+1) psi_tilde} sqrt(det sigma).
     The residual is |B2 - B1 - V| relative to max(|B1|, |B2|, |V|, 1).
 
-    ``spec`` is an ARWSpec, and each block of slices makes one call of the
-    base kernel curvature.warped_einstein: with g diagonal, G^00 =
-    e^{-4 psi_tilde} G_tautau, and G^{ij} hbar_ij is the theta1 entry
-    (e^{-2 psi_tilde} / sigma_11)^2 G_theta1theta1 hbar_11 plus n - 1 equal
-    fibre terms G_F g^{aa} hbar_aa = G_F e^{-2 psi_tilde} hbar_11 / sigma_11.
-    Its field jets give psi_tilde, sigma, f, psi and their tau derivatives,
-    so hbar, the volume element, sigma_11, the weight and omega f' + psi'
-    all come from that one evaluation.
+    ``spec`` is an ARWSpec.  B1, B2 and the slab integrand J at the
+    Gauss-Legendre nodes in tau across the slab come from one call of
+    _slice_integrals, tau1 and tau2 first: B_i keep the bits of
+    slice_mass_integral, and V adds each slice's w_k J(tau_k) in tau order.
     """
     w = _weights(spec, bare=False)
     w.check_time(tau1)
@@ -366,37 +417,16 @@ def slab_balance(
     if not tau1 < tau2:
         raise GeometryError(f"need tau1 < tau2, got {tau1}, {tau2}")
     grid = grid or quadrature_grid(w.n)
-    metric = w.metric
-    n = w.n
 
-    b1 = slice_mass_integral(spec, tau1, grid)
-    b2 = slice_mass_integral(spec, tau2, grid)
-
-    # Gauss-Legendre in tau across the slab, in blocks of whole slices of at
-    # most _BLOCK_EVENTS events, each slice's integral added in tau order
     x, gw = grid.rule
     half = 0.5 * (tau2 - tau1)
-    taus = tau1 + half * (x + 1.0)
-    weights = half * gw
-    per_block = max(1, _BLOCK_EVENTS // grid.nodes_per_axis)
+    taus = np.concatenate(([tau1, tau2], tau1 + half * (x + 1.0)))
+    mass, flux = _slice_integrals(w, taus, grid, slab=True)
+    b1, b2 = float(mass[0]), float(mass[1])
 
     volume = 0.0
-    for start in range(0, len(taus), per_block):
-        block = taus[start : start + per_block]
-        events = _slice_events(n, block[:, None], grid.axis_nodes[0])
-        (psi_tilde, sigma, f, psi), (g_tt, g_thth, g_fibre) = warped_einstein(metric, events)
-        hbar, _, p = _slice_fields(psi_tilde, sigma)
-        sig11 = sigma[..., 0, 0, 0]
-        log_weight = w.log_weight(f[..., 0], psi[..., 0])
-        drift = w.log_weight(f[..., 1], psi[..., 1])  # omega f' + psi'
-        e = np.exp(-2.0 * p)
-        spatial = ((e / sig11) ** 2 * g_thth + (n - 1) * g_fibre * e / sig11) * hbar[..., 0, 0]
-        time_part = e * e * g_tt * drift * np.exp(p)
-        slices = _weighted_integral(
-            w, grid, spatial + time_part, log_weight, p, sig11, power=n + 1
-        )
-        for wt, integral in zip(weights[start : start + per_block], slices):
-            volume += wt * integral
+    for wt, integral in zip(half * gw, flux[2:]):
+        volume += wt * integral
 
     residual = abs(b2 - b1 - volume) / max(abs(b1), abs(b2), abs(volume), 1.0)
     return SlabBalance(

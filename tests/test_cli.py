@@ -211,14 +211,15 @@ def test_check_tolerances_must_be_positive_and_finite(tmp_path, value, error, ca
 
 def record_assemblies(monkeypatch):
     """The number of events of every curvature_batch, metric_jets and
-    warped_einstein call, through each module binding the check battery
-    reaches."""
-    sizes = []
+    warped_einstein call, by kernel, through each module binding the check
+    battery reaches."""
+    sizes = {}
     for name in ("curvature_batch", "metric_jets", "warped_einstein"):
         original = getattr(arwmass.curvature, name)
+        calls = sizes[name] = []
 
-        def recording(metric, events, *args, _original=original, **kwargs):
-            sizes.append(int(np.prod(np.shape(events)[:-1])))
+        def recording(metric, events, *args, _original=original, _calls=calls, **kwargs):
+            _calls.append(int(np.prod(np.shape(events)[:-1])))
             return _original(metric, events, *args, **kwargs)
 
         for module in (arwmass.geometry, arwmass.curvature, arwmass.hypersurface, arwmass.mass):
@@ -236,17 +237,29 @@ def test_check_assembles_at_most_one_block_of_events(tmp_path, monkeypatch):
     )
     sizes = record_assemblies(monkeypatch)
     assert arwmass.cli.run(config) == 0
-    assert len(sizes) > 20 and max(sizes) <= arwmass.curvature._BLOCK_EVENTS
+    # the full stack: metric_jets for the 50 conformal events (full and
+    # conformal metric), the 10 Gauss-Codazzi nodes in blocks of 8 and 2
+    # (nodes and stencils) and the 5 divergence events with their stencils;
+    # curvature_batch for the conformal metric and the divergence
+    full = sizes["metric_jets"] + sizes["curvature_batch"]
+    assert len(sizes["metric_jets"]) == 7 and len(sizes["curvature_batch"]) == 2
+    assert max(full) <= arwmass.curvature._BLOCK_EVENTS
+    # the base kernel: the slab's 2 + 32 slices of 32 nodes, 12 slices a block
+    assert arwmass.curvature._BASE_BLOCK_EVENTS // 32 == 12
+    assert sizes["warped_einstein"] == [12 * 32, 12 * 32, 10 * 32]
 
 
 def test_check_runs_many_events_in_bounded_blocks(tmp_path, monkeypatch):
     config = dict(STEEP_CHECK, events=2000, output={"path": str(tmp_path / "out")})
     sizes = record_assemblies(monkeypatch)
     assert main([write_config(tmp_path, config)]) == 0
-    assert max(sizes) <= arwmass.curvature._BLOCK_EVENTS
+    assert max(sizes["metric_jets"] + sizes["curvature_batch"]) <= arwmass.curvature._BLOCK_EVENTS
     # the 2000 conformal residuals take 2 assemblies (full and conformal metric) a block
     blocks = -(-2000 // arwmass.curvature._BLOCK_EVENTS)
-    assert sizes.count(arwmass.curvature._BLOCK_EVENTS) >= 2 * (blocks - 1)
+    assert sizes["metric_jets"].count(arwmass.curvature._BLOCK_EVENTS) >= 2 * (blocks - 1)
+    # the slab's 2 + 48 slices of 48 nodes, 8 slices a block
+    assert arwmass.curvature._BASE_BLOCK_EVENTS // 48 == 8
+    assert sizes["warped_einstein"] == [8 * 48] * 6 + [2 * 48]
 
 
 def test_check_needs_an_event(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -479,3 +480,25 @@ def test_base_kernel_keeps_the_rw_slice_integrand_constant_to_the_poles(name):
         )
         g_nu_nu = g_tt * np.exp(-2.0 * psi_tilde[:, 0])
         assert np.ptp(g_nu_nu) <= 1e-15 * abs(g_nu_nu[0])
+
+
+@pytest.mark.parametrize("name", ["angular n=2", "angular n=3"])
+def test_a_base_block_peaks_no_higher_than_a_full_stack_block(name):
+    # the base bound is 4 full-stack blocks of events because the base
+    # kernel holds about a quarter of the memory per event
+    spec = WARPED_SPECS[name]
+    events = sample_events(spec, arwmass.curvature._BASE_BLOCK_EVENTS, seed=3)
+    peaks = []
+    for kernel, block in (
+        (curvature_batch, events[: arwmass.curvature._BLOCK_EVENTS]),
+        (warped_einstein, events),
+    ):
+        kernel(spec.metric, block)  # the programs are compiled outside the trace
+        tracemalloc.start()
+        try:
+            kernel(spec.metric, block)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    full, base = peaks
+    assert base <= full

@@ -289,6 +289,23 @@ def test_the_conformal_metric_differentiates_nothing_after_its_parent(monkeypatc
     assert len(calls) == 3 * (len(jet_keys(4, 2)) - 1)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_conformal_metric_reads_the_sigma_columns_of_its_parents_program(n):
+    # it compiles no program of its own, and its jets keep the bits of a
+    # metric built alone from the same sigma
+    spec = _angular_spec(n)
+    conformal = spec.conformal_metric
+    alone = SpacetimeMetric(n=n, sigma_exprs=spec.metric.sigma_exprs)
+    events = sample_events(spec, 6, seed=4).reshape(2, 3, n + 1)
+    for order in (0, 1, 2):
+        got, want = metric_jets(conformal, events, order), metric_jets(alone, events, order)
+        for name in ("g", "dg", "ddg", "psi_tilde", "sigma", "f", "psi"):
+            if getattr(want, name) is not None:
+                npt.assert_array_equal(_bits(getattr(got, name)), _bits(getattr(want, name)))
+    assert conformal._programs == {}
+    assert sorted(spec.metric._programs) == [0, 1, 2]
+
+
 def test_only_fields_and_geometry_use_expr_fields_and_time_jets():
     # the metric is the only assembler of its sources' jets; the package
     # root re-exports ExprField, which names it in an import only

@@ -661,8 +661,10 @@ def test_conformal_extrinsic_residual_evaluates_psi_once_per_block(monkeypatch):
     )
     expected = np.max(np.abs(res), axis=(-2, -1))
 
-    # one call of each metric's program, two of the graphs' programs of u,
-    # and no field jet but f's, summed into psi_tilde by the full metric
+    # two calls of the full metric's program (one per metric: the conformal
+    # metric reads its sigma columns and compiles none), two of the graphs'
+    # programs of u, and no field jet but f's, summed into psi_tilde by the
+    # full metric
     programs, fields = [], []
 
     def counting(calls, original):
@@ -677,7 +679,27 @@ def test_conformal_extrinsic_residual_evaluates_psi_once_per_block(monkeypatch):
     monkeypatch.setattr(arwmass.geometry, "time_jet", counting(fields, arwmass.geometry.time_jet))
     got = conformal_extrinsic_residual(spec, u, nodes)
     assert len(programs) == 4
-    assert programs.count(spec.metric._programs[1]) == 1
-    assert programs.count(spec.conformal_metric._programs[1]) == 1
+    assert programs.count(spec.metric._programs[1]) == 2
+    assert spec.conformal_metric._programs == {}
     assert fields == [spec.f]
     npt.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("lead", [(), (1,), (8,), (2, 12)])
+def test_the_fixed_contraction_order_is_the_optimized_one(n, lead):
+    # the Gauss and Codazzi contractions pass the order optimize=True finds,
+    # and keep its bits
+    rng = np.random.default_rng(11)
+    dim = n + 1
+    riem = rng.normal(size=lead + (dim,) * 4)
+    x = rng.normal(size=lead + (dim, n))
+    nu = rng.normal(size=lead + (dim,))
+    for subscripts, operands in (
+        ("...abcd,...ai,...bj,...ck,...dl->...ijkl", (riem, x, x, x, x)),
+        ("...abcd,...a,...bi,...cj,...dk->...ijk", (riem, nu, x, x, x)),
+    ):
+        path = arwmass.hypersurface._FIVE_OPERAND_PATH
+        assert np.einsum_path(subscripts, *operands, optimize=True)[0] == path
+        fixed = np.einsum(subscripts, *operands, optimize=path)
+        npt.assert_array_equal(fixed, np.einsum(subscripts, *operands, optimize=True))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import arwmass.curvature
 import arwmass.geometry
 import arwmass.hypersurface
 import arwmass.mass
-from arwmass.curvature import curvature_at, warped_einstein
+from arwmass.curvature import curvature_at, curvature_batch, warped_einstein
 from arwmass.expr import Num, Program, Var, fold_constants, substitute
 from arwmass.fields import ExprField
 from arwmass.geometry import (
@@ -344,9 +345,12 @@ def reference_slab_volume(spec, tau1, tau2, grid):
     ids=["rw n=3", "custom angular psi and lambda", "sads lambda<0"],
 )
 def test_slab_volume_equals_the_per_slice_loop(spec, taus):
-    grid = quadrature_grid(spec.n, 14)  # blocks of 6, 6 and 2 slices
-    volume = slab_balance(spec, *taus, grid).volume
-    assert volume == reference_slab_volume(spec, *taus, grid)
+    # tau1, tau2 and 32 Gauss nodes in blocks of 12, 12 and 10 slices
+    grid = quadrature_grid(spec.n, 32)
+    assert arwmass.curvature._BASE_BLOCK_EVENTS // 32 == 12
+    slab = slab_balance(spec, *taus, grid)
+    assert slab.volume == reference_slab_volume(spec, *taus, grid)
+    assert (slab.b1, slab.b2) == tuple(slice_mass_integral(spec, tau, grid) for tau in taus)
 
 
 def test_slice_and_slab_integrals_need_an_arw_spec():
@@ -381,17 +385,43 @@ def count_evaluations(monkeypatch):
     return programs, calls
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_a_slab_block_evaluates_each_field_jet_once(n, monkeypatch):
-    # one call of the metric's program evaluates psi and the n diagonal
-    # sigma entries of the block, f's jet is summed into psi_tilde there,
-    # and the weight and omega f' + psi' are read from the same assembly
+@pytest.mark.parametrize("n, nodes", [(2, 48), (3, 32)])
+def test_a_slab_peaks_no_higher_than_a_full_stack_block(n, nodes):
+    # each base block's fields are released before the next is assembled,
+    # so the slab's blocks of 8 and 12 slices peak like one block
     spec = make_spec(
         n, 1.0, "log(-2*tau)", a=-1.0,
         psi="0.05*cos(theta1)*tau", lam="0.03*cos(theta1)*tau",
     )
-    grid = quadrature_grid(n, 8)  # 8 slices of 8 events: one block
-    monkeypatch.setattr(arwmass.mass, "slice_mass_integral", lambda *args: 0.0)
+    grid = quadrature_grid(n, nodes)
+    events = sample_events(spec, arwmass.curvature._BLOCK_EVENTS, seed=3)
+    peaks = []
+    for run in (
+        lambda: curvature_batch(spec.metric, events),
+        lambda: slab_balance(spec, -0.6, -0.2, grid),
+    ):
+        run()  # the programs are compiled outside the trace
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    full, slab = peaks
+    assert slab <= full
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_slab_block_evaluates_each_field_jet_once(n, monkeypatch):
+    # one call of the metric's program evaluates psi and the n diagonal
+    # sigma entries of the block, f's jet is summed into psi_tilde there,
+    # and the bounding slices, the weight and omega f' + psi' are read from
+    # the same assembly
+    spec = make_spec(
+        n, 1.0, "log(-2*tau)", a=-1.0,
+        psi="0.05*cos(theta1)*tau", lam="0.03*cos(theta1)*tau",
+    )
+    grid = quadrature_grid(n, 8)  # tau1, tau2 and 8 nodes, 8 events each: one block
     programs, calls = count_evaluations(monkeypatch)
     slab_balance(spec, -0.6, -0.2, grid)
     assert programs == [spec.metric._programs[2]]
