@@ -28,7 +28,9 @@ Exit codes:
 - 2 validation failure: failed conditions, or a domain error or overflow
   while evaluating an expression;
 - 3 numerical abort: H <= 0, a non-spacelike graph, a quadrature breakdown,
-  singular linear algebra (numpy's LinAlgError, although a ValueError).
+  or numpy's LinAlgError (although a ValueError) from the eigvalsh of the
+  monotonicity probes' G^ij, which does not converge on some non-finite
+  entries.
 """
 
 from __future__ import annotations

@@ -29,16 +29,16 @@ conformal check reads psi_tilde there and evaluates it once.
 
 Each kernel has one block bound, set by the memory a block holds at its
 peak (under tracemalloc) rather than by its event count.  The full stack
-holds ~5.1 kB per event at n = 2 and ~12.4 kB at n = 3 (metric_jets plus
+holds ~4.9 kB per event at n = 2 and ~11.6 kB at n = 3 (metric_jets plus
 curvature_from_jets), so the two checks feed it blocks of at most
-_BLOCK_EVENTS = 96 events (stencil points included), ~1.2 MB at n = 3.  The
-base kernel holds ~1.1 and ~2.8 kB per event, so its callers (the slice and
-slab integrals of the mass module) take blocks of at most
-_BASE_BLOCK_EVENTS = 4 _BLOCK_EVENTS = 384 events, which peak below a
-full-stack block at either n.  Any number of events then runs in bounded
-memory, and the divergence makes one assembly per block.  The checks
-return floats for one event and arrays with the events' leading axes for a
-batch.
+_BLOCK_EVENTS = 96 events (stencil points included), ~1.1 MB at n = 3.  The
+base kernel holds ~0.8 and ~1.4 kB per event (sigma's n diagonal jets and
+no dense stack), so its callers (the slice and slab integrals of the mass
+module) take blocks of at most _BASE_BLOCK_EVENTS = 4 _BLOCK_EVENTS = 384
+events, which peak well below a full-stack block at either n.  Any number
+of events then runs in bounded memory, and the divergence makes one
+assembly per block.  The checks return floats for one event and arrays
+with the events' leading axes for a batch.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ __all__ = [
 
 # Most events one curvature assembly takes from a batch of the check functions
 _BLOCK_EVENTS = 96
-# Most events one warped_einstein call takes: a quarter of the memory per event
+# Most events one warped_einstein call takes: at most a quarter of the memory per event
 _BASE_BLOCK_EVENTS = 4 * _BLOCK_EVENTS
 
 
@@ -167,16 +167,14 @@ def warped_einstein(metric: SpacetimeMetric, events) -> tuple:
     fields = metric.field_jets(events, 2)
     psi_tilde, sigma = fields[:2]
     _require_finite(psi_tilde, sigma, events)
-    eta = np.zeros(events.shape[:-1] + (metric.dim, metric.dim))
-    eta[..., 0, 0] = -1.0
-    eta[..., 1:, 1:] = sigma[..., 0]
-    _require_nondegenerate(np.exp(2.0 * psi_tilde[..., 0])[..., None, None] * eta, events)
+    scale = np.exp(2.0 * psi_tilde[..., :1])
+    _require_nondegenerate(np.concatenate((-scale, scale * sigma[..., 0]), axis=-1), events)
 
     # a = psi_tilde and s = sigma_11 with their tau (0) and theta1 (1) partials
     keys = jet_keys(metric.dim, 2)
     at = [keys.index(key) for key in ((), (0,), (1,), (0, 0), (1, 1))]
     a, a0, a1, a00, a11 = (psi_tilde[..., k] for k in at)
-    s, s0, s1, s00, s11 = (sigma[..., 0, 0, k] for k in at)
+    s, s0, s1, s00, s11 = (sigma[..., 0, k] for k in at)
     d = metric.n - 1  # the fibre's dimension
     cot = 1.0 / np.tan(events[..., 1])
     # the partials of mu

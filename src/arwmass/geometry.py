@@ -5,16 +5,23 @@ Metrics here are conformally split:
     ds^2 = e^{2 psi_tilde} ( -dtau^2 + sigma_ij dx^i dx^j )
 
 with psi_tilde = f + psi.  A SpacetimeMetric holds its sources: the time
-profile f, and psi and the spatial components sigma_ij as expressions in
+profile f, and psi and the diagonal entries sigma_ii of sigma as expressions in
 the chart coordinates, all with exact derivatives (see fields.py).  It is
 the only assembler of their jets: one compiled program per jet order
-evaluates psi and every non-constant sigma_ij together, so their shared
+evaluates psi and every non-constant sigma_ii together, so their shared
 subtrees (sin theta1, e^{2 lambda}) run once per assembly.  The conformal
 metric compiles none: it reads the sigma columns of its parent's program.
 The cosmological family of interest has sigma_ij = e^{2 lambda}
 sigma_bar_ij with sigma_bar the round unit n-sphere and psi_tilde = f(tau)
 + psi(tau, theta1); the future singularity sits at tau = 0 with domain
 [a, 0), a < 0.
+
+Every sigma built here is diagonal (the round sphere, the flat chart), and
+so is the induced metric of every graph u(theta1).  A metric therefore
+holds sigma as its n diagonal entries sigma_ii, their jets have shape
+(..., n, width), and metrics are tested for degeneracy and inverted on
+their diagonals.  The full curvature stack still reads g, its derivatives
+and its inverse as dense (..., dim, dim) matrices.
 """
 
 from __future__ import annotations
@@ -75,13 +82,13 @@ class QuadratureError(Exception):
 class SpacetimeMetric:
     """Gaussian-form Lorentzian metric on an (n+1)-dimensional chart, held as
     its sources: psi_tilde = f + psi, with ``f`` a time profile (None for
-    none) and ``psi`` an expression in the chart coordinates, and ``sigma_exprs``
-    the n x n expressions of sigma_ij.  An assembly reads their jets from
-    :meth:`field_jets`.
+    none) and ``psi`` an expression in the chart coordinates, and
+    ``sigma_diagonal`` the n expressions of sigma_ii (sigma_ij = 0 for i !=
+    j).  An assembly reads their jets from :meth:`field_jets`.
     """
 
     n: int
-    sigma_exprs: tuple  # n x n tuple-of-tuples of Expression
+    sigma_diagonal: tuple  # n Expressions, sigma_11 first
     psi: Expression = Num(0.0)
     f: TimeFunction | None = None
     # the metric whose sigma a conformal metric shares: its fields, and so
@@ -100,26 +107,21 @@ class SpacetimeMetric:
         """-dtau^2 + sigma on the same chart: the conformal factor stripped.
         It shares this metric's sigma fields, and so their derivative trees,
         and evaluates this metric's programs for their sigma columns."""
-        return SpacetimeMetric(n=self.n, sigma_exprs=self.sigma_exprs, parent=self)
+        return SpacetimeMetric(n=self.n, sigma_diagonal=self.sigma_diagonal, parent=self)
 
     @cached_property
     def _layout(self) -> tuple:
-        """(sources, fields, index): slot 0 holds psi and slot 1 + k the
-        k-th sigma_ij with i <= j, whose slot is index[i, j] = index[j, i].
+        """(sources, fields): slot 0 holds psi and slot 1 + i sigma_ii.
         ``fields`` maps each evaluated slot, one whose source is not a
         literal, to the ExprField memoizing its derivative trees."""
-        upper = [(i, j) for i in range(self.n) for j in range(i, self.n)]
-        sources = [self.psi] + [self.sigma_exprs[i][j] for i, j in upper]
+        sources = (self.psi,) + tuple(self.sigma_diagonal)
         shared = self.parent._layout[1] if self.parent else {}
         fields = {
             k: shared.get(k) or ExprField(expr, self.dim)
             for k, expr in enumerate(sources)
             if not isinstance(expr, Num)
         }
-        index = np.empty((self.n, self.n), dtype=int)
-        for k, (i, j) in enumerate(upper):
-            index[i, j] = index[j, i] = 1 + k
-        return sources, fields, index
+        return sources, fields
 
     def _program(self, order: int):
         """The expr.Program of the jets to ``order`` of the evaluated slots."""
@@ -132,11 +134,11 @@ class SpacetimeMetric:
         return program
 
     def field_jets(self, events: np.ndarray, order: int) -> tuple:
-        """(psi_tilde, sigma, f, psi): the jets of psi_tilde, of sigma_ij as
-        sigma[..., i, j, :], and of the f and psi summed into psi_tilde, at
+        """(psi_tilde, sigma, f, psi): the jets of psi_tilde, of sigma_ii as
+        sigma[..., i, :], and of the f and psi summed into psi_tilde, at
         events of shape (..., dim), in the fields.jet_keys layout of ``order``.
 
-        One program call evaluates psi and every non-constant sigma_ij (a
+        One program call evaluates psi and every non-constant sigma_ii (a
         conformal metric calls its parent's and reads the sigma slots); a
         literal source is filled in, and f is zero without a time profile.
         Each jet keeps the bits of its source's own jet: ExprField.jet, or
@@ -145,7 +147,7 @@ class SpacetimeMetric:
         width = len(jet_keys(self.dim, order))
         batch = events.shape[:-1]
         f = np.zeros(batch + (width,)) if self.f is None else time_jet(self.f, events, order)
-        sources, fields, index = self._layout
+        sources, fields = self._layout
         jets = np.zeros(batch + (len(sources), width))
         for k, expr in enumerate(sources):
             if isinstance(expr, Num):
@@ -157,9 +159,9 @@ class SpacetimeMetric:
             if slots != list(fields):
                 values = values[..., [slots.index(k) for k in fields], :]
             jets[..., list(fields), :] = values
-        psi = jets[..., 0, :].copy()  # a view would keep every source's jet alive
+        psi = jets[..., 0, :]
         psi_tilde = psi if self.f is None else f + psi
-        return psi_tilde, jets[..., index, :], f, psi
+        return psi_tilde, jets[..., 1:, :], f, psi
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,7 @@ class MetricJets:
     axes.
 
     ``dg`` and ``ddg`` are None beyond the assembly's order.  ``psi_tilde``
-    is the jet of psi_tilde, ``sigma[..., i, j, :]`` the jet of sigma_ij and
+    is the jet of psi_tilde, ``sigma[..., i, :]`` the jet of sigma_ii and
     ``f`` and ``psi`` the jets summed into psi_tilde, all in the
     fields.jet_keys layout of that order.
     """
@@ -204,30 +206,36 @@ def metric_jets(metric: SpacetimeMetric, event, order: int = 2) -> MetricJets:
     psi, sigma, f_jet, psi_jet = metric.field_jets(events, order)
     _require_finite(psi, sigma, events)
     p0, p1, p2 = split_jet(psi, dim)
-    s0, s1, s2 = split_jet(sigma, dim)
-
-    # eta = -dtau^2 + sigma and its derivatives
-    eta = np.zeros(batch + (dim, dim))
-    eta[..., 0, 0] = -1.0
-    eta[..., 1:, 1:] = s0
-    scale = np.exp(2.0 * p0)[..., None, None]
-    g = scale * eta
+    # the jets of the diagonal eta_aa of eta = -dtau^2 + sigma: -1, then
+    # sigma_ii.  g, dg and ddg are diagonal in their last two axes
+    time = np.zeros(batch + (1, psi.shape[-1]))
+    time[..., 0] = -1.0
+    eta, deta, ddeta = split_jet(np.concatenate((time, sigma), axis=-2), dim)
+    scale = np.exp(2.0 * p0)[..., None]
+    g = _diagonal_matrix(scale * eta)
     dg = ddg = None
     if order >= 1:
-        deta = np.zeros(batch + (dim, dim, dim))
-        deta[..., 1:, 1:] = s1.swapaxes(-1, -2).swapaxes(-2, -3)  # [i, j, c] -> [c, i, j]
-        dg = scale[..., None] * (2.0 * p1[..., :, None, None] * eta[..., None, :, :] + deta)
+        # [a, c] = d_c g_aa, laid out as dg[c, a, a]
+        diagonal = scale[..., None] * (2.0 * p1[..., None, :] * eta[..., :, None] + deta)
+        dg = _diagonal_matrix(diagonal.swapaxes(-1, -2))
     if order >= 2:
-        ddeta = np.zeros(batch + (dim, dim, dim, dim))
-        ddeta[..., 1:, 1:] = s2.swapaxes(-4, -2).swapaxes(-3, -1)  # [i, j, c, d] -> [c, d, i, j]
-        # summed in place, left to right, to hold few (dim^4)-sized arrays
+        # [a, c, d] = d_c d_d g_aa, laid out as ddg[c, d, a, a]
         pp = 4.0 * p1[..., :, None] * p1[..., None, :] + 2.0 * p2
-        ddg = pp[..., None, None] * eta[..., None, None, :, :]
-        ddg += 2.0 * p1[..., :, None, None, None] * deta[..., None, :, :, :]
-        ddg += 2.0 * p1[..., None, :, None, None] * deta[..., :, None, :, :]
-        ddg += ddeta
-        ddg *= scale[..., None, None]
+        diagonal = pp[..., None, :, :] * eta[..., :, None, None]
+        diagonal += 2.0 * p1[..., None, :, None] * deta[..., :, None, :]
+        diagonal += 2.0 * p1[..., None, None, :] * deta[..., :, :, None]
+        diagonal += ddeta
+        diagonal *= scale[..., None, None]
+        ddg = _diagonal_matrix(diagonal.swapaxes(-3, -2).swapaxes(-2, -1))
     return MetricJets(g=g, dg=dg, ddg=ddg, psi_tilde=psi, sigma=sigma, f=f_jet, psi=psi_jet)
+
+
+def _diagonal_matrix(diagonal: np.ndarray) -> np.ndarray:
+    """The matrices (..., m, m) whose diagonals are ``diagonal`` (..., m)."""
+    m = diagonal.shape[-1]
+    matrix = np.zeros(diagonal.shape[:-1] + (m * m,))
+    matrix[..., :: m + 1] = diagonal  # every (m + 1)-th entry of the flat matrix
+    return matrix.reshape(diagonal.shape + (m,))
 
 
 def _raise_at_first(bad, event, message: str) -> None:
@@ -243,36 +251,37 @@ def _require_finite(psi: np.ndarray, sigma: np.ndarray, events: np.ndarray) -> N
     if np.isfinite(psi).all() and np.isfinite(sigma).all():
         return
     n = sigma.shape[-2]
-    jets = [("psi_tilde", psi)] + [
-        (f"sigma_{i + 1}{j + 1}", sigma[..., i, j, :]) for i in range(n) for j in range(i, n)
-    ]
+    jets = [("psi_tilde", psi)] + [(f"sigma_{i + 1}{i + 1}", sigma[..., i, :]) for i in range(n)]
     for name, jet in jets:
         _raise_at_first(~np.isfinite(jet).all(axis=-1), events, f"{name} is not finite")
 
 
-def _require_nondegenerate(g: np.ndarray, event) -> None:
-    """Raise GeometryError naming the first event of ``event`` whose matrix
-    g, shape (..., m, m), is degenerate."""
-    # the determinant of g over its largest entry: scale-free, so no power
-    # of that entry underflows or overflows
-    size = np.max(np.abs(g), axis=(-2, -1))
+def _require_nondegenerate(diagonal: np.ndarray, event) -> None:
+    """Raise GeometryError naming the first event of ``event`` whose
+    diagonal matrix, given as its diagonal (..., m), is degenerate."""
+    # the determinant over the largest entry: scale-free, so no power of
+    # that entry underflows or overflows; a NaN fails the bound too
+    size = np.max(np.abs(diagonal), axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        det = np.linalg.det(g / size[..., None, None])
-    bad = ~np.isfinite(det) | (size == 0.0) | (np.abs(det) < 1e-14)
-    _raise_at_first(bad, event, "degenerate metric")
+        det = np.prod(diagonal / size, axis=-1)
+    _raise_at_first(~(np.abs(det) >= 1e-14), event, "degenerate metric")
 
 
 def _invert_metric(g: np.ndarray, event) -> np.ndarray:
     """Inverse of g, shape (..., m, m), one matrix per event of ``event``,
-    after :func:`_require_nondegenerate`."""
-    _require_nondegenerate(g, event)
-    return np.linalg.inv(g)
+    after :func:`_require_nondegenerate`.
+
+    g must be diagonal: its off-diagonal entries are exact zeros, as they
+    are in every metric and every induced metric of a graph assembled here,
+    and the inverse is diag(1 / g_aa), the entries LAPACK's inverse gives."""
+    diagonal = np.diagonal(g, axis1=-2, axis2=-1)
+    _require_nondegenerate(diagonal, event)
+    return _diagonal_matrix(1.0 / diagonal)
 
 
 def flat_chart_metric(n: int) -> SpacetimeMetric:
     """-dtau^2 + delta_ij dx^i dx^j on the coordinate box (a flat ambient)."""
-    sigma = tuple(tuple(Num(1.0 if i == j else 0.0) for j in range(n)) for i in range(n))
-    return SpacetimeMetric(n=n, sigma_exprs=sigma)
+    return SpacetimeMetric(n=n, sigma_diagonal=(Num(1.0),) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -328,27 +337,28 @@ class ARWSpec:
         return 0.5 * (self.n + self.omega - 2.0)
 
     @cached_property
-    def _sigma_exprs(self) -> tuple:
-        """sigma_ij = sigma_scale e^{2 lambda} sigma_bar_ij, a literal factor
+    def _sigma_diagonal(self) -> tuple:
+        """sigma_ii = sigma_scale e^{2 lambda} sigma_bar_ii, a literal factor
         1 left out (exactly: 1 x = x, and its derivatives are x's)."""
         conformal = fold_constants(Call("exp", Num(2.0) * self.lam))
         if self.sigma_scale != 1.0:
             conformal = fold_constants(Num(self.sigma_scale) * conformal)
-        rows = []
-        for i, source in enumerate(_sphere_diag_sources(self.n)):
+        diagonal = []
+        for source in _sphere_diag_sources(self.n):
             sphere = parse(source)
             if conformal == Num(1.0):
-                diagonal = sphere
+                diagonal.append(sphere)
             elif sphere == Num(1.0):
-                diagonal = conformal
+                diagonal.append(conformal)
             else:
-                diagonal = conformal * sphere
-            rows.append(tuple(diagonal if j == i else Num(0.0) for j in range(self.n)))
-        return tuple(rows)
+                diagonal.append(conformal * sphere)
+        return tuple(diagonal)
 
     @cached_property
     def metric(self) -> SpacetimeMetric:
-        return SpacetimeMetric(n=self.n, sigma_exprs=self._sigma_exprs, psi=self.psi, f=self.f)
+        return SpacetimeMetric(
+            n=self.n, sigma_diagonal=self._sigma_diagonal, psi=self.psi, f=self.f
+        )
 
     @property
     def conformal_metric(self) -> SpacetimeMetric:
@@ -570,7 +580,7 @@ def arw_validate(spec: ARWSpec, sample_times=None) -> ArwValidation:
         more than 10x per decade),
       * boundedness of f'' + gamma_tilde |f'|^2,
       * the derivative ratios |f^{(m)}| / |f'|^m for m = 2, 3,
-      * finite psi_tilde and sigma_ij (one metric_jets assembly, angles pi/2).
+      * finite psi_tilde and sigma_ii (one metric_jets assembly, angles pi/2).
     """
     if sample_times is None:
         sample_times = geometric_schedule(spec.a, 12)

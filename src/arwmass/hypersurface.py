@@ -56,7 +56,9 @@ from .geometry import (
     GeometryError,
     MetricJets,
     SpacetimeMetric,
+    _diagonal_matrix,
     _invert_metric,
+    _require_nondegenerate,
     metric_jets,
 )
 
@@ -134,7 +136,7 @@ class ExtrinsicData:
     past_normal: np.ndarray  # nu^alpha
     tangents: np.ndarray  # x^alpha_i, shape (..., n+1, n)
     psi_tilde: float | np.ndarray
-    sigma: np.ndarray  # sigma_ij at the event, from the assembly's field jets
+    sigma: np.ndarray  # the sigma_ii (..., n) at the event, from the assembly's field jets
     f: float | np.ndarray  # the f and psi summed into psi_tilde, from the same jets
     psi: float | np.ndarray
     h: np.ndarray | None = None
@@ -229,10 +231,11 @@ def _frame(amb: _Ambient) -> ExtrinsicData:
     n = amb.node.shape[-1]
     p = amb.jets.psi_tilde[..., 0]
     sigma = amb.jets.sigma[..., 0]
-    sigma_inv = _invert_metric(sigma, amb.event)
+    _require_nondegenerate(sigma, amb.event)
+    sigma_inv = 1.0 / sigma
 
     du, _ = amb.slopes
-    du_sq = np.einsum("...i,...ij,...j->...", du, sigma_inv, du)
+    du_sq = np.sum(du * sigma_inv * du, axis=-1)
     steep = du_sq >= 1.0
     if np.any(steep):
         first = int(np.argmax(np.ravel(steep)))
@@ -245,7 +248,7 @@ def _frame(amb: _Ambient) -> ExtrinsicData:
 
     nu = np.empty(amb.event.shape)
     nu[..., 0] = 1.0
-    nu[..., 1:] = np.einsum("...ij,...j->...i", sigma_inv, du)
+    nu[..., 1:] = sigma_inv * du
     nu *= (-1.0 / (v * np.exp(p)))[..., None]
     tangents = np.zeros(amb.event.shape + (n,))
     tangents[..., 0, :] = du
@@ -418,24 +421,24 @@ def coordinate_slice_curvature(metric: SpacetimeMetric, tau: float):
     def field(node) -> np.ndarray:
         nodes = np.asarray(node, dtype=float)
         events = np.concatenate((np.full(nodes.shape[:-1] + (1,), tau), nodes), axis=-1)
-        return _slice_second_fundamental(metric, events)[0]
+        return _diagonal_matrix(_slice_second_fundamental(metric, events)[0])
 
     return field
 
 
 def _slice_second_fundamental(metric: SpacetimeMetric, events) -> tuple:
-    """(hbar_ij, sigma_ij, psi_tilde) at events of shape (..., n+1), each on
-    the slice through its own tau: the hbar of
+    """(hbar_ii, sigma_ii, psi_tilde) at events of shape (..., n+1), each on
+    the slice through its own tau: the diagonal (..., n) of the hbar of
     :func:`coordinate_slice_curvature` and the fields it is built from.  The
-    slice's induced metric is e^{2 psi_tilde} sigma_ij."""
+    slice's induced metric is e^{2 psi_tilde} sigma, diagonal too."""
     return _slice_fields(*metric.field_jets(events, 1)[:2])
 
 
 def _slice_fields(psi_tilde: np.ndarray, sigma: np.ndarray) -> tuple:
     """:func:`_slice_second_fundamental` from jets of order 1 or 2 of
-    psi_tilde and of sigma_ij (sigma[..., i, j, :]), as metric_jets returns
+    psi_tilde and of sigma_ii (sigma[..., i, :]), as metric_jets returns
     them."""
-    p, pdot = psi_tilde[..., 0, None, None], psi_tilde[..., 1, None, None]
+    p, pdot = psi_tilde[..., 0, None], psi_tilde[..., 1, None]
     sig, sigdot = sigma[..., 0], sigma[..., 1]
     return np.exp(p) * (-0.5 * sigdot - pdot * sig), sig, psi_tilde[..., 0]
 

@@ -147,13 +147,14 @@ def _check_symmetric(spec: ARWSpec) -> None:
 
 def _slice_mean_curvature(metric: SpacetimeMetric, u):
     """(H, psi_tilde) of the slice {tau = u}, from one evaluation of the
-    slice fields; H is traced with the induced metric e^{2 psi_tilde} sigma.
+    slice fields; H = sum_i hbar_ii (1 / g_ii) is traced with the diagonal
+    induced metric g = e^{2 psi_tilde} sigma, the arithmetic of a LAPACK solve.
     Floats for a float u, arrays of u's shape for an array."""
     u = np.asarray(u, dtype=float)
     events = _slice_events(metric.n, u, _FILL_ANGLE)
     hbar, sigma, p = _slice_second_fundamental(metric, events)
-    g = np.exp(2.0 * p)[..., None, None] * sigma
-    h_mean = np.trace(np.linalg.solve(g, hbar), axis1=-2, axis2=-1)
+    g = np.exp(2.0 * p)[..., None] * sigma
+    h_mean = np.sum(hbar * (1.0 / g), axis=-1)
     if u.ndim == 0:
         return float(h_mean), float(p)
     return h_mean, p

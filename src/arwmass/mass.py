@@ -265,7 +265,7 @@ def _slice_block(w: _Weights, grid: QuadratureGrid, events: np.ndarray, slab: bo
     psi_tilde, sigma, f, psi = (x.reshape(events.shape[:-1] + x.shape[1:]) for x in fields)
     g_tt, g_thth, g_fibre = (x.reshape(events.shape[:-1]) for x in einstein)
     p = psi_tilde[..., 0]
-    sig11 = sigma[..., 0, 0, 0]
+    sig11 = sigma[..., 0, 0]
     log_weight = w.log_weight(f[..., 0], psi[..., 0])
     e = np.exp(-2.0 * p)
     mass = _weighted_integral(w, grid, g_tt * e, log_weight, p, sig11)
@@ -273,7 +273,7 @@ def _slice_block(w: _Weights, grid: QuadratureGrid, events: np.ndarray, slab: bo
         return mass, ()
     hbar = _slice_fields(psi_tilde, sigma)[0]
     drift = w.log_weight(f[..., 1], psi[..., 1])  # omega f' + psi'
-    spatial = ((e / sig11) ** 2 * g_thth + (n - 1) * g_fibre * e / sig11) * hbar[..., 0, 0]
+    spatial = ((e / sig11) ** 2 * g_thth + (n - 1) * g_fibre * e / sig11) * hbar[..., 0]
     time_part = e * e * g_tt * drift * np.exp(p)
     flux = _weighted_integral(w, grid, spatial + time_part, log_weight, p, sig11, power=n + 1)
     return mass, flux
@@ -322,7 +322,7 @@ def _graph_integral(w: _Weights, metric, u_jets: list, grid: QuadratureGrid, fac
             raise
         # copies with the leaf and node axes (L, N), so that the assembly goes
         shape = (len(block), len(theta))
-        fields = values, w.log_weight(ext.f, ext.psi), ext.psi_tilde, ext.sigma[:, 0, 0], ext.tilt
+        fields = values, w.log_weight(ext.f, ext.psi), ext.psi_tilde, ext.sigma[:, 0], ext.tilt
         del ext
         values, lw, p, sig11, tilt = (np.array(x).reshape(x.shape[:-1] + shape) for x in fields)
         del fields
@@ -463,9 +463,9 @@ def monotonicity_scan(
     monotonicity, never necessary, and the report states the observed
     direction of I independently of them.  They are read at every sample
     time and every fourth theta1 node: one ``curvature_at`` per probe event,
-    then hbar for all of them in one call and one ``eigvalsh`` per stack of
-    matrices.  Against a per-node loop the G terms keep their bits and hbar
-    moves by up to 1 ulp.
+    then hbar for all of them in one call, one ``eigvalsh`` of the stack of
+    G^{ij} and the least entry of hbar, which is diagonal.  Against a
+    per-node loop the G terms keep their bits and hbar moves by up to 1 ulp.
     """
     grid = grid or quadrature_grid(spec.n)
     if schedule is None:
@@ -488,7 +488,7 @@ def monotonicity_scan(
     hbar = _slice_second_fundamental(metric, events)[0]
     min_g00 = float(np.min(g_up[..., 0, 0]))
     min_gij = float(np.min(np.linalg.eigvalsh(g_up[..., 1:, 1:])[..., 0]))
-    min_hbar = float(np.min(np.linalg.eigvalsh(hbar)[..., 0]))
+    min_hbar = float(np.min(hbar))
 
     psi_zero = fold_constants(spec.psi) == Num(0.0)
     probes = (

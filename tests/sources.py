@@ -10,15 +10,15 @@ from arwmass.fields import ExprField, jet_keys
 
 @cache
 def source_fields(metric):
-    """An ExprField each of psi and every sigma_ij, row by row."""
-    sources = [metric.psi] + [expr for row in metric.sigma_exprs for expr in row]
+    """An ExprField each of psi and every sigma_ii, in order."""
+    sources = [metric.psi, *metric.sigma_diagonal]
     return [ExprField(expr, metric.dim) for expr in sources]
 
 
 def source_jets(metric, events, order):
-    """The jets psi_tilde = f + psi, f, psi and sigma[..., i, j, :] of a
+    """The jets psi_tilde = f + psi, f, psi and sigma[..., i, :] of a
     metric's sources at events (..., dim), in the fields.jet_keys layout:
-    psi and each sigma_ij from its own ExprField, f from
+    psi and each sigma_ii from its own ExprField, f from
     TimeFunction.derivative event by event."""
     events = np.asarray(events, dtype=float)
     psi, *sigma = [field.jet(events, order) for field in source_fields(metric)]
@@ -27,6 +27,6 @@ def source_jets(metric, events, order):
         for k, key in enumerate(jet_keys(metric.dim, order)):
             if not any(key):  # tau derivatives only: f is constant in the angles
                 f[at + (k,)] = metric.f.derivative(events[at + (0,)], len(key))
-    sigma = np.stack(sigma, axis=-2).reshape(psi.shape[:-1] + (metric.n, metric.n, -1))
+    sigma = np.stack(sigma, axis=-2)
     psi_tilde = psi if metric.f is None else f + psi
     return SimpleNamespace(psi_tilde=psi_tilde, f=f, psi=psi, sigma=sigma)

@@ -10,6 +10,7 @@ import pytest
 
 import arwmass.fields
 import arwmass.geometry
+import arwmass.hypersurface
 from arwmass.expr import Num, Program, parse
 from arwmass.fields import ExprField, jet_keys
 from arwmass.geometry import (
@@ -31,6 +32,7 @@ from arwmass.geometry import (
     sample_events,
     sphere_volume,
 )
+from arwmass.hypersurface import GraphHypersurface
 from arwmass.mass import slice_mass_integral
 from arwmass.sads import SAdSParams, as_arw_spec
 from sources import source_jets
@@ -228,16 +230,50 @@ def _angular_spec(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_off_diagonal_sigma_entries_are_constant_zeros(n):
+    # sigma is held as its n diagonal entries, so its off-diagonal entries
+    # are zeros by construction; a dense n x n argument is refused
     spec = _angular_spec(n)
     events = sample_events(spec, 5, seed=3)
-    off_diagonal = ~np.eye(n, dtype=bool)
-    literal = [[isinstance(expr, Num) for expr in row] for row in spec.metric.sigma_exprs]
-    assert literal == off_diagonal.tolist()
+    assert len(spec.metric.sigma_diagonal) == n
+    assert not any(isinstance(expr, Num) for expr in spec.metric.sigma_diagonal)
     for order in (0, 1, 2):
         for at in (events[0], events):
             sigma = metric_jets(spec.metric, at, order).sigma
-            assert sigma.shape == at.shape[:-1] + (n, n, len(jet_keys(n + 1, order)))
-            assert not np.any(sigma[..., off_diagonal, :])
+            assert sigma.shape == at.shape[:-1] + (n, len(jet_keys(n + 1, order)))
+    rows = tuple(tuple(Num(float(i == j)) for j in range(n)) for i in range(n))
+    with pytest.raises(TypeError, match="sigma_exprs"):
+        SpacetimeMetric(n=n, sigma_exprs=rows)
+
+
+def _off_diagonal(matrices):
+    """The off-diagonal entries of the last two axes."""
+    return matrices[..., ~np.eye(matrices.shape[-1], dtype=bool)]
+
+
+def _assert_inverts_as_lapack(g, events):
+    """g (..., m, m) is diagonal, and _invert_metric's diagonal has the bits
+    of np.linalg.inv's: the precondition of its 1 / g_aa and its result."""
+    assert not np.any(_off_diagonal(g))
+    got = np.diagonal(_invert_metric(g, events), axis1=-2, axis2=-1)
+    want = np.diagonal(np.linalg.inv(g), axis1=-2, axis2=-1)
+    npt.assert_array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_assembled_metric_is_diagonal_and_inverts_as_lapack(n):
+    spec = _angular_spec(n)
+    events = sample_events(spec, 8, seed=6).reshape(2, 4, n + 1)
+    for metric in (spec.metric, spec.conformal_metric, flat_chart_metric(n)):
+        for order in (0, 1, 2):
+            jets = metric_jets(metric, events, order)
+            for tensor in (jets.g, jets.dg, jets.ddg)[: order + 1]:
+                assert not np.any(_off_diagonal(tensor))
+            _assert_inverts_as_lapack(jets.g, events)
+    # and the induced metric of a tilted graph, at every assembly order
+    surface = GraphHypersurface(u="-0.5 + 0.05*cos(theta1)", ambient=spec.metric)
+    for order in (0, 1, 2):
+        amb = arwmass.hypersurface._ambient(surface, events[..., 1:], order)
+        _assert_inverts_as_lapack(amb.induced[0], amb.event)
 
 
 def _bits(array):
@@ -263,8 +299,9 @@ def _assert_jets_carry_their_fields(spec, order):
         reference = source_jets(metric, at, order)
         for name in ("psi_tilde", "f", "psi", "sigma"):
             npt.assert_array_equal(_bits(getattr(jets, name)), _bits(getattr(reference, name)))
-        scale = np.exp(2.0 * jets.psi_tilde[..., 0])[..., None, None]
-        npt.assert_array_equal(jets.g[..., 1:, 1:], scale * jets.sigma[..., 0])
+        scale = np.exp(2.0 * jets.psi_tilde[..., :1])
+        diagonal = np.diagonal(jets.g, axis1=-2, axis2=-1)
+        npt.assert_array_equal(diagonal[..., 1:], scale * jets.sigma[..., 0])
         assert (jets.dg is None) == (order < 1)
         assert (jets.ddg is None) == (order < 2)
 
@@ -280,12 +317,12 @@ def test_the_conformal_metric_differentiates_nothing_after_its_parent(monkeypatc
         arwmass.fields, "differentiate", lambda *args: calls.append(args) or differentiate(*args)
     )
     conformal = spec.conformal_metric
-    assert conformal.sigma_exprs is spec.metric.sigma_exprs
+    assert conformal.sigma_diagonal is spec.metric.sigma_diagonal
     assert conformal.f is None and conformal.psi == Num(0.0)
     metric_jets(conformal, events, 2)
     assert calls == []
     # a metric built alone differentiates its 3 diagonal entries itself
-    metric_jets(SpacetimeMetric(n=3, sigma_exprs=spec.metric.sigma_exprs), events, 2)
+    metric_jets(SpacetimeMetric(n=3, sigma_diagonal=spec.metric.sigma_diagonal), events, 2)
     assert len(calls) == 3 * (len(jet_keys(4, 2)) - 1)
 
 
@@ -295,7 +332,7 @@ def test_the_conformal_metric_reads_the_sigma_columns_of_its_parents_program(n):
     # metric built alone from the same sigma
     spec = _angular_spec(n)
     conformal = spec.conformal_metric
-    alone = SpacetimeMetric(n=n, sigma_exprs=spec.metric.sigma_exprs)
+    alone = SpacetimeMetric(n=n, sigma_diagonal=spec.metric.sigma_diagonal)
     events = sample_events(spec, 6, seed=4).reshape(2, 3, n + 1)
     for order in (0, 1, 2):
         got, want = metric_jets(conformal, events, order), metric_jets(alone, events, order)

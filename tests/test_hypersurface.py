@@ -337,6 +337,25 @@ def test_batch_with_an_overflowing_theta1_raises_the_pointwise_error(ambient):
     assert str(batched.value) == str(pointwise.value)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_graph_over_a_degenerate_sigma_raises_at_that_node(n):
+    # lambda scales every sigma_ii alike, so sigma ~ e^{172} at theta1 = 2.5
+    # and ~ e^{-231} at 1.0 is regular; sigma_22 = 0 at the pole theta1 = 0.
+    # The frame tests sigma before the slope, so the node at 1.0, where the
+    # graph is not spacelike, never raises first
+    spec = make_spec(n, 1.0, "log(-2*tau)", a=-1.0, lam="-300*cos(theta1)")
+    surface = GraphHypersurface(u="-0.5 + 0.01*cos(theta1)", ambient=spec.metric)
+    nodes = np.array([[2.5] + [1.0] * (n - 1), [0.0] + [1.0] * (n - 1), [1.0] * n])
+    graph_geometry(surface, nodes[0])
+    with pytest.raises(HypersurfaceError, match="not spacelike"):
+        graph_geometry(surface, nodes[2])
+    for batch in (nodes, nodes[::-1]):
+        with pytest.raises(GeometryError) as error:
+            graph_geometry(surface, batch)
+        assert type(error.value) is GeometryError
+        assert str(error.value) == f"degenerate metric at event {[-0.49, 0.0] + [1.0] * (n - 1)}"
+
+
 def test_codazzi_stencil_matches_the_pointwise_stencil(tilted_surface):
     # the parent's loop over the 4n shifted nodes, one second_fundamental each
     node, step = NODES[1], 0.01

@@ -181,7 +181,7 @@ def reference_mass_along_flow(spec, leaves, grid):
                 scalar - (ext.norm_a_sq - ext.mean_curvature**2 / n),
                 (n - 1) / (2.0 * n) * ext.mean_curvature**2,
             ])
-            sig11 = source_jets(w.metric, ext.event, 0).sigma[0, 0, 0]
+            sig11 = source_jets(w.metric, ext.event, 0).sigma[0, 0]
             totals += values * (
                 math.exp(log_weight(spec, ext.event))
                 * math.exp(n * ext.psi_tilde)

@@ -88,7 +88,7 @@ def reference_slice_integral(spec, tau, grid):
         sources = source_jets(metric, event, 0)
         p = sources.psi_tilde[0]
         g_nu_nu = bundle.einstein[0, 0] * math.exp(-2.0 * p)
-        sig11 = sources.sigma[0, 0, 0]
+        sig11 = sources.sigma[0, 0]
         log_weight = spec.omega * spec.f.value(event[0]) + psi.partial(event, ())
         return g_nu_nu * math.exp(log_weight) * math.exp(n * p) * sig11 ** (n / 2.0)
 
@@ -117,7 +117,7 @@ def reference_slab_volume(spec, tau1, tau2, grid):
             spatial = float(np.einsum("ij,ij->", g_up[1:, 1:], hbar(event[1:])))
             time_part = g_up[0, 0] * (spec.omega * fp + psi.partial(event, (0,))) * math.exp(p)
             log_weight = spec.omega * spec.f.value(event[0]) + psi.partial(event, ())
-            sig11 = sources.sigma[0, 0, 0]
+            sig11 = sources.sigma[0, 0]
             return (
                 (spatial + time_part)
                 * math.exp(log_weight)

@@ -135,7 +135,7 @@ def reference_graph_mass_integral(spec, surface, grid):
         node[0] = theta1
         ext = graph_geometry(surface, node)
         w.check_time(ext.event[0])
-        sig11 = source_jets(metric, ext.event, 0).sigma[0, 0, 0]
+        sig11 = source_jets(metric, ext.event, 0).sigma[0, 0]
         nu = ext.past_normal
         return (
             float(nu @ curvature_at(metric, ext.event).einstein @ nu)
@@ -317,7 +317,7 @@ def reference_slab_volume(spec, tau1, tau2, grid):
         sources = source_jets(metric, events, 0)
         p = sources.psi_tilde[:, 0]
         psi = source_jets(metric, events, 1).psi
-        sig11 = sources.sigma[:, 0, 0, 0]
+        sig11 = sources.sigma[:, 0, 0]
         # g is diagonal: G^{ij} hbar_ij is the theta1 entry and n - 1 fibre terms
         e = np.exp(-2.0 * p)
         spatial = ((e / sig11) ** 2 * g_thth + (n - 1) * g_fibre * e / sig11) * hbar[:, 0, 0]
@@ -493,7 +493,7 @@ def reference_tcc(spec, events, directions_per_event=32, seed=0, tol=1e-9):
         frame = np.zeros((n + 1, n + 1))
         frame[0, 0] = math.exp(-p)
         for i in range(n):
-            sig = sources.sigma[i, i, 0]
+            sig = sources.sigma[i, 0]
             frame[i + 1, i + 1] = math.exp(-p) / math.sqrt(sig)
         chis = np.concatenate(([0.0], rng.uniform(0.0, 2.5, directions_per_event - 1)))
         for chi in chis:
@@ -835,7 +835,7 @@ def test_leaf_integral_takes_rows_of_node_values(rw1):
     events = np.stack([_slice_events(3, tau, grid.axis_nodes[0]) for tau in (-0.4, -0.2)])
     sources = source_jets(w.metric, events, 0)
     p = sources.psi_tilde[..., 0]
-    s = sources.sigma[..., 0, 0, 0]
+    s = sources.sigma[..., 0, 0]
     jets = metric_jets(w.metric, events, 0)
     lw = w.log_weight(jets.f[..., 0], jets.psi[..., 0])
     values = np.cos(events[..., 1]) + events[..., 0]
