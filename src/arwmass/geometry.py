@@ -202,13 +202,12 @@ def metric_jets(metric: SpacetimeMetric, event, order: int = 2) -> MetricJets:
         raise GeometryError(
             f"events of an n = {n} metric have dim = {dim} coordinates, got shape {events.shape}"
         )
-    batch = events.shape[:-1]
     psi, sigma, f_jet, psi_jet = metric.field_jets(events, order)
     _require_finite(psi, sigma, events)
     p0, p1, p2 = split_jet(psi, dim)
     # the jets of the diagonal eta_aa of eta = -dtau^2 + sigma: -1, then
     # sigma_ii.  g, dg and ddg are diagonal in their last two axes
-    time = np.zeros(batch + (1, psi.shape[-1]))
+    time = np.zeros_like(psi[..., None, :])
     time[..., 0] = -1.0
     eta, deta, ddeta = split_jet(np.concatenate((time, sigma), axis=-2), dim)
     scale = np.exp(2.0 * p0)[..., None]
