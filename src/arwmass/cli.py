@@ -29,8 +29,8 @@ Exit codes:
   while evaluating an expression;
 - 3 numerical abort: H <= 0, a non-spacelike graph, a quadrature breakdown,
   or numpy's LinAlgError (although a ValueError) from the eigvalsh of the
-  monotonicity probes' G^ij, which does not converge on some non-finite
-  entries.
+  monotonicity probes' G^ij, which sees finite entries only (a probe event
+  with a non-finite G^ij fails the spatial-stress probe).
 """
 
 from __future__ import annotations

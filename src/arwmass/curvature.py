@@ -7,13 +7,13 @@ hypersurface module's tests).
 
 Two kernels compute the Einstein tensor.  The full stack serves
 curvature_at and curvature_batch (the TCC and the monotonicity probes),
-graphs, IMCF leaves and the conformal, divergence and Gauss-Codazzi checks,
-its own checks.  warped_einstein serves only the slice and slab integrands
-of an ARWSpec, a warped product B x_w S^{n-1} over the base B = (tau,
-theta1), whose Einstein tensor follows from the base (O'Neill,
-Semi-Riemannian Geometry, 1983, ch. 7, Cor. 43): from the same order-2
-field jets, with no (dim)^4 ddg and no stack on it, and exact to the
-poles, where the full stack drifts by up to ~6e-11.
+graphs and the conformal, divergence and Gauss-Codazzi checks, its own
+checks.  warped_einstein serves only the slice and slab integrands of an
+ARWSpec (IMCF leaves are slices too), a warped product B x_w S^{n-1} over
+the base B = (tau, theta1), whose Einstein tensor follows from the base
+(O'Neill, Semi-Riemannian Geometry, 1983, ch. 7, Cor. 43): from the same
+order-2 field jets, with no (dim)^4 ddg and no stack on it, and exact to
+the poles, where the full stack drifts by up to ~6e-11.
 
 Every function takes one event of shape (dim,) or an array of events of
 shape (..., dim).  curvature_batch assembles all of its events in one

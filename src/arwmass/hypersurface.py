@@ -27,8 +27,8 @@ frame, the second fundamental form, the intrinsic and the ambient curvature
 are all built from that one assembly, each tensor once: the ambient Gamma,
 the induced jets (the frame's induced metric is their order 0), and the
 induced inverse and Gamma-hat, which the second fundamental form and the
-curvature stacks (curvature.curvature_from_jets) share.  Graph mass
-integrals assemble blocks of whole leaves, given as theta1-jets, and
+curvature stacks (curvature.curvature_from_jets) share.  A graph mass
+integral assembles all nodes of its graph at once, and
 gauss_codazzi_residuals reads one node_curvatures assembly at its nodes and
 one second_fundamental assembly at all of their Codazzi stencil points.
 Each check runs on the whole batch in turn and raises, for the
@@ -398,10 +398,7 @@ def node_curvatures(
     """:func:`second_fundamental`, :func:`intrinsic_curvature` and the
     ambient :func:`curvature_at` at ``node``, from one assembly of the
     ambient jets at its events; equal to the three separate calls."""
-    return _node_curvatures(_ambient(surface, node, order=2))
-
-
-def _node_curvatures(amb: _Ambient) -> tuple:
+    amb = _ambient(surface, node, order=2)
     bundle = amb.curvature  # before the induced stack: a lower peak of memory
     return _second_fundamental(amb, _frame(amb)), _intrinsic_curvature(amb), bundle
 

@@ -9,7 +9,8 @@ where H(u) is the mean curvature of the coordinate slice {tau = u}.  A leaf
 sequence of this kind runs straight into the singularity with |u| decaying
 like e^{-gamma t}, gamma = gamma_tilde / n, and f(u(t)) asymptotically a
 line of slope -1/n.  The mass integral along the leaves reproduces the
-slice-limit mass; mass_along_flow takes them as one stack of constant graphs.
+slice-limit mass; mass_along_flow reads each leaf as the round coordinate
+slice it is, through the slice integrals of the mass module.
 
 The flow is autonomous, so its time is one integral,
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import curvature_at  # noqa: F401  (bound here for perfbench/tracer.py)
-from .expr import Num, fold_constants, free_variables
+from .expr import ExpressionError, Num, fold_constants, free_variables
 from .geometry import (
     ARWSpec,
     GeometryError,
@@ -48,8 +49,8 @@ from .geometry import (
     SpacetimeMetric,
     quadrature_grid,
 )
-from .hypersurface import _node_curvatures, _slice_second_fundamental
-from .mass import _FILL_ANGLE, _einstein_normal, _graph_integral, _slice_events, _weights
+from .hypersurface import _slice_fields
+from .mass import _FILL_ANGLE, _slice_events, _slice_integrals, _weighted_integral, _weights
 
 __all__ = [
     "FlowError",
@@ -145,16 +146,23 @@ def _check_symmetric(spec: ARWSpec) -> None:
         raise FlowError("the scalar flow reduction needs lambda = 0")
 
 
-def _slice_mean_curvature(metric: SpacetimeMetric, u):
-    """(H, psi_tilde) of the slice {tau = u}, from one evaluation of the
-    slice fields; H = sum_i hbar_ii (1 / g_ii) is traced with the diagonal
-    induced metric g = e^{2 psi_tilde} sigma, the arithmetic of a LAPACK solve.
-    Floats for a float u, arrays of u's shape for an array."""
-    u = np.asarray(u, dtype=float)
+def _slice_leaf_fields(metric: SpacetimeMetric, u) -> tuple:
+    """(H, psi_tilde, sigma_11, f, psi) of the slices {tau = u}, arrays of
+    u's shape, from one order-1 evaluation of the slice fields at the fill
+    angles; H = sum_i hbar_ii (1 / g_ii) is traced with the diagonal induced
+    metric g = e^{2 psi_tilde} sigma, the arithmetic of a LAPACK solve."""
     events = _slice_events(metric.n, u, _FILL_ANGLE)
-    hbar, sigma, p = _slice_second_fundamental(metric, events)
-    g = np.exp(2.0 * p)[..., None] * sigma
-    h_mean = np.sum(hbar * (1.0 / g), axis=-1)
+    psi_tilde, sigma, f, psi = metric.field_jets(events, 1)
+    hbar, sig, p = _slice_fields(psi_tilde, sigma)
+    h_mean = np.sum(hbar * (1.0 / (np.exp(2.0 * p)[..., None] * sig)), axis=-1)
+    return h_mean, p, sig[..., 0], f[..., 0], psi[..., 0]
+
+
+def _slice_mean_curvature(metric: SpacetimeMetric, u):
+    """(H, psi_tilde) of the slice {tau = u} from :func:`_slice_leaf_fields`:
+    floats for a float u, arrays of u's shape for an array."""
+    u = np.asarray(u, dtype=float)
+    h_mean, p = _slice_leaf_fields(metric, u)[:2]
     if u.ndim == 0:
         return float(h_mean), float(p)
     return h_mean, p
@@ -409,7 +417,7 @@ def _select_leaves(leaves, max_leaves: int | None) -> list:
 
 
 def mass_along_flow(
-    spec,
+    spec: ARWSpec,
     trajectory,
     grid: QuadratureGrid | None = None,
     max_leaves: int | None = 32,
@@ -421,33 +429,41 @@ def mass_along_flow(
     and the mean-curvature form (n-1)/(2n) int H^2 e^{omega f} e^{psi}; the
     last two bracket I(M(t)) in the limit.  ``trajectory`` may also be a
     plain sequence of leaves u, subsampled to ``max_leaves`` evenly spaced
-    ones (None keeps all) and integrated as one stack of jets (u, 0, 0, 0).
+    ones (None keeps all).
+
+    The flow must admit ``spec`` (else FlowError), so each leaf is a round
+    slice {tau = u}: I(u) comes from mass._slice_integrals and H from the
+    slice formula of flow_leaves.  A round leaf is umbilic (|A|^2 = H^2/n)
+    with R = n(n-1) e^{-2 psi_tilde} / sigma_11, so the lemma quantity
+    integrates R e^{omega f} e^{psi}, with no cancellation.  If a leaf fails,
+    the leaves are evaluated and checked one by one: the first one raises.
     """
-    w = _weights(spec)
+    w = _weights(spec, bare=False)
+    _check_symmetric(spec)
     grid = grid or quadrature_grid(w.n)
     n = w.n
     if isinstance(trajectory, ImcfTrajectory):
         pairs = [(s.t, s.u) for s in trajectory.states]
     else:
         pairs = [(math.nan, float(u)) for u in trajectory]
-
-    def factor(amb):
-        ext, intrinsic, bundle = _node_curvatures(amb)
-        values = np.stack(
-            (
-                _einstein_normal(ext, bundle),
-                intrinsic.scalar - (ext.norm_a_sq - ext.mean_curvature**2 / n),
-                (n - 1) / (2.0 * n) * ext.mean_curvature**2,
-            )
-        )
-        return ext, values
-
-    def leaf(u):  # the jet of the constant graph u
-        return lambda theta1: np.broadcast_to((u, 0.0, 0.0, 0.0), np.shape(theta1) + (4,))
-
     leaves = _select_leaves(pairs, max_leaves)
-    integrals = _graph_integral(w, w.metric, [leaf(u) for _, u in leaves], grid, factor)
+    u = np.array([v for _, v in leaves])
+    try:
+        mass = _slice_integrals(w, u, grid, slab=False)[0]
+        h_mean, p, sig11, f, psi = _slice_leaf_fields(w.metric, u)
+    except (GeometryError, ExpressionError):
+        for v in u[:, None]:
+            _slice_integrals(w, v, grid, slab=False)
+            _slice_leaf_fields(w.metric, v)
+            w.check_time(v)
+        raise
+    w.check_time(u)
+    # R and the H-form at every node of each leaf, and the weight's node values
+    nodes = np.ones(len(grid.axis_nodes[0]))
+    columns = np.stack((n * (n - 1) * np.exp(-2.0 * p) / sig11, (n - 1) / (2.0 * n) * h_mean**2))
+    lw, p, sig11 = (x[:, None] for x in (w.log_weight(f, psi), p, sig11))
+    lemma, h_form = _weighted_integral(w, grid, columns[..., None] * nodes, lw, p, sig11)
     return tuple(
-        FlowMassSample(t, u, float(mass), float(lemma), float(h_form))
-        for (t, u), (mass, lemma, h_form) in zip(leaves, integrals)
+        FlowMassSample(t, v, float(m), float(r), float(h))
+        for (t, v), m, r, h in zip(leaves, mass, lemma, h_form)
     )

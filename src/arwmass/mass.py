@@ -15,22 +15,22 @@ perturbations: integrands depend on theta1 only, so each reduces to a
 Gauss-Legendre sum over the theta1 nodes against the round measure.  Slices,
 the slab volume, graphs and IMCF leaves share one leaf integrator,
 _weighted_integral, which applies the weight and the area element and takes
-node values with leading axes (a block of slab slices, the three integrands
-of a block of IMCF leaves) to geometry.integrate_node_values in one call,
-graphs and leaves through _graph_integral, which takes stacks of graphs as
-theta1-jets.  Callers pass psi_tilde, sigma_11 and the weight's omega f +
-psi from the source jets of their own metric assembly (graphs and leaves
-from their ExtrinsicData), which SpacetimeMetric.field_jets evaluated in
-one program call, and tcc_check reads its frame from the g of its
-curvature bundles: no source is evaluated a second time.
+node values with leading axes (a block of slab slices, the two curvature
+columns of the IMCF leaves) to geometry.integrate_node_values in one call.
+Callers pass psi_tilde, sigma_11 and the weight's omega f + psi from the
+source jets of their own evaluation (a graph from its ExtrinsicData), which
+SpacetimeMetric.field_jets evaluated in one program call, and tcc_check
+reads its frame from the g of its curvature bundles: no source is evaluated
+a second time for one integrand.
 
-Slices and the slab volume, whose integrands need G on the coordinate
-slices of an ARWSpec only, read the base kernel curvature.warped_einstein
-through one loop over tau, _slice_integrals, in blocks of whole slices of
-at most curvature._BASE_BLOCK_EVENTS events; graphs, leaves, the TCC and
-the monotonicity probes need the full tensor in any direction and read the
-full stack (curvature_at, hypersurface assemblies) in blocks of at most
-curvature._BLOCK_EVENTS events.
+Slices, the slab volume and the IMCF leaves (round coordinate slices, see
+imcf.mass_along_flow), whose integrands need G on the coordinate slices of
+an ARWSpec only, read the base kernel curvature.warped_einstein through one
+loop over tau, _slice_integrals, in blocks of whole slices of at most
+curvature._BASE_BLOCK_EVENTS events; graphs, the TCC and the monotonicity
+probes need the full tensor in any direction and read the full stack: one
+hypersurface assembly of all the nodes of a graph, one curvature_at per
+probe event.
 
 Both gauge moves are the time change tau = phi(s), with f -> f o phi +
 log phi', psi -> psi o phi and lambda -> lambda o phi - log phi'; normalize
@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curvature import _BASE_BLOCK_EVENTS, _BLOCK_EVENTS, curvature_at, warped_einstein
+from .curvature import _BASE_BLOCK_EVENTS, curvature_at, warped_einstein
 from .expr import (
     Call,
     Expression,
@@ -74,7 +74,7 @@ from .geometry import (
 )
 from .hypersurface import (
     GraphHypersurface,
-    _assembly,
+    _ambient,
     _frame,
     _slice_fields,
     _slice_second_fundamental,
@@ -294,65 +294,39 @@ def slice_mass_integral(spec, tau: float, grid: QuadratureGrid | None = None) ->
     return float(_slice_integrals(w, np.array([tau], dtype=float), grid, slab=False)[0][0])
 
 
-def _graph_integral(w: _Weights, metric, u_jets: list, grid: QuadratureGrid, factor) -> list:
-    """The leaf integrals of ``factor`` over a stack of graphs in ``metric``.
-
-    ``u_jets`` holds one callable per graph, theta1 -> (u, u', u'', u''').
-    Whole graphs go in blocks of at most _BLOCK_EVENTS events (one at least)
-    through one order-2 assembly, from which ``factor(amb)`` builds what it
-    reads and returns the frame with values of shape (M,) or (k, M), M = L N.
-    The weight reads f and psi from the same assembly, released before the
-    block is integrated.  Returns each graph's integral: a float, or k floats.
-    """
-    theta = grid.axis_nodes[0]
-    nodes = _slice_events(w.n, 0.0, theta)[:, 1:]  # the angles of a slice
-    per_block = max(1, _BLOCK_EVENTS // len(theta))
-    integrals = []
-    for start in range(0, len(u_jets), per_block):
-        block = u_jets[start : start + per_block]
-        try:
-            jets = np.concatenate([u_jet(theta) for u_jet in block])
-            ext, values = factor(_assembly(metric, np.tile(nodes, (len(block), 1)), jets, 2))
-            w.check_time(ext.event[:, 0])
-        except (GeometryError, ExpressionError):
-            # leaf by leaf, node by node: the first failing node raises its own error
-            for u_jet in block:
-                for node in nodes:
-                    w.check_time(factor(_assembly(metric, node, u_jet(node[0]), 2))[0].event[0])
-            raise
-        # copies with the leaf and node axes (L, N), so that the assembly goes
-        shape = (len(block), len(theta))
-        fields = values, w.log_weight(ext.f, ext.psi), ext.psi_tilde, ext.sigma[:, 0], ext.tilt
-        del ext
-        values, lw, p, sig11, tilt = (np.array(x).reshape(x.shape[:-1] + shape) for x in fields)
-        del fields
-        leaves = _weighted_integral(w, grid, values, lw, p, sig11, tilt)
-        integrals.extend(np.moveaxis(leaves, -1, 0))
-    return integrals
-
-
-def _einstein_normal(ext, bundle) -> np.ndarray:
-    """G(nu, nu) with the graph's past normal, at every node."""
+def _graph_flux(surface: GraphHypersurface, node) -> tuple:
+    """(frame, G(nu, nu) with the graph's past normal) at ``node``, from one
+    order-2 assembly: G(nu, nu) reads the frame and the ambient curvature
+    only."""
+    amb = _ambient(surface, node, order=2)
+    ext = _frame(amb)
     nu = ext.past_normal
-    g_nu = np.einsum("...a,...ab->...b", nu, bundle.einstein)
-    return np.einsum("...b,...b->...", g_nu, nu)
+    g_nu = np.einsum("...a,...ab->...b", nu, amb.curvature.einstein)
+    return ext, np.einsum("...b,...b->...", g_nu, nu)
 
 
 def graph_mass_integral(
     spec, surface: GraphHypersurface, grid: QuadratureGrid | None = None
 ) -> float:
-    """The mass integrand over a spacelike graph with its own normal."""
+    """The mass integrand over a spacelike graph with its own normal, all
+    theta1 nodes in one order-2 assembly; if that fails, node by node, so
+    that the first failing node raises its own error."""
     w = _weights(spec)
     grid = grid or quadrature_grid(w.n)
     if w.omega is not None and surface.ambient is not w.metric:
         raise GeometryError("the graph's ambient is not the metric of the spec that weighs it")
-
-    def factor(amb):
-        # G(nu, nu) reads the frame and the ambient curvature only
-        ext = _frame(amb)
-        return ext, _einstein_normal(ext, amb.curvature)
-
-    return float(_graph_integral(w, surface.ambient, [surface.u_jet], grid, factor)[0])
+    nodes = _slice_events(w.n, 0.0, grid.axis_nodes[0])[:, 1:]  # the angles of a slice
+    try:
+        ext, values = _graph_flux(surface, nodes)
+        w.check_time(ext.event[:, 0])
+    except (GeometryError, ExpressionError):
+        for node in nodes:
+            w.check_time(_graph_flux(surface, node)[0].event[0])
+        raise
+    lw = w.log_weight(ext.f, ext.psi)
+    return float(
+        _weighted_integral(w, grid, values, lw, ext.psi_tilde, ext.sigma[:, 0], ext.tilt)
+    )
 
 
 def mass_limit(
@@ -466,6 +440,8 @@ def monotonicity_scan(
     then hbar for all of them in one call, one ``eigvalsh`` of the stack of
     G^{ij} and the least entry of hbar, which is diagonal.  Against a
     per-node loop the G terms keep their bits and hbar moves by up to 1 ulp.
+    An event whose G^{ij} has a non-finite entry fails the spatial-stress
+    probe: its least eigenvalue reads NaN.
     """
     grid = grid or quadrature_grid(spec.n)
     if schedule is None:
@@ -487,7 +463,12 @@ def monotonicity_scan(
     g_up = g_inv @ einstein @ g_inv
     hbar = _slice_second_fundamental(metric, events)[0]
     min_g00 = float(np.min(g_up[..., 0, 0]))
-    min_gij = float(np.min(np.linalg.eigvalsh(g_up[..., 1:, 1:])[..., 0]))
+    # eigvalsh of a NaN entry may read finite or not converge: it gets none
+    spatial = g_up[..., 1:, 1:]
+    finite = np.all(np.isfinite(spatial), axis=(-2, -1))
+    eig = np.full(finite.shape, math.nan)
+    eig[finite] = np.linalg.eigvalsh(spatial[finite])[..., 0]
+    min_gij = float(np.min(eig))
     min_hbar = float(np.min(hbar))
 
     psi_zero = fold_constants(spec.psi) == Num(0.0)

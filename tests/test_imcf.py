@@ -5,9 +5,9 @@ import numpy.testing as npt
 import pytest
 
 import arwmass.curvature
-import arwmass.geometry
 import arwmass.hypersurface
 import arwmass.imcf
+import arwmass.mass
 from arwmass.curvature import curvature_at
 from arwmass.expr import DomainError
 from arwmass.fields import as_expression
@@ -113,12 +113,17 @@ def test_fixed_step_convergence_order(rw):
 
 
 def test_flow_requires_rotational_symmetry():
-    spec = make_spec(3, 1.0, "log(-tau)", a=-1.0, lam="0.02*sin(theta1)^2")
-    with pytest.raises(FlowError):
-        imcf_run(spec, u0=-0.5, t_end=1.0)
-    spec = make_spec(3, 1.0, "log(-tau)", a=-1.0, psi="0.1*cos(theta1)")
-    with pytest.raises(FlowError):
-        imcf_run(spec, u0=-0.5, t_end=1.0)
+    for spec in (
+        make_spec(3, 1.0, "log(-tau)", a=-1.0, lam="0.02*sin(theta1)^2"),
+        make_spec(3, 1.0, "log(-tau)", a=-1.0, psi="0.1*cos(theta1)"),
+    ):
+        with pytest.raises(FlowError):
+            imcf_run(spec, u0=-0.5, t_end=1.0)
+        # no flow has such leaves, and mass_along_flow reads them as round slices
+        with pytest.raises(FlowError):
+            mass_along_flow(spec, [-0.5, -0.2], quadrature_grid(3, 8))
+    with pytest.raises(TypeError, match="expected an ARWSpec"):
+        mass_along_flow(spec.metric, [-0.5, -0.2], quadrature_grid(3, 8))
 
 
 def test_flow_aborts_when_mean_curvature_flips():
@@ -229,30 +234,57 @@ def leaf_numbers(sample):
     ids=["rw n=2", "rw n=3", "sads lambda<0"],
 )
 def test_blocks_of_leaves_keep_the_bits_of_each_leaf_alone(spec, u0):
-    # grid 24: a block holds 4 leaves, so 9 leaves go as 4 + 4 + 1
+    # grid 24: a base-kernel block holds 16 leaves, so 20 leaves go as 16 + 4
     grid = quadrature_grid(spec.n, 24)
-    assert arwmass.curvature._BLOCK_EVENTS // 24 == 4
+    assert arwmass.curvature._BASE_BLOCK_EVENTS // 24 == 16
     run = imcf_run(spec, u0=u0, t_end=6.0)
-    listed = np.linspace(u0, 0.1 * u0, 9).tolist()
-    for samples in (mass_along_flow(spec, listed, grid), mass_along_flow(spec, run, grid, 9)):
-        assert len(samples) == 9
+    listed = np.linspace(u0, 0.1 * u0, 20).tolist()
+    for samples in (mass_along_flow(spec, listed, grid), mass_along_flow(spec, run, grid, 20)):
+        assert len(samples) == 20
         for sample in samples:
             alone = mass_along_flow(spec, [sample.u], grid)[0]
             assert leaf_numbers(sample) == leaf_numbers(alone)
 
 
 def test_a_block_of_leaves_is_one_assembly(rw, monkeypatch):
+    # the 9 leaves at 24 nodes are one block of the base kernel
     calls = []
-    original = arwmass.geometry.metric_jets
+    original = arwmass.curvature.warped_einstein
 
-    def counting(*args, **kwargs):
-        calls.append((kwargs.get("order", 2), np.shape(args[1])))
-        return original(*args, **kwargs)
+    def counting(metric, events):
+        calls.append(np.shape(events))
+        return original(metric, events)
 
-    for module in (arwmass.geometry, arwmass.hypersurface, arwmass.curvature):
-        monkeypatch.setattr(module, "metric_jets", counting)
+    monkeypatch.setattr(arwmass.mass, "warped_einstein", counting)
     mass_along_flow(rw, np.linspace(-0.9, -0.1, 9), quadrature_grid(3, 24))
-    assert calls == [(2, (96, 4)), (2, (96, 4)), (2, (24, 4))]
+    assert calls == [(9 * 24, 4)]
+
+
+def test_leaves_build_no_graph_and_no_curvature_stack(rw, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mass_along_flow built a graph or curvature stack")
+
+    monkeypatch.setattr(arwmass.hypersurface, "_assembly", forbidden)
+    monkeypatch.setattr(arwmass.hypersurface, "_intrinsic_curvature", forbidden)
+    for module in (arwmass.curvature, arwmass.hypersurface):
+        monkeypatch.setattr(module, "curvature_from_jets", forbidden)
+    samples = mass_along_flow(rw, np.linspace(-0.9, -0.1, 9), quadrature_grid(3, 24))
+    assert len(samples) == 9
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lemma_quantity_meets_the_rw_closed_form_on_every_leaf(n):
+    # on the rw family the lemma integrand R e^{omega f} e^{n f} is
+    # n(n-1) e^{(n + omega - 2) f(u)} on the whole leaf; what is left is the
+    # error of the grid's unit-sphere rule, ~4e-15 at 48 nodes
+    spec = rw_family_spec(n, 1.0, k=2.0, a=-1.0)
+    leaves = flow_leaves(spec, -0.5, 20.0, 32)
+    samples = mass_along_flow(spec, leaves.u, quadrature_grid(n, 48), max_leaves=None)
+    assert len(samples) == 32
+    for sample in samples:
+        rate = n + spec.omega - 2.0
+        exact = n * (n - 1) * math.exp(rate * spec.f.value(sample.u)) * sphere_volume(n)
+        assert sample.lemma_quantity == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -261,8 +293,9 @@ def test_a_block_of_leaves_is_one_assembly(rw, monkeypatch):
         ({5: -1.5, 7: -1.25}, "tau = -1.5 outside the domain [-1.0, 0)"),
         ({6: 0.1}, "log of non-positive value -0.1 at tau = 0.1"),
         ({2: -1.5, 1: 0.2}, "log of non-positive value -0.2 at tau = 0.2"),
+        ({1: -1.5, 2: 0.2}, "tau = -1.5 outside the domain [-1.0, 0)"),
     ],
-    ids=["below a", "above 0", "first leaf first"],
+    ids=["below a", "above 0", "first leaf first", "first leaf below a"],
 )
 def test_a_leaf_outside_the_domain_raises_its_own_error(rw, bad, message):
     leaves = np.linspace(-0.9, -0.1, 9)

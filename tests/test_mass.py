@@ -700,6 +700,28 @@ def test_probes_equal_the_per_node_loop(spec, _tol, monkeypatch):
     assert len(calls) == len(schedule) * len(grid.axis_nodes[0][::4])
 
 
+def test_a_nan_stress_fails_the_spatial_stress_probe(rw1, monkeypatch):
+    # one probe event's G_theta1theta1 goes NaN, and with it that event's
+    # G^{ij}; numpy's eigvalsh returns finite eigenvalues for some matrices
+    # with a NaN entry and fails to converge on others
+    grid = quadrature_grid(3, 16)
+    schedule = geometric_schedule(rw1.a, 4)
+    target = (schedule[1], grid.axis_nodes[0][4])
+
+    def nan_at_one_event(metric, event):
+        bundle = curvature_at(metric, event)
+        if (event[0], event[1]) == target:
+            einstein = bundle.einstein.copy()
+            einstein[1, 1] = math.nan
+            return SimpleNamespace(g_inv=bundle.g_inv, einstein=einstein)
+        return bundle
+
+    monkeypatch.setattr(arwmass.mass, "curvature_at", nan_at_one_event)
+    probes = {p.name: p for p in monotonicity_scan(rw1, schedule, grid).probes}
+    assert not probes["spatial-stress"].passed
+    assert probes["spatial-stress"].detail == "min eig G^ij = nan"
+
+
 # ---------------------------------------------------------------------------
 # gauge moves
 
