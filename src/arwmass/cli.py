@@ -320,7 +320,7 @@ def _cmd_imcf(spec, scenario, grid):
         raise ConfigError(f"imcf u0 = {u0} outside ({spec.a}, 0)")
 
     leaves = flow_leaves(spec, u0, imcf["t_end"], imcf["max_leaves"], tolerance=imcf["tolerance"])
-    samples = mass_along_flow(spec, leaves.u, grid, max_leaves=None)
+    samples = mass_along_flow(spec, leaves.u, grid)
 
     header = ("t", "u", "H", "f_of_u", "mass_integral", "lemma_quantity")
     rows = [

@@ -9,7 +9,8 @@ Two kernels compute the Einstein tensor.  The full stack serves
 curvature_at and curvature_batch (the TCC and the monotonicity probes),
 graphs and the conformal, divergence and Gauss-Codazzi checks, its own
 checks.  warped_einstein serves only the slice and slab integrands of an
-ARWSpec (IMCF leaves are slices too), a warped product B x_w S^{n-1} over
+ARWSpec (not the IMCF leaves, whose integrand imcf.mass_along_flow takes
+from first-order slice data), a warped product B x_w S^{n-1} over
 the base B = (tau, theta1), whose Einstein tensor follows from the base
 (O'Neill, Semi-Riemannian Geometry, 1983, ch. 7, Cor. 43): from the same
 order-2 field jets, with no (dim)^4 ddg and no stack on it, and exact to

@@ -215,13 +215,9 @@ def _ambient(surface: GraphHypersurface, node, order: int) -> _Ambient:
     n = surface.ambient.n
     if node.ndim == 0 or node.shape[-1] != n:
         raise HypersurfaceError(f"node must supply {n} angles, got shape {node.shape}")
-    return _assembly(surface.ambient, node, surface.u_jet(node[..., 0]), order)
-
-
-def _assembly(metric: SpacetimeMetric, node, u_jet, order: int) -> _Ambient:
-    """The events of graphs with theta1-jets ``u_jet`` over ``node``, assembled."""
+    u_jet = surface.u_jet(node[..., 0])
     event = np.concatenate((u_jet[..., :1], node), axis=-1)
-    return _Ambient(node, u_jet, event, metric_jets(metric, event, order=order))
+    return _Ambient(node, u_jet, event, metric_jets(surface.ambient, event, order=order))
 
 
 def _frame(amb: _Ambient) -> ExtrinsicData:

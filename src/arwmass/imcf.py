@@ -9,8 +9,11 @@ where H(u) is the mean curvature of the coordinate slice {tau = u}.  A leaf
 sequence of this kind runs straight into the singularity with |u| decaying
 like e^{-gamma t}, gamma = gamma_tilde / n, and f(u(t)) asymptotically a
 line of slope -1/n.  The mass integral along the leaves reproduces the
-slice-limit mass; mass_along_flow reads each leaf as the round coordinate
-slice it is, through the slice integrals of the mass module.
+slice-limit mass.  mass_along_flow reads each leaf as the round coordinate
+slice it is, from its first-order data (H, psi_tilde, sigma_11, f, psi)
+through the Hamiltonian constraint 2 G(nu, nu) = R + H^2 - |A|^2, and not
+through the base kernel curvature.warped_einstein that the slice integrals
+of the mass module read: the two routes to I cross-check each other.
 
 The flow is autonomous, so its time is one integral,
 
@@ -50,7 +53,7 @@ from .geometry import (
     quadrature_grid,
 )
 from .hypersurface import _slice_fields
-from .mass import _FILL_ANGLE, _slice_events, _slice_integrals, _weighted_integral, _weights
+from .mass import _FILL_ANGLE, _slice_events, _weighted_integral, _weights
 
 __all__ = [
     "FlowError",
@@ -132,7 +135,6 @@ class FlowLeaves:
 
 @dataclass(frozen=True)
 class FlowMassSample:
-    t: float
     u: float
     mass_integral: float
     lemma_quantity: float
@@ -350,7 +352,8 @@ def flow_leaves(
     most ``tolerance`` times the largest; otherwise it is halved.  If the
     flow reaches the halt slice |u| = 1e-12 before t_end, the leaves stop
     there and the halt leaf is the last one (flagged, not an error).  A
-    mean curvature H <= 0 met before t_end raises FlowError.
+    mean curvature H <= 0 met before t_end raises FlowError.  H and f(u) of
+    the leaves come from one slice evaluation, _slice_leaf_fields.
     """
     _check_start(spec, u0, tolerance)
     if not (0.0 < t_end < math.inf):
@@ -372,12 +375,12 @@ def flow_leaves(
     times, u = times[:lo], np.concatenate(pieces)
     if reached:
         times, u = np.append(times, t_stop), np.append(u, u_stop)
-    h_mean, _ = _slice_mean_curvature(spec.metric, u)
+    h_mean, _, _, f_of_u, _ = _slice_leaf_fields(spec.metric, u)
     return FlowLeaves(
         times=times,
         u=u,
         mean_curvature=h_mean,
-        f_of_u=np.array([spec.f.value(float(v)) for v in u]),
+        f_of_u=f_of_u,
         reached_singularity=reached,
         panels=len(panels),
     )
@@ -404,37 +407,23 @@ def flow_diagnostics(trajectory: ImcfTrajectory) -> tuple[float, float]:
     return slope, decay
 
 
-def _select_leaves(leaves, max_leaves: int | None) -> list:
-    """At most ``max_leaves`` evenly spaced entries of ``leaves``, first and
-    last included (all of them for None); fewer than 2 raises FlowError."""
-    if max_leaves is not None and max_leaves < 2:
-        raise FlowError(f"max_leaves must be at least 2, got {max_leaves}")
-    leaves = list(leaves)
-    if max_leaves is not None and len(leaves) > max_leaves:
-        idx = np.unique(np.linspace(0, len(leaves) - 1, max_leaves).round().astype(int))
-        leaves = [leaves[i] for i in idx]
-    return leaves
-
-
-def mass_along_flow(
-    spec: ARWSpec,
-    trajectory,
-    grid: QuadratureGrid | None = None,
-    max_leaves: int | None = 32,
-) -> tuple:
-    """Leaf-wise mass data: I(M(t)), the monotonicity lemma quantity
+def mass_along_flow(spec: ARWSpec, leaves, grid: QuadratureGrid | None = None) -> tuple:
+    """Mass data of the leaves {tau = u}, one FlowMassSample per entry of
+    ``leaves``: I(M), the monotonicity lemma quantity
 
         int (R - [|A|^2 - H^2/n]) e^{omega f} e^{psi},
 
     and the mean-curvature form (n-1)/(2n) int H^2 e^{omega f} e^{psi}; the
-    last two bracket I(M(t)) in the limit.  ``trajectory`` may also be a
-    plain sequence of leaves u, subsampled to ``max_leaves`` evenly spaced
-    ones (None keeps all).
+    last two bracket I(M) in the limit.
 
     The flow must admit ``spec`` (else FlowError), so each leaf is a round
-    slice {tau = u}: I(u) comes from mass._slice_integrals and H from the
-    slice formula of flow_leaves.  A round leaf is umbilic (|A|^2 = H^2/n)
-    with R = n(n-1) e^{-2 psi_tilde} / sigma_11, so the lemma quantity
+    slice: umbilic (|A|^2 = H^2/n), with R = n(n-1) e^{-2 psi_tilde} /
+    sigma_11.  The Gauss equation 2 G(nu, nu) = R + H^2 - |A|^2 (the
+    Hamiltonian constraint) then makes the mass integrand R/2 + (n-1)/(2n)
+    H^2, so all three columns come from the first-order data of one
+    _slice_leaf_fields evaluation of the leaves and one _weighted_integral.
+    That is a route apart from slice_mass_integral, which reads the
+    second-order G_tautau of curvature.warped_einstein.  The lemma column
     integrates R e^{omega f} e^{psi}, with no cancellation.  If a leaf fails,
     the leaves are evaluated and checked one by one: the first one raises.
     """
@@ -442,28 +431,20 @@ def mass_along_flow(
     _check_symmetric(spec)
     grid = grid or quadrature_grid(w.n)
     n = w.n
-    if isinstance(trajectory, ImcfTrajectory):
-        pairs = [(s.t, s.u) for s in trajectory.states]
-    else:
-        pairs = [(math.nan, float(u)) for u in trajectory]
-    leaves = _select_leaves(pairs, max_leaves)
-    u = np.array([v for _, v in leaves])
+    u = np.array(leaves, dtype=float)
     try:
-        mass = _slice_integrals(w, u, grid, slab=False)[0]
         h_mean, p, sig11, f, psi = _slice_leaf_fields(w.metric, u)
     except (GeometryError, ExpressionError):
         for v in u[:, None]:
-            _slice_integrals(w, v, grid, slab=False)
             _slice_leaf_fields(w.metric, v)
             w.check_time(v)
         raise
     w.check_time(u)
-    # R and the H-form at every node of each leaf, and the weight's node values
+    # I, R and the H-form at every node of each leaf, and the weight's node values
+    scalar = n * (n - 1) * np.exp(-2.0 * p) / sig11
+    h_form = (n - 1) / (2.0 * n) * h_mean**2
+    columns = np.stack((0.5 * scalar + h_form, scalar, h_form))[..., None]
     nodes = np.ones(len(grid.axis_nodes[0]))
-    columns = np.stack((n * (n - 1) * np.exp(-2.0 * p) / sig11, (n - 1) / (2.0 * n) * h_mean**2))
     lw, p, sig11 = (x[:, None] for x in (w.log_weight(f, psi), p, sig11))
-    lemma, h_form = _weighted_integral(w, grid, columns[..., None] * nodes, lw, p, sig11)
-    return tuple(
-        FlowMassSample(t, v, float(m), float(r), float(h))
-        for (t, v), m, r, h in zip(leaves, mass, lemma, h_form)
-    )
+    integrals = _weighted_integral(w, grid, columns * nodes, lw, p, sig11)
+    return tuple(FlowMassSample(float(v), *map(float, row)) for v, row in zip(u, integrals.T))

@@ -15,22 +15,24 @@ perturbations: integrands depend on theta1 only, so each reduces to a
 Gauss-Legendre sum over the theta1 nodes against the round measure.  Slices,
 the slab volume, graphs and IMCF leaves share one leaf integrator,
 _weighted_integral, which applies the weight and the area element and takes
-node values with leading axes (a block of slab slices, the two curvature
-columns of the IMCF leaves) to geometry.integrate_node_values in one call.
+node values with leading axes (a block of slab slices, the three columns
+of the IMCF leaves) to geometry.integrate_node_values in one call.
 Callers pass psi_tilde, sigma_11 and the weight's omega f + psi from the
 source jets of their own evaluation (a graph from its ExtrinsicData), which
 SpacetimeMetric.field_jets evaluated in one program call, and tcc_check
 reads its frame from the g of its curvature bundles: no source is evaluated
 a second time for one integrand.
 
-Slices, the slab volume and the IMCF leaves (round coordinate slices, see
-imcf.mass_along_flow), whose integrands need G on the coordinate slices of
-an ARWSpec only, read the base kernel curvature.warped_einstein through one
-loop over tau, _slice_integrals, in blocks of whole slices of at most
-curvature._BASE_BLOCK_EVENTS events; graphs, the TCC and the monotonicity
-probes need the full tensor in any direction and read the full stack: one
-hypersurface assembly of all the nodes of a graph, one curvature_at per
-probe event.
+Slices and the slab volume, whose integrands need G on the coordinate
+slices of an ARWSpec only, read the base kernel curvature.warped_einstein
+through one loop over tau, _slice_integrals, in blocks of whole slices of
+at most curvature._BASE_BLOCK_EVENTS events.  The IMCF leaves (round
+coordinate slices, see imcf.mass_along_flow) read no curvature kernel:
+their G(nu, nu) comes from first-order slice data through the Hamiltonian
+constraint, a route apart from the slices'.  Graphs, the TCC and the
+monotonicity probes need the full tensor in any direction and read the
+full stack: one hypersurface assembly of all the nodes of a graph, one
+curvature_at per probe event.
 
 Both gauge moves are the time change tau = phi(s), with f -> f o phi +
 log phi', psi -> psi o phi and lambda -> lambda o phi - log phi'; normalize
@@ -441,12 +443,15 @@ def monotonicity_scan(
     G^{ij} and the least entry of hbar, which is diagonal.  Against a
     per-node loop the G terms keep their bits and hbar moves by up to 1 ulp.
     An event whose G^{ij} has a non-finite entry fails the spatial-stress
-    probe: its least eigenvalue reads NaN.
+    probe: its least eigenvalue reads NaN.  Fewer than 2 sample times raise
+    GeometryError: one sample has no direction.
     """
     grid = grid or quadrature_grid(spec.n)
     if schedule is None:
         schedule = geometric_schedule(spec.a, 10)
     times = np.asarray(schedule, dtype=float)
+    if times.size < 2:
+        raise GeometryError("the monotonicity scan needs at least 2 samples")
     metric = spec.metric
     n = spec.n
 

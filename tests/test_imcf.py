@@ -13,6 +13,7 @@ from arwmass.expr import DomainError
 from arwmass.fields import as_expression
 from arwmass.geometry import (
     GeometryError,
+    SpacetimeMetric,
     make_spec,
     metric_jets,
     quadrature_grid,
@@ -32,7 +33,7 @@ from arwmass.imcf import (
     imcf_run,
     mass_along_flow,
 )
-from arwmass.mass import _FILL_ANGLE, _weights
+from arwmass.mass import _FILL_ANGLE, _weights, normalize, slice_mass_integral
 from arwmass.sads import SAdSParams, as_arw_spec, x0_of_r
 from sources import source_jets
 
@@ -52,6 +53,11 @@ def trajectory(rw):
 
 def exact_u(t, u0=-0.5, gamma=1.0, n=3):
     return u0 * math.exp(-gamma * t / n)
+
+
+def spaced_leaves(run, count):
+    """``count`` evenly spaced leaves of ``run``, the first and last included."""
+    return run.leaves[np.unique(np.linspace(0, len(run.states) - 1, count).round().astype(int))]
 
 
 def test_flow_matches_exponential_solution(trajectory):
@@ -136,7 +142,7 @@ def test_mass_constant_along_sads_flow():
     params = SAdSParams(n=3, lam=0.0, mass=1.0)
     spec = as_arw_spec(params)
     run = imcf_run(spec, u0=x0_of_r(params, 0.5), t_end=8.0, tolerance=1e-10)
-    samples = mass_along_flow(spec, run, quadrature_grid(3, 48), max_leaves=8)
+    samples = mass_along_flow(spec, spaced_leaves(run, 8), quadrature_grid(3, 48))
     for sample in samples:
         assert sample.mass_integral == pytest.approx(6 * PI2, rel=1e-10)
 
@@ -144,7 +150,7 @@ def test_mass_constant_along_sads_flow():
 def test_lemma_quantity_decays_to_zero(rw):
     # moderate span: u stays in a range where the closed form is resolvable
     run = imcf_run(rw, u0=-0.5, t_end=33.0, tolerance=1e-10)
-    samples = mass_along_flow(rw, run, quadrature_grid(3, 48), max_leaves=16)
+    samples = mass_along_flow(rw, spaced_leaves(run, 16), quadrature_grid(3, 48))
     lemma = [s.lemma_quantity for s in samples]
     # closed form 12 pi^2 u^2 on round slices, decaying monotonically
     for sample in samples:
@@ -234,12 +240,12 @@ def leaf_numbers(sample):
     ids=["rw n=2", "rw n=3", "sads lambda<0"],
 )
 def test_blocks_of_leaves_keep_the_bits_of_each_leaf_alone(spec, u0):
-    # grid 24: a base-kernel block holds 16 leaves, so 20 leaves go as 16 + 4
+    # 20 leaves in one slice evaluation, against each leaf alone
     grid = quadrature_grid(spec.n, 24)
-    assert arwmass.curvature._BASE_BLOCK_EVENTS // 24 == 16
     run = imcf_run(spec, u0=u0, t_end=6.0)
     listed = np.linspace(u0, 0.1 * u0, 20).tolist()
-    for samples in (mass_along_flow(spec, listed, grid), mass_along_flow(spec, run, grid, 20)):
+    for leaves in (listed, spaced_leaves(run, 20)):
+        samples = mass_along_flow(spec, leaves, grid)
         assert len(samples) == 20
         for sample in samples:
             alone = mass_along_flow(spec, [sample.u], grid)[0]
@@ -247,27 +253,35 @@ def test_blocks_of_leaves_keep_the_bits_of_each_leaf_alone(spec, u0):
 
 
 def test_a_block_of_leaves_is_one_assembly(rw, monkeypatch):
-    # the 9 leaves at 24 nodes are one block of the base kernel
+    # the 9 leaves are one order-1 evaluation of the slice fields, one event
+    # per leaf, and no base-kernel call
     calls = []
-    original = arwmass.curvature.warped_einstein
+    original = SpacetimeMetric.field_jets
 
-    def counting(metric, events):
-        calls.append(np.shape(events))
-        return original(metric, events)
+    def counting(metric, events, order):
+        calls.append((np.shape(events), order))
+        return original(metric, events, order)
 
-    monkeypatch.setattr(arwmass.mass, "warped_einstein", counting)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mass_along_flow called the base kernel")
+
+    monkeypatch.setattr(SpacetimeMetric, "field_jets", counting)
+    for module in (arwmass.curvature, arwmass.mass):
+        monkeypatch.setattr(module, "warped_einstein", forbidden)
     mass_along_flow(rw, np.linspace(-0.9, -0.1, 9), quadrature_grid(3, 24))
-    assert calls == [(9 * 24, 4)]
+    assert calls == [((9, 4), 1)]
 
 
 def test_leaves_build_no_graph_and_no_curvature_stack(rw, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("mass_along_flow built a graph or curvature stack")
 
-    monkeypatch.setattr(arwmass.hypersurface, "_assembly", forbidden)
+    monkeypatch.setattr(arwmass.hypersurface, "_ambient", forbidden)
     monkeypatch.setattr(arwmass.hypersurface, "_intrinsic_curvature", forbidden)
     for module in (arwmass.curvature, arwmass.hypersurface):
         monkeypatch.setattr(module, "curvature_from_jets", forbidden)
+    for module in (arwmass.curvature, arwmass.mass):
+        monkeypatch.setattr(module, "warped_einstein", forbidden)
     samples = mass_along_flow(rw, np.linspace(-0.9, -0.1, 9), quadrature_grid(3, 24))
     assert len(samples) == 9
 
@@ -279,12 +293,47 @@ def test_lemma_quantity_meets_the_rw_closed_form_on_every_leaf(n):
     # error of the grid's unit-sphere rule, ~4e-15 at 48 nodes
     spec = rw_family_spec(n, 1.0, k=2.0, a=-1.0)
     leaves = flow_leaves(spec, -0.5, 20.0, 32)
-    samples = mass_along_flow(spec, leaves.u, quadrature_grid(n, 48), max_leaves=None)
+    samples = mass_along_flow(spec, leaves.u, quadrature_grid(n, 48))
     assert len(samples) == 32
     for sample in samples:
         rate = n + spec.omega - 2.0
         exact = n * (n - 1) * math.exp(rate * spec.f.value(sample.u)) * sphere_volume(n)
         assert sample.lemma_quantity == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+SIGMA_SCALED = make_spec(3, 1.0, "log(-tau)", a=-1.0, sigma_scale=1.7)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        rw_family_spec(2, 1.5, k=0.8, a=-1.0),
+        rw_family_spec(3, 1.0, k=1.3, a=-1.0),
+        as_arw_spec(SAdSParams(2, 0.0, 1.0)),
+        as_arw_spec(SAdSParams(2, -1.0, 1.0)),
+        as_arw_spec(SAdSParams(3, 0.0, 1.0)),
+        as_arw_spec(SAdSParams(3, -1.0, 1.0)),
+        make_spec(3, 1.0, "log(-tau)", a=-1.0, psi="0.05*exp(tau)"),
+        SIGMA_SCALED,
+        normalize(SIGMA_SCALED)[0],
+    ],
+    ids=[
+        "rw n=2", "rw n=3", "sads n=2 lambda=0", "sads n=2 lambda<0", "sads n=3 lambda=0",
+        "sads n=3 lambda<0", "custom psi(tau)", "sigma_scale 1.7", "normalized",
+    ],
+)
+def test_flow_mass_meets_the_slice_mass_integral(spec):
+    # two routes to I on each leaf: the Hamiltonian constraint on first-order
+    # slice data, and G_tautau of the base kernel; they differ by rounding
+    grid = quadrature_grid(spec.n, 24)
+    leaves = flow_leaves(spec, 0.5 * spec.a, 6.0, 8)
+    # f(u) of the leaves comes from their slice evaluation, with f's own bits
+    assert leaves.f_of_u.tolist() == [spec.f.value(u) for u in leaves.u.tolist()]
+    samples = mass_along_flow(spec, leaves.u, grid)
+    assert [sample.u for sample in samples] == leaves.u.tolist()
+    for sample in samples:
+        exact = slice_mass_integral(spec, sample.u, grid)
+        assert abs(sample.mass_integral - exact) <= 1e-14 * abs(exact)
 
 
 @pytest.mark.parametrize(
@@ -373,19 +422,6 @@ def test_flow_takes_each_state_mean_curvature_from_its_last_stage(
     for state in run.states:
         assert state.u in evaluated
         assert state.mean_curvature == exact(spec.metric, state.u)[0]
-
-
-@pytest.mark.parametrize("count", [1, 0, -2])
-def test_fewer_than_two_leaves_is_a_flow_error(rw, count):
-    with pytest.raises(FlowError, match=f"max_leaves must be at least 2, got {count}"):
-        mass_along_flow(rw, [-0.5, -0.4, -0.3, -0.2, -0.1], quadrature_grid(3, 8), count)
-
-
-def test_two_leaves_keep_the_first_and_the_last(rw):
-    leaves = [-0.5, -0.4, -0.3, -0.2, -0.1]
-    assert arwmass.imcf._select_leaves(leaves, 2) == [-0.5, -0.1]
-    samples = mass_along_flow(rw, leaves, quadrature_grid(3, 8), max_leaves=2)
-    assert [sample.u for sample in samples] == [-0.5, -0.1]
 
 
 # ---------------------------------------------------------------------------

@@ -438,6 +438,16 @@ def test_a_slab_block_evaluates_each_field_jet_once(n, monkeypatch):
 # scans
 
 
+@pytest.mark.parametrize("schedule", [[-0.3], []], ids=["one sample", "no sample"])
+def test_a_monotonicity_scan_needs_two_samples(rw1, grid, schedule, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the scan took an integral")
+
+    monkeypatch.setattr(arwmass.mass, "slice_mass_integral", forbidden)
+    with pytest.raises(GeometryError, match="the monotonicity scan needs at least 2 samples"):
+        monotonicity_scan(rw1, schedule, grid)
+
+
 def test_monotonicity_scan_directions(grid):
     increasing = as_arw_spec(SAdSParams(n=3, lam=-1.0, mass=1.0))
     scan = monotonicity_scan(increasing, grid=grid)
