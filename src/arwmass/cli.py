@@ -28,9 +28,8 @@ Exit codes:
 - 2 validation failure: failed conditions, or a domain error or overflow
   while evaluating an expression;
 - 3 numerical abort: H <= 0, a non-spacelike graph, a quadrature breakdown,
-  or numpy's LinAlgError (although a ValueError) from the eigvalsh of the
-  monotonicity probes' G^ij, which sees finite entries only (a probe event
-  with a non-finite G^ij fails the spatial-stress probe).
+  or numpy's LinAlgError (although a ValueError) from a LAPACK call inside
+  numpy, such as the eigenvalue solve of leggauss's Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -324,10 +323,8 @@ def _cmd_imcf(spec, scenario, grid):
 
     header = ("t", "u", "H", "f_of_u", "mass_integral", "lemma_quantity")
     rows = [
-        (t, u, h, f, m.mass_integral, m.lemma_quantity)
-        for t, u, h, f, m in zip(
-            leaves.times, leaves.u, leaves.mean_curvature, leaves.f_of_u, samples
-        )
+        (t, m.u, m.mean_curvature, m.f_of_u, m.mass_integral, m.lemma_quantity)
+        for t, m in zip(leaves.times, samples)
     ]
     payload = {
         "reached_singularity": leaves.reached_singularity,

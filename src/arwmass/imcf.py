@@ -53,7 +53,7 @@ from .geometry import (
     quadrature_grid,
 )
 from .hypersurface import _slice_fields
-from .mass import _FILL_ANGLE, _slice_events, _weighted_integral, _weights
+from .mass import _FILL_ANGLE, _check_time, _require_spec, _slice_events, _weighted_integral
 
 __all__ = [
     "FlowError",
@@ -102,7 +102,6 @@ class FlowState:
     u: float
     mean_curvature: float
     f_of_u: float
-    dfdt: float
 
 
 @dataclass(frozen=True)
@@ -127,15 +126,17 @@ class FlowLeaves:
 
     times: np.ndarray
     u: np.ndarray
-    mean_curvature: np.ndarray
-    f_of_u: np.ndarray
     reached_singularity: bool
     panels: int
 
 
 @dataclass(frozen=True)
 class FlowMassSample:
+    """One leaf {tau = u}: its mean curvature H, f(u) and mass data."""
+
     u: float
+    mean_curvature: float
+    f_of_u: float
     mass_integral: float
     lemma_quantity: float
     mean_curvature_form: float
@@ -203,19 +204,13 @@ def imcf_run(
             raise FlowError(f"mean curvature {h_mean:.6e} <= 0 at u = {u:.6e}")
         return math.exp(-p) / h_mean, h_mean
 
-    def snapshot(t: float, u: float, du: float, h_mean: float) -> FlowState:
-        return FlowState(
-            t=t,
-            u=u,
-            mean_curvature=h_mean,
-            f_of_u=spec.f.value(u),
-            dfdt=spec.f.derivative(u, 1) * du,
-        )
+    def snapshot(t: float, u: float, h_mean: float) -> FlowState:
+        return FlowState(t=t, u=u, mean_curvature=h_mean, f_of_u=spec.f.value(u))
 
     t, u = 0.0, float(u0)
     k = np.empty(7)
     k[0], h_mean = rhs(u)
-    states = [snapshot(t, u, k[0], h_mean)]
+    states = [snapshot(t, u, h_mean)]
     reached = False
 
     h = fixed_step if fixed_step is not None else min(1e-3, t_end)
@@ -251,7 +246,7 @@ def imcf_run(
         t += h_step
         u = u_new
         k[0] = k[6]
-        states.append(snapshot(t, u, k[0], h_new))
+        states.append(snapshot(t, u, h_new))
         if u >= -_HALT_U:
             reached = True
 
@@ -353,7 +348,8 @@ def flow_leaves(
     flow reaches the halt slice |u| = 1e-12 before t_end, the leaves stop
     there and the halt leaf is the last one (flagged, not an error).  A
     mean curvature H <= 0 met before t_end raises FlowError.  H and f(u) of
-    the leaves come from one slice evaluation, _slice_leaf_fields.
+    the leaves are columns of :func:`mass_along_flow`, which evaluates their
+    slice fields.
     """
     _check_start(spec, u0, tolerance)
     if not (0.0 < t_end < math.inf):
@@ -375,15 +371,7 @@ def flow_leaves(
     times, u = times[:lo], np.concatenate(pieces)
     if reached:
         times, u = np.append(times, t_stop), np.append(u, u_stop)
-    h_mean, _, _, f_of_u, _ = _slice_leaf_fields(spec.metric, u)
-    return FlowLeaves(
-        times=times,
-        u=u,
-        mean_curvature=h_mean,
-        f_of_u=f_of_u,
-        reached_singularity=reached,
-        panels=len(panels),
-    )
+    return FlowLeaves(times=times, u=u, reached_singularity=reached, panels=len(panels))
 
 
 def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -409,7 +397,7 @@ def flow_diagnostics(trajectory: ImcfTrajectory) -> tuple[float, float]:
 
 def mass_along_flow(spec: ARWSpec, leaves, grid: QuadratureGrid | None = None) -> tuple:
     """Mass data of the leaves {tau = u}, one FlowMassSample per entry of
-    ``leaves``: I(M), the monotonicity lemma quantity
+    ``leaves``: H, f(u), I(M), the monotonicity lemma quantity
 
         int (R - [|A|^2 - H^2/n]) e^{omega f} e^{psi},
 
@@ -427,24 +415,24 @@ def mass_along_flow(spec: ARWSpec, leaves, grid: QuadratureGrid | None = None) -
     integrates R e^{omega f} e^{psi}, with no cancellation.  If a leaf fails,
     the leaves are evaluated and checked one by one: the first one raises.
     """
-    w = _weights(spec, bare=False)
+    _require_spec(spec)
     _check_symmetric(spec)
-    grid = grid or quadrature_grid(w.n)
-    n = w.n
+    n = spec.n
+    grid = grid or quadrature_grid(n)
     u = np.array(leaves, dtype=float)
     try:
-        h_mean, p, sig11, f, psi = _slice_leaf_fields(w.metric, u)
+        h_mean, p, sig11, f, psi = _slice_leaf_fields(spec.metric, u)
     except (GeometryError, ExpressionError):
         for v in u[:, None]:
-            _slice_leaf_fields(w.metric, v)
-            w.check_time(v)
+            _slice_leaf_fields(spec.metric, v)
+            _check_time(spec, v)
         raise
-    w.check_time(u)
+    _check_time(spec, u)
     # I, R and the H-form at every node of each leaf, and the weight's node values
     scalar = n * (n - 1) * np.exp(-2.0 * p) / sig11
     h_form = (n - 1) / (2.0 * n) * h_mean**2
     columns = np.stack((0.5 * scalar + h_form, scalar, h_form))[..., None]
     nodes = np.ones(len(grid.axis_nodes[0]))
-    lw, p, sig11 = (x[:, None] for x in (w.log_weight(f, psi), p, sig11))
-    integrals = _weighted_integral(w, grid, columns * nodes, lw, p, sig11)
-    return tuple(FlowMassSample(float(v), *map(float, row)) for v, row in zip(u, integrals.T))
+    lw, p, sig11 = (x[:, None] for x in (spec.omega * f + psi, p, sig11))
+    integrals = _weighted_integral(n, grid, columns * nodes, lw, p, sig11)
+    return tuple(FlowMassSample(*map(float, row)) for row in zip(u, h_mean, f, *integrals))

@@ -10,6 +10,12 @@ a monotonicity scan, the timelike convergence condition check, and the two
 gauge moves (spatial normalization and time reparametrization) under which
 the recovered mass must not change.
 
+Every mass routine takes an ARWSpec and nothing else: the weight
+e^{omega f} e^{psi} and the domain [a, 0) are part of the ARW data, so a
+bare SpacetimeMetric has no mass functional and is a TypeError.  Each
+routine reads omega, n and the metric from the spec, and checks its times
+against the domain with _check_time.
+
 All spatial integrals exploit the rotational symmetry of the admitted
 perturbations: integrands depend on theta1 only, so each reduces to a
 Gauss-Legendre sum over the theta1 nodes against the round measure.  Slices,
@@ -32,7 +38,8 @@ their G(nu, nu) comes from first-order slice data through the Hamiltonian
 constraint, a route apart from the slices'.  Graphs, the TCC and the
 monotonicity probes need the full tensor in any direction and read the
 full stack: one hypersurface assembly of all the nodes of a graph, one
-curvature_at per probe event.
+curvature_at per probe event.  The probes read only diagonals: G^{ij} and
+hbar are diagonal on the slices of every ARWSpec.
 
 Both gauge moves are the time change tau = phi(s), with f -> f o phi +
 log phi', psi -> psi o phi and lambda -> lambda o phi - log phi'; normalize
@@ -67,7 +74,6 @@ from .geometry import (
     ConditionReport,
     GeometryError,
     QuadratureGrid,
-    SpacetimeMetric,
     geometric_schedule,
     integrate_node_values,
     quadrature_grid,
@@ -144,48 +150,21 @@ class TccReport:
 # Mass integrals
 
 
-@dataclass(frozen=True)
-class _Weights:
-    """The weight e^{omega f} e^{psi} of the mass integrands, and the domain.
-
-    f and psi are read from the field jets of the caller's own assembly.  A
-    bare SpacetimeMetric is admitted for curvature-only checks (flat
-    ambients and the like): the weight degenerates to 1 (``omega`` None) and
-    no domain is enforced.
-    """
-
-    metric: SpacetimeMetric
-    n: int
-    omega: float | None
-    a: float | None
-
-    def check_time(self, tau) -> None:
-        """Raise GeometryError for ``tau``, or for the first of an array of
-        times, outside the domain."""
-        if self.a is None:
-            return
-        taus = np.ravel(tau)
-        outside = ~((self.a - 1e-12 <= taus) & (taus < 0.0))
-        if np.any(outside):
-            first = taus[int(np.argmax(outside))]
-            raise GeometryError(f"tau = {first} outside the domain [{self.a}, 0)")
-
-    def log_weight(self, f, psi):
-        """omega f + psi from values of f and psi, or omega f' + psi' from
-        their tau derivatives; zeros for a bare metric."""
-        if self.omega is None:
-            return np.zeros(np.shape(psi))
-        return self.omega * f + psi
+def _require_spec(spec) -> None:
+    """Raise TypeError unless ``spec`` is an ARWSpec: its omega, n, metric
+    and domain [a, 0) define the mass functional."""
+    if not isinstance(spec, ARWSpec):
+        raise TypeError(f"expected an ARWSpec, got {type(spec).__name__}")
 
 
-def _weights(obj, bare: bool = True) -> _Weights:
-    """The weights of an ARWSpec, or of a bare SpacetimeMetric if ``bare``."""
-    if isinstance(obj, ARWSpec):
-        return _Weights(metric=obj.metric, n=obj.n, omega=obj.omega, a=obj.a)
-    if bare and isinstance(obj, SpacetimeMetric):
-        return _Weights(metric=obj, n=obj.n, omega=None, a=None)
-    expected = "an ARWSpec or SpacetimeMetric" if bare else "an ARWSpec"
-    raise TypeError(f"expected {expected}, got {type(obj).__name__}")
+def _check_time(spec: ARWSpec, tau) -> None:
+    """Raise GeometryError for ``tau``, or for the first of an array of
+    times, outside the domain [a, 0) of ``spec``."""
+    taus = np.ravel(tau)
+    outside = ~((spec.a - 1e-12 <= taus) & (taus < 0.0))
+    if np.any(outside):
+        first = taus[int(np.argmax(outside))]
+        raise GeometryError(f"tau = {first} outside the domain [{spec.a}, 0)")
 
 
 def _slice_events(n: int, tau, theta1) -> np.ndarray:
@@ -199,7 +178,7 @@ def _slice_events(n: int, tau, theta1) -> np.ndarray:
 
 
 def _weighted_integral(
-    w: _Weights, grid, values, log_weight, psi_tilde, sig11, tilt=1.0, power=None
+    n: int, grid, values, log_weight, psi_tilde, sig11, tilt=1.0, power=None
 ):
     """The integral of ``values`` e^{omega f} e^{psi} e^{power psi_tilde} v
     sigma_11^{n/2} over the theta1 nodes of ``grid``.
@@ -210,7 +189,6 @@ def _weighted_integral(
     ``values`` of shape (..., N) broadcasts against their leading axes, and
     every row is integrated: a float for (N,).
     """
-    n = w.n
     power = n if power is None else power
     weighted = (
         np.asarray(values, dtype=float)
@@ -222,7 +200,7 @@ def _weighted_integral(
     return integrate_node_values(grid, weighted)
 
 
-def _slice_integrals(w: _Weights, taus: np.ndarray, grid: QuadratureGrid, slab: bool) -> tuple:
+def _slice_integrals(spec: ARWSpec, taus: np.ndarray, grid: QuadratureGrid, slab: bool) -> tuple:
     """(I, J): lists of the mass integral I(tau) and, with ``slab``, of the
     slab integrand J(tau) (else J is empty), one entry per tau of ``taus``.
 
@@ -235,14 +213,14 @@ def _slice_integrals(w: _Weights, taus: np.ndarray, grid: QuadratureGrid, slab: 
     per_block = max(1, _BASE_BLOCK_EVENTS // len(theta))
     mass, flux = [], []
     for start in range(0, len(taus), per_block):
-        events = _slice_events(w.n, taus[start : start + per_block, None], theta)
-        block_mass, block_flux = _slice_block(w, grid, events, slab)
+        events = _slice_events(spec.n, taus[start : start + per_block, None], theta)
+        block_mass, block_flux = _slice_block(spec, grid, events, slab)
         mass.extend(block_mass)
         flux.extend(block_flux)
     return mass, flux
 
 
-def _slice_block(w: _Weights, grid: QuadratureGrid, events: np.ndarray, slab: bool) -> tuple:
+def _slice_block(spec: ARWSpec, grid: QuadratureGrid, events: np.ndarray, slab: bool) -> tuple:
     """(I, J) of the slices of one block, events (slices, N, n+1): arrays
     of one entry per slice, J empty without ``slab``.  The block's fields
     are released on return, before the next block is assembled.
@@ -261,27 +239,27 @@ def _slice_block(w: _Weights, grid: QuadratureGrid, events: np.ndarray, slab: bo
     derivatives, so hbar, both measures, sigma_11, the weight and
     omega f' + psi' all come from its one evaluation.
     """
-    n = w.n
+    n = spec.n
     # the kernel takes the events flat; its fields get the axes (slices, N) back
-    fields, einstein = warped_einstein(w.metric, events.reshape(-1, n + 1))
+    fields, einstein = warped_einstein(spec.metric, events.reshape(-1, n + 1))
     psi_tilde, sigma, f, psi = (x.reshape(events.shape[:-1] + x.shape[1:]) for x in fields)
     g_tt, g_thth, g_fibre = (x.reshape(events.shape[:-1]) for x in einstein)
     p = psi_tilde[..., 0]
     sig11 = sigma[..., 0, 0]
-    log_weight = w.log_weight(f[..., 0], psi[..., 0])
+    log_weight = spec.omega * f[..., 0] + psi[..., 0]
     e = np.exp(-2.0 * p)
-    mass = _weighted_integral(w, grid, g_tt * e, log_weight, p, sig11)
+    mass = _weighted_integral(n, grid, g_tt * e, log_weight, p, sig11)
     if not slab:
         return mass, ()
     hbar = _slice_fields(psi_tilde, sigma)[0]
-    drift = w.log_weight(f[..., 1], psi[..., 1])  # omega f' + psi'
+    drift = spec.omega * f[..., 1] + psi[..., 1]
     spatial = ((e / sig11) ** 2 * g_thth + (n - 1) * g_fibre * e / sig11) * hbar[..., 0]
     time_part = e * e * g_tt * drift * np.exp(p)
-    flux = _weighted_integral(w, grid, spatial + time_part, log_weight, p, sig11, power=n + 1)
+    flux = _weighted_integral(n, grid, spatial + time_part, log_weight, p, sig11, power=n + 1)
     return mass, flux
 
 
-def slice_mass_integral(spec, tau: float, grid: QuadratureGrid | None = None) -> float:
+def slice_mass_integral(spec: ARWSpec, tau: float, grid: QuadratureGrid | None = None) -> float:
     """I(tau) over the coordinate slice, with the slice unit normal.
 
     The integrand G_ab nu^a nu^b e^{omega f} e^{psi} is paired with the area
@@ -290,10 +268,10 @@ def slice_mass_integral(spec, tau: float, grid: QuadratureGrid | None = None) ->
     nodes in one call of the base kernel curvature.warped_einstein, whose
     field jets supply psi_tilde, sigma_11 and the weight.
     """
-    w = _weights(spec, bare=False)
-    w.check_time(tau)
-    grid = grid or quadrature_grid(w.n)
-    return float(_slice_integrals(w, np.array([tau], dtype=float), grid, slab=False)[0][0])
+    _require_spec(spec)
+    _check_time(spec, tau)
+    grid = grid or quadrature_grid(spec.n)
+    return float(_slice_integrals(spec, np.array([tau], dtype=float), grid, slab=False)[0][0])
 
 
 def _graph_flux(surface: GraphHypersurface, node) -> tuple:
@@ -308,26 +286,26 @@ def _graph_flux(surface: GraphHypersurface, node) -> tuple:
 
 
 def graph_mass_integral(
-    spec, surface: GraphHypersurface, grid: QuadratureGrid | None = None
+    spec: ARWSpec, surface: GraphHypersurface, grid: QuadratureGrid | None = None
 ) -> float:
     """The mass integrand over a spacelike graph with its own normal, all
     theta1 nodes in one order-2 assembly; if that fails, node by node, so
     that the first failing node raises its own error."""
-    w = _weights(spec)
-    grid = grid or quadrature_grid(w.n)
-    if w.omega is not None and surface.ambient is not w.metric:
+    _require_spec(spec)
+    grid = grid or quadrature_grid(spec.n)
+    if surface.ambient is not spec.metric:
         raise GeometryError("the graph's ambient is not the metric of the spec that weighs it")
-    nodes = _slice_events(w.n, 0.0, grid.axis_nodes[0])[:, 1:]  # the angles of a slice
+    nodes = _slice_events(spec.n, 0.0, grid.axis_nodes[0])[:, 1:]  # the angles of a slice
     try:
         ext, values = _graph_flux(surface, nodes)
-        w.check_time(ext.event[:, 0])
+        _check_time(spec, ext.event[:, 0])
     except (GeometryError, ExpressionError):
         for node in nodes:
-            w.check_time(_graph_flux(surface, node)[0].event[0])
+            _check_time(spec, _graph_flux(surface, node)[0].event[0])
         raise
-    lw = w.log_weight(ext.f, ext.psi)
+    lw = spec.omega * ext.f + ext.psi
     return float(
-        _weighted_integral(w, grid, values, lw, ext.psi_tilde, ext.sigma[:, 0], ext.tilt)
+        _weighted_integral(spec.n, grid, values, lw, ext.psi_tilde, ext.sigma[:, 0], ext.tilt)
     )
 
 
@@ -342,6 +320,7 @@ def mass_limit(
     the last Aitken correction, and the monotone flag records whether the
     sampled sequence is nondecreasing.
     """
+    _require_spec(spec)
     grid = grid or quadrature_grid(spec.n)
     if schedule is None:
         schedule = geometric_schedule(spec.a, 10)
@@ -368,7 +347,7 @@ def mass_limit(
 
 
 def slab_balance(
-    spec, tau1: float, tau2: float, grid: QuadratureGrid | None = None
+    spec: ARWSpec, tau1: float, tau2: float, grid: QuadratureGrid | None = None
 ) -> SlabBalance:
     """Balance B2 - B1 = V over the slab [tau1, tau2] x S_0.
 
@@ -387,17 +366,17 @@ def slab_balance(
     _slice_integrals, tau1 and tau2 first: B_i keep the bits of
     slice_mass_integral, and V adds each slice's w_k J(tau_k) in tau order.
     """
-    w = _weights(spec, bare=False)
-    w.check_time(tau1)
-    w.check_time(tau2)
+    _require_spec(spec)
+    _check_time(spec, tau1)
+    _check_time(spec, tau2)
     if not tau1 < tau2:
         raise GeometryError(f"need tau1 < tau2, got {tau1}, {tau2}")
-    grid = grid or quadrature_grid(w.n)
+    grid = grid or quadrature_grid(spec.n)
 
     x, gw = grid.rule
     half = 0.5 * (tau2 - tau1)
     taus = np.concatenate(([tau1, tau2], tau1 + half * (x + 1.0)))
-    mass, flux = _slice_integrals(w, taus, grid, slab=True)
+    mass, flux = _slice_integrals(spec, taus, grid, slab=True)
     b1, b2 = float(mass[0]), float(mass[1])
 
     volume = 0.0
@@ -439,13 +418,15 @@ def monotonicity_scan(
     monotonicity, never necessary, and the report states the observed
     direction of I independently of them.  They are read at every sample
     time and every fourth theta1 node: one ``curvature_at`` per probe event,
-    then hbar for all of them in one call, one ``eigvalsh`` of the stack of
-    G^{ij} and the least entry of hbar, which is diagonal.  Against a
+    then hbar for all of them in one call.  The spatial block of G^{ij} and
+    hbar are diagonal for every ARWSpec (a warped product, O'Neill ch. 7),
+    so their least eigenvalues are their least diagonal entries.  Against a
     per-node loop the G terms keep their bits and hbar moves by up to 1 ulp.
-    An event whose G^{ij} has a non-finite entry fails the spatial-stress
-    probe: its least eigenvalue reads NaN.  Fewer than 2 sample times raise
+    An event whose G^{ij} has a NaN on its diagonal fails the spatial-stress
+    probe: the least entry reads NaN.  Fewer than 2 sample times raise
     GeometryError: one sample has no direction.
     """
+    _require_spec(spec)
     grid = grid or quadrature_grid(spec.n)
     if schedule is None:
         schedule = geometric_schedule(spec.a, 10)
@@ -468,12 +449,7 @@ def monotonicity_scan(
     g_up = g_inv @ einstein @ g_inv
     hbar = _slice_second_fundamental(metric, events)[0]
     min_g00 = float(np.min(g_up[..., 0, 0]))
-    # eigvalsh of a NaN entry may read finite or not converge: it gets none
-    spatial = g_up[..., 1:, 1:]
-    finite = np.all(np.isfinite(spatial), axis=(-2, -1))
-    eig = np.full(finite.shape, math.nan)
-    eig[finite] = np.linalg.eigvalsh(spatial[finite])[..., 0]
-    min_gij = float(np.min(eig))
+    min_gij = float(np.min(np.diagonal(g_up[..., 1:, 1:], axis1=-2, axis2=-1)))
     min_hbar = float(np.min(hbar))
 
     psi_zero = fold_constants(spec.psi) == Num(0.0)
@@ -540,13 +516,11 @@ def tcc_check(
     ulp of |nu| |Ric| |nu| at most (np.cosh against math.cosh, and the
     order of the sums), and keeps its bits at chi = 0.
     """
+    _require_spec(spec)
     if events is None:
-        if not isinstance(spec, ARWSpec):
-            raise GeometryError("events are required when passing a bare metric")
         events = sample_events(spec, 100, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    w = _weights(spec)
-    metric, n = w.metric, w.n
+    metric, n = spec.metric, spec.n
     events = np.asarray(events, dtype=float)
     if events.shape[:1] == (0,):
         raise GeometryError("the TCC check needs at least one event, got 0")

@@ -16,6 +16,7 @@ import arwmass.cli
 import arwmass.curvature
 import arwmass.geometry
 import arwmass.hypersurface
+import arwmass.imcf
 import arwmass.mass
 from arwmass.cli import main
 
@@ -562,6 +563,27 @@ def test_imcf_leaves_sit_at_fixed_flow_times(tmp_path):
         "config_digest", "reached_singularity", "tolerance", "panels", "rows"
     }
     assert payload["panels"] >= 1 and not payload["reached_singularity"]
+
+
+def test_imcf_evaluates_the_slice_fields_of_its_leaves_once(tmp_path, monkeypatch):
+    # the panels of t(u) take 24 slices each; the 9 leaves take one
+    # evaluation, whose H and f(u) columns the table reads too
+    shapes = []
+    original = arwmass.imcf._slice_leaf_fields
+
+    def counting(metric, u):
+        shapes.append(np.shape(u))
+        return original(metric, u)
+
+    monkeypatch.setattr(arwmass.imcf, "_slice_leaf_fields", counting)
+    config = dict(
+        SMALL_IMCF,
+        imcf={"u0": -0.25, "t_end": 7.0, "max_leaves": 9},
+        output={"path": str(tmp_path / "out")},
+    )
+    assert main([write_config(tmp_path, config)]) == 0
+    assert shapes.count((9,)) == 1
+    assert set(shapes) == {(9,), (arwmass.imcf._PANEL_POINTS,)}
 
 
 CUSTOM_VALIDATE = {
