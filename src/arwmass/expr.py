@@ -441,32 +441,47 @@ def fold_constants(expr: Expression) -> Expression:
 
 def _fold(expr: Expression) -> tuple[Expression, bool]:
     """(folded tree, whether it has free variables), in one pass: constness
-    travels up the tree instead of being recomputed for every subtree."""
-    if isinstance(expr, Num):
-        return expr, False
-    if isinstance(expr, Var):
-        return expr, True
-    if isinstance(expr, Const):
-        return Num(CONSTANTS[expr.name]), False
-    if isinstance(expr, Neg):
-        inner, variable = _fold(expr.operand)
-        folded = Neg(inner)
-    elif isinstance(expr, Call):
-        arg, variable = _fold(expr.arg)
-        folded = Call(expr.fn, arg)
-    elif isinstance(expr, BinOp):
-        left, left_variable = _fold(expr.left)
-        right, right_variable = _fold(expr.right)
-        folded = BinOp(expr.op, left, right)
-        variable = left_variable or right_variable
-    else:
-        raise TypeError(f"not an expression node: {expr!r}")
-    if not variable:
-        try:
-            return Num(_eval(folded, {})), False
-        except (EvaluationError, ArithmeticError):
-            pass
-    return folded, variable
+    travels up the tree instead of being recomputed for every subtree, and
+    a subtree shared by several parents is folded once."""
+    memo: dict[int, tuple] = {}  # id -> (node, result); see _emit_program
+
+    def fold(node: Expression) -> tuple[Expression, bool]:
+        found = memo.get(id(node))
+        if found is not None:
+            return found[1]
+        if isinstance(node, Num):
+            result = node, False
+        elif isinstance(node, Var):
+            result = node, True
+        elif isinstance(node, Const):
+            result = Num(CONSTANTS[node.name]), False
+        else:
+            # a node whose children fold to themselves is kept, so folded
+            # trees share their unchanged subtrees with their input
+            if isinstance(node, Neg):
+                inner, variable = fold(node.operand)
+                folded = node if inner is node.operand else Neg(inner)
+            elif isinstance(node, Call):
+                arg, variable = fold(node.arg)
+                folded = node if arg is node.arg else Call(node.fn, arg)
+            elif isinstance(node, BinOp):
+                left, left_variable = fold(node.left)
+                right, right_variable = fold(node.right)
+                same = left is node.left and right is node.right
+                folded = node if same else BinOp(node.op, left, right)
+                variable = left_variable or right_variable
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            result = folded, variable
+            if not variable:
+                try:
+                    result = Num(_eval(folded, {})), False
+                except (EvaluationError, ArithmeticError):
+                    pass
+        memo[id(node)] = (node, result)
+        return result
+
+    return fold(expr)
 
 
 def differentiate(expr: Expression, var: str, order: int = 1) -> Expression:
@@ -517,60 +532,79 @@ def _plus(op: str, a: Expression, b: Expression) -> Expression:
 
 def _diff(expr: Expression, var: str) -> Expression:
     """d expr / d var, sparse as the module docstring says: each kept term
-    is the full rule's term in the same order and association."""
-    if isinstance(expr, (Num, Const)):
+    is the full rule's term in the same order and association.  A subtree
+    shared by several parents is differentiated once."""
+    memo: dict[int, tuple] = {}  # id -> (node, derivative); see _emit_program
+
+    def diff(node: Expression) -> Expression:
+        found = memo.get(id(node))
+        if found is not None:
+            return found[1]
+        if isinstance(node, (Num, Const)):
+            result = _ZERO
+        elif isinstance(node, Var):
+            result = _ONE if node.name == var else _ZERO
+        elif isinstance(node, Neg):
+            d = diff(node.operand)
+            result = _ZERO if _is(d, 0.0) else Neg(d)
+        elif isinstance(node, BinOp):
+            result = _binop_rule(node, diff(node.left), diff(node.right))
+        elif isinstance(node, Call):
+            da = diff(node.arg)
+            result = _ZERO if _is(da, 0.0) else _call_rule(node, da)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        memo[id(node)] = (node, result)
+        return result
+
+    return diff(expr)
+
+
+def _binop_rule(expr: BinOp, da: Expression, db: Expression) -> Expression:
+    """The derivative of ``expr`` from those of its operands, da and db."""
+    a, b = expr.left, expr.right
+    if _is(da, 0.0) and _is(db, 0.0):
         return _ZERO
-    if isinstance(expr, Var):
-        return _ONE if expr.name == var else _ZERO
-    if isinstance(expr, Neg):
-        d = _diff(expr.operand, var)
-        return _ZERO if _is(d, 0.0) else Neg(d)
-    if isinstance(expr, BinOp):
-        a, b = expr.left, expr.right
-        da, db = _diff(a, var), _diff(b, var)
-        if _is(da, 0.0) and _is(db, 0.0):
-            return _ZERO
-        if expr.op in "+-":
-            return _plus(expr.op, da, db)
-        if expr.op == "*":
-            return _plus("+", _times(da, b), _times(a, db))
-        if expr.op == "/":
-            num = _plus("-", _times(da, b), _times(a, db))
-            return BinOp("/", num, BinOp("^", b, Num(2.0)))
-        # power rules: constant exponent, constant base, then the general form
-        if isinstance(b, Num):
-            # b a^(b-1), written without the exact a^1 = a, a^0 = 1 and 1 x = x
-            if b.value == 1.0:
-                return da
-            power = a if b.value == 2.0 else BinOp("^", a, Num(b.value - 1.0))
-            return _times(BinOp("*", b, power), da)
-        if not free_variables(b):
-            dpow = BinOp("*", b, BinOp("^", a, BinOp("-", b, _ONE)))
-            return _times(dpow, da)
-        if not free_variables(a):
-            return _times(BinOp("*", expr, Call("log", a)), db)
-        by_base = _ZERO if _is(da, 0.0) else BinOp("/", _times(b, da), a)
-        return BinOp("*", expr, _plus("+", _times(db, Call("log", a)), by_base))
-    if isinstance(expr, Call):
-        a = expr.arg
-        da = _diff(a, var)
-        if _is(da, 0.0):
-            return _ZERO
-        if expr.fn == "exp":
-            return _times(expr, da)
-        if expr.fn == "log":
-            return BinOp("/", da, a)
-        if expr.fn == "sin":
-            return _times(Call("cos", a), da)
-        if expr.fn == "cos":
-            return _times(Neg(Call("sin", a)), da)
-        if expr.fn == "tan":
-            return _times(BinOp("+", _ONE, BinOp("^", expr, Num(2.0))), da)
-        if expr.fn == "sqrt":
-            return BinOp("/", da, BinOp("*", Num(2.0), expr))
-        # abs: a/|a| * a', undefined at 0 like the derivative itself
-        return _times(BinOp("/", a, expr), da)
-    raise TypeError(f"not an expression node: {expr!r}")
+    if expr.op in "+-":
+        return _plus(expr.op, da, db)
+    if expr.op == "*":
+        return _plus("+", _times(da, b), _times(a, db))
+    if expr.op == "/":
+        num = _plus("-", _times(da, b), _times(a, db))
+        return BinOp("/", num, BinOp("^", b, Num(2.0)))
+    # power rules: constant exponent, constant base, then the general form
+    if isinstance(b, Num):
+        # b a^(b-1), written without the exact a^1 = a, a^0 = 1 and 1 x = x
+        if b.value == 1.0:
+            return da
+        power = a if b.value == 2.0 else BinOp("^", a, Num(b.value - 1.0))
+        return _times(BinOp("*", b, power), da)
+    if not free_variables(b):
+        dpow = BinOp("*", b, BinOp("^", a, BinOp("-", b, _ONE)))
+        return _times(dpow, da)
+    if not free_variables(a):
+        return _times(BinOp("*", expr, Call("log", a)), db)
+    by_base = _ZERO if _is(da, 0.0) else BinOp("/", _times(b, da), a)
+    return BinOp("*", expr, _plus("+", _times(db, Call("log", a)), by_base))
+
+
+def _call_rule(expr: Call, da: Expression) -> Expression:
+    """The chain rule of ``expr`` with its argument's derivative da != 0."""
+    a = expr.arg
+    if expr.fn == "exp":
+        return _times(expr, da)
+    if expr.fn == "log":
+        return BinOp("/", da, a)
+    if expr.fn == "sin":
+        return _times(Call("cos", a), da)
+    if expr.fn == "cos":
+        return _times(Neg(Call("sin", a)), da)
+    if expr.fn == "tan":
+        return _times(BinOp("+", _ONE, BinOp("^", expr, Num(2.0))), da)
+    if expr.fn == "sqrt":
+        return BinOp("/", da, BinOp("*", Num(2.0), expr))
+    # abs: a/|a| * a', undefined at 0 like the derivative itself
+    return _times(BinOp("/", a, expr), da)
 
 
 def substitute(expr: Expression, var: str, replacement: Expression) -> Expression:
@@ -623,7 +657,7 @@ def _precedence(expr: Expression) -> int:
 def _format_number(value: float) -> str:
     if value != value or value in (float("inf"), float("-inf")):
         raise ExpressionError(f"cannot print non-finite literal {value}")
-    return repr(value)
+    return repr(float(value))  # a numpy scalar's repr is not a literal
 
 
 def to_source(expr: Expression) -> str:
@@ -682,6 +716,9 @@ def _print_child(child: Expression, parent_prec: int, allow_equal: bool) -> str:
 # temporary without any tree ever being hashed recursively.  Derivative trees
 # repeat their subtrees many times over (the product and chain rules copy
 # them), which is what makes a whole jet cheaper than its entries one by one.
+# They repeat them by reference, so differentiation, folding and emission
+# each visit a node object once per call, whatever number of parents share
+# it: a build takes time in the distinct nodes, not in the tree's positions.
 
 
 def compile_expression(expr: Expression, arg_names: tuple[str, ...]) -> Callable[..., float]:
@@ -755,34 +792,42 @@ def _emit_program(exprs: tuple, arg_names) -> tuple[list[str], list[str]]:
     lines: list[str] = []
     temps: dict[str, str] = {}  # emitted code, children named -> temporary
     used: set[str] = set()
+    # id -> (node, operand): a node object met again is named without a
+    # walk, and the memo holds the node, so its id is not reused meanwhile
+    memo: dict[int, tuple] = {}
 
     def operand(node: Expression) -> str:
+        found = memo.get(id(node))
+        if found is not None:
+            return found[1]
         if isinstance(node, Num):
             text = repr(float(node.value))
-            return _NON_FINITE.get(text, f"({text})")
-        if isinstance(node, Const):
-            return "_PI"
-        if isinstance(node, Var):
+            name = _NON_FINITE.get(text, f"({text})")
+        elif isinstance(node, Const):
+            name = "_PI"
+        elif isinstance(node, Var):
             used.add(node.name)
-            return node.name
-        if isinstance(node, Neg):
-            code = f"(-{operand(node.operand)})"
-        elif isinstance(node, BinOp):
-            a, b = operand(node.left), operand(node.right)
-            if node.op in "+-*":
-                code = f"({a} {node.op} {b})"
-            elif node.op == "/":
-                code = f"_div({a}, {b})"
-            else:
-                code = f"{_power_helper(node.right)}({a}, {b})"
-        elif isinstance(node, Call):
-            code = f"_call_{node.fn}({operand(node.arg)})"
+            name = node.name
         else:
-            raise TypeError(f"not an expression node: {node!r}")
-        name = temps.get(code)
-        if name is None:
-            name = temps[code] = f"_t{len(temps)}"
-            lines.append(f"{name} = {code}")
+            if isinstance(node, Neg):
+                code = f"(-{operand(node.operand)})"
+            elif isinstance(node, BinOp):
+                a, b = operand(node.left), operand(node.right)
+                if node.op in "+-*":
+                    code = f"({a} {node.op} {b})"
+                elif node.op == "/":
+                    code = f"_div({a}, {b})"
+                else:
+                    code = f"{_power_helper(node.right)}({a}, {b})"
+            elif isinstance(node, Call):
+                code = f"_call_{node.fn}({operand(node.arg)})"
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            name = temps.get(code)
+            if name is None:
+                name = temps[code] = f"_t{len(temps)}"
+                lines.append(f"{name} = {code}")
+        memo[id(node)] = (node, name)
         return name
 
     outputs = [operand(e) for e in exprs]

@@ -12,7 +12,8 @@ order in one array, at one event or at an array of events.  An
 :class:`ExprField` memoizes the derivative trees of one expression and hands
 out its jet and single partials, the entry-by-entry reference;
 :func:`time_jet` gives the jet of a time profile.  geometry.SpacetimeMetric
-evaluates the jets of all its sources in one program.
+evaluates the jets of all its sources in one program, which
+:func:`jet_program` compiles once per process for each source text.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .expr import (
     DomainError,
     EvaluationError,
     Expression,
+    ExpressionError,
     Num,
     Program,
     UnboundVariableError,
@@ -34,6 +36,7 @@ from .expr import (
     differentiate,
     free_variables,
     parse,
+    to_source,
 )
 
 #: Chart coordinate names, time first.  Index 0 is always tau.
@@ -94,17 +97,12 @@ class ExprField:
         self._programs: dict[tuple, Program] = {}
 
     def _expression(self, key: tuple[int, ...]) -> Expression:
-        found = self._exprs.get(key)
-        if found is None:
-            base = self._expression(key[:-1])
-            found = differentiate(base, self._names[key[-1]])
-            self._exprs[key] = found
-        return found
+        return _partial_tree(self._exprs, key, self._names)
 
     def _program(self, keys: tuple) -> Program:
         program = self._programs.get(keys)
         if program is None:
-            program = compile_jet([self._expression(key) for key in keys], self._names)
+            program = _compile_trees([self._exprs], self._names, keys)
             self._programs[keys] = program
         return program
 
@@ -113,6 +111,58 @@ class ExprField:
 
     def jet(self, events, order: int = 2) -> np.ndarray:
         return self._program(jet_keys(self.dim, order))(events)
+
+
+def _partial_tree(trees: dict, key: tuple, names: tuple) -> Expression:
+    """The derivative tree of ``key`` (axes into ``names``) of ``trees[()]``,
+    differentiated from its prefix's and memoized in ``trees``."""
+    found = trees.get(key)
+    if found is None:
+        found = differentiate(_partial_tree(trees, key[:-1], names), names[key[-1]])
+        trees[key] = found
+    return found
+
+
+def _compile_trees(trees: list, names: tuple, keys: tuple) -> Program:
+    partials = [_partial_tree(memo, key, names) for memo in trees for key in keys]
+    return compile_jet(partials, names)
+
+
+# Specs built in one process from the same expressions compile the same jet
+# programs: each is compiled once.  The bound keeps a long-lived process that
+# builds many distinct specs from holding every program it has seen; a spec
+# has one metric program per jet order, a graph one program.
+_PROGRAM_CACHE = 128
+
+
+@lru_cache(maxsize=_PROGRAM_CACHE)
+def _program_slot(sources: tuple, names: tuple, keys: tuple) -> dict:
+    """The holder of the one program of its key, filled by its first caller."""
+    return {}
+
+
+def jet_program(trees: list, names: tuple, keys: tuple) -> Program:
+    """The expr.Program of the partials ``keys`` (tuples of axes into
+    ``names``, the program's arguments) of each expression ``trees[i][()]``
+    in turn; ``trees[i]`` memoizes that expression's derivative trees by key.
+
+    Programs are shared by the whole process, looked up by the source text
+    of the expressions with ``names`` and ``keys`` (text tells -0.0 from 0.0,
+    which compare equal and compile differently).  Only a miss builds
+    derivative trees and compiles, and the cache holds the program alone.
+    Threads that miss at once may each build it; the first one stored is
+    the one they all return.  A literal inf or nan, left by a folded
+    overflow, has no source text: such expressions compile every time.
+    """
+    try:
+        sources = tuple(to_source(memo[()]) for memo in trees)
+    except ExpressionError:
+        return _compile_trees(trees, names, keys)
+    slot = _program_slot(sources, names, keys)
+    program = slot.get("program")
+    if program is None:
+        program = slot.setdefault("program", _compile_trees(trees, names, keys))
+    return program
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ profile f, and psi and the diagonal entries sigma_ii of sigma as expressions in
 the chart coordinates, all with exact derivatives (see fields.py).  It is
 the only assembler of their jets: one compiled program per jet order
 evaluates psi and every non-constant sigma_ii together, so their shared
-subtrees (sin theta1, e^{2 lambda}) run once per assembly.  The conformal
-metric compiles none: it reads the sigma columns of its parent's program.
+subtrees (sin theta1, e^{2 lambda}) run once per assembly.  Programs come
+from fields.jet_program, compiled once per process for each source text.
+The conformal metric fetches none: it reads the sigma columns of its
+parent's program.
 The cosmological family of interest has sigma_ij = e^{2 lambda}
 sigma_bar_ij with sigma_bar the round unit n-sphere and psi_tilde = f(tau)
 + psi(tau, theta1); the future singularity sits at tau = 0 with domain
@@ -33,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import Call, Expression, Num, compile_jet, fold_constants, free_variables, parse
+from .expr import Call, Expression, Num, fold_constants, free_variables, parse
 from .extrapolate import aitken_limit
 from .fields import (
     COORD_NAMES,
@@ -43,6 +45,7 @@ from .fields import (
     as_expression,
     as_time_function,
     jet_keys,
+    jet_program,
     split_jet,
     time_jet,
 )
@@ -94,8 +97,9 @@ class SpacetimeMetric:
     # the metric whose sigma a conformal metric shares: its fields, and so
     # their derivative trees, and its programs, whose sigma columns it reads
     parent: SpacetimeMetric | None = field(default=None, repr=False)
-    # one expr.Program per jet order, compiled on first use; threads share a
-    # metric, so a program is only ever stored fully built
+    # one expr.Program per jet order, fetched on first use, so a call finds
+    # it without building a cache key; threads share a metric, so a program
+    # is only ever stored fully built
     _programs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -127,9 +131,8 @@ class SpacetimeMetric:
         """The expr.Program of the jets to ``order`` of the evaluated slots."""
         program = self._programs.get(order)
         if program is None:
-            keys = jet_keys(self.dim, order)
-            exprs = [fld._expression(key) for fld in self._layout[1].values() for key in keys]
-            program = compile_jet(exprs, COORD_NAMES[: self.dim])
+            trees = [fld._exprs for fld in self._layout[1].values()]
+            program = jet_program(trees, COORD_NAMES[: self.dim], jet_keys(self.dim, order))
             self._programs[order] = program
         return program
 

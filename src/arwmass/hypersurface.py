@@ -49,8 +49,8 @@ import numpy as np
 from . import tensors
 from .curvature import CurvatureBundle, _blockwise, curvature_from_jets
 from .curvature import curvature_at  # noqa: F401  (bound here for perfbench/tracer.py)
-from .expr import Expression, Program, compile_jet, differentiate, free_variables
-from .fields import as_expression, split_jet
+from .expr import Expression, Program, free_variables
+from .fields import as_expression, jet_program, split_jet
 from .geometry import (
     ARWSpec,
     GeometryError,
@@ -105,12 +105,9 @@ class GraphHypersurface:
 
     @cached_property
     def _program(self) -> Program:
-        """The program of u and its first three theta1 derivatives,
-        compiled on first use."""
-        exprs = [self.u]
-        for _ in range(3):
-            exprs.append(differentiate(exprs[-1], "theta1"))
-        return compile_jet(exprs, ("theta1",))
+        """The program of u and its first three theta1 derivatives, fetched
+        on first use from fields.jet_program."""
+        return jet_program([{(): self.u}], ("theta1",), ((), (0,), (0, 0), (0, 0, 0)))
 
     def u_jet(self, theta1) -> np.ndarray:
         """(u, u', u'', u''') at theta1, or with shape (..., 4) at an array of

@@ -172,6 +172,7 @@ def _slice_mean_curvature(metric: SpacetimeMetric, u):
 
 
 def _check_start(spec: ARWSpec, u0: float, tolerance: float) -> None:
+    _require_spec(spec)
     _check_symmetric(spec)
     if not (spec.a < u0 < 0.0):
         raise FlowError(f"u0 = {u0} outside ({spec.a}, 0)")

@@ -600,6 +600,7 @@ def normalize(spec: ARWSpec, grid: QuadratureGrid | None = None):
     limiting one from the lambda-profile at tau = 0, where admissible
     perturbations vanish; a spec already of unit volume keeps scale 1.0.
     """
+    _require_spec(spec)
     grid = grid or quadrature_grid(spec.n)
     lam0 = fold_constants(substitute(spec.lam, "tau", Num(0.0)))
     lam = compile_jet([lam0], ("theta1",))(grid.axis_nodes[0][:, None])[:, 0]
@@ -633,6 +634,7 @@ def reparametrize_time(spec: ARWSpec, eps: float) -> ARWSpec:
     singularity).  Any time profile is accepted, the Schwarzschild-AdS one
     included.
     """
+    _require_spec(spec)
     if eps == 0.0:
         return spec
     disc = 1.0 + 4.0 * eps * spec.a

@@ -1,10 +1,14 @@
 import contextlib
 import copy
 import csv
+import importlib.util
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -64,6 +68,44 @@ def test_reruns_are_byte_identical(tmp_path):
     first = (tmp_path / "out" / "mass.csv").read_bytes()
     assert main([path]) == 0
     assert (tmp_path / "out" / "mass.csv").read_bytes() == first
+
+
+def _benchmark_scenarios():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "scenarios.py"
+    spec = importlib.util.spec_from_file_location("benchmark_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.scenarios
+
+
+def test_a_warm_process_writes_the_tables_of_a_cold_one(tmp_path):
+    # a run in a process whose program cache is warm from an earlier run
+    # writes the bytes a fresh interpreter writes: one benchmark scenario of
+    # each workload (seed 2)
+    scenarios = _benchmark_scenarios()
+    picks = {
+        "slice-mass": "custom n=3 decaying mass grid=24",
+        "flow": "rw n=3 imcf",
+        "check": "custom n=3 f=log(-tau) check",
+    }
+    src = str(pathlib.Path(arwmass.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for workload, name in picks.items():
+        (config,) = [s.config for s in scenarios(workload, 2) if s.name == name]
+        path = write_config(tmp_path, config, f"{workload}.json")
+        runs = {run: tmp_path / workload / run for run in ("cold", "first", "warm")}
+        cold = subprocess.run(
+            [sys.executable, "-m", "arwmass.cli", path, "--output-dir", str(runs["cold"])],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert cold.returncode == 0, cold.stderr
+        for run in ("first", "warm"):
+            assert main([path, "--output-dir", str(runs[run])]) == 0
+        names = sorted(os.listdir(runs["cold"]))
+        assert names and names == sorted(os.listdir(runs["warm"]))
+        for table in names:
+            assert (runs["warm"] / table).read_bytes() == (runs["cold"] / table).read_bytes()
 
 
 def test_output_dir_flag_wins(tmp_path):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import pathlib
 import re
@@ -17,6 +18,7 @@ from arwmass.expr import (
     Program,
     UnboundVariableError,
     Var,
+    _diff,
     _emit_program,
     compile_expression,
     compile_jet,
@@ -188,6 +190,75 @@ def test_jet_program_stays_small():
         assert not re.search(r"_pow\w*\(.*, \((1\.0|0\.0)\)\)$|\(1\.0\) \*", line), line
 
 
+def _unshared(expr):
+    """A copy of ``expr`` in which no two positions hold the same node object."""
+    if isinstance(expr, Neg):
+        return Neg(_unshared(expr.operand))
+    if isinstance(expr, Call):
+        return Call(expr.fn, _unshared(expr.arg))
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, _unshared(expr.left), _unshared(expr.right))
+    return dataclasses.replace(expr)
+
+
+def _reference_emission(exprs):
+    """Lines and outputs of a program, walking every position of every tree."""
+    lines, temps = [], {}
+
+    def operand(node):
+        if isinstance(node, Num):
+            return f"({float(node.value)!r})"
+        if isinstance(node, Var):
+            return node.name
+        if isinstance(node, Neg):
+            code = f"(-{operand(node.operand)})"
+        elif isinstance(node, Call):
+            code = f"_call_{node.fn}({operand(node.arg)})"
+        else:
+            a, b = operand(node.left), operand(node.right)
+            if node.op in "+-*":
+                code = f"({a} {node.op} {b})"
+            elif node.op == "/":
+                code = f"_div({a}, {b})"
+            else:
+                integer = isinstance(node.right, Num) and float(node.right.value).is_integer()
+                code = f"{'_pow_integer' if integer else '_pow'}({a}, {b})"
+        if code not in temps:
+            temps[code] = f"_t{len(temps)}"
+            lines.append(f"{temps[code]} = {code}")
+        return temps[code]
+
+    outputs = [operand(expr) for expr in exprs]
+    return lines, outputs
+
+
+def test_memoized_walks_emit_the_source_of_unmemoized_ones():
+    # differentiation, folding and emission visit each node object once per
+    # call.  On an unshared tree their memo never hits, so differentiating
+    # unshared copies gives the un-memoized trees, and emission is compared
+    # with a walk of every position.  An order-2 jet of a custom n = 3 spec's
+    # sigma_22 emits the same lines, temporaries and outputs either way
+    sigma = parse("exp(2*(sin(theta1)^2*(0.03*cos(theta1)*tau)))*sin(theta1)^2")
+    names = ("tau", "theta1", "theta2", "theta3")
+
+    def reference(expr, var):
+        return fold_constants(_unshared(_diff(_unshared(expr), var)))
+
+    jets = {}
+    for derive in (differentiate, reference):
+        first = [derive(sigma, name) for name in names]
+        jet = [sigma] + first
+        for i, tree in enumerate(first):
+            jet += [derive(tree, second) for second in names[i:]]
+        jets[derive] = jet
+    memoized, unmemoized = jets[differentiate], jets[reference]
+    assert [to_source(tree) for tree in memoized] == [to_source(tree) for tree in unmemoized]
+    # the memoized trees share node objects, so every memo is exercised
+    positions = [node for tree in memoized for node in _nodes(tree)]
+    assert len({id(node) for node in positions}) < len(positions) / 2
+    assert _emit_program(tuple(memoized), names) == _reference_emission(unmemoized)
+
+
 def test_compile_matches_evaluate():
     expr = parse("exp(0.5*tau)*sin(theta1) + tau^2")
     fn = compile_expression(expr, ("tau", "theta1"))
@@ -236,6 +307,8 @@ def test_compiled_source_has_no_numpy_scalar_reprs():
     expr = BinOp("*", Num(np.float64(0.5)), Var("tau"))
     fn = compile_expression(expr, ("tau",))
     assert fn(2.0) == 1.0
+    # nor into printed source, which keys the program cache
+    assert to_source(expr) == "0.5 * tau"
 
 
 PROGRAM_TREES = [parse(s) for s in ("log(x) + y^2", "sin(x)*y", "2.5", "sqrt(x)/y")]

@@ -308,7 +308,10 @@ def _assert_jets_carry_their_fields(spec, order):
 
 def test_the_conformal_metric_differentiates_nothing_after_its_parent(monkeypatch):
     # the conformal metric shares its parent's sigma fields, and so their
-    # derivative trees: they are built once
+    # derivative trees: they are built once.  The process-wide program cache
+    # is cleared first, so the parent builds them, and again for the metric
+    # built alone, which would otherwise find its programs there
+    arwmass.fields._program_slot.cache_clear()
     spec = make_spec(3, 1.0, "log(-tau)", a=-1.0, lam="0.03*cos(theta1)*tau")
     events = sample_events(spec, 4, seed=2)
     metric_jets(spec.metric, events, 2)
@@ -322,6 +325,7 @@ def test_the_conformal_metric_differentiates_nothing_after_its_parent(monkeypatc
     metric_jets(conformal, events, 2)
     assert calls == []
     # a metric built alone differentiates its 3 diagonal entries itself
+    arwmass.fields._program_slot.cache_clear()
     metric_jets(SpacetimeMetric(n=3, sigma_diagonal=spec.metric.sigma_diagonal), events, 2)
     assert len(calls) == 3 * (len(jet_keys(4, 2)) - 1)
 
@@ -360,20 +364,22 @@ def test_only_fields_and_geometry_use_expr_fields_and_time_jets():
 
 def test_a_shared_metric_builds_one_program_per_order_under_a_race(monkeypatch):
     # two threads assemble a fresh metric at orders 1 and 2, and both build
-    # each program at once: the cache keeps one fully built program per
-    # order, and both threads get the same bits
+    # each program at once: the metric keeps one fully built program per
+    # order, and both threads get the same bits.  The process-wide program
+    # cache starts empty, so both threads miss it
+    arwmass.fields._program_slot.cache_clear()
     spec = _angular_spec(3)
     metric = spec.metric
     events = sample_events(spec, 8, seed=5)
     spec.f.derivative(-0.5, 2)  # the profile's own derivative list is not thread-safe
     both_building = threading.Barrier(2, timeout=10)
-    compile_jet = arwmass.geometry.compile_jet
+    compile_jet = arwmass.fields.compile_jet
 
     def lockstep(exprs, names):
         both_building.wait()
         return compile_jet(exprs, names)
 
-    monkeypatch.setattr(arwmass.geometry, "compile_jet", lockstep)
+    monkeypatch.setattr(arwmass.fields, "compile_jet", lockstep)
     results = [None, None]
 
     def assemble(k):
@@ -384,7 +390,7 @@ def test_a_shared_metric_builds_one_program_per_order_under_a_race(monkeypatch):
         thread.start()
     for thread in threads:
         thread.join()
-    monkeypatch.setattr(arwmass.geometry, "compile_jet", compile_jet)
+    monkeypatch.setattr(arwmass.fields, "compile_jet", compile_jet)
 
     assert sorted(metric._programs) == [1, 2]
     assert all(isinstance(program, Program) for program in metric._programs.values())

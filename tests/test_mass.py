@@ -32,6 +32,7 @@ from arwmass.hypersurface import (
     coordinate_slice_curvature,
     graph_geometry,
 )
+from arwmass.imcf import flow_leaves, imcf_run
 from arwmass.mass import (
     _FILL_ANGLE,
     TccReport,
@@ -364,6 +365,22 @@ def test_slice_and_slab_integrals_need_an_arw_spec():
         lambda: mass_limit(metric, grid, geometric_schedule(spec.a, 3)),
         lambda: monotonicity_scan(metric),
         lambda: monotonicity_scan(metric, geometric_schedule(spec.a, 3), grid),
+    ):
+        with pytest.raises(TypeError, match="^expected an ARWSpec, got SpacetimeMetric$"):
+            call()
+
+
+def test_gauge_moves_and_flows_need_an_arw_spec():
+    # each takes f, lambda or the domain from the spec, and checks the type
+    # first: before a grid is built, and before eps = 0 returns its input
+    metric = rw_family_spec(3, 1.0, k=1.0, a=-0.5).metric
+    for call in (
+        lambda: normalize(metric),
+        lambda: normalize(metric, quadrature_grid(3, 8)),
+        lambda: reparametrize_time(metric, 0.0),
+        lambda: reparametrize_time(metric, 0.1),
+        lambda: imcf_run(metric, u0=-0.3, t_end=0.5),
+        lambda: flow_leaves(metric, -0.3, 0.5, 4),
     ):
         with pytest.raises(TypeError, match="^expected an ARWSpec, got SpacetimeMetric$"):
             call()
