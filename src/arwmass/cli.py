@@ -23,8 +23,9 @@ Exit codes:
 
 - 0 success;
 - 1 config error: a document that breaks ``_SCHEMA``, an unparseable
-  expression or unknown variable, a start time outside the domain, or
-  sads-demo on another kind of spacetime;
+  expression (one deeper than expr.MAX_DEPTH levels included, named by its
+  key) or unknown variable, a start time outside the domain, or sads-demo
+  on another kind of spacetime;
 - 2 validation failure: failed conditions, or a domain error or overflow
   while evaluating an expression;
 - 3 numerical abort: H <= 0, a non-spacelike graph, a quadrature breakdown,
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import sads
 from .curvature import conformal_residuals, einstein_divergence_residual
-from .expr import ExpressionError, ParseError, UnboundVariableError
+from .expr import ExpressionError, ParseError, UnboundVariableError, parse
 from .extrapolate import aitken_limit
 from .geometry import (
     GeometryError,
@@ -202,9 +203,15 @@ def _build_spacetime(st):
         return sads.as_arw_spec(params), params
     if st["kind"] == "rw-family":
         return rw_family_spec(st["n"], st["omega"], k=st["k"], a=st["a"]), None
+    expressions = {}
+    for key in ("f", "psi", "lambda"):
+        try:
+            expressions[key] = parse(st[key])
+        except ParseError as exc:
+            raise ConfigError(f"spacetime {key}: {exc}") from None
     spec = make_spec(
-        st["n"], st["omega"], st["f"], a=st["a"],
-        psi=st["psi"], lam=st["lambda"], sigma_scale=st["sigma_scale"],
+        st["n"], st["omega"], expressions["f"], a=st["a"],
+        psi=expressions["psi"], lam=expressions["lambda"], sigma_scale=st["sigma_scale"],
     )
     return spec, None
 

@@ -26,7 +26,12 @@ module, one small product per event: d Gamma from
 g^ad (1/2 d_e bracket_dbc - d_e g_dm Gamma^m_bc), the Gamma Gamma term of
 Riemann and R_abcd = g_ae R^e_bcd, formed only when read.  _assemble
 returns the metric jets of the assembly with its bundle, so that the
-conformal check reads psi_tilde there and evaluates it once.
+conformal check reads psi_tilde there and evaluates it once; it inverts g
+on the diagonal metric_jets holds.  curvature_at is that assembly at one
+event: the TCC and the monotonicity probes call it once per event, and
+its cost is per-call overhead around arrays of 4 x 4 or smaller more than
+it is tensor algebra, so the assembly it shares with curvature_batch keeps
+its array operations few (geometry.metric_jets).
 
 Each kernel has one block bound, set by the memory a block holds at its
 peak (under tracemalloc) rather than by its event count.  The full stack
@@ -56,7 +61,7 @@ from .geometry import (
     GeometryError,
     MetricJets,
     SpacetimeMetric,
-    _invert_metric,
+    _invert_diagonal,
     _require_finite,
     _require_nondegenerate,
     metric_jets,
@@ -119,7 +124,7 @@ def _assemble(metric: SpacetimeMetric, events) -> tuple[MetricJets, CurvatureBun
     the field jets of the same evaluation, for callers that also read
     psi_tilde or sigma there."""
     jets = metric_jets(metric, events, order=2)
-    g_inv = _invert_metric(jets.g, events)
+    g_inv = _invert_diagonal(jets.g_diagonal, events)
     gamma = tensors.christoffel(g_inv, jets.dg)
     return jets, curvature_from_jets(jets.g, jets.dg, jets.ddg, g_inv, gamma)
 
@@ -165,11 +170,12 @@ def warped_einstein(metric: SpacetimeMetric, events) -> tuple:
     cot^2 = 1 is folded in, so no term blows up at the poles.
     """
     events = np.asarray(events, dtype=float)
-    fields = metric.field_jets(events, 2)
-    psi_tilde, sigma = fields[:2]
-    _require_finite(psi_tilde, sigma, events)
-    scale = np.exp(2.0 * psi_tilde[..., :1])
-    _require_nondegenerate(np.concatenate((-scale, scale * sigma[..., 0]), axis=-1), events)
+    stack, f, psi = metric._jet_stack(events, 2)
+    _require_finite(stack, events)
+    psi_tilde, sigma = stack[..., 0, :], stack[..., 2:, :]
+    fields = (psi_tilde, sigma, f, psi)
+    # the diagonal of g, e^{2 psi_tilde} (-1, sigma_ii)
+    _require_nondegenerate(np.exp(2.0 * psi_tilde[..., :1]) * stack[..., 1:, 0], events)
 
     # a = psi_tilde and s = sigma_11 with their tau (0) and theta1 (1) partials
     keys = jet_keys(metric.dim, 2)

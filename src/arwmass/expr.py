@@ -10,6 +10,11 @@ Grammar (no implicit multiplication):
 
 so ``-x^2`` parses as ``-(x^2)``, ``-1.5`` as Num(-1.5) and ``-(1.5)`` as
 Neg(Num(1.5)).  Known functions: exp, log, sin, cos, tan, sqrt, abs.
+A tree deeper than MAX_DEPTH levels is a ParseError, and so is a text
+nested deeper than 2 MAX_DEPTH levels of minus signs, parentheses, calls
+and exponents (the nesting of a printed tree is at most twice its depth):
+the walks below recurse once per level, and a derivative is deeper than
+its expression.
 ``a^b`` with a non-integer exponent means exp(b*log(a)) and requires a > 0;
 integer exponents follow ordinary powers (negative bases allowed).
 
@@ -194,6 +199,15 @@ class Call(Expression):
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
+# The deepest tree parse accepts; the text may nest twice as deep.
+# Differentiation, folding, emission and printing recurse once per tree
+# level (printing twice), the parser up to five frames per nesting level,
+# and an order-3 derivative can be several times as deep as its expression
+# (a power whose base and exponent both vary grows fastest, about twelve
+# frames of the whole build per level).  At this bound every such walk
+# stays inside Python's default limit of 1000 frames.
+MAX_DEPTH = 64
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -222,10 +236,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent; every method returns (node, depth of its tree)."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0  # the unary calls now open: the recursion's depth
 
     def peek(self):
         return self.tokens[self.i]
@@ -241,71 +258,92 @@ class _Parser:
             return self.advance()
         raise ParseError(f"got {value!r}" if value else "unexpected end of input", offset, (op,))
 
+    def bounded(self, depth: int, offset: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression deeper than {MAX_DEPTH} levels", offset)
+        return depth
+
+    def nested(self, offset: int) -> None:
+        self.nesting += 1
+        if self.nesting > 2 * MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {2 * MAX_DEPTH} levels", offset)
+
     def parse(self) -> Expression:
         kind, _, offset = self.peek()
         if kind == "eof":
             raise ParseError("empty input", offset, ("expression",))
-        node = self.expr()
+        node, _ = self.expr()
         kind, value, offset = self.peek()
         if kind != "eof":
             raise ParseError(f"trailing garbage {value!r}", offset, ("end of input",))
         return node
 
-    def expr(self) -> Expression:
-        node = self.term()
+    def expr(self) -> tuple[Expression, int]:
+        node, depth = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                node = BinOp(value, node, self.term())
+                right, right_depth = self.term()
+                node = BinOp(value, node, right)
+                depth = self.bounded(1 + max(depth, right_depth), offset)
             else:
-                return node
+                return node, depth
 
-    def term(self) -> Expression:
-        node = self.unary()
+    def term(self) -> tuple[Expression, int]:
+        node, depth = self.unary()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
-                node = BinOp(value, node, self.unary())
+                right, right_depth = self.unary()
+                node = BinOp(value, node, right)
+                depth = self.bounded(1 + max(depth, right_depth), offset)
             else:
-                return node
+                return node, depth
 
-    def unary(self) -> Expression:
-        kind, value, _ = self.peek()
+    def unary(self) -> tuple[Expression, int]:
+        kind, value, offset = self.peek()
+        self.nested(offset)
         if kind == "op" and value == "-":
             self.advance()
             # a minus sign on a number is a negative literal, unless the
             # number is a power's base (-2^2 is -(2^2))
             if self.peek()[0] == "number" and self.tokens[self.i + 1][1] != "^":
-                return Num(-float(self.advance()[1]))
-            return Neg(self.unary())
-        return self.power()
+                result = Num(-float(self.advance()[1])), 1
+            else:
+                operand, depth = self.unary()
+                result = Neg(operand), self.bounded(depth + 1, offset)
+        else:
+            result = self.power()
+        self.nesting -= 1
+        return result
 
-    def power(self) -> Expression:
-        base = self.atom()
-        kind, value, _ = self.peek()
+    def power(self) -> tuple[Expression, int]:
+        base, depth = self.atom()
+        kind, value, offset = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return BinOp("^", base, self.unary())
-        return base
+            exponent, exponent_depth = self.unary()
+            return BinOp("^", base, exponent), self.bounded(1 + max(depth, exponent_depth), offset)
+        return base, depth
 
-    def atom(self) -> Expression:
+    def atom(self) -> tuple[Expression, int]:
         kind, value, offset = self.advance()
         if kind == "number":
-            return Num(float(value))
+            return Num(float(value)), 1
         if kind == "name":
             if value in CONSTANTS:
-                return Const(value)
+                return Const(value), 1
             nkind, nvalue, _ = self.peek()
             if nkind == "op" and nvalue == "(":
                 if value not in FUNCTIONS:
                     raise ParseError(f"unknown function {value!r}", offset, FUNCTIONS)
                 self.advance()
-                arg = self.expr()
+                arg, depth = self.expr()
                 self.expect_op(")")
-                return Call(value, arg)
-            return Var(value)
+                return Call(value, arg), self.bounded(depth + 1, offset)
+            return Var(value), 1
         if kind == "op" and value == "(":
             node = self.expr()
             self.expect_op(")")
@@ -316,7 +354,8 @@ class _Parser:
 
 
 def parse(text: str) -> Expression:
-    """Parse ``text`` into an expression tree (no folding, no rewriting)."""
+    """Parse ``text`` into an expression tree (no folding, no rewriting);
+    a tree or a nesting deeper than MAX_DEPTH levels is a ParseError."""
     return _Parser(text).parse()
 
 
@@ -742,6 +781,8 @@ class Program:
     array runs ``vectorized``, or where its checks raise, runs the points one
     by one in C order: the first failing point raises its own DomainError,
     ``... at theta1 = x`` for one argument, ``... at event [...]`` for more.
+    ``program.at(*args)`` runs ``scalar`` on the arguments as given and
+    names a failing point the same way.
     """
 
     def __init__(self, exprs, arg_names: tuple[str, ...]):
@@ -760,23 +801,25 @@ class Program:
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
-            return np.array(self._at(points))
+            return np.array(self.at(*points.tolist()))
         try:
             values = self.vectorized(*np.moveaxis(points, -1, 0))
         except DomainError:
-            flat = np.array([self._at(point) for point in points.reshape(-1, points.shape[-1])])
+            rows = points.reshape(-1, points.shape[-1]).tolist()
+            flat = np.array([self.at(*point) for point in rows])
             return flat.reshape(points.shape[:-1] + flat.shape[-1:])
         out = np.empty(points.shape[:-1] + (len(values),))
         for k, value in enumerate(values):
             out[..., k] = value
         return out
 
-    def _at(self, point: np.ndarray) -> tuple:
-        args = point.tolist()
+    def at(self, *args) -> tuple:
+        """The values at one point given as its scalar arguments, on the
+        ``scalar`` path; a failure raises DomainError naming the point."""
         try:
             return self.scalar(*args)
         except (EvaluationError, ArithmeticError, ValueError) as exc:
-            where = f"{self.names[0]} = {args[0]}" if len(args) == 1 else f"event {args}"
+            where = f"{self.names[0]} = {args[0]}" if len(args) == 1 else f"event {list(args)}"
             raise DomainError(f"{exc} at {where}") from None
 
 

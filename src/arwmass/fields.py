@@ -11,9 +11,12 @@ What assembly consumes is a *jet*: value, gradient and Hessian up to a given
 order in one array, at one event or at an array of events.  An
 :class:`ExprField` memoizes the derivative trees of one expression and hands
 out its jet and single partials, the entry-by-entry reference;
-:func:`time_jet` gives the jet of a time profile.  geometry.SpacetimeMetric
-evaluates the jets of all its sources in one program, which
-:func:`jet_program` compiles once per process for each source text.
+:meth:`TimeFunction.jet` gives a time profile's derivatives at an array of
+times, once per distinct time, and :func:`time_jet` lays them out as the jet
+of a field.  geometry.SpacetimeMetric evaluates the jets of all its sources
+in one program, which :func:`jet_program` compiles once per process for
+each source text; an expression profile evaluates its derivatives in one
+such program too.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ def split_jet(jet: np.ndarray, dim: int):
     :func:`jet_keys` layout; orders the jet lacks come back as None."""
     value = jet[..., 0]
     grad = jet[..., 1 : dim + 1] if jet.shape[-1] > 1 else None
-    hess = jet[..., _hessian_index(dim)] if jet.shape[-1] > dim + 1 else None
+    hess = jet.take(_hessian_index(dim), axis=-1) if jet.shape[-1] > dim + 1 else None
     return value, grad, hess
 
 
@@ -178,12 +181,37 @@ class TimeFunction(ABC):
     def value(self, tau: float) -> float:
         return self.derivative(tau, 0)
 
+    def jet(self, taus, order: int) -> np.ndarray:
+        """f, f', ..., f^(order) at times of any shape, along a trailing
+        axis of length order + 1, with the bits of :meth:`derivative`.
+
+        A slice's events share one time: the derivatives are evaluated once
+        per distinct tau, in order of first appearance, so the first
+        failing tau raises its own error, and each tau's row is gathered by
+        its index.  A NaN tau is a key of its own.
+        """
+        taus = np.asarray(taus, dtype=float)
+        flat = taus.reshape(-1).tolist()
+        distinct = dict.fromkeys(flat)
+        rows = np.array([self._derivatives(np.float64(tau), order) for tau in distinct])
+        if len(distinct) < len(flat):  # else the rows are in the times' order
+            index = {tau: k for k, tau in enumerate(distinct)}
+            rows = rows[np.fromiter(map(index.__getitem__, flat), int, len(flat))]
+        return rows.reshape(taus.shape + (order + 1,))
+
+    def _derivatives(self, tau, order: int) -> list:
+        """[f(tau), f'(tau), ..., f^(order)(tau)], one row of :meth:`jet`."""
+        return [self.derivative(tau, m) for m in range(order + 1)]
+
 
 class ExprTimeFunction(TimeFunction):
     """Time profile backed by an expression in tau (any derivative order).
 
     A derivative raises wherever the profile itself raises: the profile is
-    evaluated first.
+    evaluated first.  A jet runs one program of the profile and its
+    derivatives to its order, from fields.jet_program, on Python scalars:
+    each output has the bits of :meth:`derivative`, and the first failing
+    output raises the error :meth:`derivative` raises there.
     """
 
     def __init__(self, expr: Expression):
@@ -193,6 +221,10 @@ class ExprTimeFunction(TimeFunction):
         self.expr = expr
         self._exprs = [expr]
         self._compiled = [compile_expression(expr, ("tau",))]
+        # the derivative trees of the jet programs, and one program per
+        # order, fetched on first use; a program is only stored fully built
+        self._trees = {(): expr}
+        self._jets: dict[int, Program] = {}
 
     def derivative(self, tau: float, order: int) -> float:
         while len(self._compiled) <= order:
@@ -206,28 +238,27 @@ class ExprTimeFunction(TimeFunction):
         except (EvaluationError, ArithmeticError, ValueError) as exc:
             raise DomainError(f"{exc} at tau = {tau}") from None
 
+    def _derivatives(self, tau, order: int) -> tuple:
+        program = self._jets.get(order)
+        if program is None:
+            keys = tuple((0,) * m for m in range(order + 1))
+            program = self._jets[order] = jet_program([self._trees], ("tau",), keys)
+        return program.at(tau)
+
 
 def time_jet(tf: TimeFunction, events, order: int) -> np.ndarray:
     """The jet to ``order`` of a time profile, a field constant in the
-    angles, at events of shape (..., dim), in the :func:`jet_keys` layout.
-
-    The events of a slice share one time: the profile's derivatives are
-    evaluated once per distinct tau, in order of first appearance, so the
-    first failing tau raises its own error, and each event's row is gathered
-    by its tau's index.  A NaN tau is a key of its own, whose NaN row
-    reaches the finiteness check of the assembly.
+    angles, at events of shape (..., dim), in the :func:`jet_keys` layout:
+    :meth:`TimeFunction.jet` of the events' times.  A NaN tau gets a NaN
+    row, which reaches the finiteness check of the assembly.
     """
     events = np.asarray(events, dtype=float)
     dim = events.shape[-1]
     out = np.zeros(events.shape[:-1] + (len(jet_keys(dim, order)),))
-    taus = events[..., 0].reshape(-1).tolist()
-    index = {tau: k for k, tau in enumerate(dict.fromkeys(taus))}
-    rows = np.array(
-        [[tf.derivative(np.float64(tau), m) for m in range(order + 1)] for tau in index]
-    )
-    inverse = np.fromiter(map(index.__getitem__, taus), int, len(taus))
-    positions = (0, 1, 1 + dim)[: order + 1]
-    out[..., positions] = rows[inverse].reshape(out.shape[:-1] + (order + 1,))
+    jet = tf.jet(events[..., 0], order)
+    out[..., : min(order, 1) + 1] = jet[..., :2]  # f, then d_tau f
+    if order >= 2:
+        out[..., 1 + dim] = jet[..., 2]  # d_tau d_tau f
     return out
 
 

@@ -24,6 +24,15 @@ holds sigma as its n diagonal entries sigma_ii, their jets have shape
 (..., n, width), and metrics are tested for degeneracy and inverted on
 their diagonals.  The full curvature stack still reads g, its derivatives
 and its inverse as dense (..., dim, dim) matrices.
+
+One assembly fills one stacked array of field jets, (..., dim + 1, width):
+psi_tilde, then the diagonal of eta = -dtau^2 + sigma, (-1, sigma_ii).
+metric_jets tests the whole stack for finiteness in one reduction (the
+jets are named only when it fails), splits it into values, gradients and
+Hessians once, and keeps g's diagonal e^{2 psi_tilde} eta, which the
+degeneracy test and the inverse read.  A one-event assembly is small
+arrays throughout, so its cost is mostly per-call numpy overhead, and the
+stack keeps the number of array operations per call low.
 """
 
 from __future__ import annotations
@@ -87,7 +96,8 @@ class SpacetimeMetric:
     its sources: psi_tilde = f + psi, with ``f`` a time profile (None for
     none) and ``psi`` an expression in the chart coordinates, and
     ``sigma_diagonal`` the n expressions of sigma_ii (sigma_ij = 0 for i !=
-    j).  An assembly reads their jets from :meth:`field_jets`.
+    j).  An assembly reads their jets from :meth:`_jet_stack`, or from
+    :meth:`field_jets`, which splits that stack.
     """
 
     n: int
@@ -136,10 +146,31 @@ class SpacetimeMetric:
             self._programs[order] = program
         return program
 
-    def field_jets(self, events: np.ndarray, order: int) -> tuple:
-        """(psi_tilde, sigma, f, psi): the jets of psi_tilde, of sigma_ii as
-        sigma[..., i, :], and of the f and psi summed into psi_tilde, at
-        events of shape (..., dim), in the fields.jet_keys layout of ``order``.
+    @cached_property
+    def _fill(self) -> tuple:
+        """How :meth:`_jet_stack` fills its rows psi_tilde, -1, sigma_ii:
+        (the stack of the literal sources, zero elsewhere, in the layout of
+        order 2, of which every lower order's is a prefix; the rows of the
+        evaluated slots; the columns of the owner's program they read, or
+        None for all of them in order; the owner's number of slots)."""
+        sources, fields = self._layout
+        slots = list((self.parent or self)._layout[1])
+        row = [0] + list(range(2, self.dim + 1))  # of slot 0 (psi) and 1 + i (sigma_ii)
+        literal = np.zeros((self.dim + 1, len(jet_keys(self.dim, 2))))
+        literal[1, 0] = -1.0
+        for k, expr in enumerate(sources):
+            if isinstance(expr, Num):
+                literal[row[k], 0] = expr.value
+        rows = np.array([row[k] for k in fields], dtype=int)
+        columns = None if slots == list(fields) else [slots.index(k) for k in fields]
+        return literal, rows, columns, len(slots)
+
+    def _jet_stack(self, events: np.ndarray, order: int) -> tuple:
+        """(stack, f, psi): the jets of psi_tilde as stack[..., 0, :], of
+        the diagonal eta_aa of eta = -dtau^2 + sigma (-1, then sigma_ii) as
+        stack[..., 1 + a, :], and of the f and psi summed into psi_tilde,
+        at events of shape (..., dim), in the fields.jet_keys layout of
+        ``order``.
 
         One program call evaluates psi and every non-constant sigma_ii (a
         conformal metric calls its parent's and reads the sigma slots); a
@@ -147,31 +178,36 @@ class SpacetimeMetric:
         Each jet keeps the bits of its source's own jet: ExprField.jet, or
         fields.time_jet for f.
         """
+        literal, rows, columns, slots = self._fill
         width = len(jet_keys(self.dim, order))
         batch = events.shape[:-1]
-        f = np.zeros(batch + (width,)) if self.f is None else time_jet(self.f, events, order)
-        sources, fields = self._layout
-        jets = np.zeros(batch + (len(sources), width))
-        for k, expr in enumerate(sources):
-            if isinstance(expr, Num):
-                jets[..., k, 0] = expr.value
-        if fields:
+        stack = np.empty(batch + (self.dim + 1, width))
+        stack[...] = literal[:, :width]
+        if len(rows):
             owner = self.parent or self
-            slots = list(owner._layout[1])
-            values = owner._program(order)(events).reshape(batch + (len(slots), width))
-            if slots != list(fields):
-                values = values[..., [slots.index(k) for k in fields], :]
-            jets[..., list(fields), :] = values
-        psi = jets[..., 0, :]
-        psi_tilde = psi if self.f is None else f + psi
-        return psi_tilde, jets[..., 1:, :], f, psi
+            values = owner._program(order)(events).reshape(batch + (slots, width))
+            stack[..., rows, :] = values if columns is None else values[..., columns, :]
+        psi = stack[..., 0, :]
+        if self.f is None:
+            return stack, np.zeros(batch + (width,)), psi
+        f = time_jet(self.f, events, order)
+        psi = psi.copy()
+        stack[..., 0, :] += f
+        return stack, f, psi
+
+    def field_jets(self, events: np.ndarray, order: int) -> tuple:
+        """(psi_tilde, sigma, f, psi): the jets of psi_tilde, of sigma_ii as
+        sigma[..., i, :], and of the f and psi summed into psi_tilde, read
+        from one :meth:`_jet_stack`."""
+        stack, f, psi = self._jet_stack(events, order)
+        return stack[..., 0, :], stack[..., 2:, :], f, psi
 
 
 @dataclass(frozen=True)
 class MetricJets:
-    """The metric g of one assembly, its coordinate derivatives and the
-    field jets it was built from, at one event or with the events' leading
-    axes.
+    """The metric g of one assembly, its diagonal, its coordinate
+    derivatives and the field jets it was built from, at one event or with
+    the events' leading axes.
 
     ``dg`` and ``ddg`` are None beyond the assembly's order.  ``psi_tilde``
     is the jet of psi_tilde, ``sigma[..., i, :]`` the jet of sigma_ii and
@@ -180,6 +216,7 @@ class MetricJets:
     """
 
     g: np.ndarray
+    g_diagonal: np.ndarray
     dg: np.ndarray | None
     ddg: np.ndarray | None
     psi_tilde: np.ndarray
@@ -194,10 +231,11 @@ def metric_jets(metric: SpacetimeMetric, event, order: int = 2) -> MetricJets:
 
     ``event`` is one event or an array of events of shape (..., dim), and
     every returned array carries its leading axes.  The field jets come from
-    one :meth:`SpacetimeMetric.field_jets` evaluation.  All derivatives are
-    exact (symbolic or closed-form chain rule), nothing is finite differenced
-    here.  A non-finite field jet raises GeometryError naming the field
-    and its first such event, before any product is formed.
+    one :meth:`SpacetimeMetric._jet_stack` evaluation, split once.  All
+    derivatives are exact (symbolic or closed-form chain rule), nothing is
+    finite differenced here.  A non-finite field jet raises GeometryError
+    naming the field and its first such event, before any product is
+    formed.
     """
     events = np.asarray(event, dtype=float)
     n, dim = metric.n, metric.dim
@@ -205,31 +243,44 @@ def metric_jets(metric: SpacetimeMetric, event, order: int = 2) -> MetricJets:
         raise GeometryError(
             f"events of an n = {n} metric have dim = {dim} coordinates, got shape {events.shape}"
         )
-    psi, sigma, f_jet, psi_jet = metric.field_jets(events, order)
-    _require_finite(psi, sigma, events)
-    p0, p1, p2 = split_jet(psi, dim)
-    # the jets of the diagonal eta_aa of eta = -dtau^2 + sigma: -1, then
-    # sigma_ii.  g, dg and ddg are diagonal in their last two axes
-    time = np.zeros_like(psi[..., None, :])
-    time[..., 0] = -1.0
-    eta, deta, ddeta = split_jet(np.concatenate((time, sigma), axis=-2), dim)
-    scale = np.exp(2.0 * p0)[..., None]
-    g = _diagonal_matrix(scale * eta)
+    stack, f_jet, psi_jet = metric._jet_stack(events, order)
+    _require_finite(stack, events)
+    value, grad, hess = split_jet(stack, dim)
+    # row 0 is psi_tilde, rows 1 + a the diagonal eta_aa of eta: g = e^{2
+    # psi_tilde} eta, and g, dg and ddg are diagonal in their last two axes
+    scale = np.exp(2.0 * value[..., :1])
+    eta = value[..., 1:]
+    diagonal = scale * eta
+    g = _diagonal_matrix(diagonal)
     dg = ddg = None
     if order >= 1:
+        p1, deta = grad[..., 0, :], grad[..., 1:, :]
+        twice = 2.0 * p1
         # [a, c] = d_c g_aa, laid out as dg[c, a, a]
-        diagonal = scale[..., None] * (2.0 * p1[..., None, :] * eta[..., :, None] + deta)
-        dg = _diagonal_matrix(diagonal.swapaxes(-1, -2))
+        first = scale[..., None] * (twice[..., None, :] * eta[..., :, None] + deta)
+        dg = _diagonal_matrix(first.swapaxes(-1, -2))
     if order >= 2:
-        # [a, c, d] = d_c d_d g_aa, laid out as ddg[c, d, a, a]
+        p2, ddeta = hess[..., 0, :, :], hess[..., 1:, :, :]
+        # [a, c, d] = d_c d_d g_aa, laid out as ddg[c, d, a, a]; the two
+        # cross terms 2 d_c psi_tilde d_d eta_aa are transposes in (c, d)
         pp = 4.0 * p1[..., :, None] * p1[..., None, :] + 2.0 * p2
-        diagonal = pp[..., None, :, :] * eta[..., :, None, None]
-        diagonal += 2.0 * p1[..., None, :, None] * deta[..., :, None, :]
-        diagonal += 2.0 * p1[..., None, None, :] * deta[..., :, :, None]
-        diagonal += ddeta
-        diagonal *= scale[..., None, None]
-        ddg = _diagonal_matrix(diagonal.swapaxes(-3, -2).swapaxes(-2, -1))
-    return MetricJets(g=g, dg=dg, ddg=ddg, psi_tilde=psi, sigma=sigma, f=f_jet, psi=psi_jet)
+        cross = twice[..., None, :, None] * deta[..., :, None, :]
+        second = pp[..., None, :, :] * eta[..., :, None, None]
+        second += cross
+        second += cross.swapaxes(-1, -2)
+        second += ddeta
+        second *= scale[..., None, None]
+        ddg = _diagonal_matrix(second.swapaxes(-3, -2).swapaxes(-2, -1))
+    return MetricJets(
+        g=g,
+        g_diagonal=diagonal,
+        dg=dg,
+        ddg=ddg,
+        psi_tilde=stack[..., 0, :],
+        sigma=stack[..., 2:, :],
+        f=f_jet,
+        psi=psi_jet,
+    )
 
 
 def _diagonal_matrix(diagonal: np.ndarray) -> np.ndarray:
@@ -248,14 +299,18 @@ def _raise_at_first(bad, event, message: str) -> None:
         raise GeometryError(f"{message} at event {first.tolist()}")
 
 
-def _require_finite(psi: np.ndarray, sigma: np.ndarray, events: np.ndarray) -> None:
-    """Raise GeometryError naming the first non-finite field jet and event."""
-    if np.isfinite(psi).all() and np.isfinite(sigma).all():
+def _require_finite(stack: np.ndarray, events: np.ndarray) -> None:
+    """Raise GeometryError naming the first non-finite field jet of a
+    :meth:`SpacetimeMetric._jet_stack` (psi_tilde, then sigma_ii) and its
+    first such event.  One reduction tests the whole stack; the jets are
+    named only when it fails."""
+    if np.isfinite(stack).all():
         return
-    n = sigma.shape[-2]
-    jets = [("psi_tilde", psi)] + [(f"sigma_{i + 1}{i + 1}", sigma[..., i, :]) for i in range(n)]
-    for name, jet in jets:
-        _raise_at_first(~np.isfinite(jet).all(axis=-1), events, f"{name} is not finite")
+    names = ["psi_tilde", None] + [f"sigma_{i}{i}" for i in range(1, stack.shape[-2] - 1)]
+    for row, name in enumerate(names):
+        if name is not None:
+            bad = ~np.isfinite(stack[..., row, :]).all(axis=-1)
+            _raise_at_first(bad, events, f"{name} is not finite")
 
 
 def _require_nondegenerate(diagonal: np.ndarray, event) -> None:
@@ -263,22 +318,31 @@ def _require_nondegenerate(diagonal: np.ndarray, event) -> None:
     diagonal matrix, given as its diagonal (..., m), is degenerate."""
     # the determinant over the largest entry: scale-free, so no power of
     # that entry underflows or overflows; a NaN fails the bound too
-    size = np.max(np.abs(diagonal), axis=-1, keepdims=True)
+    magnitude = np.abs(diagonal)
+    size = magnitude.max(axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        det = np.prod(diagonal / size, axis=-1)
-    _raise_at_first(~(np.abs(det) >= 1e-14), event, "degenerate metric")
+        det = (magnitude / size).prod(axis=-1)  # |det|: rounding keeps no sign
+    regular = det >= 1e-14
+    if not regular.all():
+        _raise_at_first(~regular, event, "degenerate metric")
+
+
+def _invert_diagonal(diagonal: np.ndarray, event) -> np.ndarray:
+    """Inverse, shape (..., m, m), of the diagonal matrices whose diagonals
+    are ``diagonal`` (..., m), one per event of ``event``, after
+    :func:`_require_nondegenerate`: diag(1 / g_aa), the entries LAPACK's
+    inverse gives."""
+    _require_nondegenerate(diagonal, event)
+    return _diagonal_matrix(1.0 / diagonal)
 
 
 def _invert_metric(g: np.ndarray, event) -> np.ndarray:
-    """Inverse of g, shape (..., m, m), one matrix per event of ``event``,
-    after :func:`_require_nondegenerate`.
+    """:func:`_invert_diagonal` of a metric g (..., m, m) held dense.
 
     g must be diagonal: its off-diagonal entries are exact zeros, as they
-    are in every metric and every induced metric of a graph assembled here,
-    and the inverse is diag(1 / g_aa), the entries LAPACK's inverse gives."""
-    diagonal = np.diagonal(g, axis1=-2, axis2=-1)
-    _require_nondegenerate(diagonal, event)
-    return _diagonal_matrix(1.0 / diagonal)
+    are in every metric and every induced metric of a graph assembled
+    here."""
+    return _invert_diagonal(g.diagonal(axis1=-2, axis2=-1), event)
 
 
 def flat_chart_metric(n: int) -> SpacetimeMetric:
@@ -594,10 +658,7 @@ def arw_validate(spec: ARWSpec, sample_times=None) -> ArwValidation:
     events[:, 0] = times
     metric_jets(spec.metric, events, 0)
 
-    fp = np.array([spec.f.derivative(t, 1) for t in times])
-    fpp = np.array([spec.f.derivative(t, 2) for t in times])
-    fppp = np.array([spec.f.derivative(t, 3) for t in times])
-    fv = np.array([spec.f.value(t) for t in times])
+    fv, fp, fpp, fppp = spec.f.jet(times, 3).T
 
     conditions = []
 

@@ -57,6 +57,7 @@ from .geometry import (
     MetricJets,
     SpacetimeMetric,
     _diagonal_matrix,
+    _invert_diagonal,
     _invert_metric,
     _require_nondegenerate,
     metric_jets,
@@ -170,7 +171,7 @@ class _Ambient:
 
     @cached_property
     def g_inv(self) -> np.ndarray:
-        return _invert_metric(self.jets.g, self.event)
+        return _invert_diagonal(self.jets.g_diagonal, self.event)
 
     @cached_property
     def christoffel(self) -> np.ndarray:

@@ -74,6 +74,7 @@ from .geometry import (
     ConditionReport,
     GeometryError,
     QuadratureGrid,
+    _diagonal_matrix,
     geometric_schedule,
     integrate_node_values,
     quadrature_grid,
@@ -438,7 +439,7 @@ def monotonicity_scan(
 
     integrals = np.array([slice_mass_integral(spec, t, grid) for t in times])
 
-    fp = np.array([spec.f.derivative(float(t), 1) for t in times])
+    fp = spec.f.jet(times, 1)[:, 1]
     thetas = grid.axis_nodes[0][::4]
     events = _slice_events(n, times[:, None], thetas)
     g_inv = np.empty(events.shape + (n + 1,))
@@ -508,7 +509,8 @@ def tcc_check(
     NaN and the check fail.  ``events`` is an (m, n+1) array with m >= 1.
 
     Each event makes one ``curvature_at`` call, whose diagonal g gives the
-    frame e_a = |g_aa|^{-1/2} d_a, and its directions are drawn as two
+    frame e_a = |g_aa|^{-1/2} d_a, formed for all events at once after the
+    loop, and its directions are drawn as two
     arrays from one generator stream: the k - 1 random chi, then the
     k vectors d as one (k, n) normal draw.  These are the numbers a loop
     drawing one d per direction consumes, and Ric(nu, nu) of all directions
@@ -529,14 +531,15 @@ def tcc_check(
 
     m, k = len(events), _TCC_DIRECTIONS
     ricci = np.empty((m, n + 1, n + 1))
-    frame = np.zeros((m, n + 1, n + 1))  # frame[j, a] = hatted basis vector a at event j
+    g = np.empty((m, n + 1))  # the diagonal of g at each event
     chi = np.zeros((m, k))
     d = np.empty((m, k, n))
     for j, event in enumerate(events):
         bundle = curvature_at(metric, event)
-        ricci[j], frame[j] = bundle.ricci, np.diag(np.abs(np.diagonal(bundle.g)) ** -0.5)
+        ricci[j], g[j] = bundle.ricci, bundle.g.diagonal()
         chi[j, 1:] = rng.uniform(0.0, 2.5, k - 1)
         d[j] = rng.normal(size=(k, n))
+    frame = _diagonal_matrix(np.abs(g) ** -0.5)  # frame[j, a] = hatted basis vector a at event j
     d /= np.linalg.norm(d, axis=-1, keepdims=True)
     # nu[j, l] is direction l at event j, and values[j, l] its Ric(nu, nu)
     chi = chi[..., None]

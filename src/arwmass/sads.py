@@ -345,19 +345,22 @@ class SAdSTimeFunction(TimeFunction):
         return self._radius(tau)
 
     def derivative(self, tau: float, order: int) -> float:
+        return self._derivatives(tau, order)[-1]
+
+    def _derivatives(self, tau, order: int) -> list:
+        """f to f^(order) at ``tau``: one radius lookup, one profile."""
         r = self.radius(tau)
-        if order == 0:
-            return math.log(r)
-        p = profile(self.params, r)
-        dht = -p.dh_dr
-        if order == 1:
-            return -math.sqrt(p.h_tilde)
-        if order == 2:
-            return 0.5 * r * dht
-        if order == 3:
-            ddht = -_d2h_dr2(self.params, r)
-            return -0.5 * r * math.sqrt(p.h_tilde) * (dht + r * ddht)
-        raise ValueError(f"derivative order {order} not available (max 3)")
+        if not 0 <= order <= 3:
+            raise ValueError(f"derivative order {order} not available (max 3)")
+        row = [math.log(r)]
+        if order:
+            p = profile(self.params, r)
+            root, dht = math.sqrt(p.h_tilde), -p.dh_dr
+            row += [-root, 0.5 * r * dht]
+            if order == 3:
+                ddht = -_d2h_dr2(self.params, r)
+                row.append(-0.5 * r * root * (dht + r * ddht))
+        return row[: order + 1]
 
 
 def as_arw_spec(params: SAdSParams) -> ARWSpec:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import arwmass.cli
 import arwmass.curvature
+import arwmass.expr
 import arwmass.geometry
 import arwmass.hypersurface
 import arwmass.imcf
@@ -764,3 +765,21 @@ def test_readme_config_reference_is_the_schema():
             assert "spacetime's `a`" in row[3], row
             want[3] = row[3]
         assert row == want
+
+
+@pytest.mark.parametrize("key", ["f", "psi", "lambda"])
+def test_an_expression_too_deep_to_walk_is_a_config_error_naming_its_key(tmp_path, key, capsys):
+    # 0.001*tau summed 1,500 times is a tree 1,501 levels deep, which the
+    # recursive walks of the expression module cannot take
+    spacetime = {"kind": "custom", "n": 2, "omega": 1.0, "f": "log(-tau)", "a": -1.0}
+    spacetime[key] = " + ".join(["0.001*tau"] * 1500)
+    config = {"spacetime": spacetime, "command": "validate"}
+    assert main([write_config(tmp_path, config), "--output-dir", str(tmp_path / "out")]) == 1
+    # a sum of k products is k + 1 levels deep: the + before product
+    # MAX_DEPTH makes it too deep
+    bound = arwmass.expr.MAX_DEPTH
+    offset = len(" + ".join(["0.001*tau"] * (bound - 1))) + 1
+    assert capsys.readouterr().err == (
+        f"config error: spacetime {key}: expression deeper than {bound} levels at offset {offset}\n"
+    )
+    assert not (tmp_path / "out" / "validate.csv").exists()

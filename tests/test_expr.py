@@ -9,9 +9,11 @@ import pytest
 
 import arwmass
 from arwmass.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     DomainError,
+    Expression,
     Neg,
     Num,
     ParseError,
@@ -368,3 +370,59 @@ def test_only_expr_calls_a_programs_functions():
             ):
                 callers.append(f"{path.name}:{node.lineno}")
     assert callers == []
+
+
+def _depth(expr):
+    """The number of levels of a tree, walked without recursion."""
+    deepest, stack = 0, [(expr, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        children = (getattr(node, field.name) for field in dataclasses.fields(node))
+        stack += [(child, level + 1) for child in children if isinstance(child, Expression)]
+    return deepest
+
+
+DEEP_SHAPES = {
+    "sum": lambda k: " + ".join(["0.001*tau"] * k),
+    "nested quotients": lambda k: "tau/(1 + " * k + "tau" + ")" * k,
+    "nested products": lambda k: "(tau + 1)*(" * k + "tau" + ")" * k,
+    "nested calls": lambda k: "exp(0.1*sin(" * k + "tau" + "))" * k,
+    "power tower": lambda k: "^".join(["tau"] * k),
+    "varying bases and exponents": lambda k: "(" * k + "tau" + ")^(tau + 1)" * k,
+    "parentheses": lambda k: "(" * k + "tau" + ")" * k,
+    "minus signs": lambda k: "-" * k + "tau",
+}
+
+
+def _deepest(shape):
+    """The expression of the largest k that parse accepts, and its text."""
+    k = 1
+    while True:
+        try:
+            parse(shape(k + 1))
+        except ParseError as exc:
+            assert re.fullmatch(r"expression (nested )?deeper than \d+ levels at offset \d+", str(exc))
+            return parse(shape(k)), shape(k)
+        k += 1
+
+
+@pytest.mark.parametrize("name", DEEP_SHAPES)
+def test_the_deepest_accepted_expression_survives_every_walk(name):
+    # at the bound, an order-3 jet differentiates, folds and compiles, and
+    # the expression prints and reads back, in this thread's stack under
+    # Python's default recursion limit
+    expr, text = _deepest(DEEP_SHAPES[name])
+    if name == "parentheses":  # a tree of one level: the text's nesting is bounded
+        assert text.count("(") == 2 * MAX_DEPTH - 1
+    else:
+        assert MAX_DEPTH - 2 <= _depth(expr) <= MAX_DEPTH
+    assert free_variables(expr) == {"tau"}
+    trees = [expr]
+    for _ in range(3):
+        trees.append(differentiate(trees[-1], "tau"))
+    assert all(fold_constants(tree) == tree for tree in trees[1:])
+    values = compile_jet(trees, ("tau",))(np.array([1.0]))
+    assert values.shape == (4,)
+    assert parse(to_source(expr)) == expr
+    assert parse(to_source(fold_constants(expr))) == fold_constants(expr)

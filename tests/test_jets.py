@@ -24,6 +24,7 @@ from arwmass.expr import (
     EvaluationError,
     Neg,
     Num,
+    Program,
     Var,
     _diff,
     _eval,
@@ -179,20 +180,24 @@ def test_vectorized_jets_match_scalar_jets(name):
 
 
 def test_time_jet_evaluates_the_profile_once_per_distinct_tau(monkeypatch):
-    # a block of 3 slices of 4 events: order + 1 derivatives per slice time
+    # a block of 3 slices of 4 events: one run of the profile's jet program
+    # of the order per slice time, and no call of its derivative
     spec = SPECS["custom n=3"]
     events = sample_events(spec, 12, seed=5).reshape(3, 4, 4)
     events[..., 0] = np.array([[-0.6], [-0.4], [-0.2]])
+    references = [source_jets(spec.metric, events, order).f for order in (0, 1, 2)]
     derivative, calls = ExprTimeFunction.derivative, []
     monkeypatch.setattr(
         ExprTimeFunction, "derivative", lambda *args: calls.append(args[2]) or derivative(*args)
     )
-    for order in (0, 1, 2):
-        calls.clear()
+    at, programs = Program.at, []
+    monkeypatch.setattr(Program, "at", lambda self, *args: programs.append(self) or at(self, *args))
+    for order, reference in zip((0, 1, 2), references):
+        programs.clear()
         jet = time_jet(spec.f, events, order)
-        assert calls == list(range(order + 1)) * 3
-        reference = source_jets(spec.metric, events, order).f
+        assert programs == [spec.f._jets[order]] * 3
         npt.assert_array_equal(jet.view(np.int64), reference.view(np.int64))
+    assert calls == []
 
 
 def test_time_jet_raises_for_the_first_failing_time_in_event_order():
